@@ -1,21 +1,18 @@
 """Core-engine throughput: the perf baseline every DES change answers to.
 
-Raw events/second for both pending-event queues (binary heap vs the
-hierarchical timing wheel) plus end-to-end frames/second of the
-packet-level TpWIRE model on the Figure 6 topology, also per scheduler.
-The numbers land in ``benchmarks/results/BENCH_core_engine.json``; CI
-re-measures a fast variant of the same workloads
-(``python -m benchmarks.engine_smoke``) and fails if throughput regresses
-more than 30 % against that committed baseline.  ``docs/performance.md``
-explains the fast path these numbers track and how to read the artefact.
+Raw events/second of the pending-event queue and run loop, plus
+end-to-end frames/second of the packet-level TpWIRE model on the
+Figure 6 topology.  The numbers land in
+``benchmarks/results/BENCH_core_engine.json``; CI re-measures a fast
+variant of the same workloads (``python -m benchmarks.engine_smoke``) and
+fails if throughput regresses more than 30 % against that committed
+baseline.  ``docs/performance.md`` explains the fast path these numbers
+track and how to read the artefact.
 """
-
-import pytest
 
 from benchmarks.engine_workloads import (
     FULL_EVENTS,
     FULL_PACKETS,
-    SCHEDULER_FACTORIES,
     bus_frames_throughput,
     bus_throughput,
     scheduler_churn,
@@ -23,94 +20,63 @@ from benchmarks.engine_workloads import (
 )
 
 
-@pytest.mark.parametrize("name", sorted(SCHEDULER_FACTORIES))
-def test_scheduler_raw_event_throughput(benchmark, name):
-    factory = SCHEDULER_FACTORIES[name]
+def test_scheduler_raw_event_throughput(benchmark):
     fired, _ = benchmark.pedantic(
-        lambda: scheduler_churn(factory, FULL_EVENTS), rounds=3, iterations=1
+        lambda: scheduler_churn(FULL_EVENTS), rounds=3, iterations=1
     )
     # The 16 seeded handlers may each slip one extra event past the stop
     # condition before the run drains.
     assert FULL_EVENTS <= fired <= FULL_EVENTS + 16
 
 
-@pytest.mark.parametrize("name", sorted(SCHEDULER_FACTORIES))
-def test_bus_frame_throughput(benchmark, name):
+def test_bus_frame_throughput(benchmark):
     frames, _ = benchmark.pedantic(
-        lambda: bus_frames_throughput(FULL_PACKETS, scheduler=name),
-        rounds=3,
-        iterations=1,
+        lambda: bus_frames_throughput(FULL_PACKETS), rounds=3, iterations=1
     )
     assert frames > 0
 
 
 def test_core_engine_baseline_artifact(report, bench_json):
-    """Measure every workload x scheduler cell and commit the lot as the
-    engine baseline artefact (the numbers the CI smoke gate compares
-    against)."""
+    """Measure both workloads and commit them as the engine baseline
+    artefact (the numbers the CI smoke gate compares against)."""
     # Best-of-5 (vs the default 3) for the committed artefact: each run
     # is a sub-second window on shared hardware, and the extra samples
     # make the best a stable estimate of unloaded capability.
-    rows = []
-    for name in sorted(SCHEDULER_FACTORIES):
-        stats = scheduler_throughput(
-            SCHEDULER_FACTORIES[name], FULL_EVENTS, repeats=5
-        )
-        rows.append(
-            {
-                "workload": "scheduler-churn",
-                "scheduler": name,
-                "events": FULL_EVENTS,
-                "events_per_second": round(stats["best"]),
-                "mean_events_per_second": round(stats["mean"]),
-                "stdev_events_per_second": round(stats["stdev"]),
-                "runs": stats["runs"],
-            }
-        )
-    bus_rows = []
-    for name in sorted(SCHEDULER_FACTORIES):
-        stats = bus_throughput(FULL_PACKETS, repeats=5, scheduler=name)
-        bus_rows.append(
-            {
-                "workload": "figure-6-bus",
-                "scheduler": name,
-                "packets": FULL_PACKETS,
-                "frames_per_second": round(stats["best"]),
-                "mean_frames_per_second": round(stats["mean"]),
-                "stdev_frames_per_second": round(stats["stdev"]),
-                "runs": stats["runs"],
-            }
-        )
-    churn_by_name = {r["scheduler"]: r["events_per_second"] for r in rows}
-    bus_by_name = {r["scheduler"]: r["frames_per_second"] for r in bus_rows}
-    derived = {
-        "bus_frames_per_second": max(bus_by_name.values()),
-        "bus_packets": FULL_PACKETS,
-        "wheel_over_heap": round(
-            churn_by_name["wheel"] / churn_by_name["heap"], 3
-        ),
-        "bus_wheel_over_heap": round(
-            bus_by_name["wheel"] / bus_by_name["heap"], 3
-        ),
+    churn = scheduler_throughput(FULL_EVENTS, repeats=5)
+    churn_row = {
+        "workload": "scheduler-churn",
+        "scheduler": "heap",
+        "events": FULL_EVENTS,
+        "events_per_second": round(churn["best"]),
+        "mean_events_per_second": round(churn["mean"]),
+        "stdev_events_per_second": round(churn["stdev"]),
+        "runs": churn["runs"],
     }
-    lines = ["Core-engine throughput (warmed, best of 5):"]
-    for row in rows:
-        lines.append(
-            f"  churn {row['scheduler']:<10} "
-            f"{row['events_per_second']:>11,d} events/s "
-            f"(±{row['stdev_events_per_second']:,d})"
-        )
-    for row in bus_rows:
-        lines.append(
-            f"  fig-6 {row['scheduler']:<10} "
-            f"{row['frames_per_second']:>11,d} frames/s "
-            f"(±{row['stdev_frames_per_second']:,d}, "
-            f"{FULL_PACKETS} packets)"
-        )
+    bus = bus_throughput(FULL_PACKETS, repeats=5)
+    bus_row = {
+        "workload": "figure-6-bus",
+        "scheduler": "heap",
+        "packets": FULL_PACKETS,
+        "frames_per_second": round(bus["best"]),
+        "mean_frames_per_second": round(bus["mean"]),
+        "stdev_frames_per_second": round(bus["stdev"]),
+        "runs": bus["runs"],
+    }
+    derived = {
+        "bus_frames_per_second": bus_row["frames_per_second"],
+        "bus_packets": FULL_PACKETS,
+    }
+    lines = [
+        "Core-engine throughput (warmed, best of 5):",
+        f"  churn {churn_row['events_per_second']:>11,d} events/s "
+        f"(±{churn_row['stdev_events_per_second']:,d})",
+        f"  fig-6 {bus_row['frames_per_second']:>11,d} frames/s "
+        f"(±{bus_row['stdev_frames_per_second']:,d}, {FULL_PACKETS} packets)",
+    ]
     report("core_engine", "\n".join(lines))
-    bench_json("core_engine", rows=rows + bus_rows, derived=derived)
+    bench_json("core_engine", rows=[churn_row, bus_row], derived=derived)
     # Sanity floors: the committed artefact sits well above these, so
     # tripping one means the fast path broke outright rather than the
     # runner being slow.
-    assert all(row["events_per_second"] > 200_000 for row in rows)
-    assert all(row["frames_per_second"] > 20_000 for row in bus_rows)
+    assert churn_row["events_per_second"] > 200_000
+    assert bus_row["frames_per_second"] > 20_000

@@ -1,17 +1,16 @@
 """CI smoke gate: fail when engine throughput regresses.
 
-Re-measures the core-engine workloads (fast variants by default) and
-compares throughput per scheduler — both raw scheduler churn and the
-Figure 6 bus model — against the committed
-``benchmarks/results/BENCH_core_engine.json`` baseline.  A measurement
-more than ``--tolerance`` (default 30 %) below the baseline fails the
-run — the knob exists because absolute throughput varies across runner
-hardware, while a >30 % drop on the same workload is a code regression.
+Re-measures the core-engine workloads (fast variants by default) — raw
+scheduler churn and the Figure 6 bus model — and compares throughput
+against the committed ``benchmarks/results/BENCH_core_engine.json``
+baseline.  A measurement more than ``--tolerance`` (default 30 %) below
+the baseline fails the run — the knob exists because absolute throughput
+varies across runner hardware, while a >30 % drop on the same workload is
+a code regression.
 
 Run from the repository root::
 
     PYTHONPATH=src python -m benchmarks.engine_smoke --fast
-    PYTHONPATH=src python -m benchmarks.engine_smoke --scheduler wheel
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from benchmarks.engine_workloads import (
     FAST_PACKETS,
     FULL_EVENTS,
     FULL_PACKETS,
-    SCHEDULER_FACTORIES,
     bus_frames_per_second,
     scheduler_events_per_second,
 )
@@ -45,12 +43,6 @@ def main(argv=None) -> int:
         f"{FAST_PACKETS} packets) for quick CI runs",
     )
     parser.add_argument(
-        "--scheduler",
-        choices=[*sorted(SCHEDULER_FACTORIES), "all"],
-        default="all",
-        help="which pending-event queue(s) to measure (default: all)",
-    )
-    parser.add_argument(
         "--tolerance",
         type=float,
         default=0.30,
@@ -64,24 +56,9 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    baseline = load_bench_json(args.baseline)
-    baseline_eps = {
-        row["scheduler"]: row["events_per_second"]
-        for row in baseline["rows"]
-        if row["workload"] == "scheduler-churn"
-    }
-    baseline_fps = {
-        row["scheduler"]: row["frames_per_second"]
-        for row in baseline["rows"]
-        if row["workload"] == "figure-6-bus"
-    }
+    baseline = {row["workload"]: row for row in load_bench_json(args.baseline)["rows"]}
     n_events = FAST_EVENTS if args.fast else FULL_EVENTS
     n_packets = FAST_PACKETS if args.fast else FULL_PACKETS
-    names = (
-        sorted(SCHEDULER_FACTORIES)
-        if args.scheduler == "all"
-        else [args.scheduler]
-    )
 
     failed = False
 
@@ -95,18 +72,16 @@ def main(argv=None) -> int:
             f"(baseline {reference:,.0f}, floor {floor:,.0f}) {verdict}"
         )
 
-    for name in names:
-        gate(
-            f"churn {name}",
-            scheduler_events_per_second(SCHEDULER_FACTORIES[name], n_events),
-            baseline_eps[name],
-        )
-    for name in names:
-        gate(
-            f"figure-6 bus {name}",
-            bus_frames_per_second(n_packets, scheduler=name),
-            baseline_fps[name],
-        )
+    gate(
+        "churn",
+        scheduler_events_per_second(n_events),
+        baseline["scheduler-churn"]["events_per_second"],
+    )
+    gate(
+        "figure-6 bus",
+        bus_frames_per_second(n_packets),
+        baseline["figure-6-bus"]["frames_per_second"],
+    )
     return 1 if failed else 0
 
 

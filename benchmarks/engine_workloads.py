@@ -4,18 +4,18 @@ Shared by ``bench_core_engine.py`` (the pytest-benchmark suite that emits
 ``BENCH_core_engine.json``) and ``engine_smoke.py`` (the CI regression
 gate), so both measure exactly the same thing:
 
-* ``scheduler_churn`` — raw event throughput of one pending-event queue:
-  a small population of self-rescheduling handlers, the workload shape
-  the TpWIRE model produces (shallow queue, short-horizon timers).
+* ``scheduler_churn`` — raw event throughput of the pending-event queue
+  and run loop: a small population of self-rescheduling handlers, the
+  workload shape the TpWIRE model produces (shallow queue, short-horizon
+  timers).
 * ``bus_frames_throughput`` — end-to-end frames/second of the packet-level
   TpWIRE model on the Figure 6 validation topology (master + CBR slave +
   receiver slave), i.e. the whole hot path: scheduler, events, timing
   tables, bus state machine, master transaction engine.
 
-Both workloads run per scheduler.  Measurements discard one warmup run,
-then report best-of-``repeats`` plus per-run spread (see
-:func:`throughput_stats`) so the committed artefact records how noisy the
-number was, not just its peak.
+Measurements discard one warmup run, then report best-of-``repeats`` plus
+per-run spread (see :func:`throughput_stats`) so the committed artefact
+records how noisy the number was, not just its peak.
 """
 
 from __future__ import annotations
@@ -24,18 +24,7 @@ import statistics
 import time
 
 from repro.cosim.scenarios import ValidationScenario
-from repro.des import HeapScheduler, Simulator, TimingWheelScheduler
-
-#: Queue implementations the engine bench compares, keyed by bench id.
-#: The Brown calendar queue is retired from the comparison (the timing
-#: wheel supersedes it — see its docstring and docs/performance.md); the
-#: wheel resolution matches the churn delay scale (uniform 0..20 ms) so
-#: most inserts land on the level-0 fast path, the same property
-#: ``TimingWheelScheduler.for_timing`` guarantees for bus models.
-SCHEDULER_FACTORIES = {
-    "heap": HeapScheduler,
-    "wheel": lambda: TimingWheelScheduler(resolution=1e-2),
-}
+from repro.des import Simulator
 
 #: Workload sizes: FULL for the committed artefact, FAST for the CI gate.
 FULL_EVENTS = 150_000
@@ -44,7 +33,7 @@ FULL_PACKETS = 600
 FAST_PACKETS = 60
 
 
-def scheduler_churn(factory, n_events: int) -> tuple[int, float]:
+def scheduler_churn(n_events: int) -> tuple[int, float]:
     """Drain ``n_events`` self-rescheduling timers; returns
     ``(events_fired, wall_seconds)``.
 
@@ -52,7 +41,7 @@ def scheduler_churn(factory, n_events: int) -> tuple[int, float]:
     ``call_after`` — so the scheduler's push/pop dominates what the
     clock sees instead of workload bookkeeping.
     """
-    sim = Simulator(scheduler=factory())
+    sim = Simulator()
     rand = sim.stream("bench-core-engine").random
     call_after = sim.call_after
     count = 0
@@ -72,12 +61,10 @@ def scheduler_churn(factory, n_events: int) -> tuple[int, float]:
     return count, time.perf_counter() - started
 
 
-def bus_frames_throughput(
-    n_packets: int, scheduler: str | None = None
-) -> tuple[int, float]:
+def bus_frames_throughput(n_packets: int) -> tuple[int, float]:
     """Run the Figure 6 packet-level scenario for ``n_packets`` seconds of
     CBR traffic; returns ``(frames_exchanged, wall_seconds)``."""
-    scenario = ValidationScenario(bit_level=False, scheduler=scheduler)
+    scenario = ValidationScenario(bit_level=False)
     started = time.perf_counter()
     result = scenario.run(n_packets)
     seconds = time.perf_counter() - started
@@ -100,31 +87,21 @@ def throughput_stats(run, repeats: int = 3) -> dict:
     }
 
 
-def scheduler_throughput(factory, n_events: int, repeats: int = 3) -> dict:
-    """Churn events/second statistics for one queue implementation."""
-    return throughput_stats(
-        lambda: scheduler_churn(factory, n_events), repeats
-    )
+def scheduler_throughput(n_events: int, repeats: int = 3) -> dict:
+    """Churn events/second statistics."""
+    return throughput_stats(lambda: scheduler_churn(n_events), repeats)
 
 
-def scheduler_events_per_second(
-    factory, n_events: int, repeats: int = 3
-) -> float:
-    """Best-of-``repeats`` event throughput of one queue implementation."""
-    return scheduler_throughput(factory, n_events, repeats)["best"]
+def scheduler_events_per_second(n_events: int, repeats: int = 3) -> float:
+    """Best-of-``repeats`` churn event throughput."""
+    return scheduler_throughput(n_events, repeats)["best"]
 
 
-def bus_throughput(
-    n_packets: int, repeats: int = 3, scheduler: str | None = None
-) -> dict:
+def bus_throughput(n_packets: int, repeats: int = 3) -> dict:
     """End-to-end frames/second statistics of the Figure 6 model."""
-    return throughput_stats(
-        lambda: bus_frames_throughput(n_packets, scheduler), repeats
-    )
+    return throughput_stats(lambda: bus_frames_throughput(n_packets), repeats)
 
 
-def bus_frames_per_second(
-    n_packets: int, repeats: int = 3, scheduler: str | None = None
-) -> float:
+def bus_frames_per_second(n_packets: int, repeats: int = 3) -> float:
     """Best-of-``repeats`` end-to-end frame throughput."""
-    return bus_throughput(n_packets, repeats, scheduler)["best"]
+    return bus_throughput(n_packets, repeats)["best"]

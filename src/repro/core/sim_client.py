@@ -15,6 +15,7 @@ from typing import Any, Generator, Optional
 
 from repro.core.errors import ProtocolError, SpaceError
 from repro.core.protocol import (
+    REQUEST_ID_MODULUS,
     Message,
     MessageType,
     StreamParser,
@@ -158,7 +159,9 @@ class SimSpaceClient:
         return reply.item
 
     def _roundtrip(self, msg_type: MessageType, params: dict, item: Any = None) -> Generator:
-        self._next_request_id += 1
+        # Same wrap as SpaceClient: the header packs ids as >I, and 0 is
+        # reserved for ERROR replies with no recoverable request id.
+        self._next_request_id = (self._next_request_id + 1) % REQUEST_ID_MODULUS or 1
         request_id = self._next_request_id
         wire = encode_message(Message(msg_type, request_id, params, item), self.codec)
         # Charge the board's marshalling time before bytes leave it.

@@ -23,28 +23,12 @@ from repro.core.xmlcodec import XmlCodec
 from repro.cosim.environment import BusSystem, build_bus_system
 from repro.cosim.errors import CaseStudyIncompleteError
 from repro.cosim.server_host import ServerTimingModel, SimServerHost
-from repro.des import Simulator, TimingWheelScheduler
+from repro.des import HeapScheduler, Simulator
 from repro.hw.bridge import ClientBridge, ServerBridge
 from repro.net.traffic import CBRSource
 from repro.net.tpwire_agent import TpwireAgent, TpwireSink
-from repro.tpwire.timing import BusTiming, WireMode
+from repro.tpwire.timing import WireMode
 from repro.tpwire.transport import PollStrategy
-
-
-def _make_scheduler(scheduler, bit_rate: float):
-    """Resolve a scenario ``scheduler`` knob into a queue for :class:`Simulator`.
-
-    ``None`` or ``"heap"`` selects the default binary heap; ``"wheel"``
-    builds a :class:`TimingWheelScheduler` on the bus timing's tick grid
-    (half a bit period, so every fixed TpWIRE delay schedules on the
-    level-0 fast path).  An already-constructed scheduler object is
-    passed through unchanged.
-    """
-    if scheduler is None or scheduler == "heap":
-        return None
-    if scheduler == "wheel":
-        return TimingWheelScheduler.for_timing(BusTiming(bit_rate=bit_rate))
-    return scheduler
 
 
 # -- Figure 6: validation topology ------------------------------------------
@@ -79,12 +63,9 @@ class ValidationScenario:
         cbr_rate: float = 8.0,
         seed: int = 1,
         obs=None,
-        scheduler=None,
     ):
         self.obs = obs
-        self.sim = Simulator(
-            scheduler=_make_scheduler(scheduler, bit_rate), seed=seed, obs=obs
-        )
+        self.sim = Simulator(seed=seed, obs=obs)
         self.system: BusSystem = build_bus_system(
             self.sim,
             [self.CBR_NODE, self.RECEIVER_NODE],
@@ -226,8 +207,10 @@ class CaseStudyConfig:
     #: run the whole case study over the bit-level PHY instead of the
     #: packet-level model (slow; the full-stack validation experiment)
     bit_level: bool = False
-    #: pending-event queue: ``None``/"heap" or "wheel" (see _make_scheduler)
-    scheduler: Optional[str] = None
+    #: pending-event queue handed to :class:`Simulator`; ``None`` gives a
+    #: fresh :class:`~repro.des.HeapScheduler` (pass an instrumented
+    #: subclass to count or trace what the run loop pops)
+    scheduler: Optional[HeapScheduler] = None
     #: board-side marshalling costs (the client runs under an ISS)
     client_timing: ClientTimingModel = field(
         default_factory=lambda: ClientTimingModel(
@@ -278,7 +261,7 @@ class CaseStudyScenario:
         cfg = self.config
         self.obs = obs
         self.sim = Simulator(
-            scheduler=_make_scheduler(cfg.scheduler, cfg.bit_rate),
+            scheduler=cfg.scheduler,
             seed=cfg.seed,
             obs=obs,
         )

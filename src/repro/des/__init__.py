@@ -9,8 +9,8 @@ provides the same primitives in pure Python:
 * generator-based processes (:class:`~repro.des.process.Process`) with
   waitables (:class:`~repro.des.process.Timeout`,
   :class:`~repro.des.process.SimEvent`, ``AnyOf``/``AllOf``),
-* pluggable scheduler queues (binary heap, hierarchical timing wheel and a
-  Brown-style calendar queue, the structure NS-2 itself uses),
+* a binary-heap pending-event queue
+  (:class:`~repro.des.scheduler.HeapScheduler`),
 * a real-time scheduler mode (used by the paper to validate the NS-2 TpWIRE
   model against the physical bus),
 * deterministic per-component random streams, NS-2-style tracing, and
@@ -24,11 +24,7 @@ from repro.des.errors import (
     Interrupted,
 )
 from repro.des.event import Event, EventState
-from repro.des.scheduler import (
-    HeapScheduler,
-    TimingWheelScheduler,
-    CalendarQueueScheduler,
-)
+from repro.des.scheduler import HeapScheduler
 from repro.des.simulator import Simulator
 from repro.des.process import (
     Process,
@@ -52,8 +48,6 @@ __all__ = [
     "Event",
     "EventState",
     "HeapScheduler",
-    "TimingWheelScheduler",
-    "CalendarQueueScheduler",
     "Simulator",
     "Process",
     "Timeout",

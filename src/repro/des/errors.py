@@ -6,7 +6,7 @@ class SimulationError(Exception):
 
 
 class SchedulerError(SimulationError):
-    """Raised on scheduler misuse (scheduling in the past, popping empty)."""
+    """Raised on scheduler misuse (scheduling in the past, re-entrant run)."""
 
 
 class ProcessKilled(SimulationError):

@@ -1,24 +1,14 @@
-"""Pending-event queues.
+"""The pending-event queue.
 
-Three interchangeable implementations are provided, mirroring (and
-extending) NS-2's scheduler choices:
-
-* :class:`HeapScheduler` — a binary heap (``heapq``), O(log n) insert/pop.
-* :class:`TimingWheelScheduler` — a hierarchical timing wheel (Varghese &
-  Lauck) with per-level occupancy bitmaps, O(1) schedule and amortised
-  O(1) pop; the structure of choice for TpWIRE traffic, which is
-  dominated by fixed bit-period/frame/gap delays.
-* :class:`CalendarQueueScheduler` — R. Brown's calendar queue (the NS-2
-  default).  **Deprecated for new work**: on the repo's own
-  scheduler-churn benchmark it trails both the heap and the wheel (see
-  ``docs/performance.md``), so the benchmark suite no longer ablates it.
-  The class stays importable and correct — the parity suite still
-  exercises it — but the wheel is its replacement.
+:class:`HeapScheduler` is a binary heap (``heapq``) with O(log n)
+insert/pop.  It is the only queue: the TpWIRE models keep the pending
+set shallow (a handful of entries), where a C-level heap sift beats any
+bucketed structure — see ``docs/performance.md``.
 
 Entry layout
 ------------
 
-All queues store *entries*: plain tuples that compare correctly under
+The queue stores *entries*: plain tuples that compare correctly under
 Python's C-level tuple comparison, so no queue operation ever calls back
 into ``Event.__lt__``:
 
@@ -29,39 +19,19 @@ into ``Event.__lt__``:
   object is allocated at all).
 
 ``seq`` is unique per simulator, so a comparison never reaches element 3
-and the two layouts can share one queue.  Queues discriminate on
-``len(entry)`` when they need the event (cancellation is lazy: the event
+and the two layouts can share one queue.  The queue discriminates on
+``len(entry)`` when it needs the event (cancellation is lazy: the event
 stays queued and is skipped on pop).
-
-The choice is a design knob the benchmark suite ablates
-(``benchmarks/bench_ablation_scheduler.py``).
 """
 
 from __future__ import annotations
 
-import heapq
-from bisect import insort_left
-from collections import deque
 from heapq import heappop, heappush
 from typing import Optional
 
-from repro.des.errors import SchedulerError
 from repro.des.event import Event, EventState
 
 _CANCELLED = EventState.CANCELLED
-
-
-def _entry_event(entry: tuple) -> Event:
-    """The :class:`Event` behind an entry, materialised on demand.
-
-    Event entries carry their event; callback entries synthesise one (the
-    legacy ``pop() -> Event`` API is the only consumer — the simulator's
-    run loop dispatches entries directly).
-    """
-    if len(entry) == 4:
-        return entry[3]
-    time, priority, seq, fn, args = entry
-    return Event(time, seq, fn, args, priority)
 
 
 def _entry_cancelled(entry: tuple) -> bool:
@@ -108,13 +78,6 @@ class HeapScheduler:
             return entry
         return None
 
-    def pop(self) -> Event:
-        """Remove and return the earliest pending event."""
-        entry = self.pop_entry()
-        if entry is None:
-            raise SchedulerError("pop from an empty scheduler")
-        return _entry_event(entry)
-
     def peek_time(self) -> Optional[float]:
         """Time of the earliest pending event, or ``None`` if empty."""
         heap = self._heap
@@ -123,518 +86,3 @@ class HeapScheduler:
         if not heap:
             return None
         return heap[0][0]
-
-
-class TimingWheelScheduler:
-    """Hierarchical timing wheel with per-level occupancy bitmaps.
-
-    Level ``l`` is a wheel of ``2**slot_bits`` slots, each spanning
-    ``2**(slot_bits*l)`` ticks of ``resolution`` seconds; an entry lands
-    in the lowest level whose current window contains its tick, so near
-    events get per-tick placement while far events sit coarsely and
-    *cascade* down one level at a time as the cursor reaches their
-    window.  Entries beyond the top level's horizon overflow into a small
-    heap that refills the wheels when the cursor gets there.
-
-    Hot-path properties:
-
-    * **O(1) schedule** — one float multiply to quantise the time, one
-      shift/mask to find the slot, one append.  Slot occupancy is a
-      per-level Python-int bitmap, so finding the next busy slot is a
-      single ``(b & -b).bit_length()`` (two C big-int ops), never a scan
-      over empty slots.
-    * **O(1) lazy cancel** — cancellation flips the event's state; the
-      entry is skipped when its slot drains (same contract as the heap).
-    * **Batched dispatch** — a due slot is sorted *once* and then served
-      as the *ready run*: consecutive pops are list reads with no heap
-      machinery or ``peek_time()`` between them.  Events scheduled into
-      the ready run's own tick while it drains (zero-delay chains)
-      bisect into the unfired suffix, which preserves the exact
-      ``(time, priority, seq)`` total order — the FIFO tie-break the
-      golden traces rely on.  :meth:`ready_run` exposes the run to the
-      simulator so its event loop can consume a whole slot without one
-      method call per event (see the method's contract).
-
-    The wheel pops bit-identical entry sequences to :class:`HeapScheduler`
-    (the randomized lockstep parity suite in ``tests/des`` is the
-    oracle).  Out-of-order pushes — times earlier than the cursor, legal
-    when the queue is driven standalone — trigger a full rebuild around
-    the new time; the simulator itself never rewinds its clock, so the
-    rebuild is a cold path.
-    """
-
-    def __init__(
-        self,
-        resolution: float = 1e-3,
-        slot_bits: int = 8,
-        levels: int = 4,
-    ):
-        if resolution <= 0:
-            raise SchedulerError(f"wheel resolution must be > 0, got {resolution}")
-        if slot_bits < 2 or slot_bits > 16:
-            raise SchedulerError(f"slot_bits must be in [2, 16], got {slot_bits}")
-        if levels < 2:
-            raise SchedulerError(f"need at least 2 wheel levels, got {levels}")
-        self.resolution = resolution
-        self._inv = 1.0 / resolution
-        self._slot_bits = slot_bits
-        self._nslots = 1 << slot_bits
-        self._mask = self._nslots - 1
-        self._levels = levels
-        # Level 0 (the per-tick wheel) is split out of the level list into
-        # its own attributes: push/pop touch it on every single event, and
-        # two plain attribute loads beat four subscripted ones.
-        self._wheel0: list[Optional[list]] = [None] * self._nslots
-        self._bitmap0 = 0
-        self._coarse: list[list[Optional[list]]] = [
-            [None] * self._nslots for _ in range(levels - 1)
-        ]
-        self._coarse_bitmaps: list[int] = [0] * (levels - 1)
-        self._overflow: list[tuple] = []  # beyond the top level's horizon
-        self._cur = 0  # absolute tick of the drain cursor
-        self._win0 = 0  # == _cur >> slot_bits, the level-0 window id
-        self._win0_end = self._nslots  # first tick beyond the level-0 window
-        self._ready: list[tuple] = []  # current slot, sorted ascending
-        #: Index of the next unconsumed entry in the ready run.  Public
-        #: because it is half of the :meth:`ready_run` drain protocol.
-        self.ready_pos = 0
-        self._ready_tick = -1
-        self._size = 0  # number of non-cancelled events
-
-    @classmethod
-    def for_timing(cls, timing, **kwargs) -> "TimingWheelScheduler":
-        """A wheel sized for a :class:`repro.tpwire.timing.BusTiming`.
-
-        Uses the timing model's precomputed ``wheel_resolution`` (half a
-        bit period), which places every fixed bus delay — frame, gap,
-        turnaround, per-hop arrival, exchange — on the integer tick grid
-        with at most a handful of events per slot, and keeps a whole
-        communication cycle inside level 0.
-        """
-        return cls(resolution=timing.wheel_resolution, **kwargs)
-
-    def __len__(self) -> int:
-        return self._size
-
-    # -- scheduling ------------------------------------------------------
-
-    def push(self, event: Event) -> None:
-        self.push_entry(event.sort_key + (event,))
-
-    def push_entry(self, entry: tuple) -> None:
-        """Queue a pre-built entry (the simulator's fast path)."""
-        tick = int(entry[0] * self._inv)
-        if tick == self._ready_tick:
-            # Into the slot being served: bisect into the unfired
-            # suffix.  Searching from ready_pos both skips the fired
-            # prefix and guarantees the entry cannot land in the past.
-            insort_left(self._ready, entry, self.ready_pos)
-            self._size += 1
-            return
-        if self._cur <= tick < self._win0_end:  # level-0 window
-            idx = tick & self._mask
-            wheel0 = self._wheel0
-            slot = wheel0[idx]
-            if slot is None:
-                wheel0[idx] = [entry]
-                self._bitmap0 |= 1 << idx
-            else:
-                slot.append(entry)
-            self._size += 1
-            return
-        if tick > self._cur:
-            self._place_coarse(entry, tick)
-            self._size += 1
-            return
-        # Behind the cursor: an out-of-order push (standalone use; the
-        # simulator clock never rewinds).  Re-key everything to the new,
-        # earlier cursor so the scan finds it first.
-        self._rebuild(tick)
-        self._place(entry, tick)
-        self._size += 1
-
-    def _place(self, entry: tuple, tick: int) -> None:
-        """Slot an entry at the lowest level whose window contains it
-        (callers guarantee ``tick >= self._cur``)."""
-        if tick < self._win0_end:
-            idx = tick & self._mask
-            wheel0 = self._wheel0
-            slot = wheel0[idx]
-            if slot is None:
-                wheel0[idx] = [entry]
-                self._bitmap0 |= 1 << idx
-            else:
-                slot.append(entry)
-            return
-        self._place_coarse(entry, tick)
-
-    def _place_coarse(self, entry: tuple, tick: int) -> None:
-        """Slot an entry above level 0 (or into the overflow heap)."""
-        sb = self._slot_bits
-        cur = self._cur
-        for i in range(self._levels - 1):
-            shift = sb * (i + 1)
-            if (tick >> (shift + sb)) == (cur >> (shift + sb)):
-                idx = (tick >> shift) & self._mask
-                wheel = self._coarse[i]
-                slot = wheel[idx]
-                if slot is None:
-                    wheel[idx] = [entry]
-                    self._coarse_bitmaps[i] |= 1 << idx
-                else:
-                    slot.append(entry)
-                return
-        heappush(self._overflow, entry)
-
-    def notify_cancelled(self) -> None:
-        self._size -= 1
-
-    # -- draining --------------------------------------------------------
-
-    def pop_entry(self) -> Optional[tuple]:
-        """Remove and return the earliest live entry, or ``None``."""
-        pos = self.ready_pos
-        ready = self._ready
-        if pos < len(ready):
-            entry = ready[pos]
-            if len(entry) == 5 or entry[3].state is not _CANCELLED:
-                self.ready_pos = pos + 1
-                self._size -= 1
-                return entry
-        entry = self._next_entry()
-        if entry is None:
-            return None
-        self.ready_pos += 1
-        self._size -= 1
-        return entry
-
-    def ready_run(self) -> Optional[list]:
-        """Position on the next live entry and expose the ready run.
-
-        The batched-drain protocol used by ``Simulator.run``: the caller
-        takes the returned list and consumes entries in order starting at
-        :attr:`ready_pos`, and for each one it (a) writes the advanced
-        index back to :attr:`ready_pos` *before* dispatching, so pushes
-        into the same tick bisect after the drain point, (b) decrements
-        ``_size`` for every live entry it consumes (cancelled entries it
-        skips are already accounted), and (c) re-reads ``len(run)`` after
-        dispatching, because same-tick pushes grow the run in place.
-        ``None`` means the queue is empty.  Entries past ``ready_pos``
-        may still be cancelled — the consumer must check, exactly as it
-        would after ``pop()``.
-        """
-        if self._next_entry() is None:
-            return None
-        return self._ready
-
-    def pop(self) -> Event:
-        """Remove and return the earliest pending event."""
-        entry = self.pop_entry()
-        if entry is None:
-            raise SchedulerError("pop from an empty scheduler")
-        return _entry_event(entry)
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the earliest pending event, or ``None`` if empty."""
-        entry = self._next_entry()
-        if entry is None:
-            return None
-        return entry[0]
-
-    def _next_entry(self) -> Optional[tuple]:
-        """Advance the cursor to the next live entry and return it
-        (without removing it); ``None`` if the queue is empty.
-
-        Skips cancelled entries, loads and sorts the next occupied slot
-        into the ready run, cascades higher levels, and refills from the
-        overflow heap — everything pop/peek need positioned.
-        """
-        ready = self._ready
-        pos = self.ready_pos
-        n = len(ready)
-        while True:
-            while pos < n:
-                entry = ready[pos]
-                if len(entry) == 5 or entry[3].state is not _CANCELLED:
-                    self.ready_pos = pos
-                    return entry
-                pos += 1
-            self.ready_pos = pos
-            b = self._bitmap0
-            if b:
-                idx = (b & -b).bit_length() - 1
-                self._bitmap0 = b & (b - 1)
-                wheel0 = self._wheel0
-                slot = wheel0[idx]
-                wheel0[idx] = None
-                tick = (self._win0 << self._slot_bits) | idx
-                self._cur = tick
-                self._ready_tick = tick
-                if len(slot) > 1:
-                    slot.sort()
-                self._ready = ready = slot
-                self.ready_pos = pos = 0
-                n = len(slot)
-                continue
-            if not self._overflow and not any(self._coarse_bitmaps):
-                # Structurally empty: only the exhausted ready run (kept
-                # so same-tick pushes can still join it) remains.
-                return None
-            self._advance_coarse()
-            ready = self._ready
-            pos = self.ready_pos
-            n = len(ready)
-
-    def _advance_coarse(self) -> None:
-        """Level 0 is empty: cascade the next coarse slot or refill from
-        the overflow heap (``_next_entry`` established the queue is not
-        empty, so one of them has entries)."""
-        sb = self._slot_bits
-        inv = self._inv
-        for i in range(self._levels - 1):
-            b = self._coarse_bitmaps[i]
-            if not b:
-                continue
-            idx = (b & -b).bit_length() - 1
-            self._coarse_bitmaps[i] = b & (b - 1)
-            wheel = self._coarse[i]
-            slot = wheel[idx]
-            wheel[idx] = None
-            shift = sb * (i + 1)
-            # Cursor to the start of the cascading slot's child window,
-            # then re-place each entry one level (or more) down.
-            self._cur = (self._cur >> (shift + sb) << (shift + sb)) | (idx << shift)
-            self._win0 = self._cur >> sb
-            self._win0_end = (self._win0 + 1) << sb
-            for entry in slot:
-                self._place(entry, int(entry[0] * inv))
-            return
-        # All wheels empty: jump to the earliest overflow entry and pull
-        # in everything sharing the top level's new horizon.
-        overflow = self._overflow
-        first_tick = int(overflow[0][0] * inv)
-        self._cur = first_tick
-        self._win0 = first_tick >> sb
-        self._win0_end = (self._win0 + 1) << sb
-        top_shift = sb * self._levels
-        top_window = first_tick >> top_shift
-        while overflow and int(overflow[0][0] * inv) >> top_shift == top_window:
-            entry = heappop(overflow)
-            self._place(entry, int(entry[0] * inv))
-
-    # -- cold paths ------------------------------------------------------
-
-    def _pending_entries(self) -> list[tuple]:
-        """Every live entry currently queued (cold path)."""
-        entries = [
-            e
-            for e in self._ready[self.ready_pos:]
-            if not _entry_cancelled(e)
-        ]
-        for wheel in (self._wheel0, *self._coarse):
-            for slot in wheel:
-                if slot:
-                    entries.extend(e for e in slot if not _entry_cancelled(e))
-        entries.extend(e for e in self._overflow if not _entry_cancelled(e))
-        return entries
-
-    def _clear_structures(self) -> None:
-        self._wheel0 = [None] * self._nslots
-        self._bitmap0 = 0
-        self._coarse = [[None] * self._nslots for _ in range(self._levels - 1)]
-        self._coarse_bitmaps = [0] * (self._levels - 1)
-        self._overflow = []
-        self._ready = []
-        self.ready_pos = 0
-        self._ready_tick = -1
-
-    def _rebuild(self, tick: int) -> None:
-        """Rewind the cursor for an out-of-order push (standalone use:
-        the simulator clock never goes backwards).  Slot indices are
-        decoded relative to the cursor, so every pending entry must be
-        re-placed against the new, earlier window."""
-        entries = self._pending_entries()
-        self._clear_structures()
-        self._cur = tick
-        self._win0 = tick >> self._slot_bits
-        self._win0_end = (self._win0 + 1) << self._slot_bits
-        for entry in entries:
-            self._place(entry, int(entry[0] * self._inv))
-
-
-class CalendarQueueScheduler:
-    """Calendar queue (Brown 1988), the structure NS-2 uses by default.
-
-    .. deprecated::
-        The calendar queue lost its original reason to exist in this
-        repo: on the scheduler-churn workload it trails the binary heap
-        (0.75×) and the timing wheel by a wide margin, because the
-        shallow, short-horizon queues the TpWIRE models produce keep it
-        permanently in its resize-thrash regime.  It remains importable,
-        correct and covered by the parity suite, but new code and the
-        benchmark matrix use :class:`TimingWheelScheduler` (or the heap)
-        instead.  See ``docs/performance.md``.
-
-    Events are hashed into ``nbuckets`` day-buckets of ``width`` time units;
-    a pop scans from the current bucket forward within the current "year".
-    The queue resizes (doubling / halving buckets, re-estimating the width
-    from a sample of inter-event gaps) when the population crosses
-    thresholds, keeping operations amortised O(1).
-    """
-
-    MIN_BUCKETS = 4
-
-    def __init__(self, nbuckets: int = 8, width: float = 1.0):
-        if nbuckets < 1 or width <= 0:
-            raise SchedulerError("calendar queue needs nbuckets>=1, width>0")
-        self._size = 0
-        self._init_calendar(nbuckets, width, start_time=0.0)
-
-    # -- internal calendar bookkeeping ----------------------------------
-
-    def _init_calendar(self, nbuckets: int, width: float, start_time: float):
-        self._nbuckets = nbuckets
-        self._width = width
-        self._inv_width = 1.0 / width
-        # Deque buckets: frame traffic pushes in near-monotone time order,
-        # so inserts are almost always appends and pops always come off
-        # the front — both O(1), as Brown's design assumes.  A list bucket
-        # would pay O(n) on every ``pop(0)``.
-        self._buckets: list[deque[tuple]] = [deque() for _ in range(nbuckets)]
-        self._year = nbuckets * width
-        self._last_time = start_time
-        self._current_bucket = int(start_time / width) % nbuckets
-        self._bucket_top = (int(start_time / width) + 1) * width
-
-    def __len__(self) -> int:
-        return self._size
-
-    def _bucket_index(self, time: float) -> int:
-        return int(time * self._inv_width) % self._nbuckets
-
-    def push(self, event: Event) -> None:
-        self.push_entry(event.sort_key + (event,))
-
-    def push_entry(self, entry: tuple) -> None:
-        """Queue a pre-built entry (the simulator's fast path)."""
-        time = entry[0]
-        bucket = self._buckets[int(time * self._inv_width) % self._nbuckets]
-        # Keep each bucket sorted.  The append/appendleft fast paths cover
-        # the monotone traffic the simulator produces; the linear insert
-        # only runs for mid-bucket arrivals, and buckets are short by
-        # design (the resize policy holds them to a few events).
-        if not bucket or entry > bucket[-1]:
-            bucket.append(entry)
-        elif entry < bucket[0]:
-            bucket.appendleft(entry)
-        else:
-            lo = 0
-            for queued in bucket:
-                if queued < entry:
-                    lo += 1
-                else:
-                    break
-            bucket.insert(lo, entry)
-        self._size += 1
-        if time < self._last_time:
-            # An out-of-order insert (possible after a resize snapshot);
-            # rewind the scan position so pop still finds it.
-            self._rewind_to(time)
-        if self._size > 2 * self._nbuckets:
-            self._resize(2 * self._nbuckets)
-
-    def notify_cancelled(self) -> None:
-        self._size -= 1
-
-    def _rewind_to(self, time: float) -> None:
-        self._current_bucket = self._bucket_index(time)
-        self._bucket_top = (int(time * self._inv_width) + 1) * self._width
-        self._last_time = time
-
-    def pop_entry(self) -> Optional[tuple]:
-        """Remove and return the earliest live entry, or ``None``."""
-        entry = self._pop_earliest()
-        if entry is None:
-            return None
-        self._size -= 1
-        self._last_time = entry[0]
-        if (
-            self._nbuckets > self.MIN_BUCKETS
-            and self._size < self._nbuckets // 2
-        ):
-            self._resize(max(self.MIN_BUCKETS, self._nbuckets // 2))
-        return entry
-
-    def pop(self) -> Event:
-        """Remove and return the earliest pending event."""
-        entry = self.pop_entry()
-        if entry is None:
-            raise SchedulerError("pop from an empty scheduler")
-        return _entry_event(entry)
-
-    def _pop_earliest(self) -> Optional[tuple]:
-        if self._size == 0:
-            return None
-        # Scan buckets within the current year; fall back to a direct
-        # minimum search if a full year passes without a hit (events far
-        # in the future).
-        for _ in range(self._nbuckets + 1):
-            bucket = self._buckets[self._current_bucket]
-            while bucket and _entry_cancelled(bucket[0]):
-                bucket.popleft()
-            if bucket and bucket[0][0] < self._bucket_top:
-                return bucket.popleft()
-            self._current_bucket = (self._current_bucket + 1) % self._nbuckets
-            self._bucket_top += self._width
-        return self._pop_minimum_direct()
-
-    def _pop_minimum_direct(self) -> Optional[tuple]:
-        best_bucket = None
-        best_entry = None
-        for bucket in self._buckets:
-            while bucket and _entry_cancelled(bucket[0]):
-                bucket.popleft()
-            if bucket and (best_entry is None or bucket[0] < best_entry):
-                best_entry = bucket[0]
-                best_bucket = bucket
-        if best_bucket is None:
-            return None
-        entry = best_bucket.popleft()
-        self._rewind_to(entry[0])
-        return entry
-
-    def peek_time(self) -> Optional[float]:
-        if self._size == 0:
-            return None
-        best = None
-        for bucket in self._buckets:
-            while bucket and _entry_cancelled(bucket[0]):
-                bucket.popleft()
-            if bucket and (best is None or bucket[0][0] < best):
-                best = bucket[0][0]
-        return best
-
-    def _resize(self, nbuckets: int) -> None:
-        entries = [
-            e
-            for bucket in self._buckets
-            for e in bucket
-            if not _entry_cancelled(e)
-        ]
-        width = self._estimate_width(entries)
-        self._init_calendar(nbuckets, width, start_time=self._last_time)
-        self._size = 0
-        for entry in entries:
-            self.push_entry(entry)
-
-    @staticmethod
-    def _estimate_width(entries: list[tuple]) -> float:
-        """Average gap between adjacent event times (Brown's heuristic)."""
-        if len(entries) < 2:
-            return 1.0
-        times = sorted(e[0] for e in entries)
-        gaps = [b - a for a, b in zip(times, times[1:]) if b > a]
-        if not gaps:
-            return 1.0
-        # Use 3x the mean gap so a bucket holds a few events on average.
-        return 3.0 * sum(gaps) / len(gaps)

@@ -23,12 +23,14 @@ _FIRED = EventState.FIRED
 
 
 class Simulator:
-    """Discrete-event simulator with a pluggable scheduler queue.
+    """Discrete-event simulator.
 
     Parameters
     ----------
     scheduler:
         Pending-event queue; defaults to a fresh :class:`HeapScheduler`.
+        Pass a subclass to instrument the queue (e.g. count the events it
+        hands to the run loop).
     seed:
         Master seed for the deterministic per-component random streams
         available via :meth:`stream`.
@@ -191,20 +193,11 @@ class Simulator:
         queue = self._queue
         fired = 0
         try:
-            if hasattr(queue, "ready_run"):
-                # Timing wheel: consume whole sorted slots through the
-                # batched-drain protocol (see ready_run's contract) —
-                # same-timestamp events fire back-to-back as plain list
-                # reads, with no per-event pop/peek method call.
-                self._run_batched(queue, until, max_events)
-            elif until is None and max_events is None:
+            if until is None and max_events is None:
                 # Unbounded drain: the common benchmark/scenario shape.
                 # Entries are dispatched directly — callback entries are
                 # two tuple reads and a call, event entries an inlined
-                # Event.fire() — and on the wheel consecutive pops inside
-                # one slot are plain list reads (the batched dispatch
-                # path): no peek_time(), no heap sift between same-time
-                # events.
+                # Event.fire() — with no peek_time() before each pop.
                 pop_entry = queue.pop_entry
                 while True:
                     entry = pop_entry()
@@ -252,88 +245,6 @@ class Simulator:
         if until is not None and not self._stopped and self._now < until:
             self._now = until
         return self._now
-
-    def _run_batched(self, queue, until: Optional[float], max_events: Optional[int]) -> None:
-        """Drain the queue through the wheel's ``ready_run`` protocol.
-
-        Each iteration takes the current sorted slot and fires its
-        entries in place.  Per the contract, ``ready_pos`` is advanced
-        *before* each dispatch (so same-tick pushes bisect behind the
-        drain point) and ``len(run)`` is re-read after every callback
-        because pushes into the draining tick grow the run in place.
-        The queue's ``_size`` is settled once on exit instead of per
-        event, so :attr:`pending_events` read from *inside a callback*
-        over-counts by the entries this drain has already fired — the
-        one documented observability difference versus the heap path.
-        """
-        ready_run = queue.ready_run
-        live = 0
-        try:
-            if until is None and max_events is None:
-                while True:
-                    run = ready_run()
-                    if run is None:
-                        return
-                    i = queue.ready_pos
-                    n = len(run)
-                    while i < n:
-                        entry = run[i]
-                        i += 1
-                        queue.ready_pos = i
-                        if len(entry) == 5:
-                            live += 1
-                            self._now = entry[0]
-                            entry[3](*entry[4])
-                        else:
-                            event = entry[3]
-                            if event.state is _PENDING:
-                                live += 1
-                                self._now = entry[0]
-                                event.state = _FIRED
-                                event.fn(*event.args)
-                            else:  # cancelled: already accounted
-                                n = len(run)
-                                continue
-                        if self._stopped:
-                            return
-                        n = len(run)
-                return
-            fired = 0
-            while True:
-                run = ready_run()
-                if run is None:
-                    return
-                i = queue.ready_pos
-                n = len(run)
-                while i < n:
-                    entry = run[i]
-                    if until is not None and entry[0] > until:
-                        queue.ready_pos = i
-                        return
-                    i += 1
-                    queue.ready_pos = i
-                    if len(entry) == 5:
-                        live += 1
-                        self._now = entry[0]
-                        entry[3](*entry[4])
-                    else:
-                        event = entry[3]
-                        if event.state is _PENDING:
-                            live += 1
-                            self._now = entry[0]
-                            event.state = _FIRED
-                            event.fn(*event.args)
-                        else:
-                            n = len(run)
-                            continue
-                    if self._stopped:
-                        return
-                    fired += 1
-                    if max_events is not None and fired >= max_events:
-                        return
-                    n = len(run)
-        finally:
-            queue._size -= live
 
     def stop(self) -> None:
         """Halt the run loop after the current event finishes."""

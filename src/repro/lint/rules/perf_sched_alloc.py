@@ -7,7 +7,7 @@ protocol (``sim.call_after(delay, fn, *args)`` / ``sim.after`` /
 arguments without wrapping them.  A ``lambda`` at a scheduling call site
 allocates a closure per event; a tuple/list literal argument allocates a
 container per event.  Both put allocation churn on the hottest loop in
-the repository — the exact churn the timing-wheel/batched-dispatch work
+the repository — the exact churn the entry-tuple fast path
 removes — and both have a zero-cost spelling::
 
     sim.call_after(delay, self._finish, done, result)   # not a lambda

@@ -111,12 +111,6 @@ class BusTiming:
         set_attr(self, "turnaround_duration", self.turnaround_bits * bit_period)
         set_attr(self, "reset_timeout", RESET_TIMEOUT_BITS * bit_period)
         set_attr(self, "reset_active", RESET_ACTIVE_BITS * bit_period)
-        # Timing-wheel resolution: half a bit period.  Every fixed bus
-        # delay is an integer number of bit periods, so at this
-        # granularity each one lands on the integer tick grid and
-        # TimingWheelScheduler.for_timing() schedules on the level-0
-        # fast path for the whole frame/gap/turnaround delay set.
-        set_attr(self, "wheel_resolution", 0.5 * bit_period)
         # Per-hop tables, indexed by chain depth; hop 0 seeds them.
         set_attr(self, "_hop_delay_table", [0 * self.hop_delay_bits * bit_period])
         set_attr(self, "_tx_arrival_table", [self.frame_duration + self._hop_delay_table[0]])

@@ -13,8 +13,9 @@ Each test failed before its fix:
 4. ``SpaceClient.poll_events`` parked forever in a blocking ``recv``
    on socket connections when no event was pending;
 5. ``_next_request_id`` grew unbounded and died in ``struct.pack('>I')``
-   at 2**32, and the stale-response check misclassified everything
-   straddling the wrap.
+   at 2**32 (in ``SpaceClient`` and, separately, ``SimSpaceClient``), and
+   the stale-response check misclassified everything straddling the
+   wrap.
 """
 
 import socket
@@ -27,6 +28,8 @@ from repro.core import (
     Entry,
     LindaTuple,
     ManualClock,
+    SimClock,
+    SimSpaceClient,
     SpaceClient,
     SpaceServer,
     TupleSpace,
@@ -34,6 +37,7 @@ from repro.core import (
     XmlCodec,
 )
 from repro.core.errors import ProtocolError
+from repro.core.server import SimTimers
 from repro.core.protocol import (
     HEADER,
     MAGIC,
@@ -48,6 +52,8 @@ from repro.core.transports import (
     make_threaded_server,
     open_socket_connection,
 )
+from repro.des import Simulator
+from repro.hw import SharedMemoryChannel
 
 
 class Part(Entry):
@@ -287,6 +293,43 @@ class TestRequestIdWrap:
         connection.queue(Message(MessageType.PONG, 1000))
         with pytest.raises(ProtocolError, match="unknown request"):
             client.ping()
+
+    def test_sim_client_id_wraps_instead_of_struct_error(self):
+        """The simulated board client wraps like the socket clients."""
+        sim = Simulator()
+        codec = make_codec()
+        space = TupleSpace(clock=SimClock(sim))
+        server = SpaceServer(space, codec, timers=SimTimers(sim))
+        tx = SharedMemoryChannel(sim, name="tx")
+        rx = SharedMemoryChannel(sim, name="rx")
+        parser = StreamParser(codec)
+        seen = []
+
+        class Replies:
+            def send(self, message):
+                rx.write(encode_message(message, codec))
+
+        def pump():
+            while True:
+                yield tx.wait_readable()
+                for message in parser.feed(tx.read()):
+                    seen.append(message.request_id)
+                    server.handle(Replies(), message)
+
+        client = SimSpaceClient(sim, tx, rx, codec)
+        client._next_request_id = REQUEST_ID_MODULUS - 2
+        results = []
+
+        def program():
+            results.append((yield from client.op_ping()))
+            # Before the fix this request died inside struct.pack('>I').
+            results.append((yield from client.op_ping()))
+
+        sim.spawn(pump(), name="direct-server")
+        sim.spawn(program(), name="board")
+        sim.run(until=10.0)
+        assert results == [True, True]
+        assert seen == [REQUEST_ID_MODULUS - 1, 1]
 
     def test_header_field_width_matches_modulus(self):
         assert struct.calcsize(">I") == 4

