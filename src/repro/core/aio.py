@@ -1,10 +1,12 @@
 """Asyncio wire front-end: one event loop serving thousands of clients.
 
-The paper's socket wrapper (Sec. 4.2) is reproduced faithfully by the
-thread-per-connection :class:`~repro.core.transports.SocketSpaceServer`;
-this module is the scale-out front end the ROADMAP asks for on top of
-the same :class:`~repro.core.server.SpaceServer` — the space engine
-stays single-threaded, the loop multiplexes connections around it:
+This is the one socket front end over a
+:class:`~repro.core.server.SpaceServer`; the paper's socket wrapper
+(Sec. 4.2), :class:`~repro.core.transports.SocketSpaceServer`, is this
+server run on a loop thread for blocking callers.  Each connection
+drives the sans-IO :class:`~repro.core.server.ServerConnection` core.
+The space engine stays single-threaded; the loop multiplexes
+connections around it:
 
 * **single-writer send path per connection** — responses, notify events
   and timer-driven timeouts all append to one per-connection outbox
@@ -34,24 +36,22 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.core.errors import (
     ConnectionClosedError,
     ProtocolError,
     RequestTimeoutError,
-    SpaceError,
 )
+from repro.core.client import SpaceOperations
 from repro.core.protocol import (
-    REQUEST_ID_MODULUS,
+    Call,
+    ClientSession,
     Message,
     MessageType,
-    StreamParser,
     encode_message,
-    make_wire_codec,
-    negotiate_codec,
 )
-from repro.core.server import SpaceServer, Timers
+from repro.core.server import ServerConnection, SpaceServer, Timers
 from repro.core.xmlcodec import XmlCodec
 
 #: Outbox byte thresholds: pause reading a connection above ``HIGH_WATER``,
@@ -76,8 +76,9 @@ class LoopTimers(Timers):
         return self._loop.call_later(delay, fn)
 
 
-class _AsyncConnection:
-    """One client connection: parser, outbox, reader + writer tasks.
+class _AsyncConnection(ServerConnection):
+    """One client connection: the connection core plus an outbox and
+    reader + writer tasks.
 
     Duck-typed over ``(reader, writer)`` so the same machinery serves
     real TCP streams and the in-loop :func:`memory_pipe` endpoints the
@@ -89,27 +90,24 @@ class _AsyncConnection:
     """
 
     def __init__(self, front, reader, writer):
+        super().__init__(front.server, self.enqueue, front.target)
         self.front = front
         self.reader = reader
         self.writer = writer
-        self.registry: XmlCodec = front.server.codec
-        self.wire = make_wire_codec("xml", self.registry)
-        self.parser = StreamParser(self.registry)
         self._outbox = bytearray()
         self._loop = front._loop
         self._send_waiter: Optional[asyncio.Future] = None
         self._resume_waiter: Optional[asyncio.Future] = None
-        self._eof = False
-        self._closed = False
         self._writer_task: Optional[asyncio.Task] = None
         self._reader_task: Optional[asyncio.Task] = None
 
     # -- session protocol (called by SpaceServer and timer callbacks) -------
 
     def send(self, message: Message) -> None:
-        if self._closed:
-            return
-        self.enqueue(encode_message(message, self.wire))
+        # The core's send, with ``encode_message`` resolved through this
+        # module: the per-layer benchmark trace wraps it here.
+        if not self.closed:
+            self.enqueue(encode_message(message, self.wire))
 
     def enqueue(self, data: bytes) -> None:
         self._outbox += data
@@ -118,11 +116,34 @@ class _AsyncConnection:
             # stopped draining.  Dropping the connection bounds memory;
             # buffering forever would not.
             self.front.slow_consumer_closes += 1
-            self._begin_close()
+            self.close()
             return
         waiter = self._send_waiter
         if waiter is not None and not waiter.done():
             waiter.set_result(None)
+
+    # -- connection core hooks -------------------------------------------------
+
+    def dispatch(self, message: Message) -> None:
+        front = self.front
+        front.requests += 1
+        if message.msg_type is MessageType.STATS:
+            self.send(Message(
+                MessageType.STATS_ACK, message.request_id, front.stats()
+            ))
+            return
+        self.target.handle(self, message)
+
+    def hello(self, message: Message) -> str:
+        front = self.front
+        front.requests += 1
+        chosen = super().hello(message)
+        front.negotiated[chosen] = front.negotiated.get(chosen, 0) + 1
+        return chosen
+
+    def reject(self, exc: ProtocolError) -> None:
+        self.front.protocol_errors += 1
+        super().reject(exc)
 
     # -- tasks ---------------------------------------------------------------
 
@@ -131,14 +152,14 @@ class _AsyncConnection:
         self._writer_task = self._loop.create_task(self._write_loop())
         self._reader_task = self._loop.create_task(self._read_loop())
         try:
-            # _begin_close (shutdown, slow-consumer cap) cancels the
-            # reader task, so a read parked on an idle socket never
-            # wedges teardown.
+            # close() (shutdown, slow-consumer cap) cancels the reader
+            # task, so a read parked on an idle socket never wedges
+            # teardown.
             await self._reader_task
         except asyncio.CancelledError:
             pass
         finally:
-            self._begin_close()
+            self.close()
             try:
                 await asyncio.wait_for(
                     self._writer_task, self.front.drain_grace
@@ -148,7 +169,7 @@ class _AsyncConnection:
             self.front._connection_done(self)
 
     async def _read_loop(self) -> None:
-        while not self._eof:
+        while not self.closed:
             try:
                 data = await self.reader.read(65536)
             except (OSError, ConnectionError, asyncio.IncompleteReadError):
@@ -156,23 +177,9 @@ class _AsyncConnection:
             if not data:
                 return
             self.front.bytes_in += len(data)
-            try:
-                messages = self.parser.feed(data)
-            except ProtocolError as exc:
-                # Same contract as the threaded server: a malformed
-                # frame answers ERROR when a request id is recoverable,
-                # then the connection closes cleanly.
-                self.front.protocol_errors += 1
-                request_id = self.parser.error_request_id
-                if request_id is not None:
-                    self.send(Message(
-                        MessageType.ERROR, request_id, {"text": str(exc)}
-                    ))
+            # Every frame one read completed is dispatched back-to-back.
+            if not self.feed(data):
                 return
-            for message in messages:
-                self._dispatch(message)
-                if self._eof:
-                    return
             if len(self._outbox) > self.front.high_water:
                 # Backpressure: stop reading this connection's requests
                 # until the writer drains its responses.
@@ -180,33 +187,12 @@ class _AsyncConnection:
                 self._resume_waiter = self._loop.create_future()
                 await self._resume_waiter
 
-    def _dispatch(self, message: Message) -> None:
-        self.front.requests += 1
-        if message.msg_type is MessageType.HELLO:
-            chosen = negotiate_codec(message.params.get("codecs", "")) or "xml"
-            self.send(Message(
-                MessageType.HELLO_ACK, message.request_id, {"codec": chosen}
-            ))
-            wire = make_wire_codec(chosen, self.registry)
-            self.parser.set_codec(wire)
-            self.wire = wire
-            self.front.negotiated[chosen] = (
-                self.front.negotiated.get(chosen, 0) + 1
-            )
-            return
-        if message.msg_type is MessageType.STATS:
-            self.send(Message(
-                MessageType.STATS_ACK, message.request_id, self.front.stats()
-            ))
-            return
-        self.front.server.handle(self, message)
-
     async def _write_loop(self) -> None:
         writer = self.writer
         try:
             while True:
                 if not self._outbox:
-                    if self._eof:
+                    if self.closed:
                         return
                     self._send_waiter = self._loop.create_future()
                     await self._send_waiter
@@ -228,21 +214,21 @@ class _AsyncConnection:
 
     # -- teardown ------------------------------------------------------------
 
-    def _begin_close(self) -> None:
-        """Stop reading, let the writer flush what is queued, then die."""
-        if self._closed:
+    def close(self) -> None:
+        """Stop reading, let the writer flush what is queued, then die.
+
+        Reaps parked blocking requests: a dead connection's TAKE must
+        never consume a tuple into the void.
+        """
+        if self.closed:
             return
-        self._closed = True
-        self._eof = True
+        super().close()
         for waiter in (self._send_waiter, self._resume_waiter):
             if waiter is not None and not waiter.done():
                 waiter.set_result(None)
         reader_task = self._reader_task
         if reader_task is not None and not reader_task.done():
             reader_task.cancel()
-        # Reap parked blocking requests: a dead connection's TAKE must
-        # never consume a tuple into the void.
-        self.front.server.session_closed(self)
 
 
 class AsyncSpaceServer:
@@ -272,6 +258,9 @@ class AsyncSpaceServer:
         drain_grace: float = 2.0,
     ):
         self.server = server
+        #: What each request's ``handle`` is looked up on, per dispatch:
+        #: the server itself, or (SocketSpaceServer) its RMI proxy.
+        self.target = server
         self.host = host
         self.port = port
         self.health_port = health_port
@@ -323,7 +312,7 @@ class AsyncSpaceServer:
             if listener is not None:
                 listener.close()
         for conn in list(self._connections.values()):
-            conn._begin_close()
+            conn.close()
         tasks = list(self._conn_tasks.values())
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
@@ -428,14 +417,16 @@ class AsyncSpaceServer:
                 pass
 
 
-class AsyncSpaceClient:
+class AsyncSpaceClient(SpaceOperations):
     """Pipelined asyncio client: many requests in flight per connection.
 
     Unlike the strictly-sequential :class:`~repro.core.client.SpaceClient`
     (the paper's embedded client), this one multiplexes: each request
-    gets a future keyed by its (wrap-safe) id, and one reader task
-    resolves them as responses arrive, dispatching interleaved
-    ``NOTIFY_EVENT`` messages to registered callbacks on the way.
+    gets a future parked in the :class:`ClientSession` under its
+    (wrap-safe) id, and one reader task resolves them as responses
+    arrive, dispatching interleaved ``NOTIFY_EVENT`` messages to
+    registered callbacks on the way.  The space operations of
+    :class:`SpaceOperations` return awaitables here.
     """
 
     def __init__(
@@ -449,17 +440,9 @@ class AsyncSpaceClient:
         self.writer = writer
         self.codec = codec
         self.request_timeout = request_timeout
-        self.wire_codec = "xml"
-        self._wire = make_wire_codec("xml", codec)
-        self._parser = StreamParser(codec)
+        self.session = ClientSession(codec)
         self._loop = asyncio.get_running_loop()
-        self._pending: dict[int, asyncio.Future] = {}
-        self._notify_handlers: dict[int, Callable] = {}
-        self._next_request_id = 0
         self._closed = False
-        self.requests_sent = 0
-        self.events_received = 0
-        self.stale_responses = 0
         self._reader_task = self._loop.create_task(self._read_loop())
 
     @classmethod
@@ -478,93 +461,12 @@ class AsyncSpaceClient:
             await client.negotiate(codecs)
         return client
 
-    # -- space operations ----------------------------------------------------
-
     async def negotiate(self, codecs: str = "binary,xml") -> str:
         """The HELLO exchange (``SpaceClient.hello``'s async counterpart)."""
-        reply = await self._request(MessageType.HELLO, {"codecs": codecs})
-        self._expect(reply, MessageType.HELLO_ACK)
-        chosen = reply.params.get("codec", "xml")
-        if chosen != self.wire_codec:
-            self._wire = make_wire_codec(chosen, self.codec)
-            self._parser.set_codec(self._wire)
-            self.wire_codec = chosen
-        return chosen
-
-    async def write(
-        self,
-        entry: Any,
-        lease: Optional[float] = None,
-        created_at: Optional[float] = None,
-        op_key: Optional[str] = None,
-    ) -> dict:
-        params = {}
-        if lease is not None:
-            params["lease"] = lease
-        if created_at is not None:
-            params["created_at"] = created_at
-        if op_key is not None:
-            params["op_key"] = op_key
-        reply = await self._request(MessageType.WRITE, params, entry)
-        self._expect(reply, MessageType.WRITE_ACK)
-        return {
-            "lease_id": reply.param_int("lease_id"),
-            "granted": reply.param_float("granted"),
-            "dup": bool(reply.param_int("dup")),
-        }
-
-    async def read(self, template: Any, timeout: Optional[float] = None):
-        return await self._blocking(MessageType.READ, template, timeout)
-
-    async def take(self, template: Any, timeout: Optional[float] = None):
-        return await self._blocking(MessageType.TAKE, template, timeout)
-
-    async def read_if_exists(self, template: Any):
-        reply = await self._request(MessageType.READ_IF_EXISTS, {}, template)
-        return self._result(reply)
-
-    async def take_if_exists(self, template: Any):
-        reply = await self._request(MessageType.TAKE_IF_EXISTS, {}, template)
-        return self._result(reply)
-
-    async def notify(
-        self,
-        template: Any,
-        callback: Callable[[Message], None],
-        lease: Optional[float] = None,
-    ) -> dict:
-        params = {} if lease is None else {"lease": lease}
-        reply = await self._request(MessageType.NOTIFY_REGISTER, params, template)
-        self._expect(reply, MessageType.NOTIFY_ACK)
-        registration_id = reply.param_int("registration_id")
-        self._notify_handlers[registration_id] = callback
-        return {
-            "registration_id": registration_id,
-            "lease_id": reply.param_int("lease_id"),
-        }
-
-    async def cancel_lease(self, lease_id: int) -> None:
-        reply = await self._request(
-            MessageType.CANCEL_LEASE, {"lease_id": lease_id}
-        )
-        self._expect(reply, MessageType.LEASE_ACK)
-
-    async def renew_lease(self, lease_id: int, duration: float) -> float:
-        reply = await self._request(
-            MessageType.RENEW_LEASE,
-            {"lease_id": lease_id, "duration": duration},
-        )
-        self._expect(reply, MessageType.LEASE_ACK)
-        return reply.param_float("remaining")
-
-    async def ping(self) -> bool:
-        reply = await self._request(MessageType.PING, {})
-        return reply.msg_type is MessageType.PONG
+        return await self._call(self.session.negotiate(codecs))
 
     async def stats(self) -> dict:
-        reply = await self._request(MessageType.STATS, {})
-        self._expect(reply, MessageType.STATS_ACK)
-        return dict(reply.params)
+        return await self._call(self.session.stats())
 
     async def close(self) -> None:
         if self._closed:
@@ -580,101 +482,53 @@ class AsyncSpaceClient:
 
     # -- plumbing ------------------------------------------------------------
 
-    async def _blocking(self, msg_type, template, timeout):
-        params = {} if timeout is None else {"timeout": timeout}
-        reply = await self._request(msg_type, params, template)
-        return self._result(reply)
-
-    def _result(self, reply: Message):
-        if reply.msg_type is MessageType.RESULT_NULL:
-            return None
-        self._expect(reply, MessageType.RESULT_ENTRY)
-        return reply.item
-
-    async def _request(self, msg_type, params: dict, item: Any = None) -> Message:
+    async def _call(self, call: Call) -> Any:
         if self._closed:
             raise ConnectionClosedError("client is closed")
-        self._next_request_id = (
-            self._next_request_id + 1
-        ) % REQUEST_ID_MODULUS or 1
-        request_id = self._next_request_id
         future = self._loop.create_future()
-        self._pending[request_id] = future
-        message = Message(msg_type, request_id, params, item)
+        request_id, wire = self.session.start(call, future)
         try:
-            self.writer.write(encode_message(message, self._wire))
-            await self.writer.drain()
-        except (OSError, ConnectionError):
-            self._pending.pop(request_id, None)
-            raise ConnectionClosedError("connection closed mid-request")
-        self.requests_sent += 1
-        try:
-            if self.request_timeout is None:
-                return await future
             try:
-                return await asyncio.wait_for(future, self.request_timeout)
-            except asyncio.TimeoutError:
-                # Same contract as the sync client; the response, if it
-                # ever arrives, is counted stale by the reader task.
-                raise RequestTimeoutError(
-                    f"no response to request {request_id} within "
-                    f"{self.request_timeout}s"
-                )
+                self.writer.write(wire)
+                await self.writer.drain()
+            except (OSError, ConnectionError):
+                raise ConnectionClosedError("connection closed mid-request")
+            if self.request_timeout is None:
+                reply = await future
+            else:
+                try:
+                    reply = await asyncio.wait_for(future, self.request_timeout)
+                except asyncio.TimeoutError:
+                    # Same contract as the sync client; the response, if
+                    # it ever arrives, is counted stale by the session.
+                    raise RequestTimeoutError(
+                        f"no response to request {request_id} within "
+                        f"{self.request_timeout}s"
+                    )
         finally:
-            self._pending.pop(request_id, None)
+            self.session.abandon(request_id)
+        return call.decode(reply)
 
     async def _read_loop(self) -> None:
+        error: Exception = ConnectionClosedError("connection closed mid-request")
         try:
             while True:
                 data = await self.reader.read(65536)
                 if not data:
-                    self._fail_pending(
-                        ConnectionClosedError("connection closed mid-request")
-                    )
-                    return
-                for message in self._parser.feed(data):
-                    self._deliver(message)
+                    break
+                for future, reply in self.session.receive(data):
+                    if not future.done():
+                        future.set_result(reply)
+        except ProtocolError as exc:
+            error = exc
         except (OSError, ConnectionError, asyncio.CancelledError):
-            self._fail_pending(
-                ConnectionClosedError("connection closed mid-request")
-            )
-
-    def _deliver(self, message: Message) -> None:
-        if message.msg_type is MessageType.NOTIFY_EVENT:
-            self.events_received += 1
-            handler = self._notify_handlers.get(
-                message.param_int("registration_id")
-            )
-            if handler is not None:
-                handler(message)
-            return
-        future = self._pending.get(message.request_id)
-        if future is None or future.done():
-            if message.msg_type is MessageType.ERROR and message.request_id == 0:
-                self._fail_pending(
-                    SpaceError(message.params.get("text", "server error"))
-                )
-            else:
-                self.stale_responses += 1
-            return
-        if message.msg_type is MessageType.ERROR:
-            future.set_exception(
-                SpaceError(message.params.get("text", "server error"))
-            )
-        else:
-            future.set_result(message)
+            pass
+        self._fail_pending(error)
 
     def _fail_pending(self, exc: Exception) -> None:
-        for future in self._pending.values():
+        for future in self.session.drop_pending():
             if not future.done():
                 future.set_exception(exc)
-        self._pending.clear()
-
-    def _expect(self, reply: Message, expected: MessageType) -> None:
-        if reply.msg_type is not expected:
-            raise ProtocolError(
-                f"expected {expected.name}, got {reply.msg_type.name}"
-            )
 
 
 # -- in-loop byte pipes ------------------------------------------------------

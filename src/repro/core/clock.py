@@ -1,7 +1,7 @@
 """Clock abstraction.
 
 The tuplespace engine needs time for leases and timestamps, but it must
-run in three worlds: real time (the threaded socket server), simulated
+run in three worlds: real time (the socket servers), simulated
 time (the co-simulation of the paper) and controlled time (tests).  All
 take a :class:`Clock`.
 """

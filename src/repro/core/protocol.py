@@ -30,9 +30,9 @@ import enum
 import struct
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Optional
 
-from repro.core.errors import ProtocolError
+from repro.core.errors import ProtocolError, SpaceError
 from repro.core.xmlcodec import XmlCodec
 
 MAGIC = b"TS"
@@ -282,3 +282,254 @@ class StreamParser:
     @property
     def buffered_bytes(self) -> int:
         return len(self._buffer)
+
+
+# -- client core ---------------------------------------------------------------
+#
+# The client half of the protocol as sans-IO code: request ids, reply
+# correlation, notify routing, HELLO and per-op reply decoding live here
+# once.  SpaceClient (blocking), AsyncSpaceClient (asyncio) and
+# SimSpaceClient (DES) only move the bytes.
+
+
+def _raise_error(reply: Message) -> None:
+    if reply.msg_type is MessageType.ERROR:
+        raise SpaceError(reply.params.get("text", "server error"))
+
+
+def _expect(reply: Message, expected: MessageType) -> None:
+    """Raise ``SpaceError`` for an ERROR reply, ``ProtocolError`` for any
+    other reply type than ``expected``."""
+    _raise_error(reply)
+    if reply.msg_type is not expected:
+        raise ProtocolError(f"expected {expected.name}, got {reply.msg_type.name}")
+
+
+def _write_ack(reply: Message) -> dict:
+    _expect(reply, MessageType.WRITE_ACK)
+    return {
+        "lease_id": reply.param_int("lease_id"),
+        "granted": reply.param_float("granted"),
+        "dup": bool(reply.param_int("dup")),
+    }
+
+
+def _result(reply: Message) -> Any:
+    _raise_error(reply)
+    if reply.msg_type is MessageType.RESULT_NULL:
+        return None
+    _expect(reply, MessageType.RESULT_ENTRY)
+    return reply.item
+
+
+def _lease_terms(reply: Message) -> dict:
+    _expect(reply, MessageType.LEASE_ACK)
+    return {
+        "remaining": reply.param_float("remaining"),
+        "granted": reply.param_float("granted"),
+    }
+
+
+def _pong(reply: Message) -> bool:
+    _raise_error(reply)
+    return reply.msg_type is MessageType.PONG
+
+
+def _stats(reply: Message) -> dict:
+    _expect(reply, MessageType.STATS_ACK)
+    return dict(reply.params)
+
+
+class Call:
+    """One request and the decoder turning its reply into a result."""
+
+    __slots__ = ("msg_type", "params", "item", "decode")
+
+    def __init__(self, msg_type: MessageType, params: dict, item: Any, decode: Callable):
+        self.msg_type = msg_type
+        self.params = params
+        self.item = item
+        self.decode = decode
+
+    def then(self, shape: Callable) -> "Call":
+        """The same request with ``shape`` applied to the decoded result."""
+        decode = self.decode
+        return Call(self.msg_type, self.params, self.item,
+                    lambda reply: shape(decode(reply)))
+
+
+class ClientSession:
+    """Sans-IO client state machine: calls in, bytes out; bytes in,
+    completed calls out.
+
+    :meth:`start` allocates a request id (modulo 2³², skipping 0, which
+    ERROR replies use when no request id was recoverable), encodes the
+    call and parks the shell's ``waiter`` (any object but ``None``)
+    under that id.  :meth:`receive` parses inbound bytes, runs notify
+    callbacks and returns ``(waiter, reply)`` for every pending request
+    a reply completed; the shell resolves its waiter and hands the reply
+    to ``call.decode``.  A reply to no pending request is *stale* when
+    its id lies behind the last one issued (a duplicate, or a reply to a
+    request the shell gave up on) and a :class:`ProtocolError`
+    otherwise.  A request-id-0 ERROR is connection-fatal: it completes
+    every pending request.
+    """
+
+    def __init__(self, registry: XmlCodec):
+        self.registry = registry
+        self.wire_codec = "xml"
+        self.wire = XmlWireCodec(registry)
+        self.parser = StreamParser(self.wire)
+        self.last_request_id = 0
+        self._pending: dict[int, Any] = {}
+        self._notify_handlers: dict[int, Callable] = {}
+        self.events_received = 0
+        #: Replies to no pending request (duplicates, or replies that
+        #: arrived after their request timed out), discarded on sight.
+        self.stale_responses = 0
+
+    # -- requests out ----------------------------------------------------------
+
+    def start(self, call: Call, waiter: Any) -> tuple[int, bytes]:
+        """Allocate an id for ``call``; return it and the frame to send."""
+        request_id = (self.last_request_id + 1) % REQUEST_ID_MODULUS or 1
+        self.last_request_id = request_id
+        wire = encode_message(
+            Message(call.msg_type, request_id, call.params, call.item), self.wire
+        )
+        self._pending[request_id] = waiter
+        return request_id, wire
+
+    def abandon(self, request_id: int) -> None:
+        """Forget a request (timed out, or its send failed)."""
+        self._pending.pop(request_id, None)
+
+    def drop_pending(self) -> list:
+        """Forget every pending request; return their waiters."""
+        waiters = list(self._pending.values())
+        self._pending.clear()
+        return waiters
+
+    # -- replies in --------------------------------------------------------------
+
+    def receive(self, data: bytes) -> list[tuple[Any, Message]]:
+        completed = []
+        for message in self.parser.feed(data):
+            if message.msg_type is MessageType.NOTIFY_EVENT:
+                self.events_received += 1
+                handler = self._notify_handlers.get(
+                    message.param_int("registration_id")
+                )
+                if handler is not None:
+                    handler(message)
+                continue
+            waiter = self._pending.pop(message.request_id, None)
+            if waiter is not None:
+                completed.append((waiter, message))
+            elif message.msg_type is MessageType.ERROR and message.request_id == 0:
+                # Connection-fatal server error (a frame so broken no
+                # request id was recoverable); the close follows.
+                completed.extend((w, message) for w in self.drop_pending())
+            elif (
+                self.last_request_id - message.request_id
+            ) % REQUEST_ID_MODULUS < REQUEST_ID_MODULUS // 2:
+                # Wrap-safe ordering: behind the last id issued in the
+                # modular half-window — a plain `<` would misclassify
+                # everything straddling the 2^32 wrap.
+                self.stale_responses += 1
+            else:
+                raise ProtocolError(
+                    f"response for unknown request {message.request_id}"
+                )
+        return completed
+
+    # -- one builder per op ----------------------------------------------------
+
+    def write(
+        self,
+        entry: Any,
+        lease: Optional[float] = None,
+        created_at: Optional[float] = None,
+        op_key: Optional[str] = None,
+    ) -> Call:
+        params = {}
+        if lease is not None:
+            params["lease"] = lease
+        if created_at is not None:
+            params["created_at"] = created_at
+        if op_key is not None:
+            params["op_key"] = op_key
+        return Call(MessageType.WRITE, params, entry, _write_ack)
+
+    def read(self, template: Any, timeout: Optional[float] = None) -> Call:
+        return self._blocking(MessageType.READ, template, timeout)
+
+    def take(self, template: Any, timeout: Optional[float] = None) -> Call:
+        return self._blocking(MessageType.TAKE, template, timeout)
+
+    def _blocking(self, msg_type: MessageType, template: Any, timeout) -> Call:
+        params = {} if timeout is None else {"timeout": timeout}
+        return Call(msg_type, params, template, _result)
+
+    def read_if_exists(self, template: Any) -> Call:
+        return Call(MessageType.READ_IF_EXISTS, {}, template, _result)
+
+    def take_if_exists(self, template: Any) -> Call:
+        return Call(MessageType.TAKE_IF_EXISTS, {}, template, _result)
+
+    def notify(
+        self, template: Any, callback: Callable, lease: Optional[float] = None
+    ) -> Call:
+        """Subscribe; ``callback(message)`` runs for each NOTIFY_EVENT."""
+
+        def subscribed(reply: Message) -> dict:
+            _expect(reply, MessageType.NOTIFY_ACK)
+            registration_id = reply.param_int("registration_id")
+            self._notify_handlers[registration_id] = callback
+            return {
+                "registration_id": registration_id,
+                "lease_id": reply.param_int("lease_id"),
+            }
+
+        params = {} if lease is None else {"lease": lease}
+        return Call(MessageType.NOTIFY_REGISTER, params, template, subscribed)
+
+    def cancel_lease(self, lease_id: int) -> Call:
+        return Call(MessageType.CANCEL_LEASE, {"lease_id": lease_id}, None,
+                    _lease_terms)
+
+    def renew_lease(self, lease_id: int, duration: float) -> Call:
+        return Call(
+            MessageType.RENEW_LEASE,
+            {"lease_id": lease_id, "duration": duration},
+            None,
+            _lease_terms,
+        )
+
+    def ping(self) -> Call:
+        return Call(MessageType.PING, {}, None, _pong)
+
+    def stats(self) -> Call:
+        return Call(MessageType.STATS, {}, None, _stats)
+
+    def negotiate(self, codecs: str = "binary,xml") -> Call:
+        """Offer body codecs; the reply switches both directions.
+
+        Must be the first request on the connection (frames of earlier
+        requests could otherwise still be in flight in the old
+        encoding).  A server predating the exchange answers ERROR; the
+        session then simply stays on XML.
+        """
+        return Call(MessageType.HELLO, {"codecs": codecs}, None, self._hello_ack)
+
+    def _hello_ack(self, reply: Message) -> str:
+        if reply.msg_type is MessageType.ERROR:
+            return self.wire_codec
+        _expect(reply, MessageType.HELLO_ACK)
+        chosen = reply.params.get("codec", "xml")
+        if chosen != self.wire_codec:
+            self.wire = make_wire_codec(chosen, self.registry)
+            self.parser.set_codec(self.wire)
+            self.wire_codec = chosen
+        return chosen
+

@@ -5,20 +5,29 @@ reach it through RMI or, for non-Java participants, through the socket
 wrapper speaking the XML wire protocol of :mod:`repro.core.protocol`.
 
 The server is transport-agnostic: a *session* is anything with a
-``send(message)`` method; the transports (TCP sockets, in-memory pipes,
-TpWIRE bridges) adapt their byte streams to :meth:`SpaceServer.handle`
-calls.  Blocking READ/TAKE requests park a space waiter plus a timeout
-timer, so one server serves many sessions without threads of its own.
+``send(message)`` method.  Every transport (TCP sockets, in-memory
+pipes, TpWIRE bridges) adapts its byte stream through one sans-IO
+:class:`ServerConnection`, which parses frames, negotiates the codec
+and turns requests into :meth:`SpaceServer.handle` calls.  Blocking
+READ/TAKE requests park a space waiter plus a timeout timer, so one
+server serves many sessions without threads of its own.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.core.errors import ProtocolError, SpaceError
 from repro.core.lease import Lease
-from repro.core.protocol import Message, MessageType
+from repro.core.protocol import (
+    Message,
+    MessageType,
+    StreamParser,
+    XmlWireCodec,
+    encode_message,
+    make_wire_codec,
+    negotiate_codec,
+)
 from repro.core.space import TupleSpace, WaitMode
 from repro.core.xmlcodec import XmlCodec
 
@@ -49,16 +58,6 @@ class SimTimers(Timers):
 
     def call_later(self, delay: float, fn) -> "_Handle":
         return self._Handle(self.sim, self.sim.after(delay, fn))
-
-
-class ThreadTimers(Timers):
-    """Real-time timers (``threading.Timer``) for the socket server."""
-
-    def call_later(self, delay: float, fn) -> threading.Timer:
-        timer = threading.Timer(delay, fn)
-        timer.daemon = True
-        timer.start()
-        return timer
 
 
 class NullTimers(Timers):
@@ -361,3 +360,72 @@ class SpaceServer:
         MessageType.RENEW_LEASE: _handle_renew_lease,
         MessageType.PING: _handle_ping,
     }
+
+
+class ServerConnection:
+    """Sans-IO server half of one connection: bytes in, replies out.
+
+    Every server front end drives this one state machine.  :meth:`feed`
+    runs inbound bytes through the :class:`StreamParser`; a malformed
+    frame is answered with ERROR when its request id survived and the
+    connection closes (a frame that lost sync just closes).  HELLO
+    switches the body codec of both directions; every other request is
+    dispatched to ``target.handle`` — the :class:`SpaceServer`, or an
+    RMI proxy of it — with ``handle`` looked up per request.  The
+    connection is its own session: replies come back through
+    :meth:`send`, encoded and passed to ``transmit(bytes)``.
+    :meth:`close` reaps the session's parked requests.
+    """
+
+    def __init__(self, server: SpaceServer, transmit: Callable[[bytes], None], target):
+        self.server = server
+        self.target = target
+        self.transmit = transmit
+        self.wire = XmlWireCodec(server.codec)
+        self.parser = StreamParser(self.wire)
+        self.closed = False
+
+    def send(self, message: Message) -> None:
+        if not self.closed:
+            self.transmit(encode_message(message, self.wire))
+
+    def feed(self, data: bytes) -> bool:
+        """Handle inbound bytes; ``False`` once the connection is closed."""
+        try:
+            messages = self.parser.feed(data)
+        except ProtocolError as exc:
+            self.reject(exc)
+            return False
+        for message in messages:
+            if message.msg_type is MessageType.HELLO:
+                self.hello(message)
+            else:
+                self.dispatch(message)
+            if self.closed:
+                return False
+        return True
+
+    def dispatch(self, message: Message) -> None:
+        self.target.handle(self, message)
+
+    def hello(self, message: Message) -> str:
+        """Ack in the current encoding, then switch both directions."""
+        chosen = negotiate_codec(message.params.get("codecs", "")) or "xml"
+        self.send(Message(MessageType.HELLO_ACK, message.request_id, {"codec": chosen}))
+        self.wire = make_wire_codec(chosen, self.server.codec)
+        self.parser.set_codec(self.wire)
+        return chosen
+
+    def reject(self, exc: ProtocolError) -> None:
+        """A malformed frame is the peer's bug: answer ERROR if the
+        frame's request id is recoverable, then close."""
+        request_id = self.parser.error_request_id
+        if request_id is not None:
+            self.send(Message(MessageType.ERROR, request_id, {"text": str(exc)}))
+        self.close()
+
+    def close(self) -> None:
+        if self.closed:
+            return
+        self.closed = True
+        self.server.session_closed(self)

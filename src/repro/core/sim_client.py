@@ -14,13 +14,7 @@ from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
 from repro.core.errors import ProtocolError, SpaceError
-from repro.core.protocol import (
-    REQUEST_ID_MODULUS,
-    Message,
-    MessageType,
-    StreamParser,
-    encode_message,
-)
+from repro.core.protocol import Call, ClientSession
 from repro.core.xmlcodec import XmlCodec
 from repro.des.process import SimEvent
 
@@ -46,6 +40,14 @@ class ClientTimingModel:
         return nbytes * self.parse_seconds_per_byte
 
 
+def _grant(ack: dict) -> dict:
+    return {"lease_id": ack["lease_id"], "granted": ack["granted"]}
+
+
+def _remaining(terms: dict) -> dict:
+    return {"remaining": terms["remaining"]}
+
+
 class SimSpaceClient:
     """Sequential space client as a DES process toolkit.
 
@@ -57,6 +59,10 @@ class SimSpaceClient:
         def board_program(sim, client):
             yield from client.op_write(entry, lease=160.0)
             entry = yield from client.op_take(template, timeout=30.0)
+
+    The protocol is the shared :class:`ClientSession`; this shell moves
+    its bytes over the channels and charges the board's build and parse
+    time around them.
     """
 
     def __init__(
@@ -74,12 +80,12 @@ class SimSpaceClient:
         self.codec = codec
         self.timing = timing if timing is not None else ClientTimingModel()
         self.name = name
-        self._parser = StreamParser(codec)
-        self._pending: dict[int, SimEvent] = {}
-        self._next_request_id = 0
-        self.requests_sent = 0
-        self.responses_received = 0
+        self.session = ClientSession(codec)
         self._dispatcher = sim.spawn(self._dispatch(), name=f"{name}.rx")
+
+    @property
+    def stale_responses(self) -> int:
+        return self.session.stale_responses
 
     # -- operations ----------------------------------------------------------
 
@@ -89,31 +95,19 @@ class SimSpaceClient:
         lease: Optional[float] = None,
         created_at: Optional[float] = None,
     ) -> Generator:
-        params = {}
-        if lease is not None:
-            params["lease"] = lease
-        if created_at is not None:
-            params["created_at"] = created_at
-        reply = yield from self._roundtrip(MessageType.WRITE, params, entry)
-        self._expect(reply, MessageType.WRITE_ACK)
-        return {
-            "lease_id": reply.param_int("lease_id"),
-            "granted": reply.param_float("granted"),
-        }
+        return self._call(self.session.write(entry, lease, created_at).then(_grant))
 
     def op_take(self, template: Any, timeout: Optional[float] = None) -> Generator:
-        return (yield from self._blocking(MessageType.TAKE, template, timeout))
+        return self._call(self.session.take(template, timeout))
 
     def op_read(self, template: Any, timeout: Optional[float] = None) -> Generator:
-        return (yield from self._blocking(MessageType.READ, template, timeout))
+        return self._call(self.session.read(template, timeout))
 
     def op_take_if_exists(self, template: Any) -> Generator:
-        reply = yield from self._roundtrip(MessageType.TAKE_IF_EXISTS, {}, template)
-        return self._result(reply)
+        return self._call(self.session.take_if_exists(template))
 
     def op_read_if_exists(self, template: Any) -> Generator:
-        reply = yield from self._roundtrip(MessageType.READ_IF_EXISTS, {}, template)
-        return self._result(reply)
+        return self._call(self.session.read_if_exists(template))
 
     def op_renew_lease(self, lease_id: int, duration: float) -> Generator:
         """Renew a server-held lease; returns the ack's lease terms.
@@ -123,61 +117,28 @@ class SimSpaceClient:
         ``duration`` and the board must schedule its next heartbeat from
         it, not from what it asked for.
         """
-        reply = yield from self._roundtrip(
-            MessageType.RENEW_LEASE,
-            {"lease_id": lease_id, "duration": duration},
-        )
-        self._expect(reply, MessageType.LEASE_ACK)
-        return {
-            "remaining": reply.param_float("remaining"),
-            "granted": reply.param_float("granted"),
-        }
+        return self._call(self.session.renew_lease(lease_id, duration))
 
     def op_cancel_lease(self, lease_id: int) -> Generator:
         """Cancel a server-held lease (entry or notify registration)."""
-        reply = yield from self._roundtrip(
-            MessageType.CANCEL_LEASE, {"lease_id": lease_id}
-        )
-        self._expect(reply, MessageType.LEASE_ACK)
-        return {"remaining": reply.param_float("remaining")}
+        return self._call(self.session.cancel_lease(lease_id).then(_remaining))
 
     def op_ping(self) -> Generator:
-        reply = yield from self._roundtrip(MessageType.PING, {})
-        return reply.msg_type is MessageType.PONG
+        return self._call(self.session.ping())
 
     # -- plumbing ---------------------------------------------------------------
 
-    def _blocking(self, msg_type: MessageType, template: Any, timeout) -> Generator:
-        params = {} if timeout is None else {"timeout": timeout}
-        reply = yield from self._roundtrip(msg_type, params, template)
-        return self._result(reply)
-
-    def _result(self, reply: Message) -> Optional[Any]:
-        if reply.msg_type is MessageType.RESULT_NULL:
-            return None
-        self._expect(reply, MessageType.RESULT_ENTRY)
-        return reply.item
-
-    def _roundtrip(self, msg_type: MessageType, params: dict, item: Any = None) -> Generator:
-        # Same wrap as SpaceClient: the header packs ids as >I, and 0 is
-        # reserved for ERROR replies with no recoverable request id.
-        self._next_request_id = (self._next_request_id + 1) % REQUEST_ID_MODULUS or 1
-        request_id = self._next_request_id
-        wire = encode_message(Message(msg_type, request_id, params, item), self.codec)
+    def _call(self, call: Call) -> Generator:
+        waiter = SimEvent(self.sim)
+        request_id, wire = self.session.start(call, waiter)
         # Charge the board's marshalling time before bytes leave it.
         build_time = self.timing.build_time(len(wire))
         if build_time > 0:
             yield self.sim.timeout(build_time)
-        waiter = SimEvent(self.sim)
-        self._pending[request_id] = waiter
         if not self.tx_channel.write(wire):
-            del self._pending[request_id]
+            self.session.abandon(request_id)
             raise SpaceError(f"{self.name}: transmit channel full")
-        self.requests_sent += 1
-        reply: Message = yield waiter
-        if reply.msg_type is MessageType.ERROR:
-            raise SpaceError(reply.params.get("text", "server error"))
-        return reply
+        return call.decode((yield waiter))
 
     def _dispatch(self) -> Generator:
         while True:
@@ -189,14 +150,13 @@ class SimSpaceClient:
             parse_time = self.timing.parse_time(len(data))
             if parse_time > 0:
                 yield self.sim.timeout(parse_time)
-            for message in self._parser.feed(data):
-                self.responses_received += 1
-                waiter = self._pending.pop(message.request_id, None)
-                if waiter is not None and not waiter.triggered:
-                    waiter.succeed(message)
-
-    def _expect(self, reply: Message, expected: MessageType) -> None:
-        if reply.msg_type is not expected:
-            raise ProtocolError(
-                f"expected {expected.name}, got {reply.msg_type.name}"
-            )
+            try:
+                completed = self.session.receive(data)
+            except ProtocolError as exc:
+                # The server's byte stream is unusable: fail every
+                # parked op instead of leaving it waiting forever.
+                for waiter in self.session.drop_pending():
+                    waiter.fail(exc)
+                continue
+            for waiter, reply in completed:
+                waiter.succeed(reply)

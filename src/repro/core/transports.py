@@ -10,63 +10,51 @@ Three ways to reach a :class:`~repro.core.server.SpaceServer`:
 * the TpWIRE bridges in :mod:`repro.cosim` (Figure 5) for the
   co-simulated embedded path.
 
-All three speak the same wire protocol; the server is reached through an
-RMI proxy, mirroring the paper's server-internal RMI hop.
+All three drive the one connection core,
+:class:`~repro.core.server.ServerConnection`, and reach the server
+through an RMI proxy, mirroring the paper's server-internal RMI hop.
 """
 
 from __future__ import annotations
 
+import asyncio
+import concurrent.futures
 import select
 import socket
 import threading
 from typing import Optional
 
-from repro.core.errors import ConnectionClosedError, ProtocolError
-from repro.core.protocol import (
-    Message,
-    MessageType,
-    StreamParser,
-    encode_message,
-    make_wire_codec,
-    negotiate_codec,
-)
-from repro.core.rmi import Registry
-from repro.core.server import SpaceServer, ThreadTimers
+from repro.core.aio import AsyncSpaceServer
+from repro.core.errors import ConnectionClosedError
+from repro.core.rmi import Registry, RemoteProxy
+from repro.core.server import ServerConnection, SpaceServer
 from repro.core.xmlcodec import XmlCodec
 
 
-class _ProxySession:
-    """Session whose ``send`` encodes and forwards to a byte sink."""
-
-    def __init__(self, codec: XmlCodec, sink):
-        self.codec = codec
-        self.sink = sink
-
-    def send(self, message: Message) -> None:
-        self.sink(encode_message(message, self.codec))
+def _rmi_proxy(server: SpaceServer) -> RemoteProxy:
+    registry = Registry()
+    registry.bind("SpaceServer", server, exposed=["handle"])
+    return registry.lookup("SpaceServer")
 
 
 class LocalConnection:
     """Synchronous in-process connection to a space server.
 
-    ``send_bytes`` dispatches requests straight into the server (through
-    its RMI proxy); responses accumulate in an internal buffer that
-    ``recv_bytes`` drains.  With :class:`ThreadTimers` on the server,
-    blocking-request timeouts still fire asynchronously.
+    ``send_bytes`` feeds requests straight into a server connection
+    (dispatching through the server's RMI proxy); responses accumulate
+    in an internal buffer that ``recv_bytes`` drains.  Timeouts fire
+    from whatever timers the server was built with, possibly on another
+    thread — hence the lock around the buffer.
     """
 
-    def __init__(self, server: SpaceServer, registry: Optional[Registry] = None):
-        self.codec = server.codec
-        self._server = server
-        if registry is None:
-            registry = Registry()
-            registry.bind("SpaceServer", server, exposed=["handle"])
-        self._proxy = registry.lookup("SpaceServer")
-        self._parser = StreamParser(self.codec)
+    def __init__(self, server: SpaceServer):
         self._rx = bytearray()  # lint: guarded-by=self._lock
         self._lock = threading.Lock()
-        self.closed = False
-        self._session = _ProxySession(self.codec, self._deliver)
+        self._session = ServerConnection(server, self._deliver, _rmi_proxy(server))
+
+    @property
+    def closed(self) -> bool:
+        return self._session.closed
 
     def _deliver(self, data: bytes) -> None:
         with self._lock:
@@ -75,8 +63,7 @@ class LocalConnection:
     def send_bytes(self, data: bytes) -> None:
         if self.closed:
             raise ConnectionClosedError("connection is closed")
-        for message in self._parser.feed(data):
-            self._proxy.handle(self._session, message)
+        self._session.feed(data)
 
     def recv_bytes(self, max_bytes: int = 65536) -> bytes:
         with self._lock:
@@ -90,100 +77,56 @@ class LocalConnection:
             return bool(self._rx)
 
     def close(self) -> None:
-        if self.closed:
-            return
-        self.closed = True
-        # Reap blocking requests parked by this session: a closed
+        # Reaps blocking requests parked by this session: a closed
         # connection must never consume a later write.
-        self._server.session_closed(self._session)
+        self._session.close()
 
 
 class SocketSpaceServer:
-    """TCP front end: one thread per connection, serialised dispatch.
+    """Blocking-world TCP front end: :class:`AsyncSpaceServer` run on a
+    loop thread, dispatching through the server's RMI proxy.
 
-    The space engine is single-threaded, so all request handling (and all
-    timer callbacks) run under one lock.
+    All request handling and every timer callback run on that one
+    thread, so the single-threaded space engine needs no locks.
+    ``address`` is the bound ``(host, port)`` once :meth:`start` ran.
     """
 
-    def __init__(
-        self,
-        server: SpaceServer,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        registry: Optional[Registry] = None,
-    ):
+    def __init__(self, server: SpaceServer, host: str = "127.0.0.1", port: int = 0):
         self.server = server
-        if registry is None:
-            registry = Registry()
-            registry.bind("SpaceServer", server, exposed=["handle"])
-        self._proxy = registry.lookup("SpaceServer")
-        self._lock = threading.RLock()
-        # Timer callbacks touch the (single-threaded) space engine; run
-        # them under the same dispatch lock as request handling.
-        server.timers = _LockedTimers(server.timers, self._lock)
-        self._listener = socket.create_server((host, port))
-        self.address = self._listener.getsockname()
-        self._running = False
-        self._accept_thread: Optional[threading.Thread] = None
-        # Live client threads and their sockets; pruned as connections
-        # finish and drained by stop().
-        self._threads_lock = threading.Lock()
-        self._client_threads: list[threading.Thread] = []  # lint: guarded-by=self._threads_lock
-        self._client_conns: list[socket.socket] = []  # lint: guarded-by=self._threads_lock
-        self.connections_accepted = 0
-
-    # -- lifecycle -----------------------------------------------------------
+        self._front = AsyncSpaceServer(server, host, port)
+        self._front.target = _rmi_proxy(server)
+        self.address = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._thread: Optional[threading.Thread] = None
 
     def start(self) -> None:
-        if self._running:
+        if self._thread is not None:
             return
-        self._running = True
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="space-server-accept", daemon=True
+        self._loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(
+            target=self._loop.run_forever, name="space-server-loop", daemon=True
         )
-        self._accept_thread.start()
+        self._thread.start()
+        asyncio.run_coroutine_threadsafe(self._front.start(), self._loop).result()
+        self.address = self._front.address
 
     def stop(self, join_timeout: float = 2.0) -> None:
-        """Stop accepting, unblock client threads, join them all.
-
-        Client sockets are shut down first so threads blocked in
-        ``recv`` wake immediately; every join carries a timeout so a
-        wedged connection can never hang shutdown (the threads are
-        daemons as a last resort).
-        """
-        self._running = False
-        # shutdown() before close(): merely closing the fd does not wake
-        # a thread already blocked in accept() on Linux.
+        """Close every connection (waking clients parked in ``recv``,
+        reaping their parked requests), then stop and join the loop
+        thread.  Every wait is bounded; calling it twice is harmless."""
+        thread, loop = self._thread, self._loop
+        if thread is None:
+            return
+        self._thread = None
+        stopping = asyncio.run_coroutine_threadsafe(self._front.stop(), loop)
         try:
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        with self._threads_lock:
-            conns = list(self._client_conns)
-            self._client_conns = []
-            threads = [t for t in self._client_threads if t.is_alive()]
-            self._client_threads = []
-        for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-        # Joins happen outside _threads_lock on purpose: joining while
-        # holding it would block the accept loop (and trip the
-        # blocking-under-lock lint rule).
-        accept = self._accept_thread
-        if accept is not None:
-            accept.join(timeout=join_timeout)
-        for thread in threads:
-            thread.join(timeout=join_timeout)
+            stopping.result(timeout=join_timeout)
+        except concurrent.futures.TimeoutError:
+            stopping.cancel()
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(timeout=join_timeout)
+        if not thread.is_alive():
+            loop.close()
 
     def __enter__(self) -> "SocketSpaceServer":
         self.start()
@@ -191,131 +134,6 @@ class SocketSpaceServer:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.stop()
-
-    # -- internals -------------------------------------------------------------
-
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                conn, _addr = self._listener.accept()
-            except OSError:
-                return
-            self.connections_accepted += 1
-            thread = threading.Thread(
-                target=self._serve_connection,
-                args=(conn,),
-                name="space-server-conn",
-                daemon=True,
-            )
-            with self._threads_lock:
-                # Prune finished threads / closed sockets as we go so
-                # the lists stay bounded by the number of *live*
-                # connections, not the all-time total.
-                self._client_threads = [
-                    t for t in self._client_threads if t.is_alive()
-                ]
-                self._client_conns = [
-                    c for c in self._client_conns if c.fileno() != -1
-                ]
-                self._client_threads.append(thread)
-                self._client_conns.append(conn)
-            thread.start()
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        codec = self.server.codec
-        parser = StreamParser(codec)
-        send_lock = threading.Lock()
-
-        def sink(data: bytes) -> None:
-            with send_lock:
-                # Serialising writes to this one socket is the whole
-                # point of send_lock (dispatch vs timer threads would
-                # otherwise interleave frames); it is per-connection,
-                # never taken together with another lock, and the peer
-                # draining its end bounds the stall.
-                try:
-                    conn.sendall(data)  # lint: disable=blocking-under-lock
-                except OSError:
-                    pass
-
-        proxy_session = _ProxySession(codec, sink)
-        session = _LockedSession(proxy_session, self._lock)
-        try:
-            while self._running:
-                data = conn.recv(65536)
-                if not data:
-                    return
-                try:
-                    messages = parser.feed(data)
-                except ProtocolError as exc:
-                    # A malformed frame is the *client's* bug, not a
-                    # reason to die with a traceback (ProtocolError is a
-                    # SpaceError, which the OSError/ValueError net below
-                    # never caught).  Answer ERROR when the frame header
-                    # survived enough to recover a request id, then close.
-                    request_id = parser.error_request_id
-                    if request_id is not None:
-                        session.send(Message(
-                            MessageType.ERROR, request_id, {"text": str(exc)}
-                        ))
-                    return
-                for message in messages:
-                    if message.msg_type is MessageType.HELLO:
-                        # Codec negotiation is transport-level: ack in
-                        # the current encoding, then switch both
-                        # directions for subsequent frames.
-                        chosen = negotiate_codec(
-                            message.params.get("codecs", "")
-                        ) or "xml"
-                        session.send(Message(
-                            MessageType.HELLO_ACK,
-                            message.request_id,
-                            {"codec": chosen},
-                        ))
-                        wire = make_wire_codec(chosen, codec)
-                        parser.set_codec(wire)
-                        proxy_session.codec = wire
-                        continue
-                    with self._lock:
-                        self._proxy.handle(session, message)
-        except (OSError, ValueError):
-            return
-        finally:
-            with self._lock:
-                self.server.session_closed(session)
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-
-class _LockedTimers:
-    """Run timer callbacks under the server's dispatch lock."""
-
-    def __init__(self, inner, lock):
-        self._inner = inner
-        self._lock = lock
-
-    def call_later(self, delay: float, fn):
-        def locked_fn():
-            with self._lock:
-                fn()
-
-        return self._inner.call_later(delay, locked_fn)
-
-
-class _LockedSession:
-    """Serialise ``send`` calls issued from timer threads."""
-
-    def __init__(self, inner, lock):
-        self._inner = inner
-        self._lock = lock
-
-    def send(self, message: Message) -> None:
-        # The dispatch lock may already be held (responses sent inline
-        # from handle()); RLock makes that safe.
-        with self._lock:
-            self._inner.send(message)
 
 
 def open_socket_connection(address) -> "SocketConnection":
@@ -362,7 +180,6 @@ class SocketConnection:
 def make_threaded_server(
     space, codec: Optional[XmlCodec] = None, host: str = "127.0.0.1", port: int = 0
 ) -> SocketSpaceServer:
-    """Convenience: space + codec -> running TCP space server (not started)."""
+    """Convenience: space + codec -> TCP space server (not started)."""
     codec = codec if codec is not None else XmlCodec()
-    server = SpaceServer(space, codec, timers=ThreadTimers())
-    return SocketSpaceServer(server, host, port)
+    return SocketSpaceServer(SpaceServer(space, codec), host, port)

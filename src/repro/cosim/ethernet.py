@@ -23,11 +23,8 @@ from repro.cosim.scenarios import (
     make_case_study_codec,
 )
 from repro.cosim.errors import CaseStudyIncompleteError
-from repro.cosim.server_host import ServerTimingModel
-from repro.core.protocol import Message, StreamParser, encode_message
-from repro.core.rmi import Registry
+from repro.cosim.server_host import ServerTimingModel, SimServerHost
 from repro.des import Simulator
-from repro.des.resource import Store
 from repro.hw.shared_memory import SharedMemoryChannel
 from repro.net.stream import build_switched_star
 
@@ -82,18 +79,14 @@ class EthernetCaseStudy:
         self.server = SpaceServer(
             self.space, self.codec, timers=SimTimers(self.sim)
         )
-        registry = Registry()
-        registry.bind("SpaceServer", self.server, exposed=["handle"])
-        self._proxy = registry.lookup("SpaceServer")
 
-        # Server side: bytes off the wire -> parser -> server; replies
-        # pace through the server timing model before hitting the wire.
-        self._server_parser = StreamParser(self.codec)
-        self._server_out: Store = Store(self.sim)
-        self.agents["server"].on_data = self._server_rx
-        self.sim.spawn(self._server_tx_loop(), name="eth-server-tx")
-        self._server_in: Store = Store(self.sim)
-        self.sim.spawn(self._server_rx_loop(), name="eth-server-rx")
+        # Server side: the same host as behind the SC2 bridge, with the
+        # server's NIC as its bridge.
+        self.server_host = SimServerHost(
+            self.sim, self.server, _NicBridge(self), cfg.server_timing,
+            name="eth-server",
+        )
+        self.agents["server"].on_data = self.server_host.bridge.deliver
 
         # Client side: the same SimSpaceClient, fed by channel adapters.
         self._client_tx = SharedMemoryChannel(self.sim, name="eth.client.tx")
@@ -119,30 +112,6 @@ class EthernetCaseStudy:
                 self.wire_bytes += self.agents["client"].send_stream(
                     "server", data
                 )
-
-    def _server_rx(self, src: str, data: bytes) -> None:
-        self._server_in.put((src, data))
-
-    def _server_rx_loop(self):
-        timing = self.config.server_timing
-        while True:
-            src, data = yield self._server_in.get()
-            parse_time = timing.parse_time(len(data))
-            if parse_time > 0:
-                yield self.sim.timeout(parse_time)
-            for message in self._server_parser.feed(data):
-                self._proxy.handle(_QueueSession(self._server_out, self.codec), message)
-
-    def _server_tx_loop(self):
-        timing = self.config.server_timing
-        while True:
-            wire = yield self._server_out.get()
-            build_time = timing.build_time(len(wire))
-            if build_time > 0:
-                yield self.sim.timeout(build_time)
-            self.wire_bytes += self.agents["server"].send_stream(
-                "client", wire
-            )
 
     # -- the measured operation ------------------------------------------------
 
@@ -179,12 +148,13 @@ class EthernetCaseStudy:
         return self._result
 
 
-class _QueueSession:
-    """Server session queuing encoded replies for the paced TX loop."""
+class _NicBridge:
+    """The server's network interface, shaped like a ``ServerBridge``."""
 
-    def __init__(self, out: Store, codec):
-        self._out = out
-        self._codec = codec
+    def __init__(self, study: EthernetCaseStudy):
+        self.deliver = None
+        self._study = study
 
-    def send(self, message: Message) -> None:
-        self._out.put(encode_message(message, self._codec))
+    def send_to(self, peer: str, data: bytes) -> None:
+        study = self._study
+        study.wire_bytes += study.agents["server"].send_stream(peer, data)

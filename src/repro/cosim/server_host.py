@@ -15,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator
 
-from repro.core.protocol import Message, StreamParser, encode_message
 from repro.core.rmi import Registry
-from repro.core.server import SpaceServer
+from repro.core.server import ServerConnection, SpaceServer
 from repro.des.resource import Store
 from repro.hw.bridge import ServerBridge
 
@@ -37,20 +36,17 @@ class ServerTimingModel:
         return nbytes * self.build_seconds_per_byte
 
 
-class _BridgeSession:
-    """Per-client session: queues responses for ordered, timed sending."""
+class _BridgeSession(ServerConnection):
+    """Per-client connection: queues responses for ordered, timed sending."""
 
     def __init__(self, host: "SimServerHost", node_id: int):
         self.host = host
         self.node_id = node_id
         self.outgoing: Store = Store(host.sim)
+        super().__init__(host.server, self.outgoing.put, host._proxy)
         self._sender = host.sim.spawn(
             self._send_loop(), name=f"server-session{node_id}"
         )
-
-    def send(self, message: Message) -> None:
-        wire = encode_message(message, self.host.server.codec)
-        self.outgoing.put(wire)
 
     def _send_loop(self) -> Generator:
         while True:
@@ -63,7 +59,14 @@ class _BridgeSession:
 
 
 class SimServerHost:
-    """The space-server host process behind an SC2 bridge."""
+    """The space-server host process behind an SC2 bridge.
+
+    ``bridge`` is anything with a settable ``deliver(src, data)`` inbound
+    callback and a ``send_to(node, data)`` outbound path.  A source whose
+    bytes fail to parse gets the shared ERROR-then-close treatment: its
+    connection is dropped (reaping its parked requests) and its next
+    bytes open a fresh one.
+    """
 
     def __init__(
         self,
@@ -81,16 +84,18 @@ class SimServerHost:
         # The paper keeps RMI between the socket wrapper and the server;
         # requests therefore go through a real proxy here as well.
         registry = Registry()
-        registry.bind("SpaceServer", server, exposed=["handle"])
+        self._skeleton = registry.bind("SpaceServer", server, exposed=["handle"])
         self._proxy = registry.lookup("SpaceServer")
-        self._parsers: dict[int, StreamParser] = {}
         self._sessions: dict[int, _BridgeSession] = {}
         self._inbound: Store = Store(sim)
         self.bytes_received = 0
         self.bytes_sent = 0
-        self.requests_dispatched = 0
         bridge.deliver = self._on_bus_bytes
         self._worker = sim.spawn(self._dispatch_loop(), name=f"{name}.dispatch")
+
+    @property
+    def requests_dispatched(self) -> int:
+        return self._skeleton.invocations
 
     # -- inbound path -----------------------------------------------------------
 
@@ -104,13 +109,8 @@ class SimServerHost:
             parse_time = self.timing.parse_time(len(data))
             if parse_time > 0:
                 yield self.sim.timeout(parse_time)
-            parser = self._parsers.setdefault(
-                src, StreamParser(self.server.codec)
-            )
             session = self._sessions.get(src)
             if session is None:
-                session = _BridgeSession(self, src)
-                self._sessions[src] = session
-            for message in parser.feed(data):
-                self.requests_dispatched += 1
-                self._proxy.handle(session, message)
+                session = self._sessions[src] = _BridgeSession(self, src)
+            if not session.feed(data):
+                del self._sessions[src]

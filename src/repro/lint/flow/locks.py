@@ -7,7 +7,7 @@ Canonical lock ids are plain strings, stable across runs and JSON-safe:
 * ``qualname:name``  — a local variable or parameter of one function.
 
 A *global* id (used by the cross-module lock-order graph) prefixes the
-module: ``repro.core.transports.SocketSpaceServer._lock``.  Function-
+module: ``repro.core.transports.LocalConnection._lock``.  Function-
 local locks never get a global id — their ordering cannot conflict
 across modules.
 

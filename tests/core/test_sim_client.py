@@ -131,7 +131,7 @@ class TestOperations:
         def program():
             try:
                 # WRITE without an entry is a protocol error server-side.
-                yield from client._roundtrip(MessageType.WRITE, {})
+                yield from client.op_write(None)
             except SpaceError as exc:
                 caught.append(str(exc))
 

@@ -16,7 +16,6 @@ from repro.core import (
     XmlCodec,
 )
 from repro.core.errors import SpaceError
-from repro.core.server import ThreadTimers
 from repro.core.transports import (
     LocalConnection,
     SocketSpaceServer,
@@ -108,7 +107,7 @@ class TestSocketTransport:
     def server(self):
         codec = make_codec()
         space = TupleSpace()
-        space_server = SpaceServer(space, codec, timers=ThreadTimers())
+        space_server = SpaceServer(space, codec)
         with SocketSpaceServer(space_server, port=0) as tcp:
             yield tcp, codec, space
 

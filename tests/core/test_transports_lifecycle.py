@@ -1,23 +1,22 @@
-"""Thread lifecycle of the TCP space server: pruning and shutdown.
+"""Lifecycle of the TCP space server: connection churn and shutdown.
 
-Regression tests for two defects the concurrency lint pass surfaced
-(see docs/concurrency.md): the per-connection thread list grew without
-bound over the life of the server, and ``stop()`` abandoned its threads
-instead of joining them.  Both tests fail against the pre-fix code.
+``SocketSpaceServer`` runs the asyncio front end on one loop thread.
+These pin down what its thread-per-connection predecessor got wrong
+(see docs/concurrency.md): the server's record of connections must stay
+bounded by the live ones, and ``stop()`` must wake clients parked in
+``recv`` and join its thread instead of abandoning it.
 """
 
 import socket
+import threading
 import time
 
 from repro.core import SpaceServer, TupleSpace, XmlCodec
-from repro.core.server import ThreadTimers
 from repro.core.transports import SocketSpaceServer
 
 
 def make_server() -> SocketSpaceServer:
-    codec = XmlCodec()
-    space_server = SpaceServer(TupleSpace(), codec, timers=ThreadTimers())
-    return SocketSpaceServer(space_server, port=0)
+    return SocketSpaceServer(SpaceServer(TupleSpace(), XmlCodec()), port=0)
 
 
 def wait_until(predicate, timeout=5.0, interval=0.01) -> bool:
@@ -29,53 +28,53 @@ def wait_until(predicate, timeout=5.0, interval=0.01) -> bool:
     return predicate()
 
 
-def test_client_thread_list_is_bounded_by_live_connections():
+def test_open_connections_bounded_by_live_ones():
     tcp = make_server()
     tcp.start()
+    front = tcp._front
     try:
-        # Churn: each connection is fully closed (and its serve thread
-        # dead) before the next one arrives.
-        for _ in range(8):
+        # Churn: each connection is accepted, closed and forgotten by
+        # the server before the next one arrives.
+        for accepted in range(1, 9):
             conn = socket.create_connection(tcp.address)
             conn.close()
-            assert wait_until(
-                lambda: not any(t.is_alive() for t in tcp._client_threads)
-            )
+            assert wait_until(lambda: front.connections_total == accepted)
+            assert wait_until(lambda: front.connections_open == 0)
         last = socket.create_connection(tcp.address)
         try:
-            assert wait_until(lambda: tcp.connections_accepted == 9)
-            # Accepting the live connection pruned the eight dead ones.
-            assert len(tcp._client_threads) <= 2
-            assert len(tcp._client_conns) <= 2
+            assert wait_until(lambda: front.connections_total == 9)
+            assert front.connections_open == 1
         finally:
             last.close()
     finally:
         tcp.stop()
 
 
-def test_stop_joins_accept_and_client_threads():
+def test_stop_wakes_parked_client_and_joins_loop_thread():
     tcp = make_server()
     tcp.start()
     conn = socket.create_connection(tcp.address)
     try:
-        assert wait_until(lambda: tcp.connections_accepted == 1)
-        assert wait_until(
-            lambda: any(t.is_alive() for t in tcp._client_threads)
+        assert wait_until(lambda: tcp._front.connections_open == 1)
+        received = []
+        parked = threading.Thread(
+            target=lambda: received.append(conn.recv(65536)), daemon=True
         )
-        serve_threads = list(tcp._client_threads)
-        accept_thread = tcp._accept_thread
+        parked.start()
+        loop_thread = tcp._thread
 
         start = time.monotonic()
         tcp.stop()
+        parked.join(timeout=5.0)
         elapsed = time.monotonic() - start
 
-        # The client thread was parked in recv(); stop() must have shut
-        # the socket down to wake it, then joined it.
-        assert all(not t.is_alive() for t in serve_threads)
-        assert accept_thread is not None and not accept_thread.is_alive()
+        # The client was parked in recv(); stop() closed its connection
+        # (EOF), then joined the loop thread.
+        assert not parked.is_alive()
+        assert received == [b""]
+        assert loop_thread is not None and not loop_thread.is_alive()
         assert elapsed < 5.0
-        assert tcp._client_threads == []
-        assert tcp._client_conns == []
+        assert tcp._front.connections_open == 0
     finally:
         conn.close()
 
@@ -84,5 +83,5 @@ def test_stop_is_idempotent():
     tcp = make_server()
     tcp.start()
     tcp.stop()
-    tcp.stop()  # no listener left to close, nothing to join: still fine
-    assert tcp._client_threads == []
+    tcp.stop()  # no loop left to stop, nothing to join: still fine
+    assert tcp._thread is None

@@ -16,8 +16,16 @@ Each test failed before its fix:
    at 2**32 (in ``SpaceClient`` and, separately, ``SimSpaceClient``), and
    the stale-response check misclassified everything straddling the
    wrap.
+
+The malformed-frame and event-polling tests run against both TCP front
+ends.  The drift tests at the end pin down where the protocol's copies
+had diverged before the shared client and connection cores: the
+loopback answered HELLO with ERROR, ``AsyncSpaceClient`` raised where
+``SpaceClient`` fell back to XML, and ``SimSpaceClient`` parked forever
+on a request-id-0 ERROR and kept no stale-reply count.
 """
 
+import asyncio
 import socket
 import struct
 import threading
@@ -36,7 +44,8 @@ from repro.core import (
     TupleTemplate,
     XmlCodec,
 )
-from repro.core.errors import ProtocolError
+from repro.core.aio import AsyncSpaceClient
+from repro.core.errors import ProtocolError, SpaceError
 from repro.core.server import SimTimers
 from repro.core.protocol import (
     HEADER,
@@ -47,13 +56,10 @@ from repro.core.protocol import (
     StreamParser,
     encode_message,
 )
-from repro.core.transports import (
-    LocalConnection,
-    make_threaded_server,
-    open_socket_connection,
-)
+from repro.core.transports import LocalConnection, open_socket_connection
 from repro.des import Simulator
 from repro.hw import SharedMemoryChannel
+from tests.core.fronts import KINDS, serving
 
 
 class Part(Entry):
@@ -69,12 +75,11 @@ def make_codec():
     return codec
 
 
-@pytest.fixture
-def tcp_server():
+@pytest.fixture(params=KINDS)
+def tcp_server(request):
     codec = make_codec()
     space = TupleSpace()
-    server = make_threaded_server(space, codec)
-    with server:
+    with serving(request.param, SpaceServer(space, codec)) as server:
         yield server, codec, space
 
 
@@ -254,7 +259,7 @@ class TestRequestIdWrap:
         codec = make_codec()
         connection = _CannedConnection(codec)
         client = SpaceClient(connection, codec)
-        client._next_request_id = REQUEST_ID_MODULUS - 2
+        client.session.last_request_id = REQUEST_ID_MODULUS - 2
         for expected in (REQUEST_ID_MODULUS - 1, 1, 2):
             connection.queue(Message(MessageType.PONG, expected))
             # Before the fix the second ping died inside struct.pack('>I').
@@ -268,7 +273,7 @@ class TestRequestIdWrap:
         codec = make_codec()
         connection = _CannedConnection(codec)
         client = SpaceClient(connection, codec)
-        client._next_request_id = REQUEST_ID_MODULUS - 1
+        client.session.last_request_id = REQUEST_ID_MODULUS - 1
         connection.queue(Message(MessageType.PONG, 1))
         assert client.ping()
 
@@ -278,7 +283,7 @@ class TestRequestIdWrap:
         codec = make_codec()
         connection = _CannedConnection(codec)
         client = SpaceClient(connection, codec)
-        client._next_request_id = REQUEST_ID_MODULUS - 1
+        client.session.last_request_id = REQUEST_ID_MODULUS - 1
         # Current request will be id 1 (post-wrap).  A duplicate response
         # for the *previous* request (id 2**32 - 1) arrives first.
         connection.queue(Message(MessageType.PONG, REQUEST_ID_MODULUS - 1))
@@ -317,7 +322,7 @@ class TestRequestIdWrap:
                     server.handle(Replies(), message)
 
         client = SimSpaceClient(sim, tx, rx, codec)
-        client._next_request_id = REQUEST_ID_MODULUS - 2
+        client.session.last_request_id = REQUEST_ID_MODULUS - 2
         results = []
 
         def program():
@@ -334,3 +339,97 @@ class TestRequestIdWrap:
     def test_header_field_width_matches_modulus(self):
         assert struct.calcsize(">I") == 4
         assert REQUEST_ID_MODULUS == 1 << 32
+
+
+def _sim_client_against(respond):
+    """A SimSpaceClient whose channel peer answers each request frame
+    with ``respond(message)`` (a list of replies)."""
+    sim = Simulator()
+    codec = make_codec()
+    tx = SharedMemoryChannel(sim, name="tx")
+    rx = SharedMemoryChannel(sim, name="rx")
+    parser = StreamParser(codec)
+
+    def fake_server():
+        while True:
+            yield tx.wait_readable()
+            for message in parser.feed(tx.read()):
+                for reply in respond(message):
+                    rx.write(encode_message(reply, codec))
+
+    sim.spawn(fake_server(), name="fake-server")
+    return sim, SimSpaceClient(sim, tx, rx, codec)
+
+
+class TestFrontEndDrift:
+    """Each test failed while every front end had its own protocol copy."""
+
+    def test_loopback_negotiates_binary(self):
+        codec = make_codec()
+        server = SpaceServer(TupleSpace(clock=ManualClock()), codec)
+        client = SpaceClient(LocalConnection(server), codec)
+        assert client.hello() == "binary"
+        client.write(Part("sn-1", "drill", 2.5))
+        assert client.take_if_exists(Part(serial="sn-1")) == Part("sn-1", "drill", 2.5)
+
+    def test_async_negotiate_falls_back_to_xml(self):
+        codec = make_codec()
+
+        async def answer_errors(reader, writer):
+            # A server predating HELLO: ERROR for every frame's id.
+            parser = StreamParser(codec)
+            while data := await reader.read(65536):
+                for message in parser.feed(data):
+                    writer.write(encode_message(Message(
+                        MessageType.ERROR, message.request_id,
+                        {"text": f"unexpected message type {message.msg_type.name}"},
+                    ), codec))
+            writer.close()
+
+        async def scenario():
+            listener = await asyncio.start_server(answer_errors, "127.0.0.1", 0)
+            try:
+                client = await AsyncSpaceClient.connect(
+                    listener.sockets[0].getsockname(), codec, request_timeout=2.0
+                )
+                assert client.wire_codec == "xml"
+                # Still talking (XML) to the server: its ERROR surfaces.
+                with pytest.raises(SpaceError, match="PING"):
+                    await client.ping()
+                await client.close()
+            finally:
+                listener.close()
+                await listener.wait_closed()
+
+        asyncio.run(scenario())
+
+    def test_sim_client_fails_on_connection_fatal_error(self):
+        sim, client = _sim_client_against(
+            lambda message: [Message(MessageType.ERROR, 0, {"text": "lost sync"})]
+        )
+        caught = []
+
+        def program():
+            try:
+                yield from client.op_ping()
+            except SpaceError as exc:
+                caught.append(str(exc))
+
+        sim.spawn(program(), name="board")
+        sim.run(until=10.0)
+        assert caught == ["lost sync"]
+
+    def test_sim_client_counts_duplicated_replies_stale(self):
+        sim, client = _sim_client_against(
+            lambda message: [Message(MessageType.PONG, message.request_id)] * 2
+        )
+        results = []
+
+        def program():
+            results.append((yield from client.op_ping()))
+            results.append((yield from client.op_ping()))
+
+        sim.spawn(program(), name="board")
+        sim.run(until=10.0)
+        assert results == [True, True]
+        assert client.stale_responses == 2

@@ -11,7 +11,14 @@ from repro.core import (
     XmlCodec,
 )
 from repro.core.server import SimTimers
-from repro.core.protocol import Message, MessageType, StreamParser, encode_message
+from repro.core.protocol import (
+    HEADER,
+    MAGIC,
+    Message,
+    MessageType,
+    StreamParser,
+    encode_message,
+)
 from repro.cosim import ServerTimingModel, SimServerHost, build_bus_system
 from repro.des import Simulator
 from repro.hw import ServerBridge
@@ -93,3 +100,50 @@ class TestRequestPath:
         sim.run(until=60.0)
         assert host.bytes_received == len(wire)
         assert host.bytes_sent == len(wire)  # PONG is also header-only
+
+
+class _RecordingBridge:
+    """ServerBridge stand-in: records what the host sends to each node."""
+
+    def __init__(self):
+        self.deliver = None
+        self.sent = {}
+
+    def send_to(self, node_id, data):
+        self.sent.setdefault(node_id, bytearray()).extend(data)
+        return True
+
+
+class TestMalformedFrame:
+    def test_error_then_close_keeps_the_simulation_alive(self):
+        sim = Simulator()
+        codec = XmlCodec()
+        space = TupleSpace(clock=SimClock(sim))
+        server = SpaceServer(space, codec, timers=SimTimers(sim))
+        bridge = _RecordingBridge()
+        host = SimServerHost(sim, server, bridge)
+        body = b"<definitely-not-xml"
+        host._on_bus_bytes(
+            1, HEADER.pack(MAGIC, int(MessageType.WRITE), 77, len(body)) + body
+        )
+        host._on_bus_bytes(2, encode_message(Message(MessageType.PING, 5), codec))
+        # Before the fix the ProtocolError escaped the dispatch process
+        # and killed the whole run.
+        sim.run(until=10.0)
+
+        def replies(node):
+            return StreamParser(codec).feed(bytes(bridge.sent[node]))
+
+        (error,) = replies(1)
+        assert error.msg_type is MessageType.ERROR
+        assert error.request_id == 77
+        assert [(r.msg_type, r.request_id) for r in replies(2)] == [
+            (MessageType.PONG, 5)
+        ]
+        # The broken connection was dropped: node 1's next bytes open a
+        # fresh one and are served.
+        host._on_bus_bytes(1, encode_message(Message(MessageType.PING, 1), codec))
+        sim.run(until=20.0)
+        assert [r.msg_type for r in replies(1)] == [
+            MessageType.ERROR, MessageType.PONG
+        ]

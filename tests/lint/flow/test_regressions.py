@@ -10,7 +10,7 @@ test.
 from tests.lint.project.projutil import run_rules, write_project
 
 
-def test_prefix_accept_loop_without_joins_is_flagged(tmp_path):
+def test_prefix_acceptor_without_joins_is_flagged(tmp_path):
     # The original SocketSpaceServer: a thread per connection, appended
     # to a list nothing ever pruned or joined.
     write_project(
@@ -48,8 +48,9 @@ def test_prefix_accept_loop_without_joins_is_flagged(tmp_path):
 def test_joining_while_holding_the_list_lock_is_flagged(tmp_path):
     # The tempting wrong fix: join the threads inside the same with
     # block that snapshots the list.  A wedged connection would then
-    # hold the lock and deadlock the accept loop; the final stop()
-    # joins outside the lock because of this rule.
+    # hold the lock and deadlock the accept loop; the thread-per-
+    # connection server's stop() joined outside the lock because of
+    # this rule.
     write_project(
         tmp_path,
         {
@@ -79,8 +80,8 @@ def test_joining_while_holding_the_list_lock_is_flagged(tmp_path):
 def test_helper_method_pruning_without_the_lock_is_flagged(tmp_path):
     # Pruning via a helper called with the lock held by the *caller*:
     # the flow facts are per function, so the helper's writes look
-    # lock-free — which is exactly why the real accept loop prunes
-    # inline under the with block instead.
+    # lock-free — which is exactly why the thread-per-connection
+    # server's accept loop pruned inline under the with block instead.
     write_project(
         tmp_path,
         {
