@@ -18,9 +18,13 @@ test-coverage luck into statically checked invariants:
   call-chain witnesses, cached across runs keyed on a project digest;
 * :mod:`repro.lint.effects.rules`     — the five project rules
   (``nondet-in-sim``, ``unstable-iter-order``, ``obs-hook-mutation``,
-  ``effect-annotation-drift``, ``async-unsafe-call``);
-* :mod:`repro.lint.effects.timing`    — the CI gate asserting the warm
-  pass parses no files and rebuilds no call graphs.
+  ``effect-annotation-drift``, ``async-unsafe-call``).
+
+The same fixpoint also answers the concurrency pack's "does this call
+block?" question (``blocking-under-lock`` reads
+:attr:`~repro.lint.effects.infer.EffectIndex.blocking_calls`).  The
+warm-cache CI gate for the whole pass is
+:mod:`repro.lint.project.timing`.
 """
 
 from repro.lint.effects.model import (  # noqa: F401

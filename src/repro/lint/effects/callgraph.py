@@ -84,6 +84,10 @@ class CallGraph:
         self.nodes: set[str] = set()
         #: caller -> [(callee, call line), ...] deterministic order.
         self.edges: dict[str, list[tuple[str, int]]] = {}
+        #: caller -> [(raw call name, callee, call line), ...]: every
+        #: resolution of every raw name, so a call site can be looked up
+        #: by the name it was written with.
+        self.calls: dict[str, list[tuple[str, str, int]]] = {}
         #: (registering function, scheduled target, registration line).
         self.scheduled: list[tuple[str, str, int]] = []
 
@@ -91,6 +95,7 @@ class CallGraph:
         return {
             "nodes": sorted(self.nodes),
             "edges": {n: [list(e) for e in self.edges[n]] for n in sorted(self.edges)},
+            "calls": {n: [list(c) for c in self.calls[n]] for n in sorted(self.calls)},
             "scheduled": sorted([list(rec) for rec in self.scheduled]),
         }
 
@@ -101,6 +106,10 @@ class CallGraph:
         graph.edges = {
             node: [tuple(edge) for edge in edges]
             for node, edges in data.get("edges", {}).items()
+        }
+        graph.calls = {
+            node: [tuple(call) for call in calls]
+            for node, calls in data.get("calls", {}).items()
         }
         graph.scheduled = [tuple(rec) for rec in data.get("scheduled", [])]
         return graph
@@ -290,14 +299,19 @@ def build_call_graph(index, *, cha_cap: int = 8) -> CallGraph:
             caller = node_key(module, qualname)
             rec = functions[qualname]
             edges: list[tuple[str, int]] = []
+            calls: list[tuple[str, str, int]] = []
             seen: set[str] = set()
             for name, line in rec.get("calls", []):
                 for callee in resolver.resolve(module, qualname, name):
-                    if callee != caller and callee not in seen:
+                    if callee == caller:
+                        continue
+                    calls.append((name, callee, line))
+                    if callee not in seen:
                         seen.add(callee)
                         edges.append((callee, line))
             if edges:
                 graph.edges[caller] = edges
+                graph.calls[caller] = calls
             for target, line in rec.get("scheduled", []):
                 for callee in resolver.resolve(module, qualname, target):
                     graph.scheduled.append((caller, callee, line))

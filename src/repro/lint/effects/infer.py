@@ -18,7 +18,7 @@ witness (rendered as SARIF ``codeFlows``).
 The whole inference result is cached in the project cache keyed on a
 *project digest* — the hash of every module's content hash plus the
 inference options — so warm runs deserialize instead of rebuilding the
-graph: that is what the ``python -m repro.lint.effects.timing`` CI gate
+graph: that is what the ``python -m repro.lint.project.timing`` CI gate
 asserts via the ``effects_built``/``effects_reused`` counters.
 """
 
@@ -36,6 +36,7 @@ from repro.lint.effects.callgraph import (
     split_node,
     strongly_connected,
 )
+from repro.lint.effects.model import BLOCKING
 
 #: Functions assumed effect-free regardless of their bodies: the
 #: sanctioned clock boundary.  ``repro.core.clock`` *is* the wall-clock
@@ -79,6 +80,7 @@ class EffectIndex:
         index,
         effects: dict[str, dict],
         mutating_callees: dict[str, list],
+        blocking_calls: dict[str, list],
         scheduled: list,
     ):
         self._index = index
@@ -88,6 +90,10 @@ class EffectIndex:
         #: node -> [[callee, line], ...] for callees that mutate their
         #: own instance state (the obs read-only rule's raw material).
         self.mutating_callees = mutating_callees
+        #: node -> [[raw call name, callee, line], ...] for calls whose
+        #: callee blocks: the one answer to "does this call block?" that
+        #: the concurrency and async rules share.
+        self.blocking_calls = blocking_calls
         #: [[registering node, target node, line], ...].
         self.scheduled = scheduled
 
@@ -98,6 +104,14 @@ class EffectIndex:
 
     def nodes(self) -> list[str]:
         return sorted(self.effects)
+
+    def blocking_callee(self, node: str, call: str) -> Optional[str]:
+        """The blocking callee the raw call name ``call`` in ``node``
+        resolves to, or None when that call does not block."""
+        for name, callee, _line in self.blocking_calls.get(node, []):
+            if name == call:
+                return callee
+        return None
 
     def record(self, node: str) -> dict:
         """The summary-side function record behind one node."""
@@ -140,6 +154,7 @@ class EffectIndex:
         return {
             "effects": self.effects,
             "mutating_callees": self.mutating_callees,
+            "blocking_calls": self.blocking_calls,
             "scheduled": [list(rec) for rec in self.scheduled],
         }
 
@@ -149,6 +164,7 @@ class EffectIndex:
             index,
             data.get("effects", {}),
             data.get("mutating_callees", {}),
+            data.get("blocking_calls", {}),
             [tuple(rec) for rec in data.get("scheduled", [])],
         )
 
@@ -216,6 +232,7 @@ def infer_effects(index, options: Optional[dict] = None) -> EffectIndex:
     _propagate(graph, effects, pure, barrier)
 
     mutating: dict[str, list] = {}
+    blocking: dict[str, list] = {}
     for node in graph.nodes:
         if node in pure:
             continue
@@ -231,17 +248,26 @@ def infer_effects(index, options: Optional[dict] = None) -> EffectIndex:
                 hits.append([callee, line])
         if hits:
             mutating[node] = hits
+        # One edge per raw name: the first blocking resolution wins.
+        calls: dict[str, list] = {}
+        for name, callee, line in graph.calls.get(node, []):
+            if name in calls or callee in pure or callee in barrier:
+                continue
+            if BLOCKING in effects.get(callee, {}):
+                calls[name] = [name, callee, line]
+        if calls:
+            blocking[node] = list(calls.values())
 
-    return EffectIndex(index, effects, mutating, list(graph.scheduled))
+    return EffectIndex(index, effects, mutating, blocking, list(graph.scheduled))
 
 
 def effect_index(index) -> EffectIndex:
     """The (memoized, cached) effect index of one project index.
 
-    All five effect rules run against the same project index within one
-    lint invocation, so the result is memoized on the index; across
-    invocations it is served from the project cache when the project
-    digest (content hashes + options) matches.
+    Every effect rule and ``blocking-under-lock`` run against the same
+    project index within one lint invocation, so the result is memoized
+    on the index; across invocations it is served from the project
+    cache when the project digest (content hashes + options) matches.
     """
     memo = getattr(index, "_effects_index", None)
     if memo is not None:

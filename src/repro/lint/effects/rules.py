@@ -14,9 +14,9 @@ Five project rules riding the :mod:`repro.lint.effects.infer` fixpoint
   obs code into project methods that mutate their own state.
 * ``effect-annotation-drift``— ``# lint: effect=pure|sim-safe`` def-line
   annotations are *verified* against the inference, never trusted.
-* ``async-unsafe-call``      — coroutines must not transitively block
-  or spawn threads (armed ahead of the asyncio front-end; direct
-  blocking calls stay with the flow pack's ``async-blocking``).
+* ``async-unsafe-call``      — coroutines must not block the event loop,
+  directly or through a call chain, nor spawn threads (guards the
+  asyncio wire front-end).
 
 All rules consume the inference result only — sources are never
 re-read — so a warm run serves them entirely from the project cache.
@@ -37,6 +37,7 @@ from repro.lint.effects.model import (
     UNSTABLE_ITER,
 )
 from repro.lint.findings import Finding
+from repro.lint.flow.facts import blocking_dotted
 from repro.lint.registry import ProjectRule, register
 
 
@@ -293,8 +294,9 @@ class EffectAnnotationDriftRule(_EffectRule):
 class AsyncUnsafeCallRule(_EffectRule):
     id = "async-unsafe-call"
     summary = (
-        "coroutines must not transitively block the event loop or "
-        "spawn OS threads — armed ahead of the asyncio wire front-end"
+        "coroutines must not block the event loop, directly or through "
+        "a call chain, nor spawn OS threads (use the asyncio equivalent "
+        "or the loop's executor)"
     )
 
     def check(self, index) -> Iterator[Finding]:
@@ -305,27 +307,37 @@ class AsyncUnsafeCallRule(_EffectRule):
             rec = effects.record(node)
             if not rec.get("is_async"):
                 continue
+            path = effects.path_of(node)
+            qualname = _node_qual(node)
             node_effects = effects.effects_of(node)
-            blocking = node_effects.get(BLOCKING)
-            # Direct blocking seeds are async-blocking's (the flow
-            # pack's) findings; this rule adds the transitive closure.
-            if blocking is not None and blocking["t"] == "call":
+            # Direct sites: every blocking seed of the coroutine itself
+            # (none when the node is assumed pure).
+            if BLOCKING in node_effects:
+                for site in rec.get("effects", {}).get(BLOCKING, []):
+                    yield self.finding_at(
+                        path,
+                        site["line"],
+                        f"blocking call {site['what']} inside async def "
+                        f"{qualname}; it stalls the event loop",
+                    )
+            for name, callee, line in effects.blocking_calls.get(node, []):
+                if blocking_dotted(name):
+                    continue  # a direct site, reported above
+                head = [[line, f"calls {_node_qual(callee)}()", path]]
                 yield self.finding_at(
-                    effects.path_of(node),
-                    blocking["line"],
-                    f"async def {_node_qual(node)} calls "
-                    f"{_node_qual(blocking['callee'])}(), which blocks "
-                    f"(via {self._seed_what(effects, node, BLOCKING)}); "
+                    path,
+                    line,
+                    f"async def {qualname} calls {name}(), which blocks "
+                    f"(via {self._seed_what(effects, callee, BLOCKING)}); "
                     "it stalls the event loop",
-                    code_flow=self._witness_flow(effects, node, BLOCKING),
+                    code_flow=self._witness_flow(effects, callee, BLOCKING, head),
                 )
             spawn = node_effects.get(THREAD_SPAWN)
             if spawn is not None:
-                line = spawn["line"]
                 yield self.finding_at(
-                    effects.path_of(node),
-                    line,
-                    f"async def {_node_qual(node)} spawns OS-scheduled "
+                    path,
+                    spawn["line"],
+                    f"async def {qualname} spawns OS-scheduled "
                     f"work ({self._seed_what(effects, node, THREAD_SPAWN)}); "
                     "hand it to the loop's executor instead",
                     code_flow=self._witness_flow(effects, node, THREAD_SPAWN),

@@ -15,14 +15,13 @@ Shape (keys omitted when empty, the whole dict empty for plain files)::
      "threads":    {"creates": [{"line": 40, "func": "Srv._loop"}],
                     "joins": [55, 61]},
      "functions":  {qualname: {
-         "line": 10, "is_async": false,
+         "line": 10,
          "acquires":        [{"lock","line","held","via"}],
          "leaks":           [{"lock","line","path": [[line, note], ...]}],
          "releases_unheld": [{"lock","line"}],
          "calls_held":      [{"call","line","held"}],
          "waits":           [{"lock","line","in_loop"}],
-         "attr_writes":     [{"attr","line","held"}],
-         "blocking":        [{"call","line"}]}}}   # async defs only
+         "attr_writes":     [{"attr","line","held"}]}}}
 
 The dataflow lattice is the *may-held* set of canonical lock ids (join
 is union), so "lock not held here" means held on **no** path — releases
@@ -57,11 +56,12 @@ from repro.lint.flow.locks import (
     lockish_name,
 )
 
-#: Call tails treated as blocking primitives (blocking-under-lock and
-#: async-blocking).  ``join`` and the queue verbs additionally require a
-#: thread/queue-looking receiver so ``os.path.join`` / ``dict.get``
-#: stay out; ``wait`` on a lock-ish receiver is a Condition wait, which
-#: blocking-under-lock must NOT flag (waiting releases the lock).
+#: Call tails treated as blocking primitives: the ``blocking`` effect
+#: seeds behind blocking-under-lock and async-unsafe-call.  ``join``
+#: and the queue verbs additionally require a thread/queue-looking
+#: receiver so ``os.path.join`` / ``dict.get`` stay out; ``wait`` on a
+#: lock-ish receiver is a Condition wait, which blocking-under-lock
+#: must NOT flag (waiting releases the lock).
 BLOCKING_TAILS = {
     "sleep",
     "recv",
@@ -113,7 +113,8 @@ _ASYNC_NAMESPACES = {"asyncio", "anyio", "trio", "curio"}
 
 def blocking_dotted(name: str) -> bool:
     """Is the dotted call name a curated blocking primitive?  (Shared
-    with the rules, which re-check the names stored in summaries.)"""
+    with the effect seeds and the rules, which re-check the names
+    stored in summaries.)"""
     parts = name.split(".")
     tail = parts[-1]
     if tail not in BLOCKING_TAILS:
@@ -125,14 +126,6 @@ def blocking_dotted(name: str) -> bool:
         if not _THREADISH_RE.search(receiver):
             return False
     return True
-
-
-def blocking_call_name(call: ast.Call) -> Optional[str]:
-    """Dotted name when ``call`` is a curated blocking primitive."""
-    name = dotted(call.func)
-    if name is not None and blocking_dotted(name):
-        return name
-    return None
 
 
 def _walk_in_scope(node: ast.AST):
@@ -388,11 +381,6 @@ class _FunctionFacts:
             self._leaks(facts, cfg, in_states)
         else:
             self._light_walk(facts)
-        if isinstance(self.func, ast.AsyncFunctionDef):
-            facts["is_async"] = True
-            blocking = self._async_blocking()
-            if blocking:
-                facts["blocking"] = blocking
         if facts:
             facts["line"] = self.func.lineno
         return facts
@@ -539,15 +527,6 @@ class _FunctionFacts:
                 walk(child)
 
         walk(self.func)
-
-    def _async_blocking(self) -> list:
-        blocking = []
-        for node in _walk_in_scope(self.func):
-            if isinstance(node, ast.Call):
-                name = blocking_call_name(node)
-                if name is not None:
-                    blocking.append({"call": name, "line": node.lineno})
-        return sorted(blocking, key=lambda rec: rec["line"])
 
     def _leaks(self, facts: dict, cfg, in_states) -> None:
         exit_held = in_states.get(cfg.exit)

@@ -1,6 +1,6 @@
 """The concurrency-discipline rule pack.
 
-Seven project rules over the flow facts
+Six project rules over the flow facts
 (:mod:`repro.lint.flow.facts`) riding in every module summary:
 
 * ``lock-balance``       — every acquire is released on all CFG paths,
@@ -13,11 +13,11 @@ Seven project rules over the flow facts
   flagged as advisory inference findings (WARNING).
 * ``blocking-under-lock``— no blocking primitive (socket I/O, sleep,
   thread join, queue get/put) runs while a lock is held, directly or
-  through a project-internal call chain.
+  through a project call chain; "does this call block?" is answered
+  by the effects fixpoint (:mod:`repro.lint.effects.infer`), the same
+  one ``async-unsafe-call`` reads.
 * ``cond-wait-loop``     — ``Condition.wait`` is re-checked in a loop
   (wakeups can be spurious).
-* ``async-blocking``     — no blocking primitive inside ``async def``
-  (dormant until the asyncio front-end lands, but fully tested).
 * ``thread-lifecycle``   — a module that creates ``threading.Thread``
   objects must join threads somewhere (``Timer`` excluded by design).
 
@@ -31,6 +31,9 @@ from __future__ import annotations
 from fnmatch import fnmatch
 from typing import Iterator, Optional
 
+from repro.lint.effects.callgraph import node_key, split_node
+from repro.lint.effects.infer import effect_index
+from repro.lint.effects.model import BLOCKING
 from repro.lint.findings import Finding, Severity
 from repro.lint.flow.facts import blocking_dotted
 from repro.lint.project.graph import ModuleGraph
@@ -49,48 +52,6 @@ def _iter_functions(index):
         functions = summary.flow.get("functions", {})
         for qualname in sorted(functions):
             yield module, summary, qualname, functions[qualname]
-
-
-def _held_class(qualname: str, summary) -> Optional[str]:
-    head = qualname.split(".")[0]
-    return head if head in summary.classes else None
-
-
-def _resolve_call(index, module: str, qualname: str, call: str):
-    """Project function a dotted call refers to, as ``(module, qualname)``.
-
-    Context-light resolution: ``self.f`` → a sibling method, a bare name
-    → a module-level function, ``alias.f`` → another project module's
-    function (through import aliases and re-export chains).  Anything
-    else is out of model.
-    """
-    summary = index.summaries.get(module)
-    if summary is None:
-        return None
-    parts = call.split(".")
-    if parts[0] == "self" and len(parts) == 2:
-        cls = _held_class(qualname, summary)
-        if cls is not None and f"{cls}.{parts[1]}" in summary.functions:
-            return (module, f"{cls}.{parts[1]}")
-        return None
-    if len(parts) == 1:
-        if call in summary.functions:
-            return (module, call)
-        resolved = index.resolve_symbol(module, call)
-        if resolved is not None:
-            def_module, binding = resolved
-            if binding["kind"] == "def" and binding["name"] in index.summaries[
-                def_module
-            ].functions:
-                return (def_module, binding["name"])
-        return None
-    if len(parts) == 2:
-        target = index.module_alias(module, parts[0])
-        if target is not None:
-            target_summary = index.summaries.get(target)
-            if target_summary is not None and parts[1] in target_summary.functions:
-                return (target, parts[1])
-    return None
 
 
 def _global_lock_id(index, module: str, canon: str) -> Optional[str]:
@@ -116,41 +77,6 @@ def _global_lock_id(index, module: str, canon: str) -> Optional[str]:
         if target is not None:
             return f"{target}.{parts[1]}"
     return f"{module}.{canon}"
-
-
-def _blocking_closure(index) -> dict:
-    """``(module, qualname) -> primitive`` for every project function
-    that blocks, directly or transitively (the context-light fixpoint).
-
-    The per-function ``calls`` lists in the summaries are the edges;
-    seeds are functions whose calls include a curated blocking
-    primitive.  Iterating to the fixpoint makes ``a() -> b() ->
-    sock.recv()`` attribute the recv to ``a`` as well.
-    """
-    blocking: dict[tuple, str] = {}
-    calls_of: dict[tuple, list] = {}
-    for module in index.summaries:
-        summary = index.summaries[module]
-        for qualname, rec in summary.functions.items():
-            key = (module, qualname)
-            calls_of[key] = rec.get("calls", [])
-            for call in calls_of[key]:
-                if blocking_dotted(call):
-                    blocking.setdefault(key, call)
-    changed = True
-    while changed:
-        changed = False
-        for key, calls in calls_of.items():
-            if key in blocking:
-                continue
-            module, qualname = key
-            for call in calls:
-                target = _resolve_call(index, module, qualname, call)
-                if target is not None and target in blocking:
-                    blocking[key] = blocking[target]
-                    changed = True
-                    break
-    return blocking
 
 
 @register
@@ -307,12 +233,13 @@ class BlockingUnderLockRule(ProjectRule):
     def check(self, index) -> Iterator[Finding]:
         allow = tuple(self.options.get("allow", ()))
         allow_modules = tuple(self.options.get("allow-modules", ()))
-        closure = _blocking_closure(index)
+        effects = effect_index(index)
         for module, summary, qualname, facts in _iter_functions(index):
             if not self.in_scope(module):
                 continue
             if any(fnmatch(module, pattern) for pattern in allow_modules):
                 continue
+            node = node_key(module, qualname)
             for rec in facts.get("calls_held", []):
                 call = rec["call"]
                 if any(fnmatch(call, pattern) for pattern in allow):
@@ -326,16 +253,22 @@ class BlockingUnderLockRule(ProjectRule):
                         "move the blocking operation outside the lock",
                     )
                     continue
-                target = _resolve_call(index, module, qualname, call)
-                if target is not None and target in closure:
-                    primitive = closure[target]
-                    yield self.finding_at(
-                        summary.path,
-                        rec["line"],
-                        f"{call}() blocks (via {primitive}()) and is "
-                        f"called while holding {held}; move it outside "
-                        "the lock",
-                    )
+                callee = effects.blocking_callee(node, call)
+                if callee is None:
+                    continue
+                chain = effects.witness(callee, BLOCKING)
+                head = [
+                    rec["line"],
+                    f"calls {split_node(callee)[1]}() holding {held}",
+                    summary.path,
+                ]
+                yield self.finding_at(
+                    summary.path,
+                    rec["line"],
+                    f"{call}() blocks (via {chain[-1][1]}) and is called "
+                    f"while holding {held}; move it outside the lock",
+                    code_flow=[head] + [list(step) for step in chain],
+                )
 
 
 @register
@@ -360,43 +293,6 @@ class CondWaitLoopRule(ProjectRule):
                     "a loop; use 'while not predicate: cond.wait()' "
                     "(wakeups can be spurious)",
                 )
-
-
-@register
-class AsyncBlockingRule(ProjectRule):
-    id = "async-blocking"
-    summary = (
-        "no blocking call inside 'async def' — it stalls the entire "
-        "event loop (use the asyncio equivalent or a thread executor)"
-    )
-
-    def check(self, index) -> Iterator[Finding]:
-        closure = _blocking_closure(index)
-        for module, summary, qualname, facts in _iter_functions(index):
-            if not self.in_scope(module) or not facts.get("is_async"):
-                continue
-            for rec in facts.get("blocking", []):
-                yield self.finding_at(
-                    summary.path,
-                    rec["line"],
-                    f"blocking call {rec['call']}() inside async def "
-                    f"{qualname}; it stalls the event loop",
-                )
-            reported = {rec["call"] for rec in facts.get("blocking", [])}
-            for call in index.summaries[module].functions.get(qualname, {}).get(
-                "calls", []
-            ):
-                if call in reported or blocking_dotted(call):
-                    continue
-                target = _resolve_call(index, module, qualname, call)
-                if target is not None and target in closure:
-                    yield self.finding_at(
-                        summary.path,
-                        facts.get("line", 1),
-                        f"async def {qualname} calls {call}(), which "
-                        f"blocks (via {closure[target]}()); it stalls "
-                        "the event loop",
-                    )
 
 
 @register

@@ -30,7 +30,10 @@ from repro.lint.project.graph import ModuleGraph
 # summaries lack it and must be recomputed, not deserialised.
 # 3: ModuleSummary grew the `effects` seed field and the cache grew the
 # project-digest effects tier; version-2 entries must be recomputed.
-CACHE_VERSION = 3
+# 4: function summaries dropped their `calls` list and the effects tier
+# grew `blocking_calls`; a version-3 effects entry has the same project
+# digest but no blocking edges, so it must be rebuilt, not served.
+CACHE_VERSION = 4
 
 
 def content_hash(data: bytes) -> str:

@@ -65,8 +65,8 @@ class ProjectStats:
     envs_computed: int = 0
     envs_reused: int = 0
     #: Effect call graphs built from scratch / served from the cache's
-    #: project-digest tier (the effects timing gate asserts warm runs
-    #: never build).
+    #: project-digest tier (the lint timing gate asserts warm runs never
+    #: build).
     effects_built: int = 0
     effects_reused: int = 0
     #: True when cache misses were parsed on a process pool.

@@ -68,7 +68,7 @@ class ModuleSummary:
     #: Class skeletons: name -> {"bases": [dotted str], "line": int}.
     classes: dict[str, dict] = field(default_factory=dict)
     #: Functions: qualname -> {"line": int, "raises": [dotted],
-    #: "calls": [dotted], "doc_raises": [names]|None}.
+    #: "doc_raises": [names]|None}.
     functions: dict[str, dict] = field(default_factory=dict)
     #: Every raise site: {"name": dotted, "line": int, "func": qualname|None}.
     raises: list[dict] = field(default_factory=list)
@@ -353,7 +353,6 @@ class _Extractor:
     def _function(self, node, prefix: str) -> None:
         qualname = prefix + node.name
         raises: list[str] = []
-        calls: set[str] = set()
         stack: list[ast.AST] = list(node.body)
         while stack:
             child = stack.pop()
@@ -374,15 +373,10 @@ class _Extractor:
                     self.s.raises.append(
                         {"name": name, "line": child.lineno, "func": qualname}
                     )
-            elif isinstance(child, ast.Call):
-                dotted = _dotted(child.func)
-                if dotted:
-                    calls.add(dotted)
             stack.extend(ast.iter_child_nodes(child))
         self.s.functions[qualname] = {
             "line": node.lineno,
             "raises": sorted(set(raises)),
-            "calls": sorted(calls),
             "doc_raises": _doc_raises(ast.get_docstring(node)),
         }
 

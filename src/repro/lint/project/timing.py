@@ -1,11 +1,19 @@
-"""Cold-vs-warm cache timing guard.
+"""The lint timing gate: the warm whole-program pass is fast and exact.
 
 ``python -m repro.lint.project.timing [paths] --min-speedup 3`` runs
-the whole-program pass twice in one process — once against an empty
-cache, once warm — and fails unless the warm run is at least the given
-factor faster *and* produced byte-identical findings.  Running in-
-process keeps interpreter start-up out of both measurements, so the
-ratio reflects the cache, not Python.
+the full project pass (every rule: concurrency, effects, whole-program)
+once against an empty cache and then warm, in one process, and fails
+on any of:
+
+* warm findings that differ from the cold ones;
+* a warm run that re-parsed any file (summaries come from the cache);
+* a warm run that rebuilt the effect call graph (the inference comes
+  from the cache's project-digest tier);
+* a cold/warm speedup below ``--min-speedup``;
+* a warm pass slower than :data:`WARM_BUDGET_S`.
+
+Running in-process keeps interpreter start-up out of both measurements,
+so the ratio reflects the cache, not Python.
 
 This is the only module in :mod:`repro.lint` allowed to read the OS
 clock (see ``wall-clock`` allow-modules in pyproject): it measures the
@@ -26,6 +34,9 @@ from typing import Optional
 from repro.lint.config import LintConfig, load_config
 from repro.lint.project.engine import run_project
 
+#: Wall-clock budget of one warm pass over ``src tests``, in seconds.
+WARM_BUDGET_S = 5.0
+
 
 def _findings_bytes(reports) -> bytes:
     payload = [
@@ -44,10 +55,8 @@ def measure(
     config: LintConfig,
     cache_file: Path,
     warm_runs: int = 3,
-    select: Optional[list[str]] = None,
 ) -> dict:
-    """Time one cold and ``warm_runs`` warm project passes (optionally
-    restricted to ``select``-ed rules, e.g. the flow pack)."""
+    """Time one cold and ``warm_runs`` warm project passes."""
     options = dict(config.rule_options)
     options["project"] = {
         **options.get("project", {}),
@@ -58,14 +67,14 @@ def measure(
     if cache_file.exists():
         cache_file.unlink()
     start = time.perf_counter()
-    cold_reports, cold_stats = run_project(paths, config=config, select=select)
+    cold_reports, cold_stats = run_project(paths, config=config)
     cold_seconds = time.perf_counter() - start
 
     warm_seconds = None
     warm_reports, warm_stats = cold_reports, cold_stats
     for _ in range(max(warm_runs, 1)):
         start = time.perf_counter()
-        warm_reports, warm_stats = run_project(paths, config=config, select=select)
+        warm_reports, warm_stats = run_project(paths, config=config)
         elapsed = time.perf_counter() - start
         warm_seconds = elapsed if warm_seconds is None else min(warm_seconds, elapsed)
 
@@ -102,28 +111,34 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     print(
         f"project pass over {result['files']} files: "
-        f"cold {result['cold_seconds']:.3f}s ({result['cold_parsed']} parsed), "
-        f"warm {result['warm_seconds']:.3f}s ({result['warm_parsed']} parsed), "
+        f"cold {result['cold_seconds']:.3f}s ({result['cold_parsed']} parsed, "
+        f"{result['cold_effects_built']} graphs built), "
+        f"warm {result['warm_seconds']:.3f}s ({result['warm_parsed']} parsed, "
+        f"{result['warm_effects_built']} graphs built), "
         f"speedup {result['speedup']:.1f}x"
     )
-    failed = False
+    failures = []
     if not result["identical"]:
-        print("FAIL: warm findings differ from cold findings", file=sys.stderr)
-        failed = True
+        failures.append("warm findings differ from cold findings")
     if result["warm_parsed"] != 0:
-        print(
-            f"FAIL: warm run re-parsed {result['warm_parsed']} files",
-            file=sys.stderr,
+        failures.append(f"warm run re-parsed {result['warm_parsed']} files")
+    if result["warm_effects_built"] != 0:
+        failures.append(
+            f"warm run rebuilt {result['warm_effects_built']} call graphs"
         )
-        failed = True
     if result["speedup"] < args.min_speedup:
-        print(
-            f"FAIL: speedup {result['speedup']:.2f}x < required "
-            f"{args.min_speedup:.2f}x",
-            file=sys.stderr,
+        failures.append(
+            f"speedup {result['speedup']:.2f}x < required "
+            f"{args.min_speedup:.2f}x"
         )
-        failed = True
-    return 1 if failed else 0
+    if result["warm_seconds"] > WARM_BUDGET_S:
+        failures.append(
+            f"warm pass took {result['warm_seconds']:.3f}s > budget "
+            f"{WARM_BUDGET_S:.3f}s"
+        )
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,6 +1,7 @@
 """True/false positives and suppression for each of the five effect rules."""
 
-from tests.lint.project.projutil import run_rules, write_project
+from repro.lint.project.engine import run_project
+from tests.lint.project.projutil import project_config, run_rules, write_project
 
 _PKG = {"src/repro/net/__init__.py": "", "src/repro/obs/__init__.py": ""}
 
@@ -352,7 +353,7 @@ def test_async_transitive_blocking_is_flagged(tmp_path):
     assert "calls backoff()" in findings[0].message
 
 
-def test_async_direct_blocking_belongs_to_the_flow_pack(tmp_path):
+def test_async_direct_blocking_is_reported_once(tmp_path):
     findings, _s, _st = run(
         tmp_path,
         {
@@ -365,7 +366,33 @@ def test_async_direct_blocking_belongs_to_the_flow_pack(tmp_path):
         },
         ["async-unsafe-call"],
     )
-    assert findings == []
+    assert [(f.rule, f.line) for f in findings] == [("async-unsafe-call", 4)]
+    assert "blocking call time.sleep() inside async def pump" in findings[0].message
+
+
+def test_async_transitive_blocking_is_one_finding_at_the_call_line(tmp_path):
+    # One coroutine calling one blocking helper is one defect: the full
+    # default rule set reports it once, where the helper is called.
+    write_project(
+        tmp_path,
+        {
+            **_PKG,
+            "src/repro/net/aio.py": """\
+                def pump(sock):
+                    return sock.recv(65536)
+
+                async def tick(sock):
+                    return pump(sock)
+                """,
+        },
+    )
+    config = project_config(tmp_path)
+    reports, _stats = run_project([tmp_path / "src"], config=config, use_cache=False)
+    findings = [f for report in reports for f in report.findings]
+    assert [(f.rule, f.line) for f in findings] == [("async-unsafe-call", 5)]
+    assert "pump()" in findings[0].message
+    assert "via sock.recv()" in findings[0].message
+    assert findings[0].code_flow[-1][:2] == (2, "sock.recv()")
 
 
 def test_async_thread_spawn_is_flagged(tmp_path):

@@ -1,14 +1,6 @@
-"""The effects-timing guard: warm passes serve the digest tier."""
+"""The lint timing gate over an effects fixture: warm passes serve the digest tier."""
 
-from repro.lint.effects.rules import (
-    AsyncUnsafeCallRule,
-    EffectAnnotationDriftRule,
-    NondetInSimRule,
-    ObsHookMutationRule,
-    UnstableIterOrderRule,
-)
-from repro.lint.effects.timing import EFFECT_RULE_IDS, main
-
+from repro.lint.project import timing
 from tests.lint.project.projutil import write_project
 
 _FIXTURE = {
@@ -28,24 +20,10 @@ _FIXTURE = {
 }
 
 
-def test_effect_rule_ids_match_the_registered_pack():
-    registered = {
-        rule.id
-        for rule in (
-            NondetInSimRule,
-            UnstableIterOrderRule,
-            ObsHookMutationRule,
-            EffectAnnotationDriftRule,
-            AsyncUnsafeCallRule,
-        )
-    }
-    assert set(EFFECT_RULE_IDS) == registered
-
-
 def test_clean_fixture_passes_the_guard(tmp_path, monkeypatch, capsys):
     write_project(tmp_path, _FIXTURE)
     monkeypatch.chdir(tmp_path)
-    assert main(["src", "--budget", "30", "--warm-runs", "1"]) == 0
+    assert timing.main(["src", "--min-speedup", "0", "--warm-runs", "1"]) == 0
     out = capsys.readouterr().out
     assert "(0 parsed, 0 graphs built)" in out
 
@@ -53,5 +31,6 @@ def test_clean_fixture_passes_the_guard(tmp_path, monkeypatch, capsys):
 def test_budget_overrun_fails(tmp_path, monkeypatch, capsys):
     write_project(tmp_path, _FIXTURE)
     monkeypatch.chdir(tmp_path)
-    assert main(["src", "--budget", "0", "--warm-runs", "1"]) == 1
+    monkeypatch.setattr(timing, "WARM_BUDGET_S", 0.0)
+    assert timing.main(["src", "--min-speedup", "0", "--warm-runs", "1"]) == 1
     assert "budget" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""blocking-under-lock, cond-wait-loop, async-blocking, thread-lifecycle.
+"""blocking-under-lock, cond-wait-loop, async-unsafe-call, thread-lifecycle.
 
 True-positive + true-negative + suppression for each, through the full
 project pass (see ``test_lock_rules`` for the lock-shaped half).
@@ -39,8 +39,8 @@ def test_blocking_under_lock_direct_call_fires(tmp_path):
 
 def test_blocking_under_lock_transitive_call_chain_fires(tmp_path):
     # tick() never blocks itself — it calls pump(), which calls recv.
-    # The context-light closure must attribute the recv to pump and flag
-    # the call made under the lock.
+    # The effects fixpoint attributes the recv to pump, so the call made
+    # under the lock is flagged.
     write_project(
         tmp_path,
         {
@@ -226,7 +226,7 @@ def test_cond_wait_loop_suppression(tmp_path):
     assert [f.rule for f in suppressed] == ["cond-wait-loop"]
 
 
-# -- async-blocking ---------------------------------------------------------
+# -- async-unsafe-call (the blocking half) ----------------------------------
 
 
 def test_async_blocking_direct_call_fires(tmp_path):
@@ -242,7 +242,7 @@ def test_async_blocking_direct_call_fires(tmp_path):
                 """,
         },
     )
-    findings, _s, _stats = run_rules(tmp_path, ["async-blocking"])
+    findings, _s, _stats = run_rules(tmp_path, ["async-unsafe-call"])
     assert len(findings) == 1
     finding = findings[0]
     assert finding.line == 5
@@ -264,7 +264,7 @@ def test_async_blocking_transitive_helper_fires(tmp_path):
                 """,
         },
     )
-    findings, _s, _stats = run_rules(tmp_path, ["async-blocking"])
+    findings, _s, _stats = run_rules(tmp_path, ["async-unsafe-call"])
     assert len(findings) == 1
     assert "pump()" in findings[0].message
     assert "via sock.recv()" in findings[0].message
@@ -283,7 +283,7 @@ def test_await_asyncio_sleep_is_the_correct_idiom(tmp_path):
                 """,
         },
     )
-    findings, _s, _stats = run_rules(tmp_path, ["async-blocking"])
+    findings, _s, _stats = run_rules(tmp_path, ["async-unsafe-call"])
     assert findings == []
 
 
@@ -296,13 +296,13 @@ def test_async_blocking_suppression(tmp_path):
                 import time
 
                 async def tick():
-                    time.sleep(0.1)  # lint: disable=async-blocking
+                    time.sleep(0.1)  # lint: disable=async-unsafe-call
                 """,
         },
     )
-    findings, suppressed, _stats = run_rules(tmp_path, ["async-blocking"])
+    findings, suppressed, _stats = run_rules(tmp_path, ["async-unsafe-call"])
     assert findings == []
-    assert [f.rule for f in suppressed] == ["async-blocking"]
+    assert [f.rule for f in suppressed] == ["async-unsafe-call"]
 
 
 # -- thread-lifecycle -------------------------------------------------------

@@ -7,6 +7,8 @@ them — the real module staying clean is covered by the repo-wide CLI
 test.
 """
 
+import json
+
 from tests.lint.project.projutil import run_rules, write_project
 
 
@@ -110,3 +112,61 @@ def test_helper_method_pruning_without_the_lock_is_flagged(tmp_path):
     assert len(findings) == 1
     assert "Server._prune" in findings[0].message
     assert "without holding the lock" in findings[0].message
+
+
+# -- one blocking analysis ----------------------------------------------------
+
+_CONN_UNDER_LOCK = {
+    "src/repro/net/__init__.py": "",
+    "src/repro/net/srv.py": """
+        import threading
+
+        class Conn:
+            def pull(self):
+                return self.sock.recv(10)
+
+        class Srv:
+            def __init__(self, conn):
+                self.lock = threading.Lock()
+                self.conn = conn
+
+            def tick(self):
+                with self.lock:
+                    return self.conn.pull()
+        """,
+}
+
+
+def _assert_pull_under_lock_flagged(findings):
+    assert [(f.rule, f.line) for f in findings] == [("blocking-under-lock", 15)]
+    finding = findings[0]
+    assert "self.conn.pull() blocks (via self.sock.recv())" in finding.message
+    assert "'Srv.lock'" in finding.message
+    assert finding.code_flow[0][0] == 15
+    assert finding.code_flow[-1][:2] == (6, "self.sock.recv()")
+
+
+def test_blocking_call_through_an_attribute_receiver_under_lock(tmp_path):
+    # ``self.conn.pull()`` has a three-part receiver: the call graph
+    # resolves it to Conn.pull, whose recv blocks while the lock is held.
+    write_project(tmp_path, _CONN_UNDER_LOCK)
+    findings, _s, _stats = run_rules(tmp_path, ["blocking-under-lock"])
+    _assert_pull_under_lock_flagged(findings)
+
+
+def test_version_3_cache_without_blocking_edges_is_rebuilt(tmp_path):
+    # A version-3 effects tier has the same project digest but no
+    # blocking edges; serving it would silently drop the finding.
+    write_project(tmp_path, _CONN_UNDER_LOCK)
+    run_rules(tmp_path, ["blocking-under-lock"], use_cache=True)
+    cache_file = tmp_path / ".cache.json"
+    data = json.loads(cache_file.read_text(encoding="utf-8"))
+    del data["effects"]["data"]["blocking_calls"]
+    data["version"] = 3
+    cache_file.write_text(json.dumps(data), encoding="utf-8")
+
+    findings, _s, stats = run_rules(
+        tmp_path, ["blocking-under-lock"], use_cache=True
+    )
+    assert stats.effects_built == 1
+    _assert_pull_under_lock_flagged(findings)

@@ -1,15 +1,6 @@
-"""The flow-timing guard: warm pass serves facts from the cache."""
+"""The lint timing gate over a concurrency fixture: warm facts come from the cache."""
 
-from repro.lint.flow.rules import (
-    AsyncBlockingRule,
-    BlockingUnderLockRule,
-    CondWaitLoopRule,
-    GuardedStateRule,
-    LockBalanceRule,
-    LockOrderRule,
-    ThreadLifecycleRule,
-)
-from repro.lint.flow.timing import FLOW_RULE_IDS, main
+from repro.lint.project import timing
 from tests.lint.project.projutil import write_project
 
 _FIXTURE = {
@@ -31,33 +22,18 @@ _FIXTURE = {
 }
 
 
-def test_flow_rule_ids_match_the_registered_pack():
-    registered = {
-        rule.id
-        for rule in (
-            LockBalanceRule,
-            LockOrderRule,
-            GuardedStateRule,
-            BlockingUnderLockRule,
-            CondWaitLoopRule,
-            AsyncBlockingRule,
-            ThreadLifecycleRule,
-        )
-    }
-    assert set(FLOW_RULE_IDS) == registered
-
-
 def test_clean_fixture_passes_the_guard(tmp_path, monkeypatch, capsys):
     write_project(tmp_path, _FIXTURE)
     monkeypatch.chdir(tmp_path)
-    assert main(["src", "--budget", "30", "--warm-runs", "1"]) == 0
+    assert timing.main(["src", "--min-speedup", "0", "--warm-runs", "1"]) == 0
     out = capsys.readouterr().out
-    assert "warm" in out and "(0 parsed)" in out
+    assert "warm" in out and "(0 parsed" in out
 
 
 def test_budget_overrun_fails(tmp_path, monkeypatch, capsys):
     write_project(tmp_path, _FIXTURE)
     monkeypatch.chdir(tmp_path)
-    # A zero-second budget cannot be met: the guard must fail loudly.
-    assert main(["src", "--budget", "0", "--warm-runs", "1"]) == 1
+    # A zero-second budget cannot be met: the gate must fail loudly.
+    monkeypatch.setattr(timing, "WARM_BUDGET_S", 0.0)
+    assert timing.main(["src", "--min-speedup", "0", "--warm-runs", "1"]) == 1
     assert "budget" in capsys.readouterr().err

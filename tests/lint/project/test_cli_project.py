@@ -38,10 +38,9 @@ def test_unknown_flow_rule_ids_get_suggestions(tmp_path, monkeypatch, capsys):
     # machinery as everything else.
     write_project(tmp_path, DRIFT_PROJECT)
     monkeypatch.chdir(tmp_path)
-    assert main(["--select", "lock-balanc,async-blockin", "src"]) == 2
+    assert main(["--select", "lock-balanc", "src"]) == 2
     err = capsys.readouterr().err
     assert "did you mean 'lock-balance'?" in err
-    assert "did you mean 'async-blocking'?" in err
 
 
 def test_flow_rule_ids_are_selectable(tmp_path, monkeypatch):
@@ -49,7 +48,7 @@ def test_flow_rule_ids_are_selectable(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     select = (
         "lock-balance,lock-order,guarded-state,blocking-under-lock,"
-        "cond-wait-loop,async-blocking,thread-lifecycle"
+        "cond-wait-loop,thread-lifecycle"
     )
     assert main(["--select", select, "src"]) == 0
 

@@ -94,8 +94,6 @@ def test_load_config_reads_repo_pyproject():
         "repro.core.clock",
         "repro.des.realtime",
         "repro.lint.project.timing",
-        "repro.lint.flow.timing",
-        "repro.lint.effects.timing",
     ]
     assert config.rule_options["effects"]["barrier"] == [
         "repro.core.transports:SocketConnection.*",
