@@ -1,41 +1,36 @@
-"""Visualise bus activity with the NS-2-style trace (ASCII timeline).
+"""Visualise bus activity from the observability trace (ASCII timeline).
 
-Enables tracing on a Figure 6 validation run and renders the TpWIRE
-frame activity as density strips — the quick-look post-processing an
-NS-2 user would do on a trace file.
+Traces the ``tpwire`` category of a Figure 6 validation run and renders
+the TpWIRE frame activity as density strips — the quick-look
+post-processing an NS-2 user would do on a trace file.
 
 Run:  python examples/bus_activity_timeline.py
 """
 
 from repro.analysis.timeline import activity_timeline, event_summary
 from repro.cosim import ValidationScenario
-from repro.des import TraceRecorder
+from repro.obs import Observability
 
 
 def main():
-    scenario = ValidationScenario(cbr_rate=4.0)
-    scenario.sim.trace = TraceRecorder()     # switch tracing on
-    result = scenario.run(12)
+    obs = Observability(trace_categories={"tpwire"})
+    result = ValidationScenario(cbr_rate=4.0, obs=obs).run(12)
 
-    records = scenario.sim.trace.records
+    events = obs.tracer.events
     end = result.elapsed_seconds
-    print(f"traced {len(records)} events over {end:.2f} s of simulated "
+    print(f"traced {len(events)} events over {end:.2f} s of simulated "
           f"time ({result.total_frames} TpWIRE frames)\n")
 
-    print("bus frame activity (TX frames, 64 buckets):")
-    print(" ", activity_timeline(
-        [r for r in records if r.kind == "tpwire-tx"],
-        0.0, end, buckets=64, label="tx",
-    ))
-    print(" ", activity_timeline(
-        [r for r in records if r.kind == "tpwire-rx"],
-        0.0, end, buckets=64, label="rx",
-    ))
+    print("bus frame activity (64 buckets):")
+    for name in ("tx", "rx"):
+        print(" ", activity_timeline(
+            events, 0.0, end, buckets=64, names=[name], label=name,
+        ))
 
-    summary = event_summary(records)
-    print("\nevent summary (code, kind) -> count:")
-    for (code, kind), count in sorted(summary["by_code_kind"].items()):
-        print(f"  ({code}, {kind:10s}) -> {count}")
+    summary = event_summary(events)
+    print("\nevent summary (cat, name) -> count:")
+    for (cat, name), count in sorted(summary["by_cat_name"].items()):
+        print(f"  ({cat}, {name:3s}) -> {count}")
 
 
 if __name__ == "__main__":

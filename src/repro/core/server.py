@@ -116,8 +116,8 @@ class SpaceServer:
         self.obs = obs
         if obs is not None:
             obs.bind_clock(space.clock.now)
-            self._ctr_requests = obs.metrics.counter("server.requests")
-            self._ctr_errors = obs.metrics.counter("server.errors")
+            obs.metrics.attach("server.requests", lambda: self.requests_handled)
+            obs.metrics.attach("server.errors", lambda: self.errors_sent)
             self._wait_seconds = obs.metrics.histogram("server.wait_seconds")
 
     # -- main entry point -----------------------------------------------------
@@ -126,7 +126,6 @@ class SpaceServer:
         """Process one request; respond through ``session.send``."""
         self.requests_handled += 1
         if self.obs is not None:
-            self._ctr_requests.inc()
             self.obs.tracer.event(
                 "server", "request",
                 type=message.msg_type.name, request=message.request_id,
@@ -340,7 +339,6 @@ class SpaceServer:
     def _error(self, session, message: Message, text: str) -> None:
         self.errors_sent += 1
         if self.obs is not None:
-            self._ctr_errors.inc()
             self.obs.tracer.event(
                 "server", "error",
                 type=message.msg_type.name, request=message.request_id,

@@ -31,6 +31,7 @@ import heapq
 import itertools
 import math
 from collections import OrderedDict
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.core.clock import Clock, SystemClock
@@ -138,21 +139,16 @@ class TupleSpace:
         if obs is not None:
             obs.bind_clock(self.clock.now)
             metrics = obs.metrics
-            self._obs_counters = {
-                op: metrics.counter(f"{name}.{op}")
-                for op in ("writes", "reads", "takes", "misses",
-                           "expirations", "notifications")
-            }
+            for op in self.stats.as_dict():
+                metrics.attach(f"{name}.{op}", partial(getattr, self.stats, op))
             self._obs_items = metrics.gauge(f"{name}.items")
             self._obs_buckets = metrics.gauge(f"{name}.index_buckets")
             self._obs_heap = metrics.gauge(f"{name}.expiry_heap")
 
-    def _obs_op(self, counter: str, event: str, **fields) -> None:
-        """Record one space operation (no-op when uninstrumented)."""
-        if self.obs is None:
-            return
-        self._obs_counters[counter].inc()
-        self.obs.tracer.event("space", event, space=self.name, **fields)
+    def _trace_op(self, event: str, **fields) -> None:
+        """Trace one space operation (no-op when uninstrumented)."""
+        if self.obs is not None:
+            self.obs.tracer.event("space", event, space=self.name, **fields)
 
     def _obs_depth(self) -> None:
         if self.obs is not None:
@@ -212,8 +208,8 @@ class TupleSpace:
         if txn is not None:
             txn._written.append(record)
         self.stats.writes += 1
-        self._obs_op(
-            "writes", "write", seq=record.seq,
+        self._trace_op(
+            "write", seq=record.seq,
             lease=record.lease.duration if record.lease.duration != FOREVER else None,
             txn=txn is not None,
         )
@@ -237,10 +233,10 @@ class TupleSpace:
         record = self._find(template, txn)
         if record is None:
             self.stats.misses += 1
-            self._obs_op("misses", "miss", op="read")
+            self._trace_op("miss", op="read")
             return None
         self.stats.reads += 1
-        self._obs_op("reads", "read", seq=record.seq)
+        self._trace_op("read", seq=record.seq)
         return record.item
 
     def take_if_exists(self, template, txn=None) -> Optional[Any]:
@@ -249,11 +245,11 @@ class TupleSpace:
         record = self._find(template, txn)
         if record is None:
             self.stats.misses += 1
-            self._obs_op("misses", "miss", op="take")
+            self._trace_op("miss", op="take")
             return None
         self._consume(record, txn)
         self.stats.takes += 1
-        self._obs_op("takes", "take", seq=record.seq)
+        self._trace_op("take", seq=record.seq)
         self._obs_depth()
         return record.item
 
@@ -280,11 +276,11 @@ class TupleSpace:
             if mode is WaitMode.TAKE:
                 self._consume(record, txn)
                 self.stats.takes += 1
-                self._obs_op("takes", "take", seq=record.seq, waited=False)
+                self._trace_op("take", seq=record.seq, waited=False)
                 self._obs_depth()
             else:
                 self.stats.reads += 1
-                self._obs_op("reads", "read", seq=record.seq, waited=False)
+                self._trace_op("read", seq=record.seq, waited=False)
             callback(record.item)
             return waiter
         self._waiters.add(waiter)
@@ -383,7 +379,7 @@ class TupleSpace:
             self._drop(record)
             dropped += 1
             self.stats.expirations += 1
-            self._obs_op("expirations", "expire", seq=seq)
+            self._trace_op("expire", seq=seq)
         return dropped
 
     def _reschedule_expiry(self, seq: int, lease: Lease) -> None:
@@ -439,12 +435,12 @@ class TupleSpace:
             self._waiters.discard(waiter)
             if waiter.mode is WaitMode.READ:
                 self.stats.reads += 1
-                self._obs_op("reads", "read", seq=record.seq, waited=True)
+                self._trace_op("read", seq=record.seq, waited=True)
                 waiter.callback(record.item)
                 continue
             self._consume(record, waiter.txn)
             self.stats.takes += 1
-            self._obs_op("takes", "take", seq=record.seq, waited=True)
+            self._trace_op("take", seq=record.seq, waited=True)
             self._obs_depth()
             waiter.callback(record.item)
             return True
@@ -458,8 +454,8 @@ class TupleSpace:
             if registration.template.matches(record.item):
                 registration.deliver(record.seq, record.item)
                 self.stats.notifications += 1
-                self._obs_op(
-                    "notifications", "notify",
+                self._trace_op(
+                    "notify",
                     seq=record.seq,
                     registration=registration.registration_id,
                 )

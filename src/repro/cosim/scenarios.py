@@ -84,6 +84,14 @@ class ValidationScenario:
             self.sim, self.agent, rate_bytes_per_s=cbr_rate,
             packet_size=packet_size,
         )
+        if obs is not None:
+            obs.metrics.attach(
+                "scenario.packets_delivered",
+                lambda: self.sink.received_packets,
+            )
+            obs.metrics.attach(
+                "scenario.bytes_delivered", lambda: self.sink.received_bytes
+            )
 
     def run(self, n_packets: int, max_sim_time: float = 3600.0) -> ValidationResult:
         """Generate ``n_packets`` and run until all are delivered."""
@@ -115,13 +123,6 @@ class ValidationScenario:
             rx_frames=self.system.bus.rx_frames,
         )
         if self.obs is not None:
-            metrics = self.obs.metrics
-            metrics.counter("scenario.packets_delivered").inc(
-                result.packets_delivered
-            )
-            metrics.counter("scenario.bytes_delivered").inc(
-                result.bytes_delivered
-            )
             self.obs.tracer.event(
                 "scenario", "done",
                 packets=result.packets_delivered, frames=result.total_frames,

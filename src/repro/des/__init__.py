@@ -13,8 +13,8 @@ provides the same primitives in pure Python:
   (:class:`~repro.des.scheduler.HeapScheduler`),
 * a real-time scheduler mode (used by the paper to validate the NS-2 TpWIRE
   model against the physical bus),
-* deterministic per-component random streams, NS-2-style tracing, and
-  statistics monitors.
+* deterministic per-component random streams and statistics monitors
+  (tracing lives in :mod:`repro.obs`).
 """
 
 from repro.des.errors import (
@@ -36,7 +36,6 @@ from repro.des.process import (
 )
 from repro.des.resource import Resource, Store, Container
 from repro.des.random_streams import StreamRegistry
-from repro.des.trace import TraceRecorder, TraceRecord
 from repro.des.monitor import TallyMonitor, TimeWeightedMonitor, RateMonitor
 from repro.des.realtime import RealTimeRunner
 
@@ -59,8 +58,6 @@ __all__ = [
     "Store",
     "Container",
     "StreamRegistry",
-    "TraceRecorder",
-    "TraceRecord",
     "TallyMonitor",
     "TimeWeightedMonitor",
     "RateMonitor",

@@ -1,7 +1,7 @@
 """The simulation event loop.
 
-A :class:`Simulator` owns the virtual clock, the pending-event queue, the
-per-component random streams and the trace recorder.  Both callback-style
+A :class:`Simulator` owns the virtual clock, the pending-event queue and
+the per-component random streams.  Both callback-style
 scheduling (``sim.after(dt, fn, *args)``) and generator processes
 (``sim.spawn(gen)``) are supported; the network and bus models use
 callbacks for fine-grained frame events and processes for agents with
@@ -16,7 +16,6 @@ from repro.des.errors import SchedulerError, StopSimulation
 from repro.des.event import Event, EventState
 from repro.des.random_streams import StreamRegistry
 from repro.des.scheduler import HeapScheduler
-from repro.des.trace import TraceRecorder
 
 _PENDING = EventState.PENDING
 _FIRED = EventState.FIRED
@@ -34,9 +33,6 @@ class Simulator:
     seed:
         Master seed for the deterministic per-component random streams
         available via :meth:`stream`.
-    trace:
-        Optional :class:`TraceRecorder`; a disabled recorder is created
-        when omitted so models can trace unconditionally.
     obs:
         Optional :class:`repro.obs.Observability`; when given, its clock
         binds to this simulator's virtual time and instrumented models
@@ -48,7 +44,6 @@ class Simulator:
         self,
         scheduler=None,
         seed: int = 0,
-        trace: Optional[TraceRecorder] = None,
         obs=None,
     ):
         self._queue = scheduler if scheduler is not None else HeapScheduler()
@@ -58,7 +53,6 @@ class Simulator:
         self._running = False
         self._stopped = False
         self.streams = StreamRegistry(seed)
-        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self.obs = obs
         if obs is not None:
             obs.bind_clock(lambda: self._now)
@@ -70,19 +64,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulation time."""
         return self._now
-
-    # -- tracing ---------------------------------------------------------
-
-    @property
-    def trace_enabled(self) -> bool:
-        """``True`` when the trace recorder accepts records.
-
-        Hot paths guard on this before assembling a record, so a disabled
-        tracer costs one attribute read per event instead of a six-argument
-        call plus a kwargs dict (``tpwire/bus.py``, ``net/link.py`` and
-        friends trace every frame).
-        """
-        return self.trace.enabled
 
     # -- scheduling ------------------------------------------------------
 

@@ -10,7 +10,9 @@ Fault injection hooks in at :meth:`Link.send`: when ``link.fault`` is set
 ``"drop"``, ``"dup"``, ``"corrupt"`` or ``("delay", seconds)`` — is
 applied before the packet reaches the queue.  Drop and corrupt events are
 counted (``drops``/``corrupts``) and exported as ``repro.obs`` counters
-when the simulator carries an observability context.
+when the simulator carries an observability context, which also receives
+the NS-2-style ``net`` trace: ``enqueue``, ``dequeue`` and ``drop``
+events here, ``receive`` in :meth:`repro.net.node.Node.deliver`.
 """
 
 from __future__ import annotations
@@ -57,13 +59,10 @@ class Link:
         #: Optional fault hook ``fault(link, packet) -> verdict`` consulted
         #: on every ``send``; see module docstring for verdicts.
         self.fault = None
-        obs = getattr(sim, "obs", None)
-        if obs is not None:
-            self._ctr_drops = obs.metrics.counter(f"{self}.drops")
-            self._ctr_corrupts = obs.metrics.counter(f"{self}.corrupts")
-        else:
-            self._ctr_drops = None
-            self._ctr_corrupts = None
+        self.obs = getattr(sim, "obs", None)
+        if self.obs is not None:
+            self.obs.metrics.attach(f"{self}.drops", lambda: self.drops)
+            self.obs.metrics.attach(f"{self}.corrupts", lambda: self.corrupts)
         src_node.register_link(self)
 
     # -- sending -----------------------------------------------------------
@@ -85,8 +84,6 @@ class Link:
             return False
         if action == "corrupt":
             self.corrupts += 1
-            if self._ctr_corrupts is not None:
-                self._ctr_corrupts.inc()
             packet.headers["corrupted"] = True
             return self._enqueue(packet)
         if action == "dup":
@@ -102,12 +99,13 @@ class Link:
 
     def _record_drop(self, packet: Packet) -> None:
         self.drops += 1
-        if self._ctr_drops is not None:
-            self._ctr_drops.inc()
-        if self.sim.trace_enabled:
-            self.sim.trace.record(
-                self.sim.now, "d", self.src_node.name, self.dst_node.name,
-                packet.kind, packet.size, uid=packet.uid,
+        self._trace("drop", packet)
+
+    def _trace(self, name: str, packet: Packet) -> None:
+        if self.obs is not None:
+            self.obs.tracer.event(
+                "net", name, src=self.src_node.name, dst=self.dst_node.name,
+                kind=packet.kind, size=packet.size, uid=packet.uid,
             )
 
     def _enqueue(self, packet: Packet) -> bool:
@@ -116,11 +114,7 @@ class Link:
             return False
         self._queue.append(packet)
         self.queue_monitor.set(len(self._queue))
-        if self.sim.trace_enabled:
-            self.sim.trace.record(
-                self.sim.now, "+", self.src_node.name, self.dst_node.name,
-                packet.kind, packet.size, uid=packet.uid,
-            )
+        self._trace("enqueue", packet)
         if not self._busy:
             self._start_next()
         return True
@@ -133,11 +127,7 @@ class Link:
         packet = self._queue.popleft()
         self.queue_monitor.set(len(self._queue))
         tx_time = packet.bits / self.bandwidth_bps
-        if self.sim.trace_enabled:
-            self.sim.trace.record(
-                self.sim.now, "-", self.src_node.name, self.dst_node.name,
-                packet.kind, packet.size, uid=packet.uid,
-            )
+        self._trace("dequeue", packet)
         self.sim.call_after(tx_time, self._tx_done, packet)
 
     def _tx_done(self, packet: Packet) -> None:

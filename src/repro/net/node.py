@@ -49,10 +49,11 @@ class Node:
         """Hand an arriving packet to the agent on its destination port."""
         port = packet.headers.get("port", 0)
         agent = self._agents.get(port)
-        if self.sim.trace_enabled:
-            self.sim.trace.record(
-                self.sim.now, "r", str(packet.src), self.name, packet.kind,
-                packet.size, uid=packet.uid,
+        obs = self.sim.obs
+        if obs is not None:
+            obs.tracer.event(
+                "net", "receive", src=str(packet.src), dst=self.name,
+                kind=packet.kind, size=packet.size, uid=packet.uid,
             )
         if agent is not None:
             agent.recv(packet)

@@ -17,7 +17,7 @@ from repro.obs.errors import (
 )
 from repro.obs.records import TraceEvent, dump_jsonl
 from repro.obs.tracer import Tracer, SpanHandle
-from repro.obs.metrics import Counter, MetricRegistry
+from repro.obs.metrics import MetricRegistry
 from repro.obs.vcd import VcdRecorder
 from repro.obs.export import (
     BENCH_SCHEMA,
@@ -40,7 +40,6 @@ __all__ = [
     "dump_jsonl",
     "Tracer",
     "SpanHandle",
-    "Counter",
     "MetricRegistry",
     "VcdRecorder",
     "BENCH_SCHEMA",

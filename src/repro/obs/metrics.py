@@ -1,10 +1,12 @@
 """The metric registry: named counters, gauges, histograms and rates.
 
-The registry *federates* the existing :mod:`repro.des.monitor` classes
-rather than reimplementing statistics:
+The registry *federates* statistics its components already keep rather
+than reimplementing them:
 
-* a **counter** is a plain monotonic integer (frames, retries, CRC
-  errors);
+* a **counter** is a zero-argument callable attached with
+  :meth:`MetricRegistry.attach` and read when :meth:`~MetricRegistry.summary`
+  runs — the component keeps its own integer (``bus.tx_frames``,
+  ``space.stats.writes``) and the registry never copies it;
 * a **gauge** wraps :class:`~repro.des.monitor.TimeWeightedMonitor`
   (queue depth, bus busy flag) — its summary carries the time average,
   which for a 0/1 signal *is* the utilisation of Table 3;
@@ -15,9 +17,10 @@ rather than reimplementing statistics:
   bytes/s — the Table 3 throughput columns).
 
 Externally-owned monitors (e.g. ``TpwireBus.utilization``) federate in
-via :meth:`MetricRegistry.attach`, so instrumented components keep their
-existing statistics objects and the registry's :meth:`summary` still
-sees them.
+the same way, so instrumented components keep their existing statistics
+objects and the registry's :meth:`summary` still sees them.  Every name
+is registered once: attaching a name that is already taken raises
+:class:`~repro.obs.errors.MetricError`.
 
 Naming convention (documented in ``docs/observability.md``):
 ``<component>.<metric>`` in lowercase snake case, components dotted from
@@ -51,24 +54,6 @@ class _ClockShim:
         return self._clock()
 
 
-class Counter:
-    """Monotonic event count."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise MetricError(f"counter {self.name!r} cannot decrease")
-        self.value += amount
-
-    def __repr__(self) -> str:
-        return f"Counter({self.name!r}, {self.value})"
-
-
 def _finite_or_none(value: float):
     """JSON-safe scalar: non-finite floats become ``None``."""
     if isinstance(value, float) and not math.isfinite(value):
@@ -77,6 +62,9 @@ def _finite_or_none(value: float):
 
 
 Monitor = Union[TallyMonitor, TimeWeightedMonitor, RateMonitor]
+#: What :meth:`MetricRegistry.attach` accepts: a monitor, or a
+#: zero-argument callable read as a counter.
+Source = Union[Monitor, Callable[[], int]]
 
 
 class MetricRegistry:
@@ -84,15 +72,18 @@ class MetricRegistry:
 
     def __init__(self, clock: Callable[[], float]):
         self._shim = _ClockShim(clock)
-        self._counters: dict[str, Counter] = {}
+        self._counters: dict[str, Callable[[], int]] = {}
         self._gauges: dict[str, TimeWeightedMonitor] = {}
         self._histograms: dict[str, TallyMonitor] = {}
         self._rates: dict[str, RateMonitor] = {}
+        self._tables = {
+            "counter": self._counters,
+            "gauge": self._gauges,
+            "histogram": self._histograms,
+            "rate": self._rates,
+        }
 
     # -- creation (idempotent per name/kind) -------------------------------
-
-    def counter(self, name: str) -> Counter:
-        return self._get("counter", name, lambda: Counter(name))
 
     def gauge(self, name: str, initial: float = 0.0) -> TimeWeightedMonitor:
         return self._get(
@@ -107,45 +98,38 @@ class MetricRegistry:
     def rate(self, name: str) -> RateMonitor:
         return self._get("rate", name, lambda: RateMonitor(self._shim, name=name))
 
-    def _table(self, kind: str) -> dict:
-        return {
-            "counter": self._counters,
-            "gauge": self._gauges,
-            "histogram": self._histograms,
-            "rate": self._rates,
-        }[kind]
-
     def _get(self, kind: str, name: str, factory):
-        table = self._table(kind)
+        table = self._tables[kind]
         self._check_name(name, skip=table)
         if name not in table:
             table[name] = factory()
         return table[name]
 
-    def attach(self, name: str, monitor: Monitor) -> Monitor:
-        """Federate an externally-owned monitor under ``name``."""
+    def attach(self, name: str, source: Source) -> Source:
+        """Federate an externally-owned monitor, or a zero-argument
+        callable read as a counter, under ``name``."""
         self._check_name(name)
-        if isinstance(monitor, TimeWeightedMonitor):
-            self._gauges[name] = monitor
-        elif isinstance(monitor, TallyMonitor):
-            self._histograms[name] = monitor
-        elif isinstance(monitor, RateMonitor):
-            self._rates[name] = monitor
+        if isinstance(source, TimeWeightedMonitor):
+            self._gauges[name] = source
+        elif isinstance(source, TallyMonitor):
+            self._histograms[name] = source
+        elif isinstance(source, RateMonitor):
+            self._rates[name] = source
+        elif callable(source):
+            self._counters[name] = source
         else:
             raise MetricError(
-                f"cannot attach {type(monitor).__name__} as metric {name!r}"
+                f"cannot attach {type(source).__name__} as metric {name!r}"
             )
-        return monitor
+        return source
 
     def _check_name(self, name: str, skip: Optional[dict] = None) -> None:
         if not name:
             raise MetricError("metric name must be non-empty")
-        for table in (self._counters, self._gauges, self._histograms, self._rates):
-            if table is skip:
-                continue
-            if name in table:
+        for kind, table in self._tables.items():
+            if table is not skip and name in table:
                 raise MetricError(
-                    f"metric name {name!r} already registered as another kind"
+                    f"metric name {name!r} already registered as a {kind}"
                 )
 
     # -- summary -----------------------------------------------------------
@@ -154,7 +138,7 @@ class MetricRegistry:
         """All metrics as one nested, JSON-safe, deterministic dict."""
         return {
             "counters": {
-                name: self._counters[name].value
+                name: self._counters[name]()
                 for name in sorted(self._counters)
             },
             "gauges": {

@@ -37,15 +37,11 @@ class Observability:
         self,
         clock: Optional[Callable[[], float]] = None,
         trace_categories: Optional[Iterable[str]] = None,
-        keep_events: bool = True,
-        vcd_timescale_seconds: float = 1e-6,
     ):
         self._clock = clock
-        self.tracer = Tracer(
-            self.now, categories=trace_categories, keep=keep_events
-        )
+        self.tracer = Tracer(self.now, categories=trace_categories)
         self.metrics = MetricRegistry(self.now)
-        self.vcd = VcdRecorder(timescale_seconds=vcd_timescale_seconds)
+        self.vcd = VcdRecorder()
 
     # -- clock -------------------------------------------------------------
 

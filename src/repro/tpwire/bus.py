@@ -124,10 +124,10 @@ class TpwireBus:
         self.obs = obs
         if obs is not None:
             metrics = obs.metrics
-            self._ctr_tx = metrics.counter(f"{name}.tx_frames")
-            self._ctr_rx = metrics.counter(f"{name}.rx_frames")
-            self._ctr_timeouts = metrics.counter(f"{name}.timeouts")
-            self._ctr_crc = metrics.counter(f"{name}.crc_errors")
+            metrics.attach(f"{name}.tx_frames", lambda: self.tx_frames)
+            metrics.attach(f"{name}.rx_frames", lambda: self.rx_frames)
+            metrics.attach(f"{name}.timeouts", lambda: self.timeouts)
+            metrics.attach(f"{name}.crc_errors", lambda: self.crc_errors)
             self._queue_depth = metrics.gauge(f"{name}.queue_depth")
             metrics.attach(f"{name}.utilization", self.utilization)
             metrics.attach(f"{name}.frame_rate", self.frame_rate)
@@ -198,16 +198,10 @@ class TpwireBus:
         self.cycles += 1
         self.tx_frames += 1
         self.frame_rate.tick()
-        if sim.trace_enabled:
-            sim.trace.record(
-                sim.now, "s", "master", self.name, "tpwire-tx",
-                2, cmd=frame.cmd.name, data=frame.data,
-            )
         corrupted = (
             error_model.corrupt_tx() if error_model is not None else False
         )
         if obs is not None:
-            self._ctr_tx.inc()
             obs.vcd.change(f"{self.name}.busy", 1, sim.now)
             obs.tracer.event(
                 "tpwire", "tx", cmd=frame.cmd.name, data=frame.data,
@@ -232,8 +226,6 @@ class TpwireBus:
         if responder is None:
             timeout = self.timing.response_timeout(len(self.slaves))
             self.timeouts += 1
-            if obs is not None:
-                self._ctr_timeouts.inc()
             sim.call_after(
                 timeout, self._finish_cycle, on_result, _RESULT_TIMEOUT,
             )
@@ -245,23 +237,14 @@ class TpwireBus:
         )
         if rx_corrupted:
             self.crc_errors += 1
-            if obs is not None:
-                self._ctr_crc.inc()
             result = _RESULT_CRC_ERROR
         else:
             self.rx_frames += 1
             self.frame_rate.tick()
-            if obs is not None:
-                self._ctr_rx.inc()
             result = CycleResult(CycleStatus.OK, rx_frame)
         sim.call_after(duration, self._finish_cycle, on_result, result)
 
     def _finish_cycle(self, on_result, result: CycleResult) -> None:
-        if self.sim.trace_enabled:
-            self.sim.trace.record(
-                self.sim.now, "r", self.name, "master", "tpwire-rx",
-                2 if result.rx is not None else 0, status=result.status.value,
-            )
         if self.obs is not None:
             self.obs.tracer.event("tpwire", "rx", status=result.status.value)
         had_queued = bool(self._pending)

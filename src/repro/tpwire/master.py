@@ -82,7 +82,6 @@ class _Transaction(Waitable):
         if self._attempt <= master.max_retries:
             master.retries += 1
             if master.obs is not None:
-                master._ctr_retries.inc()
                 master.obs.tracer.event(
                     "master", "retry",
                     attempt=self._attempt, status=status.value,
@@ -140,8 +139,10 @@ class TpwireMaster:
         # -- observability (nullable)
         self.obs = obs
         if obs is not None:
-            self._ctr_retries = obs.metrics.counter(f"{name}.retries")
-            self._ctr_errors = obs.metrics.counter(f"{name}.errors_signaled")
+            obs.metrics.attach(f"{name}.retries", lambda: self.retries)
+            obs.metrics.attach(
+                f"{name}.errors_signaled", lambda: self.errors_signaled
+            )
             self._txn_seconds = obs.metrics.histogram(f"{name}.transaction_seconds")
         #: Node id the last SELECT addressed (cache to skip redundant selects).
         self._selected: Optional[tuple[int, AddressSpace]] = None
@@ -172,7 +173,6 @@ class TpwireMaster:
 
     def _observe_error(self, reason: str) -> None:
         if self.obs is not None:
-            self._ctr_errors.inc()
             self.obs.tracer.event("master", "error", reason=reason)
 
     # -- compound operations (generators; run under the lock) ----------------

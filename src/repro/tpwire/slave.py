@@ -55,7 +55,7 @@ class TpwireSlave:
         self.name = name or f"slave{node_id}"
         self.obs = obs
         if obs is not None:
-            self._ctr_resets = obs.metrics.counter(f"{self.name}.resets")
+            obs.metrics.attach(f"{self.name}.resets", lambda: self.resets)
         self.registers = SlaveRegisterFile(memory_size)
         #: Address space selected by the last matching SELECT, or ``None``.
         self.selected_space: Optional[AddressSpace] = None
@@ -116,7 +116,6 @@ class TpwireSlave:
         self._reset_until = at + self.timing.reset_active
         self.resets += 1
         if self.obs is not None:
-            self._ctr_resets.inc()
             # ``at`` is the reset's effective instant: a lazily-serviced
             # watchdog reset happened at its deadline, not at the frame
             # arrival that surfaced it.

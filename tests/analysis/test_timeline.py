@@ -9,12 +9,12 @@ from repro.analysis.timeline import (
     event_summary,
     render_strip,
 )
-from repro.des import Simulator, TraceRecorder
-from repro.des.trace import TraceRecord
+from repro.des import Simulator
+from repro.obs import Observability, TraceEvent
 
 
-def rec(time, kind="tpwire-tx"):
-    return TraceRecord(time, "s", "master", "bus", kind, 2)
+def rec(time, name="tx"):
+    return TraceEvent(time, 0, "tpwire", name)
 
 
 class TestBucketCounts:
@@ -25,7 +25,7 @@ class TestBucketCounts:
 
     def test_kind_filter(self):
         records = [rec(1.0, "a"), rec(1.0, "b"), rec(1.0, "a")]
-        counts = bucket_counts(records, 0.0, 2.0, buckets=2, kinds=["a"])
+        counts = bucket_counts(records, 0.0, 2.0, buckets=2, names=["a"])
         assert counts == [0, 2]  # t=1.0 falls in the [1, 2) bucket
 
     def test_out_of_window_ignored(self):
@@ -70,17 +70,16 @@ class TestTimeline:
         """A traced bus run renders busy-then-idle correctly."""
         from repro.tpwire import BusTiming, TpwireBus, TpwireMaster, TpwireSlave
 
-        sim = Simulator()
-        sim.trace = TraceRecorder()
+        obs = Observability()
+        sim = Simulator(obs=obs)
         timing = BusTiming(bit_rate=2400)
-        bus = TpwireBus(sim, timing)
+        bus = TpwireBus(sim, timing, obs=obs)
         bus.attach_slave(TpwireSlave(sim, 1, timing))
         master = TpwireMaster(sim, bus)
         master.run_op(master.op_write_bytes(1, 0, bytes(20)))
         sim.run(until=2.0)
-        tx_records = [r for r in sim.trace.records if r.kind == "tpwire-tx"]
         strip = render_strip(
-            bucket_counts(tx_records, 0.0, 2.0, buckets=10)
+            bucket_counts(obs.tracer.events, 0.0, 2.0, buckets=10, names=["tx"])
         )
         # Activity at the start, silence at the end.
         assert strip[0] != " "
@@ -92,7 +91,7 @@ class TestSummary:
         records = [rec(0.0), rec(1.0), rec(2.0, "other")]
         summary = event_summary(records)
         assert summary["total"] == 3
-        assert summary["by_code_kind"][("s", "tpwire-tx")] == 2
+        assert summary["by_cat_name"][("tpwire", "tx")] == 2
         assert summary["first_time"] == 0.0
         assert summary["last_time"] == 2.0
 

@@ -1,9 +1,9 @@
 """Injectors: fault windows against links, the tpwire bus, and slaves.
 
-Also the regression home of satellite fix #1: per-link drop/corrupt
-accounting must flow through the ``repro.obs`` metric counters whenever
-the simulator carries an observability context, and the plain attribute
-counters must agree with the exported ones.
+Also the regression home of per-link drop/corrupt accounting: it must
+reach the ``repro.obs`` metric counters whenever the simulator carries
+an observability context, and the plain attribute counters must agree
+with the exported ones.
 """
 
 import pytest
@@ -90,8 +90,9 @@ def test_link_drop_and_corrupt_counters_reach_obs():
     sim.run(until=5.0)
     assert link.drops == 2
     assert link.corrupts == 1
-    assert obs.metrics.counter(f"{link}.drops").value == link.drops
-    assert obs.metrics.counter(f"{link}.corrupts").value == link.corrupts
+    counters = obs.summary()["counters"]
+    assert counters[f"{link}.drops"] == link.drops
+    assert counters[f"{link}.corrupts"] == link.corrupts
 
 
 def test_queue_limit_drops_share_the_obs_counter():
@@ -104,7 +105,7 @@ def test_queue_limit_drops_share_the_obs_counter():
     sim.at(0.1, lambda: [link.send(Packet("p", 100)) for _ in range(4)])
     sim.run(until=0.2)
     assert link.drops > 0
-    assert obs.metrics.counter(f"{link}.drops").value == link.drops
+    assert obs.summary()["counters"][f"{link}.drops"] == link.drops
 
 
 def test_drop_delay_dup_ladder_is_replayable():

@@ -2,10 +2,12 @@
 
 Each test re-runs a reference scenario with a tracer attached and
 compares the JSONL trace **byte-for-byte** against a recorded golden
-under ``tests/golden/``.  Because every record is stamped with the
-simulation clock and serialised with sorted keys, the trace is a pure
-function of the scenario — any drift in protocol timing, event ordering
-or serialisation shows up as a diff, independent of ``PYTHONHASHSEED``.
+under ``tests/golden/``; the metrics summary of the same two runs is
+pinned the same way, as sorted, indented JSON.  Because every record is
+stamped with the simulation clock and serialised with sorted keys, the
+trace is a pure function of the scenario — any drift in protocol
+timing, event ordering or serialisation shows up as a diff, independent
+of ``PYTHONHASHSEED``.
 
 Regenerate (after an *intentional* behaviour change) with::
 
@@ -16,6 +18,7 @@ and review the golden diff like any other code change.
 
 from __future__ import annotations
 
+import json
 import os
 import pathlib
 
@@ -43,23 +46,29 @@ GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "golden"
 TABLE4_CATEGORIES = frozenset({"space", "server", "client", "scenario"})
 
 
-def _table3_trace() -> str:
-    """Full trace (bus + middleware) of a one-packet validation run."""
+def _table3_run() -> Observability:
+    """One-packet validation run, every category traced."""
     obs = Observability()
     ValidationScenario(bit_level=False, obs=obs).run(1)
-    return obs.tracer.to_jsonl()
+    return obs
 
 
-def _table4_trace() -> str:
-    """Category-filtered middleware trace of the Table 4 baseline cell."""
+def _table4_run() -> Observability:
+    """Table 4 baseline cell, middleware categories traced."""
     obs = Observability(trace_categories=TABLE4_CATEGORIES)
     CaseStudyScenario(CaseStudyConfig(), obs=obs).run()
-    return obs.tracer.to_jsonl()
+    return obs
+
+
+def _metrics_json(obs: Observability) -> str:
+    return json.dumps(obs.summary(), sort_keys=True, indent=1)
 
 
 RECORDERS = {
-    "table3_validation.jsonl": _table3_trace,
-    "table4_baseline.jsonl": _table4_trace,
+    "table3_validation.jsonl": lambda: _table3_run().tracer.to_jsonl(),
+    "table4_baseline.jsonl": lambda: _table4_run().tracer.to_jsonl(),
+    "table3_metrics.json": lambda: _metrics_json(_table3_run()),
+    "table4_metrics.json": lambda: _metrics_json(_table4_run()),
 }
 
 
@@ -75,7 +84,7 @@ def _check_golden(name: str) -> None:
         )
     golden = path.read_text()
     assert recorded == golden, (
-        f"trace diverged from {path} "
+        f"{name} diverged from {path} "
         f"({len(recorded.splitlines())} vs {len(golden.splitlines())} lines); "
         "if the change is intentional, regenerate with REGEN_GOLDEN=1"
     )
@@ -88,7 +97,8 @@ def test_trace_matches_golden(name):
 
 def test_table3_trace_is_stable_within_process():
     """Two in-process runs are byte-identical (no leaked global state)."""
-    assert _table3_trace() == _table3_trace()
+    trace = RECORDERS["table3_validation.jsonl"]
+    assert trace() == trace()
 
 
 def test_table4_baseline_trace_and_metrics_are_deterministic():
@@ -153,9 +163,9 @@ def test_notify_scenario_trace_and_metrics_are_deterministic():
 
 
 def test_goldens_are_valid_jsonl():
-    import json
-
     for name in RECORDERS:
+        if not name.endswith(".jsonl"):
+            continue
         path = GOLDEN_DIR / name
         if not path.exists():
             continue

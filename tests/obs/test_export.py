@@ -31,7 +31,7 @@ def test_payload_shape_and_schema_tag():
 
 def test_payload_accepts_metric_registry():
     registry = MetricRegistry(lambda: 0.0)
-    registry.counter("c").inc(5)
+    registry.attach("c", lambda: 5)
     payload = bench_payload("t", metrics=registry)
     assert payload["metrics"]["counters"]["c"] == 5
 

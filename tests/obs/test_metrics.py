@@ -31,30 +31,39 @@ def registry(clock):
 # -- counters ----------------------------------------------------------------
 
 
-def test_counter_monotonic(registry):
-    ctr = registry.counter("bus.tx_frames")
-    ctr.inc()
-    ctr.inc(3)
-    assert ctr.value == 4
-    with pytest.raises(MetricError):
-        ctr.inc(-1)
-    assert ctr.value == 4
+class _Bus:
+    def __init__(self):
+        self.tx_frames = 0
+
+
+def test_attached_counter_reads_its_source_at_summary_time(registry):
+    bus = _Bus()
+    registry.attach("bus.tx_frames", lambda: bus.tx_frames)
+    bus.tx_frames = 4
+    assert registry.summary()["counters"]["bus.tx_frames"] == 4
+    bus.tx_frames += 1
+    assert registry.summary()["counters"]["bus.tx_frames"] == 5
+
+
+def test_attaching_a_counter_name_twice_is_rejected(registry):
+    registry.attach("bus.tx_frames", lambda: 0)
+    with pytest.raises(MetricError, match="already registered as a counter"):
+        registry.attach("bus.tx_frames", lambda: 1)
 
 
 def test_creation_is_idempotent_per_name(registry):
-    assert registry.counter("a") is registry.counter("a")
     assert registry.gauge("g") is registry.gauge("g")
     assert registry.histogram("h") is registry.histogram("h")
     assert registry.rate("r") is registry.rate("r")
 
 
 def test_cross_kind_name_collision_rejected(registry):
-    registry.counter("x")
+    registry.attach("x", lambda: 0)
     for factory in (registry.gauge, registry.histogram, registry.rate):
-        with pytest.raises(MetricError):
+        with pytest.raises(MetricError, match="already registered as a counter"):
             factory("x")
     with pytest.raises(MetricError):
-        registry.counter("")
+        registry.attach("", lambda: 0)
 
 
 # -- gauges use the injected clock ------------------------------------------
@@ -92,6 +101,15 @@ def test_attach_routes_by_monitor_type(clock, registry):
         registry.attach("bus.utilization", hist)  # name already a gauge
 
 
+def test_reattaching_a_monitor_names_its_kind(registry):
+    gauge = TimeWeightedMonitor(ManualClock(), name="util")
+    registry.attach("bus.utilization", gauge)
+    with pytest.raises(MetricError) as excinfo:
+        registry.attach("bus.utilization", gauge)
+    assert "already registered as a gauge" in str(excinfo.value)
+    assert "another kind" not in str(excinfo.value)
+
+
 # -- summaries ---------------------------------------------------------------
 
 
@@ -107,7 +125,7 @@ def test_histogram_summary_fields(registry):
 
 
 def test_empty_metrics_summarise_to_json_safe_values(registry):
-    registry.counter("c")
+    registry.attach("c", lambda: 0)
     registry.gauge("g")
     registry.histogram("h")
     registry.rate("r")
@@ -121,7 +139,7 @@ def test_empty_metrics_summarise_to_json_safe_values(registry):
 
 def test_summary_names_sorted(registry):
     for name in ("b", "a", "c"):
-        registry.counter(name)
+        registry.attach(name, lambda: 0)
     assert list(registry.summary()["counters"]) == ["a", "b", "c"]
 
 

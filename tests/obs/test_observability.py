@@ -46,13 +46,13 @@ def test_category_filter_threads_through_facade():
 
 def test_summary_shorthand_matches_registry():
     obs = Observability()
-    obs.metrics.counter("c").inc()
+    obs.metrics.attach("c", lambda: 1)
     assert obs.summary() == obs.metrics.summary()
     assert obs.summary()["counters"]["c"] == 1
 
 
 def test_vcd_available_through_facade():
-    obs = Observability(vcd_timescale_seconds=1e-9)
+    obs = Observability()
     obs.vcd.signal("line")
-    obs.vcd.change("line", 1, 1e-9)
-    assert "$timescale 1 ns" in obs.vcd.render()
+    obs.vcd.change("line", 1, 2e-6)
+    assert "$timescale 1 us" in obs.vcd.render()
