@@ -24,7 +24,7 @@ import socket
 import threading
 from typing import Optional
 
-from repro.core.aio import AsyncSpaceServer
+from repro.core.aio import AsyncSpaceServer, LoopTimers
 from repro.core.errors import ConnectionClosedError
 from repro.core.rmi import Registry, RemoteProxy
 from repro.core.server import ServerConnection, SpaceServer
@@ -42,14 +42,21 @@ class LocalConnection:
 
     ``send_bytes`` feeds requests straight into a server connection
     (dispatching through the server's RMI proxy); responses accumulate
-    in an internal buffer that ``recv_bytes`` drains.  Timeouts fire
-    from whatever timers the server was built with, possibly on another
-    thread — hence the lock around the buffer.
+    in an internal buffer that ``recv_bytes`` drains.
+
+    Single-threaded by contract: the server's timeouts must fire on the
+    caller's thread (``NullTimers``, ``SimTimers`` or a caller-driven
+    ``Timers``), so a server on :class:`~repro.core.aio.LoopTimers`,
+    whose callbacks run on an event loop's thread, is refused.
     """
 
     def __init__(self, server: SpaceServer):
-        self._rx = bytearray()  # lint: guarded-by=self._lock
-        self._lock = threading.Lock()
+        if isinstance(server.timers, LoopTimers):
+            raise TypeError(
+                "LocalConnection is single-threaded; a server on LoopTimers "
+                "fires its timeouts on the event loop's thread"
+            )
+        self._rx = bytearray()
         self._session = ServerConnection(server, self._deliver, _rmi_proxy(server))
 
     @property
@@ -57,8 +64,7 @@ class LocalConnection:
         return self._session.closed
 
     def _deliver(self, data: bytes) -> None:
-        with self._lock:
-            self._rx.extend(data)
+        self._rx.extend(data)
 
     def send_bytes(self, data: bytes) -> None:
         if self.closed:
@@ -66,15 +72,13 @@ class LocalConnection:
         self._session.feed(data)
 
     def recv_bytes(self, max_bytes: int = 65536) -> bytes:
-        with self._lock:
-            data = bytes(self._rx[:max_bytes])
-            del self._rx[: len(data)]
+        data = bytes(self._rx[:max_bytes])
+        del self._rx[: len(data)]
         return data
 
     def recv_ready(self) -> bool:
         """Bytes pending?  (Non-blocking drain for ``poll_events``.)"""
-        with self._lock:
-            return bool(self._rx)
+        return bool(self._rx)
 
     def close(self) -> None:
         # Reaps blocking requests parked by this session: a closed
@@ -100,14 +104,22 @@ class SocketSpaceServer:
         self._thread: Optional[threading.Thread] = None
 
     def start(self) -> None:
+        """Start the loop thread and bind the listener.  A failure to
+        bind propagates after the thread is stopped and joined, so the
+        server is left as before and ``start()`` may be retried."""
         if self._thread is not None:
             return
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name="space-server-loop", daemon=True
+        loop = asyncio.new_event_loop()
+        thread = threading.Thread(
+            target=loop.run_forever, name="space-server-loop", daemon=True
         )
-        self._thread.start()
-        asyncio.run_coroutine_threadsafe(self._front.start(), self._loop).result()
+        thread.start()
+        try:
+            asyncio.run_coroutine_threadsafe(self._front.start(), loop).result()
+        except BaseException:
+            _halt(loop, thread, join_timeout=2.0)
+            raise
+        self._loop, self._thread = loop, thread
         self.address = self._front.address
 
     def stop(self, join_timeout: float = 2.0) -> None:
@@ -117,16 +129,13 @@ class SocketSpaceServer:
         thread, loop = self._thread, self._loop
         if thread is None:
             return
-        self._thread = None
+        self._thread = self._loop = None
         stopping = asyncio.run_coroutine_threadsafe(self._front.stop(), loop)
         try:
             stopping.result(timeout=join_timeout)
         except concurrent.futures.TimeoutError:
             stopping.cancel()
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(timeout=join_timeout)
-        if not thread.is_alive():
-            loop.close()
+        _halt(loop, thread, join_timeout)
 
     def __enter__(self) -> "SocketSpaceServer":
         self.start()
@@ -134,6 +143,17 @@ class SocketSpaceServer:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.stop()
+
+
+def _halt(
+    loop: asyncio.AbstractEventLoop, thread: threading.Thread, join_timeout: float
+) -> None:
+    """Stop ``loop`` and join the thread running it; the loop is closed
+    once the thread has exited."""
+    loop.call_soon_threadsafe(loop.stop)
+    thread.join(timeout=join_timeout)
+    if not thread.is_alive():
+        loop.close()
 
 
 def open_socket_connection(address) -> "SocketConnection":

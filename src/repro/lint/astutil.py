@@ -41,6 +41,33 @@ def terminal_name(node: ast.AST) -> Optional[str]:
     return None
 
 
+def dotted(node: ast.AST) -> Optional[str]:
+    """``a.b.c`` for a Name/Attribute chain, else None."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+def walk_in_scope(node: ast.AST):
+    """``ast.walk`` that does not descend into nested function scopes
+    (lambdas, defs) — their calls don't execute here."""
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        yield current
+        for child in ast.iter_child_nodes(current):
+            if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+            ):
+                continue
+            stack.append(child)
+
+
 def int_literal(node: ast.AST) -> Optional[int]:
     """The value of an int literal, including unary minus, else ``None``."""
     if isinstance(node, ast.Constant) and type(node.value) is int:

@@ -20,8 +20,8 @@ test-coverage luck into statically checked invariants:
   (``nondet-in-sim``, ``unstable-iter-order``, ``obs-hook-mutation``,
   ``effect-annotation-drift``, ``async-unsafe-call``).
 
-The same fixpoint also answers the concurrency pack's "does this call
-block?" question (``blocking-under-lock`` reads
+The fixpoint also answers "does this call block?" for
+``async-unsafe-call`` (it reads
 :attr:`~repro.lint.effects.infer.EffectIndex.blocking_calls`).  The
 warm-cache CI gate for the whole pass is
 :mod:`repro.lint.project.timing`.

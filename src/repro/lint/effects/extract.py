@@ -2,11 +2,10 @@
 
 :func:`extract_effects` is called by
 :func:`repro.lint.project.symbols.summarize_source` and returns a plain
-JSON dict riding inside the :class:`ModuleSummary` — like the flow
-facts, effect seeds are computed once per file *content* (in the
-multiprocessing workers) and served from the incremental cache on warm
-runs.  The interprocedural layer (:mod:`repro.lint.effects.infer`) then
-works over summaries only.
+JSON dict riding inside the :class:`ModuleSummary`, so effect seeds are
+computed once per file *content* (in the multiprocessing workers) and
+served from the incremental cache on warm runs.  The interprocedural
+layer (:mod:`repro.lint.effects.infer`) then works over summaries only.
 
 Shape (keys omitted when empty)::
 
@@ -33,6 +32,7 @@ from repro.lint.effects.model import (
     ENV_READ,
     ENV_READ_ATTRS,
     GLOBAL_MUTATION,
+    MUTATOR_TAILS,
     SCHEDULE_TAILS_ALWAYS,
     SCHEDULE_TAILS_GUARDED,
     SIMISH_RE,
@@ -40,11 +40,8 @@ from repro.lint.effects.model import (
     UNORDERED_OS_CALLS,
     UNORDERED_OS_TAILS,
     UNSTABLE_ITER,
-    BLOCKING,
     classify_call,
 )
-from repro.lint.flow.facts import MUTATOR_TAILS, _walk_in_scope, blocking_dotted
-from repro.lint.flow.locks import dotted
 
 #: Methods where self-mutation is construction, not observable mutation.
 BIRTH_METHODS = frozenset({"__init__", "__new__", "__post_init__", "__del__"})
@@ -120,7 +117,7 @@ def _local_names(func) -> frozenset:
     for extra in (args.vararg, args.kwarg):
         if extra is not None:
             names.add(extra.arg)
-    for node in _walk_in_scope(func):
+    for node in astutil.walk_in_scope(func):
         if isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Store, ast.Del)):
             names.add(node.id)
         elif isinstance(node, (ast.For, ast.AsyncFor)):
@@ -154,7 +151,7 @@ class _SetTracker:
 
     def __init__(self, func):
         self.setish_locals: set[str] = set()
-        for node in _walk_in_scope(func):
+        for node in astutil.walk_in_scope(func):
             if isinstance(node, ast.Assign) and self.is_setish(node.value):
                 for target in node.targets:
                     if isinstance(target, ast.Name):
@@ -197,7 +194,7 @@ class _FunctionEffects:
         self.locals = _local_names(func)
         self.params = _param_names(func)
         self.globals_decl: set[str] = set()
-        for node in _walk_in_scope(func):
+        for node in astutil.walk_in_scope(func):
             if isinstance(node, ast.Global):
                 self.globals_decl.update(node.names)
         self.effects: dict[str, list[dict]] = {}
@@ -218,7 +215,7 @@ class _FunctionEffects:
     # -- the walk -----------------------------------------------------------
 
     def extract(self) -> dict:
-        for node in _walk_in_scope(self.func):
+        for node in astutil.walk_in_scope(self.func):
             if isinstance(node, ast.Call):
                 self._call(node)
             elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
@@ -259,7 +256,7 @@ class _FunctionEffects:
         return None
 
     def _call(self, call: ast.Call) -> None:
-        raw = dotted(call.func)
+        raw = astutil.dotted(call.func)
         if raw is None:
             return
         if raw not in self.calls:
@@ -268,8 +265,6 @@ class _FunctionEffects:
         argc = len(call.args)
         for kind, what in classify_call(name, argc):
             self.seed(kind, call.lineno, what)
-        if blocking_dotted(name):
-            self.seed(BLOCKING, call.lineno, f"{name}()")
         self._schedule(call, raw)
         self._mutator_call(call, raw)
 
@@ -281,14 +276,14 @@ class _FunctionEffects:
         if tail in SCHEDULE_TAILS_ALWAYS:
             pass
         elif tail in SCHEDULE_TAILS_GUARDED:
-            receiver = dotted(func.value)
+            receiver = astutil.dotted(func.value)
             if receiver is None or not SIMISH_RE.search(receiver.split(".")[-1]):
                 return
         else:
             return
         if len(call.args) < 2:
             return
-        target = dotted(call.args[1])
+        target = astutil.dotted(call.args[1])
         if target is not None and len(self.scheduled) < _MAX_SITES:
             self.scheduled.append([target, call.lineno])
 
@@ -320,7 +315,7 @@ class _FunctionEffects:
         root = _root_name(target)
         if root is None:
             return
-        name = dotted(target) if isinstance(target, ast.Attribute) else None
+        name = astutil.dotted(target) if isinstance(target, ast.Attribute) else None
         self._mutation(root, name or root, line, attr_depth=2)
 
     def _mutation(self, root: str, name: str, line: int, attr_depth: int) -> None:
@@ -356,7 +351,7 @@ class _FunctionEffects:
             )
 
     def _attr(self, node: ast.Attribute) -> None:
-        name = dotted(node)
+        name = astutil.dotted(node)
         if name is None:
             return
         normalized = _normalize(name, self.mod_aliases, self.from_names)
@@ -366,10 +361,10 @@ class _FunctionEffects:
 
 def _unordered_os(tree_func, fn: "_FunctionEffects", parents: dict) -> None:
     """Seed unstable-iteration for OS-ordered listings not under sorted()."""
-    for node in _walk_in_scope(tree_func):
+    for node in astutil.walk_in_scope(tree_func):
         if not isinstance(node, ast.Call):
             continue
-        raw = dotted(node.func)
+        raw = astutil.dotted(node.func)
         if raw is None:
             continue
         name = _normalize(raw, fn.mod_aliases, fn.from_names)
@@ -392,7 +387,7 @@ def _unordered_os(tree_func, fn: "_FunctionEffects", parents: dict) -> None:
 
 def _converter_sets(tree_func, fn: "_FunctionEffects") -> None:
     """``list(a_set)`` / ``tuple(a_set)`` bake hash order into a sequence."""
-    for node in _walk_in_scope(tree_func):
+    for node in astutil.walk_in_scope(tree_func):
         if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Name):
             continue
         if node.func.id not in _ORDER_SENSITIVE_CONVERTERS or not node.args:

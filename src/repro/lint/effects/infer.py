@@ -91,8 +91,7 @@ class EffectIndex:
         #: own instance state (the obs read-only rule's raw material).
         self.mutating_callees = mutating_callees
         #: node -> [[raw call name, callee, line], ...] for calls whose
-        #: callee blocks: the one answer to "does this call block?" that
-        #: the concurrency and async rules share.
+        #: callee blocks: what ``async-unsafe-call`` reports through.
         self.blocking_calls = blocking_calls
         #: [[registering node, target node, line], ...].
         self.scheduled = scheduled
@@ -104,14 +103,6 @@ class EffectIndex:
 
     def nodes(self) -> list[str]:
         return sorted(self.effects)
-
-    def blocking_callee(self, node: str, call: str) -> Optional[str]:
-        """The blocking callee the raw call name ``call`` in ``node``
-        resolves to, or None when that call does not block."""
-        for name, callee, _line in self.blocking_calls.get(node, []):
-            if name == call:
-                return callee
-        return None
 
     def record(self, node: str) -> dict:
         """The summary-side function record behind one node."""
@@ -264,10 +255,10 @@ def infer_effects(index, options: Optional[dict] = None) -> EffectIndex:
 def effect_index(index) -> EffectIndex:
     """The (memoized, cached) effect index of one project index.
 
-    Every effect rule and ``blocking-under-lock`` run against the same
-    project index within one lint invocation, so the result is memoized
-    on the index; across invocations it is served from the project
-    cache when the project digest (content hashes + options) matches.
+    Every effect rule runs against the same project index within one
+    lint invocation, so the result is memoized on the index; across
+    invocations it is served from the project cache when the project
+    digest (content hashes + options) matches.
     """
     memo = getattr(index, "_effects_index", None)
     if memo is not None:

@@ -26,7 +26,8 @@ propagation is a monotone fixpoint:
     Iterates a hash-ordered or OS-ordered collection (sets,
     ``os.listdir``/``glob``) without ``sorted()``.
 ``blocking``
-    May park the calling thread (the flow pack's curated primitives).
+    May park the calling thread (socket I/O, ``sleep``, thread joins,
+    queue ``get``/``put``; see :func:`blocking_dotted`).
 
 Seed classification is *name-based over alias-normalised dotted calls*:
 extraction rewrites ``import time as t; t.monotonic()`` to
@@ -171,8 +172,8 @@ SOCKET_TAILS_GUARDED = frozenset({"recv", "accept", "bind", "listen"})
 SOCKISH_RE = re.compile(r"(sock|socket|listener)", re.IGNORECASE)
 
 #: Thread/process/executor constructors (``threading.Timer`` included:
-#: unlike the flow pack's lifecycle rule, *any* OS-scheduled execution
-#: is nondeterministic relative to sim time).
+#: *any* OS-scheduled execution is nondeterministic relative to sim
+#: time).
 THREAD_SPAWN_CALLS = frozenset(
     {
         "threading.Thread",
@@ -226,6 +227,73 @@ SCHEDULE_TAILS_ALWAYS = frozenset({"call_at", "call_after"})
 SCHEDULE_TAILS_GUARDED = frozenset({"at", "after"})
 SIMISH_RE = re.compile(r"(sim|sched|env)", re.IGNORECASE)
 
+#: Call tails treated as blocking primitives: the ``blocking`` seeds
+#: behind ``async-unsafe-call``.  ``join`` and the queue verbs
+#: additionally require a thread/queue-looking receiver so
+#: ``os.path.join`` / ``dict.get`` stay out.
+BLOCKING_TAILS = frozenset(
+    {
+        "sleep",
+        "recv",
+        "recvfrom",
+        "recv_into",
+        "sendall",
+        "sendto",
+        "accept",
+        "connect",
+        "select",
+        "getaddrinfo",
+        "gethostbyname",
+        "wait",
+        "join",
+        "get",
+        "put",
+    }
+)
+
+_RECEIVER_GUARDED_TAILS = frozenset({"join", "get", "put"})
+_THREADISH_RE = re.compile(r"(thread|proc|worker|pool|queue)", re.IGNORECASE)
+
+#: Async frameworks whose same-named primitives suspend instead of
+#: blocking — ``await asyncio.sleep(...)`` is the *correct* async idiom.
+_ASYNC_NAMESPACES = frozenset({"asyncio", "anyio", "trio", "curio"})
+
+#: Method tails that mutate their receiver — ``arg.items.append(...)``
+#: counts as a write to ``arg.items``.
+MUTATOR_TAILS = frozenset(
+    {
+        "append",
+        "appendleft",
+        "extend",
+        "insert",
+        "remove",
+        "pop",
+        "popleft",
+        "clear",
+        "add",
+        "discard",
+        "update",
+        "setdefault",
+    }
+)
+
+
+def blocking_dotted(name: str) -> bool:
+    """Is the dotted call name a curated blocking primitive?  (Also
+    consulted by ``async-unsafe-call``, which re-checks the names
+    stored in summaries.)"""
+    parts = name.split(".")
+    tail = parts[-1]
+    if tail not in BLOCKING_TAILS:
+        return False
+    if len(parts) > 1 and parts[0] in _ASYNC_NAMESPACES:
+        return False
+    if tail in _RECEIVER_GUARDED_TAILS:
+        receiver = parts[-2] if len(parts) > 1 else ""
+        if not _THREADISH_RE.search(receiver):
+            return False
+    return True
+
 
 def classify_call(name: str, argc: int) -> list[tuple[str, str]]:
     """Effect seeds of one alias-normalised dotted call.
@@ -269,5 +337,8 @@ def classify_call(name: str, argc: int) -> list[tuple[str, str]]:
 
     if name in ENV_READ_CALLS:
         seeds.append((ENV_READ, f"{name}()"))
+
+    if blocking_dotted(name):
+        seeds.append((BLOCKING, f"{name}()"))
 
     return seeds

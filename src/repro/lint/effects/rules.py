@@ -35,9 +35,9 @@ from repro.lint.effects.model import (
     SIM_SAFE_FORBIDDEN,
     THREAD_SPAWN,
     UNSTABLE_ITER,
+    blocking_dotted,
 )
 from repro.lint.findings import Finding
-from repro.lint.flow.facts import blocking_dotted
 from repro.lint.registry import ProjectRule, register
 
 

@@ -33,7 +33,9 @@ from repro.lint.project.graph import ModuleGraph
 # 4: function summaries dropped their `calls` list and the effects tier
 # grew `blocking_calls`; a version-3 effects entry has the same project
 # digest but no blocking edges, so it must be rebuilt, not served.
-CACHE_VERSION = 4
+# 5: ModuleSummary dropped the `flow` field with the lock-analysis pack;
+# a version-4 summary carries the key and must be recomputed.
+CACHE_VERSION = 5
 
 
 def content_hash(data: bytes) -> str:

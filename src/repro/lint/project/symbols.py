@@ -27,6 +27,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from repro.lint.astutil import dotted
 from repro.lint.suppressions import SuppressionIndex
 
 _BINOPS = {
@@ -83,10 +84,6 @@ class ModuleSummary:
     refs: list[str] = field(default_factory=list)
     #: Serialized suppression comments: {"file": [...], "lines": {"n": [...]}}.
     suppressions: dict = field(default_factory=dict)
-    #: Concurrency facts distilled by :mod:`repro.lint.flow.facts`
-    #: (locks, per-function acquire/leak/wait records, guarded-by map,
-    #: thread lifecycle) — empty for modules that touch none of that.
-    flow: dict = field(default_factory=dict)
     #: Effect seeds distilled by :mod:`repro.lint.effects.extract`
     #: (per-function effect sites, call sites with lines, scheduler
     #: registrations, ``# lint: effect=`` annotations, self-mutation).
@@ -110,7 +107,6 @@ class ModuleSummary:
             "all_dynamic": self.all_dynamic,
             "refs": self.refs,
             "suppressions": self.suppressions,
-            "flow": self.flow,
             "effects": self.effects,
             "parse_error": self.parse_error,
         }
@@ -135,26 +131,14 @@ class ModuleSummary:
         return index
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, else None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def _encode_expr(node: ast.AST) -> Optional[dict]:
     if isinstance(node, ast.Constant) and type(node.value) in (int, float):
         return {"t": "num", "v": node.value}
     if isinstance(node, ast.Name):
         return {"t": "name", "id": node.id}
     if isinstance(node, ast.Attribute):
-        dotted = _dotted(node)
-        return {"t": "dot", "d": dotted} if dotted else None
+        name = dotted(node)
+        return {"t": "dot", "d": name} if name else None
     if isinstance(node, ast.BinOp):
         op = _BINOPS.get(type(node.op))
         left = _encode_expr(node.left)
@@ -233,9 +217,9 @@ class _Extractor:
         refs: set[str] = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
-                dotted = _dotted(node)
-                if dotted and dotted.split(".")[0] in imported:
-                    refs.add(".".join(dotted.split(".")[:2]))
+                name = dotted(node)
+                if name and name.split(".")[0] in imported:
+                    refs.add(".".join(name.split(".")[:2]))
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 if node.id in imported:
                     refs.add(node.id)
@@ -251,7 +235,7 @@ class _Extractor:
             self._function(stmt, prefix="")
         elif isinstance(stmt, ast.ClassDef):
             self._binding(stmt.name, "class", stmt.lineno, conditional)
-            bases = [d for d in (_dotted(b) for b in stmt.bases) if d]
+            bases = [d for d in (dotted(b) for b in stmt.bases) if d]
             self.s.classes[stmt.name] = {"bases": bases, "line": stmt.lineno}
             for inner in stmt.body:
                 self._scan_nested(inner, prefix=f"{stmt.name}.")
@@ -342,7 +326,7 @@ class _Extractor:
             if isinstance(child, (ast.Import, ast.ImportFrom)):
                 self._import(child, top=False, conditional=True)
             elif isinstance(child, ast.Raise) and child.exc is not None:
-                name = _dotted(child.exc.func if isinstance(child.exc, ast.Call)
+                name = dotted(child.exc.func if isinstance(child.exc, ast.Call)
                                else child.exc)
                 if name:
                     self.s.raises.append(
@@ -366,7 +350,7 @@ class _Extractor:
             if isinstance(child, (ast.Import, ast.ImportFrom)):
                 self._import(child, top=False, conditional=True)
             elif isinstance(child, ast.Raise) and child.exc is not None:
-                name = _dotted(child.exc.func if isinstance(child.exc, ast.Call)
+                name = dotted(child.exc.func if isinstance(child.exc, ast.Call)
                                else child.exc)
                 if name:
                     raises.append(name)
@@ -401,12 +385,10 @@ def summarize_source(source: str, *, path: str, module: str) -> ModuleSummary:
         }
         return summary
     _Extractor(summary).run(tree)
-    # Imported late: flow/effects depend on nothing in this module, but
-    # keeping the imports local makes the layering (symbols ->
-    # flow.facts / effects.extract) obvious at the one point it happens.
+    # Imported late: effects depend on nothing in this module, but
+    # keeping the import local makes the layering (symbols ->
+    # effects.extract) obvious at the one point it happens.
     from repro.lint.effects.extract import extract_effects
-    from repro.lint.flow.facts import extract_flow
 
-    summary.flow = extract_flow(tree, source, module)
     summary.effects = extract_effects(tree, source, module)
     return summary

@@ -141,7 +141,6 @@ def all_rule_classes() -> dict[str, Type[Rule]]:
     # Importing the rules packages registers every built-in rule.
     import repro.lint.rules  # noqa: F401
     import repro.lint.project.rules  # noqa: F401
-    import repro.lint.flow.rules  # noqa: F401
     import repro.lint.effects.rules  # noqa: F401
 
     return dict(_REGISTRY)

@@ -15,7 +15,6 @@ up, and every cell must produce the identical transcript.
 
 import asyncio
 import random
-import threading
 
 import pytest
 
@@ -170,14 +169,12 @@ def run_sim(client, transcript):
             transcript.record(op, None, exc)
 
 
-class _WallTimers:
-    """Real-time timeouts for the synchronous loopback."""
+class _SimPacedClock(SimClock):
+    """The loopback client's poll clock: each sleep runs the simulator
+    holding the server's timeouts, so they fire on the client's thread."""
 
-    def call_later(self, delay, fn):
-        timer = threading.Timer(delay, fn)
-        timer.daemon = True
-        timer.start()
-        return timer
+    def sleep(self, duration):
+        self.sim.run(until=self.sim.now + duration)
 
 
 def _manual_space():
@@ -186,8 +183,11 @@ def _manual_space():
 
 def sync_local(codecs):
     codec = make_codec()
-    server = SpaceServer(_manual_space(), codec, timers=_WallTimers())
-    client = SpaceClient(LocalConnection(server), codec, request_timeout=5.0)
+    sim = Simulator(seed=1)
+    server = SpaceServer(_manual_space(), codec, timers=SimTimers(sim))
+    client = SpaceClient(
+        LocalConnection(server), codec, request_timeout=5.0, clock=_SimPacedClock(sim)
+    )
     if codecs:
         assert client.hello(codecs) == codecs.split(",")[0]
     return run_sync(client)

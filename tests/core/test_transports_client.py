@@ -1,5 +1,6 @@
 """Client over the loopback and TCP socket transports."""
 
+import asyncio
 import threading
 import time
 
@@ -15,6 +16,7 @@ from repro.core import (
     TupleTemplate,
     XmlCodec,
 )
+from repro.core.aio import LoopTimers
 from repro.core.errors import SpaceError
 from repro.core.transports import (
     LocalConnection,
@@ -100,6 +102,20 @@ class TestLocalConnection:
         client.connection.close()
         with pytest.raises(ConnectionError):
             client.ping()
+
+    def test_rejects_a_server_whose_timers_fire_on_a_loop_thread(self):
+        # LocalConnection is single-threaded: a LoopTimers timeout would
+        # deliver into its buffer from the event loop's thread.
+        loop = asyncio.new_event_loop()
+        try:
+            codec = make_codec()
+            server = SpaceServer(
+                TupleSpace(clock=ManualClock()), codec, timers=LoopTimers(loop)
+            )
+            with pytest.raises(TypeError, match="LoopTimers"):
+                LocalConnection(server)
+        finally:
+            loop.close()
 
 
 class TestSocketTransport:

@@ -1,15 +1,18 @@
-"""Lifecycle of the TCP space server: connection churn and shutdown.
+"""Lifecycle of the TCP space server: connection churn, start-up
+failure and shutdown.
 
-``SocketSpaceServer`` runs the asyncio front end on one loop thread.
-These pin down what its thread-per-connection predecessor got wrong
-(see docs/concurrency.md): the server's record of connections must stay
-bounded by the live ones, and ``stop()`` must wake clients parked in
-``recv`` and join its thread instead of abandoning it.
+``SocketSpaceServer`` runs the asyncio front end on one loop thread
+(see docs/concurrency.md).  The server's record of connections must
+stay bounded by the live ones, a failed ``start()`` must not leave its
+loop thread behind, and ``stop()`` must wake clients parked in ``recv``
+and join its thread instead of abandoning it.
 """
 
 import socket
 import threading
 import time
+
+import pytest
 
 from repro.core import SpaceServer, TupleSpace, XmlCodec
 from repro.core.transports import SocketSpaceServer
@@ -48,6 +51,34 @@ def test_open_connections_bounded_by_live_ones():
             last.close()
     finally:
         tcp.stop()
+
+
+def _loop_threads():
+    return {t for t in threading.enumerate() if t.name == "space-server-loop"}
+
+
+def test_failed_start_reaps_the_loop_thread_and_can_be_retried():
+    before = _loop_threads()
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        tcp = SocketSpaceServer(
+            SpaceServer(TupleSpace(), XmlCodec()), port=taken.getsockname()[1]
+        )
+        with pytest.raises(OSError):
+            tcp.start()
+    assert _loop_threads() == before
+    assert tcp._thread is None and tcp._loop is None
+
+    # The port is free again: a retried start() serves for real.
+    tcp.start()
+    try:
+        assert tcp.address is not None
+        socket.create_connection(tcp.address).close()
+        assert _loop_threads() - before == {tcp._thread}
+    finally:
+        tcp.stop()
+    assert _loop_threads() == before
 
 
 def test_stop_wakes_parked_client_and_joins_loop_thread():

@@ -1,5 +1,7 @@
 """True/false positives and suppression for each of the five effect rules."""
 
+import json
+
 from repro.lint.project.engine import run_project
 from tests.lint.project.projutil import project_config, run_rules, write_project
 
@@ -368,6 +370,7 @@ def test_async_direct_blocking_is_reported_once(tmp_path):
     )
     assert [(f.rule, f.line) for f in findings] == [("async-unsafe-call", 4)]
     assert "blocking call time.sleep() inside async def pump" in findings[0].message
+    assert "it stalls the event loop" in findings[0].message
 
 
 def test_async_transitive_blocking_is_one_finding_at_the_call_line(tmp_path):
@@ -430,3 +433,124 @@ def test_async_unsafe_suppression(tmp_path):
     )
     assert findings == []
     assert [f.rule for f in suppressed] == ["async-unsafe-call"]
+
+
+def test_async_blocking_direct_call_fires(tmp_path):
+    findings, _s, _st = run(
+        tmp_path,
+        {
+            "src/repro/net/aio.py": """\
+                import time
+
+                async def tick():
+                    time.sleep(0.1)
+                """,
+        },
+        ["async-unsafe-call"],
+    )
+    assert len(findings) == 1
+    finding = findings[0]
+    assert finding.line == 4
+    assert "time.sleep()" in finding.message
+    assert "event loop" in finding.message
+
+
+def test_async_blocking_transitive_helper_fires(tmp_path):
+    findings, _s, _st = run(
+        tmp_path,
+        {
+            "src/repro/net/aio.py": """\
+                def pump(sock):
+                    return sock.recv(65536)
+
+                async def tick(sock):
+                    return pump(sock)
+                """,
+        },
+        ["async-unsafe-call"],
+    )
+    assert len(findings) == 1
+    assert "pump()" in findings[0].message
+    assert "via sock.recv()" in findings[0].message
+
+
+def test_await_asyncio_sleep_is_the_correct_idiom(tmp_path):
+    findings, _s, _st = run(
+        tmp_path,
+        {
+            "src/repro/net/aio.py": """\
+                import asyncio
+
+                async def tick():
+                    await asyncio.sleep(0.1)
+                """,
+        },
+        ["async-unsafe-call"],
+    )
+    assert findings == []
+
+
+def test_async_blocking_suppression(tmp_path):
+    findings, suppressed, _st = run(
+        tmp_path,
+        {
+            "src/repro/net/aio.py": """\
+                import time
+
+                async def tick():
+                    time.sleep(0.1)  # lint: disable=async-unsafe-call
+                """,
+        },
+        ["async-unsafe-call"],
+    )
+    assert findings == []
+    assert [f.rule for f in suppressed] == ["async-unsafe-call"]
+
+
+_CONN_IN_COROUTINE = {
+    "src/repro/net/srv.py": """\
+        class Conn:
+            def pull(self):
+                return self.sock.recv(10)
+
+        class Srv:
+            def __init__(self, conn):
+                self.conn = conn
+
+            async def tick(self):
+                return self.conn.pull()
+        """,
+}
+
+
+def _assert_pull_in_coroutine_flagged(findings):
+    assert [(f.rule, f.line) for f in findings] == [("async-unsafe-call", 10)]
+    finding = findings[0]
+    assert "calls self.conn.pull(), which blocks (via self.sock.recv())" in (
+        finding.message
+    )
+    assert finding.code_flow[0][0] == 10
+    assert finding.code_flow[-1][:2] == (3, "self.sock.recv()")
+
+
+def test_blocking_call_through_an_attribute_receiver_in_a_coroutine(tmp_path):
+    # ``self.conn.pull()`` has a three-part receiver: the call graph
+    # resolves it to Conn.pull, whose recv blocks the event loop.
+    findings, _s, _st = run(tmp_path, _CONN_IN_COROUTINE, ["async-unsafe-call"])
+    _assert_pull_in_coroutine_flagged(findings)
+
+
+def test_version_3_cache_without_blocking_edges_is_rebuilt(tmp_path):
+    # A version-3 effects tier has the same project digest but no
+    # blocking edges; serving it would silently drop the finding.
+    write_project(tmp_path, {**_PKG, **_CONN_IN_COROUTINE})
+    run_rules(tmp_path, ["async-unsafe-call"], use_cache=True)
+    cache_file = tmp_path / ".cache.json"
+    data = json.loads(cache_file.read_text(encoding="utf-8"))
+    del data["effects"]["data"]["blocking_calls"]
+    data["version"] = 3
+    cache_file.write_text(json.dumps(data), encoding="utf-8")
+
+    findings, _s, stats = run_rules(tmp_path, ["async-unsafe-call"], use_cache=True)
+    assert stats.effects_built == 1
+    _assert_pull_in_coroutine_flagged(findings)

@@ -15,6 +15,7 @@ from repro.lint.effects import (
     WALL_CLOCK,
 )
 from repro.lint.effects.extract import extract_effects
+from repro.lint.effects.model import blocking_dotted
 
 
 def test_the_effect_lattice_is_closed():
@@ -70,6 +71,16 @@ def test_entropy_and_io_and_threads_seed_their_kinds():
     assert OS_ENTROPY in kinds_of(functions["roll"])
     assert REAL_IO in kinds_of(functions["fetch"])
     assert {THREAD_SPAWN, OS_ENTROPY} <= kinds_of(functions["spawn"])
+
+
+def test_blocking_dotted_receiver_guards():
+    assert blocking_dotted("time.sleep")
+    assert blocking_dotted("sock.recv")
+    assert blocking_dotted("worker.join")
+    assert not blocking_dotted("os.path.join")  # path, not a thread
+    assert not blocking_dotted("cache.get")  # dict-like, not a queue
+    assert blocking_dotted("queue.get")
+    assert not blocking_dotted("asyncio.sleep")  # suspends, not blocks
 
 
 def test_seeded_random_stream_is_not_entropy():

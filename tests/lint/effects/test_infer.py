@@ -130,6 +130,17 @@ def test_warm_run_reuses_the_inferred_effects(tmp_path):
     assert warm_stats.effects_built == 0 and warm_stats.effects_reused == 1
 
 
+def test_warm_cache_rerun_reproduces_findings(tmp_path):
+    write_project(tmp_path, _SIM_FIXTURE)
+    cold, _s, cold_stats = _effect_run(tmp_path)
+    warm, _s, warm_stats = _effect_run(tmp_path)
+    assert [f.as_dict() for f in warm] == [f.as_dict() for f in cold]
+    assert len(warm) == 1
+    assert warm[0].code_flow  # the witness path survives the cache
+    assert warm_stats.parsed == 0  # everything served from cache
+    assert cold_stats.parsed > 0
+
+
 def test_option_change_invalidates_the_effects_digest(tmp_path):
     write_project(tmp_path, _SIM_FIXTURE)
     _effect_run(tmp_path)

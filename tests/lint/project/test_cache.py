@@ -2,8 +2,12 @@
 
 import json
 
+import pytest
+
 from repro.lint.project.cache import CACHE_VERSION, ProjectCache, content_hash
 from repro.lint.project.graph import ModuleGraph
+from repro.lint.project.symbols import ModuleSummary
+from tests.lint.project.projutil import run_rules, write_project
 
 
 def test_summary_roundtrip(tmp_path):
@@ -39,6 +43,32 @@ def test_version_mismatch_discards(tmp_path):
         encoding="utf-8",
     )
     assert ProjectCache.load(path).summaries == {}
+
+
+def test_version_4_cache_with_flow_facts_is_rebuilt(tmp_path):
+    # Version-4 summaries still carry the dropped `flow` key, which
+    # ModuleSummary(**data) rejects: the whole file must be discarded
+    # and every summary recomputed, never deserialised.
+    write_project(
+        tmp_path,
+        {"src/repro/net/__init__.py": "", "src/repro/net/mod.py": "X = 1\n"},
+    )
+    run_rules(tmp_path, ["layer-cycle"], use_cache=True)
+    cache_file = tmp_path / ".cache.json"
+    data = json.loads(cache_file.read_text(encoding="utf-8"))
+    assert data["version"] == CACHE_VERSION
+    data["version"] = 4
+    for entry in data["summaries"].values():
+        entry["summary"]["flow"] = {"locks": {"LOCK": {"kind": "Lock"}}}
+    cache_file.write_text(json.dumps(data), encoding="utf-8")
+    stale = next(iter(data["summaries"].values()))["summary"]
+    with pytest.raises(TypeError):
+        ModuleSummary.from_dict(stale)
+
+    assert ProjectCache.load(cache_file).summaries == {}
+    _f, _s, stats = run_rules(tmp_path, ["layer-cycle"], use_cache=True)
+    assert stats.cache_hits == 0
+    assert stats.parsed == stats.files == 2
 
 
 def test_prune_drops_dead_entries(tmp_path):

@@ -33,24 +33,14 @@ def test_unknown_rule_suggests_the_closest_id(tmp_path, monkeypatch, capsys):
     assert "did you mean 'layer-cycle'?" in err
 
 
-def test_unknown_flow_rule_ids_get_suggestions(tmp_path, monkeypatch, capsys):
-    # The concurrency rule pack registers with the same did-you-mean
+def test_unknown_effect_rule_ids_get_suggestions(tmp_path, monkeypatch, capsys):
+    # The effect rule pack registers with the same did-you-mean
     # machinery as everything else.
     write_project(tmp_path, DRIFT_PROJECT)
     monkeypatch.chdir(tmp_path)
-    assert main(["--select", "lock-balanc", "src"]) == 2
+    assert main(["--select", "async-unsafe-cal", "src"]) == 2
     err = capsys.readouterr().err
-    assert "did you mean 'lock-balance'?" in err
-
-
-def test_flow_rule_ids_are_selectable(tmp_path, monkeypatch):
-    write_project(tmp_path, DRIFT_PROJECT)
-    monkeypatch.chdir(tmp_path)
-    select = (
-        "lock-balance,lock-order,guarded-state,blocking-under-lock,"
-        "cond-wait-loop,thread-lifecycle"
-    )
-    assert main(["--select", select, "src"]) == 0
+    assert "did you mean 'async-unsafe-call'?" in err
 
 
 def test_empty_select_is_a_usage_error(tmp_path, monkeypatch, capsys):

@@ -172,55 +172,6 @@ def test_cli_sarif_output_validates(tmp_path, monkeypatch, capsys):
     assert "proto-const-drift" in rule_ids and "wall-clock" in rule_ids
 
 
-def test_flow_rule_code_flows_validate(tmp_path, monkeypatch, capsys):
-    # A lock-balance leak carries its acquire->exit witness path; it
-    # must come out as a schema-valid SARIF codeFlow.
-    write_project(
-        tmp_path,
-        {
-            "pyproject.toml": """\
-                [tool.repro-lint.project]
-                roots = ["src"]
-                cache = ".cache.json"
-                """,
-            "src/repro/net/__init__.py": "",
-            "src/repro/net/pump.py": (
-                "import threading\n"
-                "\n"
-                "LOCK = threading.Lock()\n"
-                "\n"
-                "def pump(frames):\n"
-                "    LOCK.acquire()\n"
-                "    deliver(frames)\n"
-                "    LOCK.release()\n"
-                "\n"
-                "def deliver(frames):\n"
-                "    return list(frames)\n"
-            ),
-        },
-    )
-    monkeypatch.chdir(tmp_path)
-    exit_code = main(["--format", "sarif", "--select", "lock-balance", "src"])
-    doc = json.loads(capsys.readouterr().out)
-
-    assert exit_code == 1
-    assert validate_sarif_2_1_0(doc) == []
-
-    results = doc["runs"][0]["results"]
-    assert [r["ruleId"] for r in results] == ["lock-balance"]
-    flows = results[0]["codeFlows"]
-    assert len(flows) == 1
-    steps = flows[0]["threadFlows"][0]["locations"]
-    texts = [s["location"]["message"]["text"] for s in steps]
-    assert texts[0] == "'LOCK' acquired here"
-    assert "exit with 'LOCK' held" in texts[-1]
-    uris = {
-        s["location"]["physicalLocation"]["artifactLocation"]["uri"]
-        for s in steps
-    }
-    assert uris == {"src/repro/net/pump.py"}
-
-
 def test_to_sarif_on_empty_run_still_validates():
     doc = to_sarif([], [], [])
     assert validate_sarif_2_1_0(doc) == []

@@ -13,19 +13,11 @@ _FIXTURE = {
         """,
     "src/repro/net/__init__.py": "",
     "src/repro/net/srv.py": """\
-        import threading
-
-        LOCK = threading.Lock()
-
         def advance(state):
             state.append(1)
 
         def setup(sim):
             sim.call_after(1.0, advance)
-
-        def tick(n):
-            with LOCK:
-                return n + 1
         """,
 }
 
