@@ -31,10 +31,13 @@ class RemoteEvent:
 class EventRegistration:
     """One active subscription.
 
-    ``registration_id`` is assigned by the owning space from its own
-    counter (ids restart at 1 for every space), so a scenario re-run in
-    the same process logs identical ids — a process-global counter here
-    would leak state between runs and break trace determinism.
+    ``registration_id`` is a key from the owning space's one counter,
+    shared with its entries' sequence numbers (so
+    :meth:`~repro.core.space.TupleSpace.lease` resolves either kind of
+    key to its lease, and keys restart at 1 for every space).  A
+    scenario re-run in the same process therefore logs identical ids —
+    a process-global counter here would leak state between runs and
+    break trace determinism.
     """
 
     def __init__(

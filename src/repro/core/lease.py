@@ -27,6 +27,10 @@ class Lease:
     ``max_duration`` is the granting space's policy cap: renewals are
     clamped to it exactly like the original grant, so a client cannot
     renew its way past what :meth:`LeaseManager.grant` enforced.
+    ``key`` names the grant within its space (the entry's sequence
+    number or the registration id); the granting space sets it, and
+    :meth:`TupleSpace.lease` resolves it back to the lease while the
+    grant lives.
     """
 
     def __init__(
@@ -43,6 +47,7 @@ class Lease:
         self.granted_at = clock.now()
         self.expires_at = self.granted_at + duration
         self.max_duration = max_duration
+        self.key = 0
         self._on_cancel = on_cancel
         self._on_renew = on_renew
         self.cancelled = False

@@ -126,10 +126,14 @@ class CircuitBreaker:
 
 
 class _WrittenEntry:
-    """Book-keeping for one idempotent write (lease re-acquisition)."""
+    """Book-keeping for one idempotent write (lease re-acquisition).
+
+    ``expires_at`` is when the term last granted (by the write ack or
+    the last renewal) runs out on the client's clock.
+    """
 
     __slots__ = ("base_key", "op_key", "entry", "lease_duration",
-                 "lease_id", "generation")
+                 "lease_id", "expires_at", "generation")
 
     def __init__(self, base_key: str, entry: Any, lease_duration):
         self.base_key = base_key
@@ -137,6 +141,7 @@ class _WrittenEntry:
         self.entry = entry
         self.lease_duration = lease_duration
         self.lease_id: Optional[int] = None
+        self.expires_at = 0.0
         self.generation = 0
 
 
@@ -180,7 +185,8 @@ class ResilientSpaceClient:
         self.max_attempts = max_attempts
         self._client: Optional[SpaceClient] = None
         self._op_counter = 0
-        self._written: dict[str, _WrittenEntry] = {}
+        #: This client's idempotent writes, by their current lease id.
+        self._written: dict[int, _WrittenEntry] = {}
         # -- counters (chaos benches report these)
         self.connects = 0
         self.retries = 0
@@ -280,8 +286,7 @@ class ResilientSpaceClient:
         )
         if ack["dup"]:
             self.duplicate_acks += 1
-        record.lease_id = ack["lease_id"]
-        self._written[record.base_key] = record
+        self._bind(record, ack["lease_id"], ack["granted"])
         return ack
 
     def read(self, template: Any, timeout: Optional[float] = None):
@@ -308,29 +313,41 @@ class ResilientSpaceClient:
     def renew_lease(self, lease_id: int, duration: float) -> float:
         """Renew; after a front-end restart, gracefully re-acquire.
 
-        A restarted server forgets its ``lease_id`` table.  If this
-        client wrote the entry, it re-binds the grant by replaying the
-        idempotent write (the space dedups and returns the original
-        lease under a fresh id) and renews that; an entry that expired
-        during the outage is re-published as a new generation.
+        A restarted server mints lease ids under a new epoch, so the
+        old id is unknown there.  If this client wrote the entry, it
+        re-binds the grant by replaying the idempotent write (the space
+        dedups and returns the original lease under a fresh id) and
+        renews that.  An entry whose last granted term ran out during
+        the outage is re-published as a new generation; one that died
+        while its term still held was taken or cancelled by someone
+        else, and the renewal fails rather than bring it back.
         """
         try:
-            return self._call(
+            remaining = self._call(
                 lambda c: c.renew_lease(lease_id, duration), idempotent=True
             )
         except (CircuitOpenError, ConnectionClosedError, RequestTimeoutError):
             raise
         except SpaceError as exc:
-            record = self._entry_for(lease_id)
+            record = self._written.get(lease_id)
             if record is None or not _is_dead_lease(exc):
                 raise
             return self._reacquire(record, duration)
+        record = self._written.get(lease_id)
+        if record is not None:
+            self._bind(record, lease_id, remaining)
+        return remaining
 
-    def _entry_for(self, lease_id: int) -> Optional[_WrittenEntry]:
-        for record in self._written.values():
-            if record.lease_id == lease_id:
-                return record
-        return None
+    def _bind(
+        self, record: _WrittenEntry, lease_id: int, term: Optional[float] = None
+    ) -> None:
+        """Key ``record`` by ``lease_id``; a ``term`` (seconds granted
+        from now) moves its expiry."""
+        self._written.pop(record.lease_id, None)
+        record.lease_id = lease_id
+        self._written[lease_id] = record
+        if term is not None:
+            record.expires_at = self.clock.now() + term
 
     def _reacquire(self, record: _WrittenEntry, duration: float) -> float:
         ack = self._call(
@@ -339,15 +356,16 @@ class ResilientSpaceClient:
             ),
             idempotent=True,
         )
-        record.lease_id = ack["lease_id"]
         if ack["dup"]:
             # Original grant re-bound under a fresh id; renew it if it
             # is still alive.
+            self._bind(record, ack["lease_id"])
             try:
                 renewed = self._call(
                     lambda c: c.renew_lease(record.lease_id, duration),
                     idempotent=True,
                 )
+                self._bind(record, record.lease_id, renewed)
                 self.reacquired += 1
                 return renewed
             except (CircuitOpenError, ConnectionClosedError, RequestTimeoutError):
@@ -355,11 +373,17 @@ class ResilientSpaceClient:
             except SpaceError as exc:
                 if not _is_dead_lease(exc):
                     raise
+                if self.clock.now() < record.expires_at:
+                    # Dead while its term still held: someone took or
+                    # cancelled it, and re-publishing would bring back
+                    # a consumed tuple.
+                    raise
         else:
             # The op key aged out of retention: the write re-ran fresh.
+            self._bind(record, ack["lease_id"], ack["granted"])
             self.reacquired += 1
             return ack["granted"]
-        # The entry died during the outage: re-publish a new generation.
+        # The entry expired during the outage: re-publish a new generation.
         record.generation += 1
         record.op_key = f"{record.base_key}:g{record.generation}"
         ack = self._call(
@@ -368,6 +392,6 @@ class ResilientSpaceClient:
             ),
             idempotent=True,
         )
-        record.lease_id = ack["lease_id"]
+        self._bind(record, ack["lease_id"], ack["granted"])
         self.reacquired += 1
         return ack["granted"]

@@ -75,6 +75,25 @@ class NullTimers(Timers):
 DEFAULT_TIMEOUT = 60.0
 
 
+class _ParkedRequest:
+    """A blocking READ/TAKE parked in the space: its waiter and the
+    timer that answers RESULT_NULL if no match comes first."""
+
+    __slots__ = ("waiter", "timer")
+
+    def __init__(self):
+        self.waiter = None
+        self.timer = None
+
+    @property
+    def active(self) -> bool:
+        return self.waiter.active
+
+    def cancel(self) -> None:
+        self.waiter.cancel()
+        self.timer.cancel()
+
+
 class SpaceServer:
     """Dispatches wire-protocol requests onto a :class:`TupleSpace`."""
 
@@ -87,27 +106,25 @@ class SpaceServer:
         obs=None,
         lease_epoch: int = 0,
     ):
-        """``lease_epoch`` is an incarnation number for lease ids.  A
-        restarted front end must pass a fresh epoch: otherwise its id
-        counter restarts at 1 and a client holding a pre-crash lease id
-        would silently renew some *other* post-restart grant instead of
-        learning that its lease table is gone.
+        """``lease_epoch`` is an incarnation number for lease ids.  The
+        server keeps no lease table: a wire lease id is ``(lease_epoch
+        << 32) + key``, where ``key`` is the grant's space key, and the
+        space says whether that lease still lives.  Ids minted under
+        another epoch are unknown here, so a restarted front end must
+        pass a fresh epoch: a client holding a pre-crash id then learns
+        that its grant must be re-bound, instead of silently renewing
+        whatever grant the key names in a space rebuilt since.
         """
         self.space = space
         self.codec = codec
         self.timers = timers if timers is not None else NullTimers()
         self.name = name
-        self._leases: dict[int, Lease] = {}
-        #: ``id(lease) -> lease_id`` so a duplicate idempotent write acks
-        #: the original id (safe: ``_leases`` keeps every lease alive).
-        self._lease_ids: dict[int, int] = {}
         self.lease_epoch = lease_epoch
-        self._next_lease_id = lease_epoch << 32
-        self._registrations: dict[int, Any] = {}
-        #: Parked blocking requests per session (``id(session)`` keyed):
-        #: cancelled when the transport reports the session closed, so a
-        #: dead connection's TAKE can never consume a tuple and send it
-        #: into the void.
+        #: Parked blocking requests and notify registrations per session
+        #: (``id(session)`` keyed): cancelled when the transport reports
+        #: the session closed, so a dead connection's TAKE can never
+        #: consume a tuple and send it into the void, and its
+        #: subscriptions stop matching writes.
         self._parked: dict[int, list] = {}
         self.requests_handled = 0
         self.errors_sent = 0
@@ -165,8 +182,7 @@ class SpaceServer:
         duplicate = self.space.duplicate_writes > dups_before
         if dead_on_arrival and not duplicate:
             lease.cancel()
-        lease_id = self._register_lease(lease)
-        params = {"lease_id": lease_id, "granted": lease.duration}
+        params = {"lease_id": self._lease_id(lease), "granted": lease.duration}
         if op_key is not None:
             # Only idempotent writes report duplicate status; plain
             # writes keep the historical ack shape (and wire length —
@@ -178,7 +194,7 @@ class SpaceServer:
         if message.item is None:
             raise ProtocolError(f"{message.msg_type.name} carries no template")
         timeout = message.param_float("timeout", DEFAULT_TIMEOUT)
-        state = {"done": False, "timer": None}
+        parked = _ParkedRequest()
         started = self.space.clock.now()
 
         def observe_wait(outcome: str) -> None:
@@ -192,50 +208,52 @@ class SpaceServer:
             )
 
         def on_match(item):
-            if state["done"]:
-                return
-            state["done"] = True
-            if state["timer"] is not None:
-                state["timer"].cancel()
+            # The space deactivates the waiter before calling back, so
+            # a later timeout finds it inactive and stays silent.
+            if parked.timer is not None:
+                parked.timer.cancel()
             observe_wait("match")
             session.send(Message(
                 MessageType.RESULT_ENTRY, message.request_id, {}, item
             ))
 
-        waiter = self.space.register_waiter(message.item, mode, on_match)
-        if state["done"] or not waiter.active:
+        parked.waiter = self.space.register_waiter(message.item, mode, on_match)
+        if not parked.waiter.active:
             return
 
         def on_timeout():
-            if state["done"]:
+            if not parked.waiter.active:
                 return
-            state["done"] = True
-            waiter.cancel()
+            parked.waiter.cancel()
             observe_wait("timeout")
             session.send(Message(MessageType.RESULT_NULL, message.request_id))
 
-        state["timer"] = self.timers.call_later(timeout, on_timeout)
+        parked.timer = self.timers.call_later(timeout, on_timeout)
+        self._park(session, parked)
+
+    def _park(self, session, held) -> None:
+        """Hold ``held`` (anything with ``active`` and ``cancel()``)
+        until ``session`` closes, forgetting the ones that ended."""
         parked = self._parked.setdefault(id(session), [])
-        parked[:] = [entry for entry in parked if not entry[0]["done"]]
-        parked.append((state, waiter))
+        parked[:] = [entry for entry in parked if entry.active]
+        parked.append(held)
 
     def session_closed(self, session) -> None:
-        """Cancel the parked blocking requests of a dead session.
+        """Cancel the parked requests and registrations of a dead session.
 
         Transports call this when a connection dies.  Without it, a
         parked TAKE waiter from the dead connection would still fire on
         the next matching write — consuming the tuple and sending the
         response into the void, which a surviving client observes as a
-        lost acknowledged write.
+        lost acknowledged write — and its notify registrations would
+        keep counting notifications nobody can receive.
         """
-        for state, waiter in self._parked.pop(id(session), ()):
-            if state["done"]:
+        for held in self._parked.pop(id(session), ()):
+            if not held.active:
                 continue
-            state["done"] = True
-            waiter.cancel()
-            if state["timer"] is not None:
-                state["timer"].cancel()
-            self.waiters_reaped += 1
+            held.cancel()
+            if isinstance(held, _ParkedRequest):
+                self.waiters_reaped += 1
 
     def _handle_read(self, session, message: Message) -> None:
         self._handle_blocking(session, message, WaitMode.READ)
@@ -280,14 +298,13 @@ class SpaceServer:
             ))
 
         registration = self.space.notify(message.item, listener, lease_duration)
-        lease_id = self._register_lease(registration.lease)
-        self._registrations[registration.registration_id] = registration
+        self._park(session, registration)
         session.send(Message(
             MessageType.NOTIFY_ACK,
             message.request_id,
             {
                 "registration_id": registration.registration_id,
-                "lease_id": lease_id,
+                "lease_id": self._lease_id(registration.lease),
             },
         ))
 
@@ -318,20 +335,18 @@ class SpaceServer:
 
     # -- helpers ----------------------------------------------------------------
 
-    def _register_lease(self, lease: Lease) -> int:
-        known = self._lease_ids.get(id(lease))
-        if known is not None:
-            return known
-        self._next_lease_id += 1
-        self._leases[self._next_lease_id] = lease
-        self._lease_ids[id(lease)] = self._next_lease_id
-        return self._next_lease_id
+    def _lease_id(self, lease: Lease) -> int:
+        return (self.lease_epoch << 32) + lease.key
 
     def _lease_for(self, message: Message) -> Lease:
+        """The live lease a request's ``lease_id`` names, asked of the
+        space; an id from another epoch, or of a grant that ended, is
+        unknown."""
         lease_id = message.param_int("lease_id")
         if lease_id is None:
             raise ProtocolError("missing lease_id")
-        lease = self._leases.get(lease_id)
+        epoch, key = divmod(lease_id, 1 << 32)
+        lease = self.space.lease(key) if epoch == self.lease_epoch else None
         if lease is None:
             raise ProtocolError(f"unknown lease id {lease_id}")
         return lease

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import enum
 import heapq
-import itertools
 import math
 from collections import OrderedDict
 from functools import partial
@@ -116,13 +115,16 @@ class TupleSpace:
         self.name = name
         self.leases = LeaseManager(self.clock, max_lease, default_lease)
         self._records: dict[int, _Record] = {}
+        #: Space keys: one counter numbers both records (their ``seq``)
+        #: and notify registrations, so a key names exactly one lease.
         self._seq = 0
         self._index = ItemIndex()
         #: (expires_at, seq) deadlines; lazily invalidated on renew/cancel
         self._expiry_heap: list[tuple[float, int]] = []
         self._waiters = TemplateTable()
         self._registrations = TemplateTable()
-        self._registration_ids = itertools.count(1)
+        #: ``registration_id -> registration`` until its lease ends
+        self._registration_keys: dict[int, EventRegistration] = {}
         #: Completed idempotent writes: ``op_key -> granted lease``.  The
         #: entry outlives its record (a retried write after the tuple was
         #: taken or expired must NOT resurrect it), capped FIFO so the
@@ -188,12 +190,7 @@ class TupleSpace:
                     )
                 return existing
         self._seq += 1
-        record = _Record(self._seq, item, None)
-        record.lease = self.leases.grant(
-            lease,
-            on_cancel=lambda _l, rec=record: self._drop(rec),
-            on_renew=lambda l, seq=record.seq: self._reschedule_expiry(seq, l),
-        )
+        record = _Record(self._seq, item, self._grant(lease))
         record.txn_owner = txn
         if op_key is not None:
             record.op_key = op_key
@@ -297,13 +294,51 @@ class TupleSpace:
         lease: Optional[float] = None,
     ) -> EventRegistration:
         """Subscribe ``listener`` to future writes matching ``template``."""
-        granted = self.leases.grant(lease)
+        self._seq += 1
         registration = EventRegistration(
-            template, listener, granted,
-            registration_id=next(self._registration_ids),
+            template, listener, self._grant(lease), registration_id=self._seq,
         )
         self._registrations.add(registration)
+        self._registration_keys[self._seq] = registration
         return registration
+
+    # -- leases ------------------------------------------------------------------
+
+    def lease(self, key: int) -> Optional[Lease]:
+        """The live lease granted under space key ``key``, or ``None``.
+
+        The key is an entry's sequence number or a registration id.
+        ``None`` once the entry was taken, cancelled, expired or dropped
+        by an abort, or the registration ended: this space is the one
+        owner of lease lifetime, so a front end holds no lease table.
+        """
+        holder = self._records.get(key) or self._registration_keys.get(key)
+        if holder is None or holder.lease.expired:
+            return None
+        return holder.lease
+
+    def _grant(self, duration: Optional[float]) -> Lease:
+        """Grant the lease for the item or registration keyed ``_seq``."""
+        lease = self.leases.grant(
+            duration,
+            on_cancel=self._lease_cancelled,
+            on_renew=self._reschedule_expiry,
+        )
+        lease.key = self._seq
+        return lease
+
+    def _lease_cancelled(self, lease: Lease) -> None:
+        record = self._records.get(lease.key)
+        if record is not None:
+            self._drop(record)
+            return
+        registration = self._registration_keys.get(lease.key)
+        if registration is not None:
+            self._end_registration(registration)
+
+    def _end_registration(self, registration: EventRegistration) -> None:
+        self._registration_keys.pop(registration.registration_id, None)
+        self._registrations.discard(registration)
 
     # -- maintenance -----------------------------------------------------------------
 
@@ -311,7 +346,9 @@ class TupleSpace:
         """Drop every lease-expired record; returns how many were dropped."""
         dropped = self._expire_due()
         self._waiters.prune()
-        self._registrations.prune()
+        for registration in list(self._registration_keys.values()):
+            if not registration.active:
+                self._end_registration(registration)
         if dropped:
             self._obs_depth()
         return dropped
@@ -382,10 +419,10 @@ class TupleSpace:
             self._trace_op("expire", seq=seq)
         return dropped
 
-    def _reschedule_expiry(self, seq: int, lease: Lease) -> None:
+    def _reschedule_expiry(self, lease: Lease) -> None:
         """Lease renewal hook: enter the new deadline into the heap."""
-        if seq in self._records and not math.isinf(lease.expires_at):
-            heapq.heappush(self._expiry_heap, (lease.expires_at, seq))
+        if lease.key in self._records and not math.isinf(lease.expires_at):
+            heapq.heappush(self._expiry_heap, (lease.expires_at, lease.key))
 
     def _consume(self, record: _Record, txn) -> None:
         if txn is None:
@@ -401,6 +438,29 @@ class TupleSpace:
             if record.txn_owner is None:
                 for observer in self.observers:
                     observer.item_dropped(record.seq)
+            self._compact_expiry_heap()
+
+    def _compact_expiry_heap(self) -> None:
+        """Rebuild the deadline heap once stale entries dominate it.
+
+        A taken or cancelled record leaves its ``(expires_at, seq)``
+        entry behind until the deadline pops, so under long leases the
+        heap would grow with every op.  Past twice the live records
+        (and a floor of 64), rebuild it in place from the records'
+        current deadlines: each rebuild discards at least half the
+        heap, which keeps the cost amortised O(1) per push.  Renewed
+        records contribute their one live deadline, not their stale
+        ones.  In place, because :meth:`_expire_due` holds the list.
+        """
+        heap = self._expiry_heap
+        if len(heap) <= max(64, 2 * len(self._records)):
+            return
+        heap[:] = [
+            (record.lease.expires_at, seq)
+            for seq, record in self._records.items()
+            if not math.isinf(record.lease.expires_at)
+        ]
+        heapq.heapify(heap)
 
     def _item_became_visible(self, record: _Record) -> None:
         """Serve waiters and notify subscribers for a newly visible item.
@@ -449,7 +509,7 @@ class TupleSpace:
     def _fire_notifications(self, record: _Record) -> None:
         for registration in self._registrations.candidates_for(record.item):
             if not registration.active:
-                self._registrations.discard(registration)
+                self._end_registration(registration)
                 continue
             if registration.template.matches(record.item):
                 registration.deliver(record.seq, record.item)

@@ -1,8 +1,9 @@
 """Conformance matrix: one seeded op script, every client and front end.
 
 The same script — writes, blocking and if-exists reads and takes, a
-notify subscription, lease renewal and cancellation, ping, an
-unknown-lease error and a blocking op that times out — runs over:
+notify subscription, lease renewal and cancellation, ping, unknown-lease
+errors (an id never granted, and the lease of a taken entry) and a
+blocking op that times out — runs over:
 
 * ``SpaceClient`` on {``LocalConnection``, ``SocketSpaceServer``,
   ``AsyncSpaceServer`` over TCP} × {xml, binary};
@@ -64,8 +65,8 @@ def op_script(seed):
     yield "ping", ()
     registration = yield "notify", (Part(station=parts[0].station),)
     first = yield "write", (parts[0], 3600.0)
-    for part in parts[1:]:
-        yield "write", (part, 3600.0)
+    yield "write", (parts[1], 3600.0)
+    third = yield "write", (parts[2], 3600.0)
     yield "read", (Part(serial=serials[1]), 5.0)
     yield "read_if_exists", (Part(serial=serials[2]),)
     yield "take_if_exists", (Part(serial=serials[2]),)
@@ -74,6 +75,7 @@ def op_script(seed):
     yield "cancel_lease", (first["lease_id"],)
     yield "read_if_exists", (Part(serial=serials[0]),)
     yield "renew_lease", (999_999, 10.0)
+    yield "renew_lease", (third["lease_id"], 10.0)  # taken: retired
     yield "take", (Part(serial=serials[1]), 5.0)
     yield "take", (Part(serial="never"), 0.05)
     yield "cancel_lease", (registration["lease_id"],)
@@ -276,15 +278,20 @@ def reference():
 
 def test_reference_transcript_covers_the_script(reference):
     steps, events = reference
-    assert len(steps) == 19
+    assert len(steps) == 20
     assert steps[0] == steps[-1] == ("ping", True)
-    # The unknown lease is the script's one error.
+    # The script's errors: a lease id never granted, and the lease of
+    # the part taken at step 7 (registration and writes share the
+    # space's key counter: keys 1, 2, 3, 4).
     errors = [(op, result) for op, result in steps if isinstance(result, tuple)]
-    assert errors == [("renew_lease", ("error", "unknown lease id 999999"))]
+    assert errors == [
+        ("renew_lease", ("error", "unknown lease id 999999")),
+        ("renew_lease", ("error", "unknown lease id 4")),
+    ]
     assert steps[8] == ("take_if_exists", None)  # taken a step earlier
     assert steps[9] == ("renew_lease", 120.0)
     assert steps[11] == ("read_if_exists", None)  # its lease was cancelled
-    assert steps[14] == ("take", None)  # the blocking op that timed out
+    assert steps[15] == ("take", None)  # the blocking op that timed out
     # Every part matched the subscription, before it was cancelled.
     assert [sequence for _registration, sequence, _item in events] == [1, 2, 3]
 

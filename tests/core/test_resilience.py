@@ -13,7 +13,7 @@ import pytest
 from repro.chaos import FaultKind, FaultPlan, single_fault_plan
 from repro.chaos.transport import ChaosHost
 from repro.core.clock import ManualClock
-from repro.core.errors import CircuitOpenError, RequestTimeoutError
+from repro.core.errors import CircuitOpenError, RequestTimeoutError, SpaceError
 from repro.core.resilience import (
     BackoffPolicy,
     CircuitBreaker,
@@ -295,3 +295,17 @@ def test_expired_lease_is_republished_as_a_new_generation():
     assert client.reacquired == 1
     # Republished: the entry is back under a fresh generation key.
     assert space.read_if_exists(TupleTemplate("anchor", int)) is not None
+
+
+@pytest.mark.parametrize("lease", [60.0, None])
+def test_renewing_a_taken_entry_does_not_bring_it_back(lease):
+    # No fault, no restart: someone else took the entry while its term
+    # (60 s, or FOREVER) still held.  The renewal must fail instead of
+    # re-publishing a tuple that was consumed.
+    space, _host, client, _clock = _stack(FaultPlan(seed=0))
+    ack = client.write(LindaTuple("anchor", 0), lease=lease)
+    assert space.take_if_exists(TupleTemplate("anchor", int)) == LindaTuple("anchor", 0)
+    with pytest.raises(SpaceError):
+        client.renew_lease(ack["lease_id"], 60.0)
+    assert len(space) == 0
+    assert client.reacquired == 0

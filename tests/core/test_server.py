@@ -1,8 +1,12 @@
 """SpaceServer request dispatch."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core import (
+    Entry,
     LindaTuple,
     ManualClock,
     Message,
@@ -27,6 +31,16 @@ class SinkSession:
     @property
     def last(self):
         return self.sent[-1]
+
+
+class Part(Entry):
+    def __init__(self, serial=None):
+        self.serial = serial
+
+
+class DropSession:
+    def send(self, message):
+        pass
 
 
 def t(*fields):
@@ -162,6 +176,18 @@ class TestNotify:
         assert event.param_int("registration_id") == registration_id
         assert event.param_int("sequence") == 1
 
+    def test_closed_session_registrations_are_cancelled(self, setup):
+        _clock, space, server, session = setup
+        server.handle(session, Message(MessageType.NOTIFY_REGISTER, 1, {}, tpl("alarm")))
+        lease_id = session.last.param_int("lease_id")
+        server.handle(session, Message(MessageType.TAKE, 2, {}, tpl("job")))
+        server.session_closed(session)
+        assert server.waiters_reaped == 1      # the TAKE, not the subscription
+        space.write(t("alarm"))
+        assert space.stats.notifications == 0
+        assert [m.msg_type for m in session.sent] == [MessageType.NOTIFY_ACK]
+        assert space.lease(lease_id) is None   # epoch 0: the id is the key
+
 
 class TestLeaseOps:
     def test_cancel_lease_removes_entry(self, setup):
@@ -187,6 +213,85 @@ class TestLeaseOps:
         _clock, _space, server, session = setup
         server.handle(session, Message(MessageType.CANCEL_LEASE, 1, {"lease_id": 99}))
         assert session.last.msg_type is MessageType.ERROR
+
+
+class TestLeaseRetirement:
+    """The space alone decides whether a wire lease id still names a
+    live grant; the server keeps no lease table that could pin entries
+    or go stale."""
+
+    def test_taken_entries_are_freed(self, setup):
+        _clock, space, server, _session = setup
+        session = DropSession()
+        refs = []
+        for serial in range(200):
+            part = Part(serial)
+            refs.append(weakref.ref(part))
+            server.handle(session, Message(
+                MessageType.WRITE, 2 * serial, {"lease": 160}, part,
+            ))
+            server.handle(session, Message(
+                MessageType.TAKE_IF_EXISTS, 2 * serial + 1, {}, Part(serial),
+            ))
+        del part
+        gc.collect()
+        assert len(space) == 0
+        assert [ref() for ref in refs if ref() is not None] == []
+
+    def test_duplicate_write_acks_the_original_id_after_take_and_gc(self, setup):
+        _clock, space, server, session = setup
+        original_write = Message(
+            MessageType.WRITE, 1, {"lease": 160, "op_key": "c:1"}, t("a", 0),
+        )
+        server.handle(session, original_write)
+        original = session.last.param_int("lease_id")
+        assert space.take_if_exists(tpl("a", int)) == t("a", 0)
+        later = set()
+        for n in range(2, 2002):
+            server.handle(session, Message(
+                MessageType.WRITE, n, {"lease": 160}, t("b", n),
+            ))
+            later.add(session.last.param_int("lease_id"))
+            space.take_if_exists(tpl("b", int))
+            session.sent.clear()
+            if n % 500 == 0:
+                gc.collect()
+        assert original not in later
+        server.handle(session, original_write)
+        assert session.last.msg_type is MessageType.WRITE_ACK
+        assert session.last.param_int("lease_id") == original
+        assert session.last.param_int("dup") == 1
+        assert len(space) == 0
+
+    @pytest.mark.parametrize("op", ["RENEW_LEASE", "CANCEL_LEASE"])
+    @pytest.mark.parametrize(
+        "ending", ["taken", "cancelled", "expired", "dead-on-arrival", "other-epoch"],
+    )
+    def test_ended_lease_is_unknown(self, setup, op, ending):
+        clock, space, server, session = setup
+        params = {"lease": 60}
+        if ending == "dead-on-arrival":
+            clock.advance(100.0)
+            params["created_at"] = 0.0
+        server.handle(session, Message(MessageType.WRITE, 1, params, t("a")))
+        lease_id = session.last.param_int("lease_id")
+        if ending == "taken":
+            assert space.take_if_exists(tpl("a")) == t("a")
+        elif ending == "cancelled":
+            server.handle(session, Message(
+                MessageType.CANCEL_LEASE, 2, {"lease_id": lease_id},
+            ))
+            assert session.last.msg_type is MessageType.LEASE_ACK
+        elif ending == "expired":
+            clock.advance(60.0)
+        elif ending == "other-epoch":
+            # A restarted front end over the same, still-live entry.
+            server = SpaceServer(space, XmlCodec(), lease_epoch=1)
+        server.handle(session, Message(
+            MessageType[op], 3, {"lease_id": lease_id, "duration": 10},
+        ))
+        assert session.last.msg_type is MessageType.ERROR
+        assert session.last.params["text"] == f"unknown lease id {lease_id}"
 
 
 class TestMisc:

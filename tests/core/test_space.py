@@ -122,6 +122,59 @@ class TestLeases:
         assert space.take_if_exists(tpl("a", int)) == t("a", 2)
 
 
+class TestLeaseKeys:
+    """``TupleSpace.lease(key)`` is the one place a lease's liveness is
+    decided: the live lease while its entry or registration lasts,
+    ``None`` afterwards."""
+
+    def test_entry_lease_resolves_by_its_sequence_number(self, space):
+        lease = space.write(t("a", 1), lease=10.0)
+        assert lease.key == 1
+        assert space.lease(lease.key) is lease
+        assert space.lease(99) is None
+
+    def test_taken_entry_lease_is_gone(self, space):
+        lease = space.write(t("a", 1), lease=10.0)
+        space.take_if_exists(tpl("a", int))
+        assert space.lease(lease.key) is None
+
+    def test_cancelled_entry_lease_is_gone(self, space):
+        lease = space.write(t("a", 1), lease=10.0)
+        lease.cancel()
+        assert space.lease(lease.key) is None
+
+    def test_expired_entry_lease_is_gone_before_the_sweep(self, space, clock):
+        lease = space.write(t("a", 1), lease=10.0)
+        clock.advance(10.0)
+        assert space.lease(lease.key) is None
+
+    def test_aborted_write_lease_is_gone(self, space):
+        txn = Transaction(space)
+        lease = space.write(t("a", 1), lease=10.0, txn=txn)
+        assert space.lease(lease.key) is lease
+        txn.abort()
+        assert space.lease(lease.key) is None
+
+    def test_registrations_share_the_entry_counter(self, space, clock):
+        written = space.write(t("a", 1))
+        registration = space.notify(tpl("a", int), lambda e: None, lease=5.0)
+        assert registration.registration_id == registration.lease.key == 2
+        assert space.lease(2) is registration.lease
+        assert space.write(t("a", 2)).key == 3
+        assert space.lease(written.key) is written
+        clock.advance(5.0)
+        assert space.lease(2) is None
+
+    def test_ended_registrations_are_forgotten(self, space, clock):
+        cancelled = space.notify(tpl("a"), lambda e: None)
+        space.notify(tpl("b"), lambda e: None, lease=5.0)
+        cancelled.cancel()
+        assert space.lease(cancelled.registration_id) is None
+        clock.advance(5.0)
+        space.sweep_expired()
+        assert space._registration_keys == {}
+
+
 class TestWaiters:
     def test_take_waiter_fires_on_matching_write(self, space):
         got = []

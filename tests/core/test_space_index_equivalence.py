@@ -504,3 +504,48 @@ def test_storm_boundary_is_inclusive_for_engine_and_oracle():
     assert oracle.take_if_exists(template) is None
     assert space.stats.as_dict() == oracle.stats
     assert space.stats.expirations == 20
+
+
+def test_churn_under_a_long_lease_keeps_the_heap_bounded():
+    """Taken records leave their deadline in the heap; under churn's
+    160 s lease none pops, so without compaction the heap would hold one
+    entry per write ever made."""
+    space = TupleSpace(clock=ManualClock())
+    space.write(LindaTuple("resident", 0), lease=160.0)
+    template = TupleTemplate("job", int)
+    for index in range(10_000):
+        space.write(LindaTuple("job", index), lease=160.0)
+        assert space.take_if_exists(template) == LindaTuple("job", index)
+    live = len(space._records)
+    assert live == 1
+    assert len(space._expiry_heap) <= max(64, 2 * live)
+
+
+def test_compaction_keeps_every_live_deadline():
+    """Rebuilding the heap mid-churn keeps renewed and untouched
+    records expiring at their own deadlines, exactly like the oracle."""
+    clock = ManualClock()
+    space = TupleSpace(clock=clock)
+    oracle = LinearScanSpace(clock)
+    pairs = [
+        (space.write(LindaTuple("keep", index), lease=50.0),
+         oracle.write(LindaTuple("keep", index), lease=50.0))
+        for index in range(100)
+    ]
+    for index, (lease, rec) in enumerate(pairs[:40]):
+        lease.renew(20.0 + index)      # earlier than the first grant
+        oracle.renew(rec, 20.0 + index)
+    template = TupleTemplate("job", int)
+    for index in range(1_000):
+        space.write(LindaTuple("job", index), lease=160.0)
+        oracle.write(LindaTuple("job", index), lease=160.0)
+        assert space.take_if_exists(template) == oracle.take_if_exists(template)
+    assert len(space._expiry_heap) <= max(64, 2 * len(space._records))
+    keep = TupleTemplate("keep", int)
+    for when in (20.0, 39.0, 45.0, 50.0, 59.0):
+        clock.set(when)
+        space.sweep_expired()
+        oracle.sweep_expired()
+        assert space.read_if_exists(keep) == oracle.read_if_exists(keep)
+        assert space.stats.as_dict() == oracle.stats
+    assert space.stats.expirations == 100
