@@ -3,10 +3,11 @@
 Re-measures the core-engine workloads (fast variants by default) — raw
 scheduler churn and the Figure 6 bus model — and compares throughput
 against the committed ``benchmarks/results/BENCH_core_engine.json``
-baseline.  A measurement more than ``--tolerance`` (default 30 %) below
-the baseline fails the run — the knob exists because absolute throughput
-varies across runner hardware, while a >30 % drop on the same workload is
-a code regression.
+baseline.  Both sides are rates at nominal host speed: each timed
+repetition is scaled by yardstick chunks (``benchmarks/e2e/speed.py``)
+timed next to it, so a slower or busier host moves the work and the
+chunks together and the comparison holds on any box.  A measurement more
+than ``--tolerance`` (default 30 %) below the baseline fails the run.
 
 Run from the repository root::
 
@@ -24,8 +25,8 @@ from benchmarks.engine_workloads import (
     FAST_PACKETS,
     FULL_EVENTS,
     FULL_PACKETS,
-    bus_frames_per_second,
-    scheduler_events_per_second,
+    bus_throughput,
+    scheduler_throughput,
 )
 from repro.obs import load_bench_json
 
@@ -62,24 +63,26 @@ def main(argv=None) -> int:
 
     failed = False
 
-    def gate(label: str, measured: float, reference: float) -> None:
+    def gate(label: str, stats: dict, reference: float) -> None:
         nonlocal failed
+        measured = stats["median"]
         floor = reference * (1.0 - args.tolerance)
         verdict = "ok" if measured >= floor else "REGRESSED"
         failed = failed or measured < floor
         print(
             f"{label:<22} {measured:>12,.0f}/s "
-            f"(baseline {reference:,.0f}, floor {floor:,.0f}) {verdict}"
+            f"(baseline {reference:,.0f}, floor {floor:,.0f}; "
+            f"chunk {stats['chunk_s'] * 1e3:.3f} ms) {verdict}"
         )
 
     gate(
         "churn",
-        scheduler_events_per_second(n_events),
+        scheduler_throughput(n_events),
         baseline["scheduler-churn"]["events_per_second"],
     )
     gate(
         "figure-6 bus",
-        bus_frames_per_second(n_packets),
+        bus_throughput(n_packets),
         baseline["figure-6-bus"]["frames_per_second"],
     )
     return 1 if failed else 0

@@ -13,9 +13,12 @@ gate), so both measure exactly the same thing:
   receiver slave), i.e. the whole hot path: scheduler, events, timing
   tables, bus state machine, master transaction engine.
 
-Measurements discard one warmup run, then report best-of-``repeats`` plus
-per-run spread (see :func:`throughput_stats`) so the committed artefact
-records how noisy the number was, not just its peak.
+Measurements discard one warmup run, then report the median of
+``repeats`` plus per-run spread (see :func:`throughput_stats`) so the
+committed artefact records how noisy the number was.  Every rate is
+expressed at nominal host speed: yardstick chunks
+(``benchmarks/e2e/speed.py``) are timed next to each repetition and
+scale its seconds, so the gate compares code, not neighbours.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import statistics
 import time
 
+from benchmarks.e2e import speed
 from repro.cosim.scenarios import ValidationScenario
 from repro.des import Simulator
 
@@ -31,6 +35,9 @@ FULL_EVENTS = 150_000
 FAST_EVENTS = 40_000
 FULL_PACKETS = 600
 FAST_PACKETS = 60
+
+#: Yardstick chunks timed on each side of every repetition.
+CHUNKS_PER_SIDE = 5
 
 
 def scheduler_churn(n_events: int) -> tuple[int, float]:
@@ -71,19 +78,38 @@ def bus_frames_throughput(n_packets: int) -> tuple[int, float]:
     return result.total_frames, seconds
 
 
+def _chunks() -> list[float]:
+    return [speed.chunk_s() for _ in range(CHUNKS_PER_SIDE)]
+
+
 def throughput_stats(run, repeats: int = 3) -> dict:
-    """Warmed best-of-``repeats`` with spread: ``run()`` returns
-    ``(units, wall_seconds)``; the first (warmup) run is discarded."""
+    """Warmed median of ``repeats`` with spread, at nominal host speed.
+
+    ``run()`` returns ``(units, wall_seconds)``; the first (warmup) run
+    is discarded.  Each repetition's seconds are scaled by the median
+    of the yardstick chunks timed on both sides of it (the median, so
+    one preempted chunk does not inflate the rate); ``chunk_s`` is the
+    median over every chunk of the measurement.  The headline is the
+    median rate, as in the end-to-end harness: once scaled, a run errs
+    either way, and the best would pick the run whose chunks the
+    neighbours slowed most.
+    """
     run()
     rates = []
+    chunks = []
     for _ in range(repeats):
+        before = _chunks()
         units, seconds = run()
-        rates.append(units / seconds)
+        around = before + _chunks()
+        chunks += around
+        scaled = speed.scaled(seconds, statistics.median(around), 1)
+        rates.append(units / scaled)
     return {
-        "best": max(rates),
+        "median": statistics.median(rates),
         "mean": statistics.fmean(rates),
         "stdev": statistics.stdev(rates) if len(rates) > 1 else 0.0,
         "runs": len(rates),
+        "chunk_s": statistics.median(chunks),
     }
 
 
@@ -92,16 +118,6 @@ def scheduler_throughput(n_events: int, repeats: int = 3) -> dict:
     return throughput_stats(lambda: scheduler_churn(n_events), repeats)
 
 
-def scheduler_events_per_second(n_events: int, repeats: int = 3) -> float:
-    """Best-of-``repeats`` churn event throughput."""
-    return scheduler_throughput(n_events, repeats)["best"]
-
-
 def bus_throughput(n_packets: int, repeats: int = 3) -> dict:
     """End-to-end frames/second statistics of the Figure 6 model."""
     return throughput_stats(lambda: bus_frames_throughput(n_packets), repeats)
-
-
-def bus_frames_per_second(n_packets: int, repeats: int = 3) -> float:
-    """Best-of-``repeats`` end-to-end frame throughput."""
-    return bus_throughput(n_packets, repeats)["best"]

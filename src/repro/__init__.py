@@ -5,11 +5,11 @@ DATE 2003).
 The package rebuilds the paper's whole prototyping stack in Python:
 
 ================  ===========================================================
-``repro.des``     discrete-event kernel (the NS-2 substitute): scheduler
-                  queues, generator processes, resources, RNG streams,
-                  tracing, monitors, real-time mode
+``repro.des``     discrete-event kernel (the NS-2 substitute): heap event
+                  queue, generator processes, a FIFO lock and a store,
+                  RNG streams, monitors
 ``repro.net``     NS-2-style nodes/links/agents and traffic generators (CBR,
-                  exponential on/off, Poisson, trace-driven)
+                  Poisson)
 ``repro.tpwire``  the TpWIRE bus: CRC-4 frames, command set, slave state
                   machines, master with retries, daisy-chain timing, n-wire
                   variants, mailbox byte transport over the master relay

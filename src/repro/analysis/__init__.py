@@ -3,7 +3,6 @@
 from repro.analysis.stats import (
     mean,
     sample_stddev,
-    confidence_interval_95,
     scaling_factor,
     relative_error,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "render_strip",
     "mean",
     "sample_stddev",
-    "confidence_interval_95",
     "scaling_factor",
     "relative_error",
     "Table",

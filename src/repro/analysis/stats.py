@@ -20,17 +20,6 @@ def sample_stddev(values: Sequence[float]) -> float:
     return math.sqrt(sum((v - mu) ** 2 for v in values) / (n - 1))
 
 
-def confidence_interval_95(values: Sequence[float]) -> tuple[float, float]:
-    """Normal-approximation 95% CI of the mean."""
-    n = len(values)
-    if n < 2:
-        value = mean(values)
-        return (value, value)
-    mu = mean(values)
-    half = 1.96 * sample_stddev(values) / math.sqrt(n)
-    return (mu - half, mu + half)
-
-
 def scaling_factor(reference: Sequence[float], model: Sequence[float]) -> float:
     """Least-squares through-origin factor mapping model -> reference.
 

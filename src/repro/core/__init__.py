@@ -32,7 +32,7 @@ from repro.core.errors import (
 )
 from repro.core.clock import Clock, SystemClock, SimClock, ManualClock
 from repro.core.tuples import LindaTuple, TupleTemplate, ANY
-from repro.core.entry import Entry, entry_fields, make_template
+from repro.core.entry import Entry, entry_fields
 from repro.core.lease import Lease, LeaseManager, FOREVER
 from repro.core.events import EventRegistration, RemoteEvent
 from repro.core.space import TupleSpace, SpaceStats
@@ -75,7 +75,6 @@ __all__ = [
     "ANY",
     "Entry",
     "entry_fields",
-    "make_template",
     "Lease",
     "LeaseManager",
     "FOREVER",

@@ -21,7 +21,7 @@ Define entries as plain classes with keyword fields::
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 
 class Entry:
@@ -78,14 +78,3 @@ def iter_constrained_fields(entry: Entry):
         if value is not None and not name.startswith("_"):
             yield name, value
 
-
-def make_template(entry_class: type, **fields) -> Entry:
-    """Build a template of ``entry_class`` with only ``fields`` constrained.
-
-    Works for entry classes whose ``__init__`` accepts the field names as
-    keyword arguments (the conventional JavaSpaces no-arg-friendly shape).
-    """
-    if not issubclass(entry_class, Entry):
-        raise TypeError(f"{entry_class!r} is not an Entry subclass")
-    template = entry_class(**fields)
-    return template

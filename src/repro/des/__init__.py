@@ -8,11 +8,11 @@ provides the same primitives in pure Python:
   ``after``, ``at``, ``run``),
 * generator-based processes (:class:`~repro.des.process.Process`) with
   waitables (:class:`~repro.des.process.Timeout`,
-  :class:`~repro.des.process.SimEvent`, ``AnyOf``/``AllOf``),
+  :class:`~repro.des.process.SimEvent`),
+* a FIFO :class:`~repro.des.resource.Resource` lock and an unbounded
+  :class:`~repro.des.resource.Store`,
 * a binary-heap pending-event queue
   (:class:`~repro.des.scheduler.HeapScheduler`),
-* a real-time scheduler mode (used by the paper to validate the NS-2 TpWIRE
-  model against the physical bus),
 * deterministic per-component random streams and statistics monitors
   (tracing lives in :mod:`repro.obs`).
 """
@@ -20,8 +20,6 @@ provides the same primitives in pure Python:
 from repro.des.errors import (
     SimulationError,
     SchedulerError,
-    ProcessKilled,
-    Interrupted,
 )
 from repro.des.event import Event, EventState
 from repro.des.scheduler import HeapScheduler
@@ -30,20 +28,15 @@ from repro.des.process import (
     Process,
     Timeout,
     SimEvent,
-    AnyOf,
-    AllOf,
     Waitable,
 )
-from repro.des.resource import Resource, Store, Container
+from repro.des.resource import Resource, Store
 from repro.des.random_streams import StreamRegistry
 from repro.des.monitor import TallyMonitor, TimeWeightedMonitor, RateMonitor
-from repro.des.realtime import RealTimeRunner
 
 __all__ = [
     "SimulationError",
     "SchedulerError",
-    "ProcessKilled",
-    "Interrupted",
     "Event",
     "EventState",
     "HeapScheduler",
@@ -51,15 +44,11 @@ __all__ = [
     "Process",
     "Timeout",
     "SimEvent",
-    "AnyOf",
-    "AllOf",
     "Waitable",
     "Resource",
     "Store",
-    "Container",
     "StreamRegistry",
     "TallyMonitor",
     "TimeWeightedMonitor",
     "RateMonitor",
-    "RealTimeRunner",
 ]

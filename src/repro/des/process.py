@@ -16,9 +16,9 @@ or *fail* with an exception (raised at the ``yield`` site).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
-from repro.des.errors import Interrupted, ProcessKilled, SimulationError
+from repro.des.errors import SimulationError
 
 
 class Waitable:
@@ -91,12 +91,6 @@ class Waitable:
         else:
             self._callbacks.append(callback)
 
-    def remove_callback(self, callback: Callable[["Waitable"], None]) -> None:
-        try:
-            self._callbacks.remove(callback)
-        except ValueError:
-            pass
-
     def _dispatch(self) -> None:
         callbacks, self._callbacks = self._callbacks, []
         for callback in callbacks:
@@ -108,20 +102,17 @@ class SimEvent(Waitable):
 
 
 class Timeout(Waitable):
-    """Waitable that succeeds after a fixed delay."""
+    """Waitable that succeeds after a fixed delay.
+
+    Nothing cancels a timeout, so it schedules itself fire-and-forget
+    (``call_after``): no :class:`~repro.des.event.Event` is allocated, and
+    the shared sequence counter keeps its place among same-time callbacks.
+    """
 
     def __init__(self, sim, delay: float, value: Any = None):
         super().__init__(sim)
         self.delay = delay
-        self._event = sim.after(delay, self._expire, value)
-
-    def _expire(self, value: Any) -> None:
-        if not self._triggered:
-            self.succeed(value)
-
-    def cancel(self) -> None:
-        """Cancel the underlying timer (used on interrupt)."""
-        self.sim.cancel(self._event)
+        sim.call_after(delay, self.succeed, value)
 
 
 class Process(Waitable):
@@ -138,7 +129,6 @@ class Process(Waitable):
             raise TypeError(f"spawn() needs a generator, got {generator!r}")
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._waiting_on: Optional[Waitable] = None
         # First resumption happens as its own event at the current time so
         # that spawn() returns before any process code runs.
         sim.call_after(0.0, self._step, None, None)
@@ -152,7 +142,6 @@ class Process(Waitable):
     def _step(self, send_value: Any, throw_exc: Optional[BaseException]) -> None:
         if self._triggered:
             return
-        self._waiting_on = None
         try:
             if throw_exc is not None:
                 target = self._generator.throw(throw_exc)
@@ -160,9 +149,6 @@ class Process(Waitable):
                 target = self._generator.send(send_value)
         except StopIteration as stop:
             self.succeed(stop.value)
-            return
-        except ProcessKilled:
-            self.succeed(None)
             return
         # The kernel must forward *any* process error to its waiters;
         # _fail_or_raise re-raises when nobody waits on the process.
@@ -177,11 +163,9 @@ class Process(Waitable):
             self._generator.close()
             self._fail_or_raise(exc)
             return
-        self._waiting_on = target
         target.add_callback(self._on_wait_done)
 
     def _on_wait_done(self, waitable: Waitable) -> None:
-        self._waiting_on = None
         if waitable.ok:
             self._step(waitable._value, None)
         else:
@@ -196,87 +180,7 @@ class Process(Waitable):
             self._exception = exc
             raise exc
 
-    # -- control -----------------------------------------------------------
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Raise :class:`Interrupted` inside the process at its wait point."""
-        if self._triggered:
-            return
-        waited = self._waiting_on
-        if waited is None:
-            raise SimulationError(
-                f"cannot interrupt {self.name!r}: it is not waiting"
-            )
-        waited.remove_callback(self._on_wait_done)
-        if isinstance(waited, Timeout):
-            waited.cancel()
-        self.sim.call_after(0.0, self._step, None, Interrupted(cause))
-
-    def kill(self) -> None:
-        """Terminate the process; it may catch ``ProcessKilled`` to clean up."""
-        if self._triggered:
-            return
-        waited = self._waiting_on
-        if waited is not None:
-            waited.remove_callback(self._on_wait_done)
-            if isinstance(waited, Timeout):
-                waited.cancel()
-            self.sim.call_after(0.0, self._step, None, ProcessKilled())
-        else:
-            # Not yet started; close the generator and mark done.
-            self._generator.close()
-            self.succeed(None)
-
     def __repr__(self) -> str:
         state = "done" if self._triggered else "alive"
         return f"Process({self.name!r}, {state})"
 
-
-class AllOf(Waitable):
-    """Succeeds with the list of values once every child has succeeded.
-
-    Fails fast with the first child failure.
-    """
-
-    def __init__(self, sim, waitables: Iterable[Waitable]):
-        super().__init__(sim)
-        self._children = list(waitables)
-        self._remaining = len(self._children)
-        if self._remaining == 0:
-            self.succeed([])
-            return
-        for child in self._children:
-            child.add_callback(self._on_child)
-
-    def _on_child(self, child: Waitable) -> None:
-        if self._triggered:
-            return
-        if not child.ok:
-            self.fail(child.exception)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed([c._value for c in self._children])
-
-
-class AnyOf(Waitable):
-    """Succeeds with ``(first_child, value)`` when any child succeeds.
-
-    Fails if the first child to trigger fails.
-    """
-
-    def __init__(self, sim, waitables: Iterable[Waitable]):
-        super().__init__(sim)
-        self._children = list(waitables)
-        if not self._children:
-            raise SimulationError("AnyOf needs at least one waitable")
-        for child in self._children:
-            child.add_callback(self._on_child)
-
-    def _on_child(self, child: Waitable) -> None:
-        if self._triggered:
-            return
-        if child.ok:
-            self.succeed((child, child._value))
-        else:
-            self.fail(child.exception)

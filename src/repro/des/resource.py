@@ -1,14 +1,14 @@
-"""Shared resources for processes: mutex-like resources, stores, containers.
+"""Shared resources for processes: a FIFO lock and an unbounded store.
 
-These back the contention models: the bus line is a capacity-1
-:class:`Resource` in the packet-level model, per-slave mailboxes are
-:class:`Store` instances, DMA byte budgets are :class:`Container` levels.
+The TpWIRE master serialises its compound operations on a capacity-1
+:class:`Resource`; the co-simulated server host queues wire frames in
+:class:`Store` instances, one process draining each.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Optional
+from typing import Any
 
 from repro.des.errors import SimulationError
 from repro.des.process import Waitable
@@ -17,14 +17,13 @@ from repro.des.process import Waitable
 class Request(Waitable):
     """Waitable granted when the resource has a free slot."""
 
-    def __init__(self, resource: "Resource", priority: int = 0):
+    def __init__(self, resource: "Resource"):
         super().__init__(resource.sim)
         self.resource = resource
-        self.priority = priority
 
 
 class Resource:
-    """A resource with ``capacity`` slots and a FIFO (or priority) queue."""
+    """A resource with ``capacity`` slots and a FIFO queue."""
 
     def __init__(self, sim, capacity: int = 1):
         if capacity < 1:
@@ -33,7 +32,6 @@ class Resource:
         self.capacity = capacity
         self._users: list[Request] = []
         self._waiting: deque[Request] = deque()
-        self._grant_seq = 0
 
     @property
     def in_use(self) -> int:
@@ -43,29 +41,15 @@ class Resource:
     def queue_length(self) -> int:
         return len(self._waiting)
 
-    def request(self, priority: int = 0) -> Request:
+    def request(self) -> Request:
         """Ask for a slot; yield the returned waitable to acquire."""
-        req = Request(self, priority)
+        req = Request(self)
         if len(self._users) < self.capacity:
             self._users.append(req)
             req.succeed(req)
         else:
-            self._insert_waiting(req)
+            self._waiting.append(req)
         return req
-
-    def _insert_waiting(self, req: Request) -> None:
-        # Stable priority order: lower priority value is served first.
-        # Same-priority traffic (the common case) appends in O(1).
-        waiting = self._waiting
-        if not waiting or req.priority >= waiting[-1].priority:
-            waiting.append(req)
-            return
-        index = len(waiting)
-        for i, other in enumerate(waiting):
-            if req.priority < other.priority:
-                index = i
-                break
-        waiting.insert(index, req)
 
     def release(self, req: Request) -> None:
         """Return a previously-granted slot."""
@@ -78,51 +62,26 @@ class Resource:
             self._users.append(nxt)
             nxt.succeed(nxt)
 
-    def cancel(self, req: Request) -> None:
-        """Withdraw a queued request (no-op if already granted)."""
-        try:
-            self._waiting.remove(req)
-        except ValueError:
-            pass
-
 
 class StoreGet(Waitable):
     pass
 
 
-class StorePut(Waitable):
-    pass
-
-
 class Store:
-    """FIFO buffer of items with optional capacity (like ``sc_fifo``)."""
+    """Unbounded FIFO buffer of items; getters wait for the oldest item."""
 
-    def __init__(self, sim, capacity: Optional[int] = None):
-        if capacity is not None and capacity < 1:
-            raise SimulationError(f"capacity must be >= 1, got {capacity}")
+    def __init__(self, sim):
         self.sim = sim
-        self.capacity = capacity
         self._items: deque = deque()
         self._getters: deque[StoreGet] = deque()
-        self._putters: deque[tuple[StorePut, Any]] = deque()
 
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def items(self) -> list:
-        return list(self._items)
-
-    def put(self, item: Any) -> StorePut:
-        """Waitable that succeeds when the item has been accepted."""
-        op = StorePut(self.sim)
-        if self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
-            op.succeed(item)
-            self._serve_getters()
-        else:
-            self._putters.append((op, item))
-        return op
+    def put(self, item: Any) -> None:
+        """Append ``item``, handing it to the oldest waiting getter."""
+        self._items.append(item)
+        self._serve_getters()
 
     def get(self) -> StoreGet:
         """Waitable that succeeds with the oldest item."""
@@ -131,78 +90,9 @@ class Store:
         self._serve_getters()
         return op
 
-    def try_get(self) -> tuple[bool, Any]:
-        """Non-blocking get: ``(True, item)`` or ``(False, None)``."""
-        if self._items and not self._getters:
-            item = self._items.popleft()
-            self._admit_putters()
-            return True, item
-        return False, None
-
     def _serve_getters(self) -> None:
         while self._getters and self._items:
             getter = self._getters.popleft()
             if getter.triggered:  # cancelled externally
                 continue
             getter.succeed(self._items.popleft())
-            self._admit_putters()
-
-    def _admit_putters(self) -> None:
-        while self._putters and (
-            self.capacity is None or len(self._items) < self.capacity
-        ):
-            op, item = self._putters.popleft()
-            self._items.append(item)
-            op.succeed(item)
-
-
-class Container:
-    """A continuous level (e.g. a byte budget) with blocking get/put."""
-
-    def __init__(self, sim, capacity: float = float("inf"), initial: float = 0.0):
-        if initial < 0 or initial > capacity:
-            raise SimulationError("initial level outside [0, capacity]")
-        self.sim = sim
-        self.capacity = capacity
-        self._level = initial
-        self._getters: deque[tuple[Waitable, float]] = deque()
-        self._putters: deque[tuple[Waitable, float]] = deque()
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> Waitable:
-        if amount < 0:
-            raise SimulationError("cannot put a negative amount")
-        op = Waitable(self.sim)
-        self._putters.append((op, amount))
-        self._settle()
-        return op
-
-    def get(self, amount: float) -> Waitable:
-        if amount < 0:
-            raise SimulationError("cannot get a negative amount")
-        op = Waitable(self.sim)
-        self._getters.append((op, amount))
-        self._settle()
-        return op
-
-    def _settle(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self._putters:
-                op, amount = self._putters[0]
-                if self._level + amount <= self.capacity:
-                    self._putters.popleft()
-                    self._level += amount
-                    op.succeed(amount)
-                    progress = True
-            if self._getters:
-                op, amount = self._getters[0]
-                if self._level >= amount:
-                    self._getters.popleft()
-                    self._level -= amount
-                    op.succeed(amount)
-                    progress = True

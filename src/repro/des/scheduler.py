@@ -34,10 +34,6 @@ from repro.des.event import Event, EventState
 _CANCELLED = EventState.CANCELLED
 
 
-def _entry_cancelled(entry: tuple) -> bool:
-    return len(entry) == 4 and entry[3].state is _CANCELLED
-
-
 class HeapScheduler:
     """Binary-heap pending-event set.
 
@@ -77,12 +73,3 @@ class HeapScheduler:
             self._size -= 1
             return entry
         return None
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the earliest pending event, or ``None`` if empty."""
-        heap = self._heap
-        while heap and _entry_cancelled(heap[0]):
-            heappop(heap)
-        if not heap:
-            return None
-        return heap[0][0]

@@ -145,21 +145,6 @@ class Simulator:
 
     # -- run loop ----------------------------------------------------------
 
-    def step(self) -> bool:
-        """Fire the single earliest event; ``False`` when the queue is empty."""
-        entry = self._queue.pop_entry()
-        if entry is None:
-            return False
-        self._now = entry[0]
-        if len(entry) == 5:
-            entry[3](*entry[4])
-        else:
-            event = entry[3]
-            if event.state is _PENDING:
-                event.state = _FIRED
-                event.fn(*event.args)
-        return True
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run until the queue drains, ``until`` is reached, or ``stop()``.
 
@@ -178,7 +163,7 @@ class Simulator:
                 # Unbounded drain: the common benchmark/scenario shape.
                 # Entries are dispatched directly — callback entries are
                 # two tuple reads and a call, event entries an inlined
-                # Event.fire() — with no peek_time() before each pop.
+                # Event.fire() — with no bound check per pop.
                 pop_entry = queue.pop_entry
                 while True:
                     entry = pop_entry()
@@ -196,7 +181,8 @@ class Simulator:
                         break
             else:
                 # Bounded drain: pop first and push the one overshooting
-                # entry back, instead of a peek_time() before every pop.
+                # entry back, instead of peeking at the heap before every
+                # pop.
                 pop_entry = queue.pop_entry
                 push_entry = queue.push_entry
                 while True:

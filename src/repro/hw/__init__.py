@@ -10,8 +10,8 @@ This package provides:
   with SystemC's evaluate/update semantics, riding the same
   :class:`~repro.des.Simulator` timeline as the network models so both
   worlds co-simulate natively;
-* modules, signals, clocks and FIFO channels
-  (:mod:`repro.hw.module`, :mod:`repro.hw.signal`, :mod:`repro.hw.channel`);
+* modules with thread processes, and signals
+  (:mod:`repro.hw.module`, :mod:`repro.hw.signal`);
 * a bit-level TpWIRE PHY (:mod:`repro.hw.tpwire_phy`) — every start bit,
   data bit and CRC bit is serialised on a signal, with per-frame master
   firmware overhead — standing in for the physical bus as the reference
@@ -21,10 +21,8 @@ This package provides:
 """
 
 from repro.hw.kernel import HwKernel
-from repro.hw.signal import Signal, wait_change, wait_posedge, wait_negedge, wait_time
+from repro.hw.signal import Signal, wait_change, wait_negedge, wait_time
 from repro.hw.module import HwModule
-from repro.hw.clock import Clock
-from repro.hw.channel import HwFifo
 from repro.hw.shared_memory import SharedMemoryChannel
 from repro.hw.tpwire_phy import BitLevelTpwireBus, PhyTiming
 from repro.hw.bridge import ClientBridge, ServerBridge
@@ -33,12 +31,9 @@ __all__ = [
     "HwKernel",
     "Signal",
     "wait_change",
-    "wait_posedge",
     "wait_negedge",
     "wait_time",
     "HwModule",
-    "Clock",
-    "HwFifo",
     "SharedMemoryChannel",
     "BitLevelTpwireBus",
     "PhyTiming",

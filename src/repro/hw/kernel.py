@@ -3,8 +3,8 @@
 The kernel piggybacks on a :class:`repro.des.Simulator`: every delta step
 is one high-priority event at the current simulation time.  Within a step:
 
-1. *evaluate* — every runnable process runs once (method processes are
-   called; thread processes resume until their next ``yield``);
+1. *evaluate* — every runnable thread process resumes until its next
+   ``yield``;
 2. *update* — signals written during evaluation commit their new values;
    value changes notify sensitive processes, which become runnable in the
    *next* delta step.

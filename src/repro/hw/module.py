@@ -1,15 +1,7 @@
-"""Hardware modules and their processes (``SC_METHOD`` / ``SC_THREAD``).
+"""Hardware modules and their thread processes (``SC_THREAD``).
 
-Subclass :class:`HwModule` and declare behaviour in ``build()``::
-
-    class Repeater(HwModule):
-        def build(self):
-            self.method(self.copy, sensitive=[self.d_in])
-
-        def copy(self):
-            self.d_out.write(self.d_in.read())
-
-Thread processes are generators that yield wait conditions::
+Subclass :class:`HwModule` and declare behaviour in ``build()``.  Thread
+processes are generators that yield wait conditions::
 
     class Driver(HwModule):
         def build(self):
@@ -23,25 +15,10 @@ Thread processes are generators that yield wait conditions::
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Iterable, Optional
+from typing import Callable, Generator
 
 from repro.hw.kernel import HwKernel
 from repro.hw.signal import Signal, WaitCondition
-
-
-class MethodProcess:
-    """A callable re-run on every trigger of its sensitivity list."""
-
-    def __init__(self, kernel: HwKernel, fn: Callable[[], None], name: str):
-        self.kernel = kernel
-        self.fn = fn
-        self.name = name
-
-    def run(self) -> None:
-        self.fn()
-
-    def __repr__(self) -> str:
-        return f"MethodProcess({self.name!r})"
 
 
 class ThreadProcess:
@@ -88,22 +65,6 @@ class HwModule:
 
     def signal(self, initial=0, name: str = "") -> Signal:
         return Signal(self.kernel, initial, name=f"{self.name}.{name or 'sig'}")
-
-    def method(
-        self,
-        fn: Callable[[], None],
-        sensitive: Optional[Iterable[Signal]] = None,
-        initialize: bool = True,
-    ) -> MethodProcess:
-        """Register a method process with static sensitivity."""
-        process = MethodProcess(self.kernel, fn, f"{self.name}.{fn.__name__}")
-        for sig in sensitive or ():
-            sig.add_static_listener(process)
-        self._processes.append(process)
-        self.kernel.register_process(process)
-        if initialize:
-            self.kernel.make_runnable(process)
-        return process
 
     def thread(self, fn: Callable[[], Generator], start: bool = True) -> ThreadProcess:
         """Register a thread process (a generator yielding waits)."""

@@ -8,11 +8,11 @@ evaluation-order races between concurrently clocked processes.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 
 class Signal:
-    """A delta-cycle signal with change/edge notification."""
+    """A delta-cycle signal with change and falling-edge notification."""
 
     def __init__(self, kernel, initial: Any = 0, name: str = ""):
         self.kernel = kernel
@@ -20,9 +20,7 @@ class Signal:
         self._value = initial
         self._pending = initial
         self._has_pending = False
-        self._static_listeners: list = []   # method processes
         self._change_waiters: list = []     # one-shot thread resumptions
-        self._pos_waiters: list = []
         self._neg_waiters: list = []
         self.last_change_time: Optional[float] = None
 
@@ -54,31 +52,18 @@ class Signal:
 
     # -- sensitivity ----------------------------------------------------------
 
-    def add_static_listener(self, process) -> None:
-        self._static_listeners.append(process)
-
     def wait_change_once(self, process) -> None:
         self._change_waiters.append(process)
-
-    def wait_posedge_once(self, process) -> None:
-        self._pos_waiters.append(process)
 
     def wait_negedge_once(self, process) -> None:
         self._neg_waiters.append(process)
 
     def _notify(self, old: Any, new: Any) -> None:
         kernel = self.kernel
-        for process in self._static_listeners:
-            kernel.make_runnable(process)
         waiters, self._change_waiters = self._change_waiters, []
         for process in waiters:
             kernel.make_runnable(process)
-        rising = bool(new) and not bool(old)
         falling = bool(old) and not bool(new)
-        if rising and self._pos_waiters:
-            waiters, self._pos_waiters = self._pos_waiters, []
-            for process in waiters:
-                kernel.make_runnable(process)
         if falling and self._neg_waiters:
             waiters, self._neg_waiters = self._neg_waiters, []
             for process in waiters:
@@ -106,16 +91,6 @@ class wait_change(WaitCondition):
 
     def arm(self, process) -> None:
         self.signal.wait_change_once(process)
-
-
-class wait_posedge(WaitCondition):
-    """Resume on a falsy -> truthy transition."""
-
-    def __init__(self, signal: Signal):
-        self.signal = signal
-
-    def arm(self, process) -> None:
-        self.signal.wait_posedge_once(process)
 
 
 class wait_negedge(WaitCondition):

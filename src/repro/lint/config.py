@@ -14,7 +14,7 @@ Recognised keys (all optional)::
     "benchmarks/*" = ["wall-clock"]   # rule ids ignored for a path glob
 
     [tool.repro-lint.wall-clock]      # per-rule options (see each rule)
-    allow-modules = ["repro.core.clock", "repro.des.realtime"]
+    allow-modules = ["repro.core.clock"]
 
 Parsing uses :mod:`tomllib` (Python 3.11+).  On 3.10, where tomllib does
 not exist and this repo adds no third-party dependencies, a minimal

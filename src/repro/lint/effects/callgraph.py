@@ -39,9 +39,9 @@ _CHA_EXCLUDED_PREFIX = "__"
 #: Tails shared with the builtin container/str/buffer protocols, also
 #: excluded from the fallback: ``self._signals.get(...)`` is a dict
 #: read, and resolving it to every project class that happens to define
-#: ``get`` (DES ``Store.get``, ``Container.get``) manufactures false
-#: effect edges.  Project-distinctive polymorphism (``recv_bytes``,
-#: ``execute_observed``) is unaffected.
+#: ``get`` (the DES ``Store.get``) manufactures false effect edges.
+#: Project-distinctive polymorphism (``recv_bytes``, ``execute_observed``)
+#: is unaffected.
 _CHA_BUILTIN_TAILS = frozenset(
     {
         # dict

@@ -41,14 +41,10 @@ from repro.lint.effects.model import BLOCKING
 #: Functions assumed effect-free regardless of their bodies: the
 #: sanctioned clock boundary.  ``repro.core.clock`` *is* the wall-clock
 #: abstraction (``SystemClock`` reads the OS on purpose; every sim path
-#: receives a ``SimClock``) and ``repro.des.realtime`` is the explicit
-#: real-time pacing adapter.  Listing them here keeps the hierarchy
+#: receives a ``SimClock``).  Listing it here keeps the hierarchy
 #: fallback from resolving ``self._clock.now()`` to ``SystemClock.now``
 #: and poisoning every sim path with a false wall-clock effect.
-DEFAULT_ASSUME_PURE = (
-    "repro.core.clock:*",
-    "repro.des.realtime:*",
-)
+DEFAULT_ASSUME_PURE = ("repro.core.clock:*",)
 
 #: Hierarchy-fallback candidate bound (see ``callgraph.CallResolver``).
 DEFAULT_CHA_CAP = 8

@@ -5,8 +5,8 @@ function of its inputs.  A stray ``time.time()``/``time.sleep()`` in the
 middleware or the models couples results to the host machine, so all
 time must flow from the injected :class:`repro.core.clock.Clock` (or a
 :class:`repro.des.Simulator`).  The clock implementations themselves —
-``repro.core.clock`` and ``repro.des.realtime`` — are the single allowed
-boundary to the OS clock (``allow-modules`` option).
+``repro.core.clock`` — are the single allowed boundary to the OS clock
+(``allow-modules`` option).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ TIME_ATTRS = frozenset(
 #: Wall-clock constructors on ``datetime.datetime`` / ``datetime.date``.
 DATETIME_ATTRS = frozenset({"now", "utcnow", "today"})
 
-DEFAULT_ALLOW = ("repro.core.clock", "repro.des.realtime")
+DEFAULT_ALLOW = ("repro.core.clock",)
 
 
 @register

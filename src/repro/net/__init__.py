@@ -10,10 +10,11 @@ parameters.  This package provides those NS-2 building blocks:
   queues (plus a duplex convenience wrapper),
 * :class:`~repro.net.agent.NetAgent` — protocol agents attached to nodes,
 * traffic generators (:class:`~repro.net.traffic.CBRSource` — the paper's
-  load generator — plus exponential on/off, Poisson, and trace-driven),
+  load generator — plus Poisson arrivals for the M/D/1 queueing check),
 * :class:`~repro.net.sink.SinkAgent` — receivers with latency/throughput
   statistics,
-* topology builders (chains/stars and the paper's daisy-chain configs).
+* the TpWIRE agent and sink (:mod:`repro.net.tpwire_agent`) that carry
+  these flows over the bus model.
 """
 
 from repro.net.errors import NetError, AgentConfigError, NoRouteError
@@ -21,14 +22,8 @@ from repro.net.packet import Packet
 from repro.net.node import Node
 from repro.net.link import Link, DuplexLink
 from repro.net.agent import NetAgent, LoopbackAgent
-from repro.net.traffic import (
-    CBRSource,
-    ExponentialOnOffSource,
-    PoissonSource,
-    TraceDrivenSource,
-)
+from repro.net.traffic import CBRSource, PoissonSource
 from repro.net.sink import SinkAgent
-from repro.net.topology import chain_topology, star_topology
 from repro.net.tpwire_agent import TpwireAgent, TpwireSink
 
 __all__ = [
@@ -42,12 +37,8 @@ __all__ = [
     "NetAgent",
     "LoopbackAgent",
     "CBRSource",
-    "ExponentialOnOffSource",
     "PoissonSource",
-    "TraceDrivenSource",
     "SinkAgent",
     "TpwireAgent",
     "TpwireSink",
-    "chain_topology",
-    "star_topology",
 ]

@@ -1,16 +1,15 @@
 """Traffic generators.
 
 The paper plugs a Constant Bit Rate (CBR) generator onto a TpWIRE node to
-load the bus (Section 5); NS-2 additionally offers exponential on/off and
-Poisson sources, which we provide for the ablation benches.  A generator
-drives any object exposing ``send_payload(size)`` — a network agent or a
-TpWIRE endpoint.
+load the bus (Section 5).  The Poisson source drives the network layer's
+M/D/1 queueing check.  A generator drives any object exposing
+``send_payload(size)`` — a network agent or a TpWIRE endpoint.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 
 class TrafficSource:
@@ -48,7 +47,7 @@ class TrafficSource:
             self.generated_bytes += size
             self.generated_packets += 1
         gap = self._next_gap()
-        if gap is None or math.isinf(gap):
+        if math.isinf(gap):
             self.running = False
             return
         self._next_event = self.sim.after(gap, self._emit)
@@ -58,7 +57,7 @@ class TrafficSource:
     def _packet_size(self) -> int:
         raise NotImplementedError
 
-    def _next_gap(self) -> Optional[float]:
+    def _next_gap(self) -> float:
         raise NotImplementedError
 
 
@@ -124,77 +123,3 @@ class PoissonSource(TrafficSource):
 
     def _next_gap(self) -> float:
         return self._rng.expovariate(self.rate)
-
-
-class ExponentialOnOffSource(TrafficSource):
-    """NS-2's Exponential On/Off source.
-
-    During an ON period (exponential mean ``on_mean``) packets are sent at
-    ``rate_bytes_per_s``; OFF periods (mean ``off_mean``) are silent.
-    """
-
-    def __init__(
-        self,
-        sim,
-        agent,
-        rate_bytes_per_s: float,
-        packet_size: int = 1,
-        on_mean: float = 1.0,
-        off_mean: float = 1.0,
-        name: str = "expoo",
-    ):
-        super().__init__(sim, agent, name)
-        if rate_bytes_per_s <= 0:
-            raise ValueError("rate must be positive")
-        self.rate = rate_bytes_per_s
-        self.packet_size = packet_size
-        self.on_mean = on_mean
-        self.off_mean = off_mean
-        self._rng = sim.stream(f"traffic.{self.name}")
-        self._on_until = 0.0
-
-    def start(self, at: Optional[float] = None) -> None:
-        when = self.sim.now if at is None else at
-        self._on_until = when + self._rng.expovariate(1.0 / self.on_mean)
-        super().start(at)
-
-    def _packet_size(self) -> int:
-        return self.packet_size
-
-    def _next_gap(self) -> float:
-        gap = self.packet_size / self.rate
-        if self.sim.now + gap <= self._on_until:
-            return gap
-        # Burst over: sleep through an OFF period, then start a new burst.
-        off = self._rng.expovariate(1.0 / self.off_mean)
-        self._on_until = (
-            self.sim.now + gap + off
-            + self._rng.expovariate(1.0 / self.on_mean)
-        )
-        return gap + off
-
-
-class TraceDrivenSource(TrafficSource):
-    """Replays a recorded schedule of ``(time, size)`` pairs."""
-
-    def __init__(self, sim, agent, schedule: Sequence[tuple[float, int]], name: str = "trace"):
-        super().__init__(sim, agent, name)
-        self.schedule = sorted(schedule)
-        self._index = 0
-
-    def start(self, at: Optional[float] = None) -> None:
-        if not self.schedule:
-            return
-        self.running = True
-        first_time = max(self.schedule[0][0], self.sim.now)
-        self._next_event = self.sim.at(first_time, self._emit)
-
-    def _packet_size(self) -> int:
-        return self.schedule[self._index][1]
-
-    def _next_gap(self) -> Optional[float]:
-        self._index += 1
-        if self._index >= len(self.schedule):
-            return None
-        next_time = self.schedule[self._index][0]
-        return max(0.0, next_time - self.sim.now)

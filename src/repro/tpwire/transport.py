@@ -333,9 +333,18 @@ class TransportEndpoint:
     # -- sending ------------------------------------------------------------
 
     def send(self, dest_id: int, data: bytes, context: object = None) -> bool:
-        """Queue ``data`` for ``dest_id``; ``False`` if the outbox filled."""
+        """Queue ``data`` for ``dest_id``; ``False`` if the outbox is full.
+
+        A rejected send queues nothing: a stranded prefix would be glued
+        onto the next message by the receiver's reassembly buffer.
+        """
         if not data:
             raise TpwireError("cannot send an empty payload")
+        mailbox = self.mailbox
+        if (mailbox.outbound_bytes + self.wire_size_of(len(data))
+                > mailbox.out_capacity):
+            mailbox.rejected_sends += 1
+            return False
         chunks = [
             data[i : i + self.max_payload]
             for i in range(0, len(data), self.max_payload)

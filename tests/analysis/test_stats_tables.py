@@ -7,7 +7,6 @@ import pytest
 from repro.analysis import (
     Comparison,
     Table,
-    confidence_interval_95,
     mean,
     relative_error,
     render_comparisons,
@@ -26,13 +25,6 @@ class TestStats:
             2.138, abs=1e-3
         )
         assert math.isnan(sample_stddev([1.0]))
-
-    def test_confidence_interval_contains_mean(self):
-        low, high = confidence_interval_95([10.0, 12.0, 11.0, 13.0, 9.0])
-        assert low < 11.0 < high
-
-    def test_ci_degenerate(self):
-        assert confidence_interval_95([5.0]) == (5.0, 5.0)
 
     def test_scaling_factor_exact_for_proportional_data(self):
         model = [1.0, 2.0, 4.0]

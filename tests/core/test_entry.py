@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Entry, entry_fields, make_template
+from repro.core import Entry, entry_fields
 
 
 class Reading(Entry):
@@ -76,13 +76,3 @@ class TestMatching:
         assert template.matches(Reading("a", 1.0, 0))
         assert not template.matches(Reading("a", 1.0, 1))
 
-
-class TestMakeTemplate:
-    def test_constrains_only_given_fields(self):
-        template = make_template(Reading, sensor="t1")
-        assert template.sensor == "t1"
-        assert template.value is None
-
-    def test_rejects_non_entry(self):
-        with pytest.raises(TypeError):
-            make_template(dict, key="x")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import AllOf, AnyOf, Interrupted, SimEvent, Simulator
+from repro.des import SimEvent, Simulator
 from repro.des.errors import SimulationError
 from repro.des.process import Waitable
 
@@ -46,6 +46,24 @@ class TestTimeouts:
         sim.spawn(proc())
         sim.run()
         assert times == [1.0, 2.0, 3.0]
+
+    def test_timeout_ties_with_callbacks_in_scheduling_order(self, sim):
+        log = []
+
+        def proc():
+            timeout = sim.timeout(1.0)
+            sim.after(1.0, log.append, "callback scheduled after")
+            yield timeout
+            log.append(("process resumed", sim.now))
+
+        sim.after(1.0, log.append, "callback scheduled before")
+        sim.spawn(proc())
+        sim.run()
+        assert log == [
+            "callback scheduled before",
+            ("process resumed", 1.0),
+            "callback scheduled after",
+        ]
 
 
 class TestProcessLifecycle:
@@ -186,106 +204,6 @@ class TestSimEvent:
             sim.event().value
 
 
-class TestInterruptAndKill:
-    def test_interrupt_raises_with_cause(self, sim):
-        causes = []
-
-        def proc():
-            try:
-                yield sim.timeout(100.0)
-            except Interrupted as exc:
-                causes.append(exc.cause)
-
-        process = sim.spawn(proc())
-        sim.after(1.0, process.interrupt, "deadline")
-        sim.run()
-        assert causes == ["deadline"]
-        assert sim.now < 100.0
-
-    def test_interrupted_timeout_does_not_fire_later(self, sim):
-        resumed = []
-
-        def proc():
-            try:
-                yield sim.timeout(10.0)
-                resumed.append("timeout")
-            except Interrupted:
-                yield sim.timeout(50.0)
-                resumed.append("after-interrupt")
-
-        process = sim.spawn(proc())
-        sim.after(1.0, process.interrupt)
-        sim.run()
-        assert resumed == ["after-interrupt"]
-
-    def test_kill_stops_process(self, sim):
-        log = []
-
-        def proc():
-            yield sim.timeout(10.0)
-            log.append("never")
-
-        process = sim.spawn(proc())
-        sim.after(1.0, process.kill)
-        sim.run()
-        assert log == []
-        assert not process.is_alive
-
-
-class TestCombinators:
-    def test_allof_collects_values(self, sim):
-        got = []
-
-        def proc():
-            values = yield AllOf(sim, [
-                sim.timeout(1.0, value="a"),
-                sim.timeout(3.0, value="b"),
-                sim.timeout(2.0, value="c"),
-            ])
-            got.append((sim.now, values))
-
-        sim.spawn(proc())
-        sim.run()
-        assert got == [(3.0, ["a", "b", "c"])]
-
-    def test_allof_empty_completes_immediately(self, sim):
-        done = AllOf(sim, [])
-        assert done.triggered and done.value == []
-
-    def test_anyof_returns_first(self, sim):
-        got = []
-
-        def proc():
-            first, value = yield AnyOf(sim, [
-                sim.timeout(5.0, value="slow"),
-                sim.timeout(1.0, value="fast"),
-            ])
-            got.append((sim.now, value))
-
-        sim.spawn(proc())
-        sim.run()
-        assert got == [(1.0, "fast")]
-
-    def test_anyof_requires_children(self, sim):
-        with pytest.raises(SimulationError):
-            AnyOf(sim, [])
-
-    def test_allof_fails_fast(self, sim):
-        event = sim.event()
-        caught = []
-
-        def proc():
-            try:
-                yield AllOf(sim, [sim.timeout(10.0), event])
-            except ValueError:
-                caught.append(sim.now)
-
-        sim.spawn(proc())
-        sim.after(1.0, event.fail, ValueError("x"))
-        sim.run()
-        assert caught == [1.0]
-
-
 class TestWaitableCallbacks:
     def test_callback_after_trigger_runs_immediately(self, sim):
         w = Waitable(sim)
@@ -293,15 +211,6 @@ class TestWaitableCallbacks:
         seen = []
         w.add_callback(lambda wt: seen.append(wt.value))
         assert seen == [7]
-
-    def test_remove_callback(self, sim):
-        w = Waitable(sim)
-        seen = []
-        cb = lambda wt: seen.append(1)
-        w.add_callback(cb)
-        w.remove_callback(cb)
-        w.succeed(None)
-        assert seen == []
 
     def test_ok_property(self, sim):
         w = Waitable(sim)

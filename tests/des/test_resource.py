@@ -1,8 +1,8 @@
-"""Resources, stores and containers."""
+"""Resources and stores."""
 
 import pytest
 
-from repro.des import Container, Resource, Simulator, Store
+from repro.des import Resource, Simulator, Store
 from repro.des.errors import SimulationError
 
 
@@ -32,28 +32,12 @@ class TestResource:
         resource.release(second)
         assert third.triggered
 
-    def test_priority_requests_jump_queue(self, sim):
-        resource = Resource(sim, capacity=1)
-        holder = resource.request()
-        normal = resource.request(priority=5)
-        urgent = resource.request(priority=0)
-        resource.release(holder)
-        assert urgent.triggered and not normal.triggered
-
     def test_release_unheld_raises(self, sim):
         resource = Resource(sim, capacity=1)
         resource.request()
         ghost = resource.request()
         with pytest.raises(SimulationError):
             resource.release(ghost)
-
-    def test_cancel_waiting_request(self, sim):
-        resource = Resource(sim, capacity=1)
-        holder = resource.request()
-        waiting = resource.request()
-        resource.cancel(waiting)
-        resource.release(holder)
-        assert not waiting.triggered
 
     def test_capacity_validation(self, sim):
         with pytest.raises(SimulationError):
@@ -106,20 +90,6 @@ class TestStore:
             store.put(i)
         assert [store.get().value for _ in range(5)] == [0, 1, 2, 3, 4]
 
-    def test_capacity_blocks_put(self, sim):
-        store = Store(sim, capacity=1)
-        first = store.put("a")
-        second = store.put("b")
-        assert first.triggered and not second.triggered
-        store.get()
-        assert second.triggered
-
-    def test_try_get(self, sim):
-        store = Store(sim)
-        assert store.try_get() == (False, None)
-        store.put("x")
-        assert store.try_get() == (True, "x")
-
     def test_multiple_getters_fifo(self, sim):
         store = Store(sim)
         order = []
@@ -135,38 +105,3 @@ class TestStore:
         sim.run()
         assert order == [("first", "x"), ("second", "y")]
 
-
-class TestContainer:
-    def test_get_blocks_until_level(self, sim):
-        tank = Container(sim, capacity=10, initial=0)
-        got = []
-
-        def consumer():
-            yield tank.get(5)
-            got.append(sim.now)
-
-        sim.spawn(consumer())
-        sim.after(1.0, tank.put, 3)
-        sim.after(2.0, tank.put, 3)
-        sim.run()
-        assert got == [2.0]
-        assert tank.level == 1
-
-    def test_put_blocks_at_capacity(self, sim):
-        tank = Container(sim, capacity=5, initial=5)
-        put = tank.put(1)
-        assert not put.triggered
-        tank.get(2)
-        assert put.triggered
-        assert tank.level == 4
-
-    def test_initial_validation(self, sim):
-        with pytest.raises(SimulationError):
-            Container(sim, capacity=5, initial=6)
-
-    def test_negative_amounts_rejected(self, sim):
-        tank = Container(sim, capacity=5)
-        with pytest.raises(SimulationError):
-            tank.put(-1)
-        with pytest.raises(SimulationError):
-            tank.get(-1)

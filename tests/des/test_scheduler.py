@@ -52,18 +52,6 @@ class TestBasics:
         queue.notify_cancelled()
         assert pop(queue) is second
 
-    def test_peek_time_empty_is_none(self, factory):
-        assert factory().peek_time() is None
-
-    def test_peek_time_skips_cancelled(self, factory):
-        queue = factory()
-        first = make_event(1.0, 1)
-        queue.push(first)
-        queue.push(make_event(4.0, 2))
-        first.cancel()
-        queue.notify_cancelled()
-        assert queue.peek_time() == 4.0
-
     def test_fifo_for_equal_times(self, factory):
         queue = factory()
         events = [make_event(1.0, seq) for seq in range(1, 6)]

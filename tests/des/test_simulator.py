@@ -145,9 +145,6 @@ class TestRunLoop:
     def test_empty_run_returns_current_time(self, sim):
         assert sim.run() == 0.0
 
-    def test_step_returns_false_when_empty(self, sim):
-        assert sim.step() is False
-
     def test_reentrant_run_raises(self, sim):
         def recurse():
             sim.run()

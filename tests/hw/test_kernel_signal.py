@@ -3,7 +3,7 @@
 import pytest
 
 from repro.des import Simulator
-from repro.hw import HwKernel, HwModule, Signal, wait_change, wait_posedge, wait_time
+from repro.hw import HwKernel, HwModule, Signal, wait_change, wait_negedge, wait_time
 
 
 @pytest.fixture
@@ -20,10 +20,12 @@ class TestSignalSemantics:
 
         class Watcher(HwModule):
             def build(self):
-                self.method(self.observe, sensitive=[sig], initialize=False)
+                self.thread(self.observe)
 
             def observe(self):
-                observed.append(sig.read())
+                while True:
+                    yield wait_change(sig)
+                    observed.append(sig.read())
 
         Watcher(kernel)
         sig.write(5)
@@ -47,8 +49,11 @@ class TestSignalSemantics:
 
         class Watcher(HwModule):
             def build(self):
-                self.method(lambda: fired.append(1), sensitive=[sig],
-                            initialize=False)
+                self.thread(self.watch)
+
+            def watch(self):
+                yield wait_change(sig)
+                fired.append(1)
 
         Watcher(kernel)
         sig.write(7)
@@ -64,13 +69,15 @@ class TestSignalSemantics:
 
         class Swapper(HwModule):
             def build(self):
-                self.method(self.move_a, sensitive=[clk], initialize=False)
-                self.method(self.move_b, sensitive=[clk], initialize=False)
+                self.thread(self.move_a)
+                self.thread(self.move_b)
 
             def move_a(self):
+                yield wait_change(clk)
                 a.write(b.read())
 
             def move_b(self):
+                yield wait_change(clk)
                 b.write(a.read())
 
         Swapper(kernel)
@@ -123,9 +130,9 @@ class TestThreadProcesses:
         sim.run()
         assert log == [(2.0, 9)]
 
-    def test_wait_posedge_ignores_negedge(self, world):
+    def test_wait_negedge_ignores_posedge(self, world):
         sim, kernel = world
-        sig = Signal(kernel, 1)
+        sig = Signal(kernel, 0)
         log = []
 
         class EdgeWaiter(HwModule):
@@ -133,12 +140,12 @@ class TestThreadProcesses:
                 self.thread(self.run)
 
             def run(self):
-                yield wait_posedge(sig)
+                yield wait_negedge(sig)
                 log.append(sim.now)
 
         EdgeWaiter(kernel)
-        sim.after(1.0, sig.write, 0)   # negedge: ignored
-        sim.after(2.0, sig.write, 1)   # posedge: fires
+        sim.after(1.0, sig.write, 1)   # posedge: ignored
+        sim.after(2.0, sig.write, 0)   # negedge: fires
         sim.run()
         assert log == [2.0]
 
@@ -183,9 +190,10 @@ class TestDeltaCycles:
 
         class Chain(HwModule):
             def build(self):
-                self.method(self.copy, sensitive=[a], initialize=False)
+                self.thread(self.copy)
 
             def copy(self):
+                yield wait_change(a)
                 b.write(a.read())
 
         Chain(kernel)

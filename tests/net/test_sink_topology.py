@@ -1,18 +1,11 @@
-"""Sinks and topology builders."""
+"""Sink agents."""
 
 import math
 
 import pytest
 
 from repro.des import Simulator
-from repro.net import (
-    CBRSource,
-    NetAgent,
-    Packet,
-    SinkAgent,
-    chain_topology,
-    star_topology,
-)
+from repro.net import CBRSource, DuplexLink, NetAgent, Node, Packet, SinkAgent
 
 
 @pytest.fixture
@@ -22,24 +15,26 @@ def sim():
 
 class TestSink:
     def test_latency_recorded(self, sim):
-        nodes, links = chain_topology(sim, 2, bandwidth_bps=8000.0)
+        src, dst = Node(sim, "n0"), Node(sim, "n1")
+        DuplexLink(sim, src, dst, bandwidth_bps=8000.0)
         sender = NetAgent(sim)
         sink = SinkAgent(sim)
-        nodes[0].attach(sender)
-        nodes[1].attach(sink)
-        sender.connect(nodes[1])
+        src.attach(sender)
+        dst.attach(sink)
+        sender.connect(dst)
         sender.send_payload(100)  # 0.1 s serialization
         sim.run()
         assert sink.received_packets == 1
         assert sink.latency.mean == pytest.approx(0.1)
 
     def test_goodput(self, sim):
-        nodes, _ = chain_topology(sim, 2, bandwidth_bps=8000.0)
+        src, dst = Node(sim, "n0"), Node(sim, "n1")
+        DuplexLink(sim, src, dst, bandwidth_bps=8000.0)
         sender = NetAgent(sim)
         sink = SinkAgent(sim)
-        nodes[0].attach(sender)
-        nodes[1].attach(sink)
-        sender.connect(nodes[1])
+        src.attach(sender)
+        dst.attach(sink)
+        sender.connect(dst)
         cbr = CBRSource(sim, sender, rate_bytes_per_s=100.0, packet_size=10)
         cbr.start()
         sim.run(until=20.0)
@@ -50,44 +45,3 @@ class TestSink:
         sink.recv(Packet("x", 10, created_at=0.0))
         assert math.isnan(sink.goodput_bytes_per_s)
 
-
-class TestChainTopology:
-    def test_builds_n_minus_one_links(self, sim):
-        nodes, links = chain_topology(sim, 5, bandwidth_bps=1000.0)
-        assert len(nodes) == 5
-        assert len(links) == 4
-
-    def test_adjacent_nodes_connected(self, sim):
-        nodes, _ = chain_topology(sim, 3, bandwidth_bps=1000.0)
-        assert nodes[0].link_to(nodes[1]) is not None
-        assert nodes[1].link_to(nodes[2]) is not None
-        assert nodes[0].link_to(nodes[2]) is None
-
-    def test_minimum_size(self, sim):
-        with pytest.raises(ValueError):
-            chain_topology(sim, 0, bandwidth_bps=1.0)
-
-
-class TestStarTopology:
-    def test_hub_connects_to_all_leaves(self, sim):
-        hub, leaves, links = star_topology(sim, 4, bandwidth_bps=1000.0)
-        assert len(leaves) == 4
-        assert len(links) == 4
-        for leaf in leaves:
-            assert hub.link_to(leaf) is not None
-            assert leaf.link_to(hub) is not None
-
-    def test_minimum_size(self, sim):
-        with pytest.raises(ValueError):
-            star_topology(sim, 0, bandwidth_bps=1.0)
-
-    def test_end_to_end_through_star(self, sim):
-        hub, leaves, _ = star_topology(sim, 2, bandwidth_bps=8000.0)
-        sender = NetAgent(sim)
-        sink = SinkAgent(sim)
-        leaves[0].attach(sender)
-        hub.attach(sink)
-        sender.connect(hub)
-        sender.send_payload(10)
-        sim.run()
-        assert sink.received_packets == 1

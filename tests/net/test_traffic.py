@@ -3,13 +3,7 @@
 import pytest
 
 from repro.des import Simulator
-from repro.net import (
-    CBRSource,
-    ExponentialOnOffSource,
-    LoopbackAgent,
-    PoissonSource,
-    TraceDrivenSource,
-)
+from repro.net import CBRSource, LoopbackAgent, PoissonSource
 
 
 @pytest.fixture
@@ -96,40 +90,3 @@ class TestPoisson:
             counts.append(source.generated_packets)
         assert counts[0] == counts[1]
 
-
-class TestExponentialOnOff:
-    def test_long_run_rate_below_peak(self, sim, agent):
-        source = ExponentialOnOffSource(
-            sim, agent, rate_bytes_per_s=100.0, on_mean=1.0, off_mean=1.0
-        )
-        source.start()
-        sim.run(until=200.0)
-        average = source.generated_bytes / 200.0
-        # Duty cycle ~50%: the average must sit clearly below the peak
-        # rate but well above zero.
-        assert 20.0 < average < 90.0
-
-
-class TestTraceDriven:
-    def test_replays_schedule(self, sim, agent):
-        source = TraceDrivenSource(
-            sim, agent, [(1.0, 10), (2.5, 20), (7.0, 5)]
-        )
-        source.start()
-        sim.run()
-        assert source.generated_packets == 3
-        assert source.generated_bytes == 35
-        sizes = [p.size for p in agent.received]
-        assert sizes == [10, 20, 5]
-
-    def test_empty_schedule(self, sim, agent):
-        source = TraceDrivenSource(sim, agent, [])
-        source.start()
-        sim.run()
-        assert source.generated_packets == 0
-
-    def test_unsorted_schedule_is_sorted(self, sim, agent):
-        source = TraceDrivenSource(sim, agent, [(5.0, 2), (1.0, 1)])
-        source.start()
-        sim.run()
-        assert [p.size for p in agent.received] == [1, 2]

@@ -191,6 +191,23 @@ class TestEndpointSegmentation:
         with pytest.raises(TpwireError):
             endpoints[1].send(2, b"")
 
+    def test_rejected_send_queues_nothing(self):
+        sim = Simulator()
+        _bus, _master, _fabric, endpoints, poller = build_network(sim)
+        sender = endpoints[1]
+        sender.mailbox.out_capacity = 100
+        received = []
+        endpoints[2].on_data = lambda src, data, ctx: received.append(data)
+        # 80 bytes are three chunks and 101 wire bytes: the first two
+        # chunks fit, the third does not.
+        assert not sender.send(2, b"A" * 80)
+        assert sender.mailbox.outbound_bytes == 0
+        assert sender.mailbox.rejected_sends == 1
+        assert sender.send(2, b"hello")
+        poller.start()
+        sim.run(until=30.0)
+        assert received == [b"hello"]
+
     def test_duplicate_endpoint_rejected(self):
         sim = Simulator()
         _bus, _master, fabric, endpoints, _poller = build_network(sim)
