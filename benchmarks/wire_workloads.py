@@ -16,6 +16,11 @@ the bench can report p50/p99 alongside throughput.  All connections are
 established (and the binary runs negotiated) before the timed window
 opens, so throughput reflects steady-state wire traffic with the full
 client population live, not connection setup.
+
+:func:`wire_throughput` is what the CI gate (``wire_smoke.py``) and the
+artefact's smoke rows both measure: the median of warmed repetitions,
+each scaled to nominal host speed by the yardstick chunks timed next to
+it (as in ``engine_workloads.py``).
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 import asyncio
 import time
 
+from benchmarks.engine_workloads import throughput_stats
 from repro.core import Entry, LindaTuple, TupleSpace, TupleTemplate, XmlCodec
 from repro.core.aio import AsyncSpaceClient, AsyncSpaceServer
 from repro.core.server import SpaceServer
@@ -132,7 +138,7 @@ async def _run_async(codec_name, clients, rounds, batch):
         "clients": clients,
         "concurrent_clients": peak_open,
         "ops": len(latencies),
-        "elapsed_s": round(elapsed, 3),
+        "elapsed_s": round(elapsed, 6),
         "ops_per_second": round(len(latencies) / elapsed) if elapsed else 0,
         "p50_ms": round(_pct(0.50) * 1e3, 3),
         "p99_ms": round(_pct(0.99) * 1e3, 3),
@@ -158,6 +164,47 @@ def run_wire_workload(
     if batch <= 0:
         batch = clients
     return asyncio.run(_run_async(codec_name, clients, rounds, batch))
+
+
+def wire_throughput(
+    codec_name: str,
+    clients: int = SMOKE_CLIENTS,
+    rounds: int = SMOKE_OPS_PER_CLIENT,
+    repeats: int = 5,
+) -> dict:
+    """Ops/second statistics at nominal host speed (see
+    :func:`~benchmarks.engine_workloads.throughput_stats`); ``rows``
+    holds every run's metrics, the warmup's included, for the
+    correctness checks.  Five repetitions, not three: a smoke run lasts
+    a fraction of a second, so one preempted run is common."""
+    rows = []
+
+    def run():
+        row = run_wire_workload(codec_name, clients=clients, rounds=rounds)
+        rows.append(row)
+        return row["ops"], row["elapsed_s"]
+
+    stats = throughput_stats(run, repeats)
+    stats["rows"] = rows
+    return stats
+
+
+def wire_faults(row: dict) -> list[str]:
+    """What went wrong in one run: requests that were not operations,
+    protocol errors, slow-consumer closes, residue in the space, a missed
+    negotiation."""
+    hellos = row["clients"] if row["codec"] == "binary" else 0
+    faults = [] if row["requests_dispatched"] == row["ops"] + hellos else [
+        f"requests_dispatched={row['requests_dispatched']} != ops+hello={row['ops'] + hellos}"
+    ]
+    faults += [
+        f"{key}={row[key]}"
+        for key in ("protocol_errors", "slow_consumer_closes", "space_leftover")
+        if row[key]
+    ]
+    if row["codec"] == "binary" and row["negotiated_binary"] != row["clients"]:
+        faults.append(f"negotiated_binary={row['negotiated_binary']} != {row['clients']}")
+    return faults
 
 
 def format_rows(rows) -> str:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.core.errors import ProtocolError, SpaceError
-from repro.core.xmlcodec import XmlCodec
+from repro.core.xmlcodec import XmlCodec, escape_attrib
 
 MAGIC = b"TS"
 HEADER = struct.Struct(">2sBII")
@@ -136,12 +136,16 @@ class XmlWireCodec:
     def encode_body(self, message: Message) -> bytes:
         if not message.params and message.item is None:
             return b""
-        root = ET.Element("request")
+        out = ["<request"]
         for key, value in sorted(message.params.items()):
-            root.set(key, str(value))
-        if message.item is not None:
-            root.append(self.registry.to_element(message.item))
-        return ET.tostring(root, encoding="utf-8")
+            out.append(f' {key}="{escape_attrib(str(value))}"')
+        if message.item is None:
+            out.append(" />")
+        else:
+            out.append(">")
+            self.registry.write_item(out, message.item)
+            out.append("</request>")
+        return "".join(out).encode("utf-8")
 
     def decode_body(self, msg_type: MessageType, request_id: int, body: bytes) -> Message:
         return decode_body(msg_type, request_id, body, self.registry)

@@ -6,7 +6,10 @@ XML is used to represent data entries."
 
 The encoded size matters: it is the number of bytes that crosses the
 TpWIRE bus per operation, which is what Table 4 measures.  The codec is
-therefore a real, reversible XML serialisation, not a stub.
+therefore a real, reversible XML serialisation, not a stub.  Encoding
+writes the text directly, byte for byte what ElementTree's ``tostring``
+writes for the same elements (``docs/protocol.md`` §6 lists the rules
+and the one deliberate difference); decoding parses with ElementTree.
 
 Format::
 
@@ -24,12 +27,64 @@ Format::
 
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
-from typing import Any, Optional
+from typing import Any
 
 from repro.core.entry import Entry, entry_fields
 from repro.core.errors import ProtocolError
 from repro.core.tuples import ANY, LindaTuple, TupleTemplate
+
+#: The characters outside XML 1.0's ``Char`` production
+#: (``#x9 | #xA | #xD | [#x20-#xD7FF] | [#xE000-#xFFFD] |
+#: [#x10000-#x10FFFF]``).  No parser accepts one, raw or as a character
+#: reference, so the writer refuses it.  Left to ``re``'s cache, which
+#: compiles it when the first non-printable string is written.
+_NOT_XML_CHAR = "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
+
+
+def _check_chars(text: str) -> None:
+    bad = re.search(_NOT_XML_CHAR, text)
+    if bad is not None:
+        raise ProtocolError(
+            f"character {bad.group()!r} at index {bad.start()} "
+            "cannot be carried by XML 1.0"
+        )
+
+
+# The two escapes are ElementTree's ``_escape_cdata`` and
+# ``_escape_attrib``, with one addition: a CR in text becomes ``&#13;``
+# (ElementTree does that in attributes only), since a parser reads a raw
+# CR (or CR LF) back as LF.  Every character XML 1.0 excludes is a
+# control, a surrogate or a noncharacter, so a printable string needs no
+# character check.
+
+
+def escape_text(text: str) -> str:
+    """Character data as ElementTree writes it, CR as ``&#13;``."""
+    if not text.isprintable():
+        _check_chars(text)
+    if "&" in text:
+        text = text.replace("&", "&amp;")
+    if "<" in text:
+        text = text.replace("<", "&lt;")
+    if ">" in text:
+        text = text.replace(">", "&gt;")
+    if "\r" in text:
+        text = text.replace("\r", "&#13;")
+    return text
+
+
+def escape_attrib(text: str) -> str:
+    """An attribute value as ElementTree writes it."""
+    text = escape_text(text)
+    if '"' in text:
+        text = text.replace('"', "&quot;")
+    if "\n" in text:
+        text = text.replace("\n", "&#10;")
+    if "\t" in text:
+        text = text.replace("\t", "&#09;")
+    return text
 
 
 class XmlCodec:
@@ -63,92 +118,106 @@ class XmlCodec:
         return entry_class
 
     # -- encoding -----------------------------------------------------------
+    #
+    # A direct writer: each element is appended to a list of string
+    # pieces as ElementTree would serialise it (insertion-ordered
+    # attributes, " />" for an element with neither text nor children,
+    # no XML declaration), and the pieces are joined once.
 
     def encode(self, item: Any) -> bytes:
         """Serialise an entry, tuple or template to UTF-8 XML bytes."""
-        return ET.tostring(self.to_element(item), encoding="utf-8")
+        out: list[str] = []
+        self.write_item(out, item)
+        return "".join(out).encode("utf-8")
 
-    def to_element(self, item: Any) -> ET.Element:
+    def write_item(self, out: list[str], item: Any) -> None:
+        """Append the element of an entry, tuple or template to ``out``."""
         if isinstance(item, Entry):
-            element = ET.Element("entry", {"class": type(item).__name__})
-            for name, value in sorted(entry_fields(item).items()):
-                element.append(self._field_element(value, name=name))
-            return element
-        if isinstance(item, LindaTuple):
-            element = ET.Element("tuple")
+            head = f'<entry class="{escape_attrib(type(item).__name__)}"'
+            fields = entry_fields(item)
+            if not fields:
+                out.append(head + " />")
+                return
+            out.append(head + ">")
+            for name, value in sorted(fields.items()):
+                self._write_field(out, value, f' name="{escape_attrib(name)}"')
+            out.append("</entry>")
+        elif isinstance(item, LindaTuple):
+            out.append("<tuple>")
             for value in item.fields:
-                element.append(self._field_element(value))
-            return element
-        if isinstance(item, TupleTemplate):
-            element = ET.Element("template")
+                self._write_field(out, value)
+            out.append("</tuple>")
+        elif isinstance(item, TupleTemplate):
+            out.append("<template>")
             for pattern in item.patterns:
-                element.append(self._pattern_element(pattern))
-            return element
-        raise ProtocolError(f"cannot encode {type(item).__name__} as XML")
-
-    def _field_element(self, value: Any, name: Optional[str] = None) -> ET.Element:
-        attrs = {} if name is None else {"name": name}
-        element = ET.Element("field", attrs)
-        self._write_value(element, value)
-        return element
-
-    def _pattern_element(self, pattern: Any) -> ET.Element:
-        element = ET.Element("field")
-        if pattern is ANY:
-            element.set("type", "any")
-        elif isinstance(pattern, type):
-            element.set("type", "formal")
-            element.text = pattern.__name__
+                if pattern is ANY:
+                    out.append('<field type="any" />')
+                elif isinstance(pattern, type):
+                    out.append(
+                        f'<field type="formal">{escape_text(pattern.__name__)}</field>'
+                    )
+                else:
+                    self._write_field(out, pattern)
+            out.append("</template>")
         else:
-            self._write_value(element, pattern)
-        return element
+            raise ProtocolError(f"cannot encode {type(item).__name__} as XML")
 
-    def _write_value(self, element: ET.Element, value: Any) -> None:
+    def _write_field(self, out: list[str], value: Any, name: str = "") -> None:
+        """Append one ``<field>``; ``name`` is its ready ``name`` attribute."""
         if value is None:
-            element.set("type", "none")
+            out.append(f'<field{name} type="none" />')
         elif isinstance(value, bool):
-            element.set("type", "bool")
-            element.text = "true" if value else "false"
+            out.append(f'<field{name} type="bool">{"true" if value else "false"}</field>')
         elif isinstance(value, int):
-            element.set("type", "int")
-            element.text = str(value)
+            out.append(f'<field{name} type="int">{str(value)}</field>')
         elif isinstance(value, float):
-            element.set("type", "float")
-            element.text = repr(value)
+            out.append(f'<field{name} type="float">{repr(value)}</field>')
         elif isinstance(value, str):
-            element.set("type", "str")
-            element.text = value
+            if value:
+                out.append(f'<field{name} type="str">{escape_text(value)}</field>')
+            else:
+                out.append(f'<field{name} type="str" />')
         elif isinstance(value, bytes):
-            element.set("type", "bytes")
-            element.text = value.hex()
+            if value:
+                out.append(f'<field{name} type="bytes">{value.hex()}</field>')
+            else:
+                out.append(f'<field{name} type="bytes" />')
         elif isinstance(value, list):
-            element.set("type", "list")
-            for member in value:
-                element.append(self._field_element(member))
+            self._write_members(out, name, "list", value)
         elif isinstance(value, tuple):
             # A distinct tag: encoding tuples as "list" made
             # ``LindaTuple("k", (1, 2))`` round-trip to a list field and
             # stop equality-matching its own template over the wire.
-            element.set("type", "pytuple")
-            for member in value:
-                element.append(self._field_element(member))
+            self._write_members(out, name, "pytuple", value)
         elif isinstance(value, dict):
-            element.set("type", "dict")
+            if not value:
+                out.append(f'<field{name} type="dict" />')
+                return
+            out.append(f'<field{name} type="dict">')
             for key in sorted(value):
                 if not isinstance(key, str):
                     raise ProtocolError("dict keys must be strings for XML")
-                element.append(self._field_element(value[key], name=key))
+                self._write_field(out, value[key], f' name="{escape_attrib(key)}"')
+            out.append("</field>")
         elif isinstance(value, LindaTuple):
-            element.set("type", "tuple")
-            for member in value.fields:
-                element.append(self._field_element(member))
+            self._write_members(out, name, "tuple", value.fields)
         elif isinstance(value, Entry):
-            element.set("type", "entry")
-            element.append(self.to_element(value))
+            out.append(f'<field{name} type="entry">')
+            self.write_item(out, value)
+            out.append("</field>")
         else:
             raise ProtocolError(
                 f"unsupported field type {type(value).__name__} for XML"
             )
+
+    def _write_members(self, out: list[str], name: str, kind: str, members) -> None:
+        if not members:
+            out.append(f'<field{name} type="{kind}" />')
+            return
+        out.append(f'<field{name} type="{kind}">')
+        for member in members:
+            self._write_field(out, member)
+        out.append("</field>")
 
     # -- decoding -------------------------------------------------------------
 
@@ -189,8 +258,6 @@ class XmlCodec:
             raise ProtocolError(
                 f"cannot construct {class_name}(**{sorted(fields)}): {exc}"
             ) from exc
-
-    _PRIMITIVES = {"none", "bool", "int", "float", "str", "bytes"}
 
     def _read_value(self, element: ET.Element) -> Any:
         kind = element.get("type")

@@ -2,8 +2,9 @@
 
 The same script — writes, blocking and if-exists reads and takes, a
 notify subscription, lease renewal and cancellation, ping, unknown-lease
-errors (an id never granted, and the lease of a taken entry) and a
-blocking op that times out — runs over:
+errors (an id never granted, and the lease of a taken entry), a
+blocking op that times out and a tuple of strings holding CR and CR LF
+— runs over:
 
 * ``SpaceClient`` on {``LocalConnection``, ``SocketSpaceServer``,
   ``AsyncSpaceServer`` over TCP} × {xml, binary};
@@ -42,6 +43,8 @@ from tests.core.fronts import serving
 
 SEED = 13
 STATIONS = ("drill", "lathe", "press", "mill")
+#: Strings an XML parser would normalise if written raw: CR, and CR LF.
+CR_TUPLE = LindaTuple("text", "a\rb", "c\r\nd")
 
 
 class Part(Entry):
@@ -81,6 +84,8 @@ def op_script(seed):
     yield "cancel_lease", (registration["lease_id"],)
     yield "write", (LindaTuple("job", rng.randint(1, 99)), None)
     yield "take", (TupleTemplate("job", int), 5.0)
+    yield "write", (CR_TUPLE, None)
+    yield "take", (TupleTemplate("text", str, str), 5.0)
     yield "ping", ()
 
 
@@ -278,7 +283,7 @@ def reference():
 
 def test_reference_transcript_covers_the_script(reference):
     steps, events = reference
-    assert len(steps) == 20
+    assert len(steps) == 22
     assert steps[0] == steps[-1] == ("ping", True)
     # The script's errors: a lease id never granted, and the lease of
     # the part taken at step 7 (registration and writes share the
@@ -292,6 +297,7 @@ def test_reference_transcript_covers_the_script(reference):
     assert steps[9] == ("renew_lease", 120.0)
     assert steps[11] == ("read_if_exists", None)  # its lease was cancelled
     assert steps[15] == ("take", None)  # the blocking op that timed out
+    assert steps[20] == ("take", CR_TUPLE)  # CR and CR LF come back as sent
     # Every part matched the subscription, before it was cancelled.
     assert [sequence for _registration, sequence, _item in events] == [1, 2, 3]
 

@@ -79,6 +79,13 @@ class TestRecovery:
         assert restored.read_if_exists(tpl("b", int)) == t("b", 2)
         assert restored.read_if_exists(tpl("a", int)) is None
 
+    def test_strings_survive_the_journal(self, world):
+        clock, space, sink, _journal = world
+        item = t("text", "a\rb", "c\r\nd", "tab\t&<>\"", {"k\r": "\r"})
+        space.write(item)
+        restored, _count = recovered(sink, clock)
+        assert restored.read_if_exists(tpl("text", str, str, str, dict)) == item
+
     def test_lease_remainder_preserved(self, world):
         clock, space, sink, _journal = world
         space.write(t("a"), lease=100.0)

@@ -23,6 +23,10 @@ had diverged before the shared client and connection cores: the
 loopback answered HELLO with ERROR, ``AsyncSpaceClient`` raised where
 ``SpaceClient`` fell back to XML, and ``SimSpaceClient`` parked forever
 on a request-id-0 ERROR and kept no stale-reply count.
+
+Two XML text bugs close the file: a CR in a string came back as LF
+(parsers normalise a raw CR), and a character XML 1.0 cannot carry was
+encoded anyway, so the server answered ERROR and closed the connection.
 """
 
 import asyncio
@@ -177,6 +181,28 @@ class TestTupleFieldRoundTrip:
         got = client.take_if_exists(TupleTemplate("k", (1, 2)))
         assert got == LindaTuple("k", (1, 2))
         assert isinstance(got.fields[1], tuple)
+
+
+class TestXmlTextCharacters:
+    """A CR survives the XML wire; an unencodable character is refused
+    at encode time and the connection stays up."""
+
+    def test_carriage_return_round_trips_over_xml(self):
+        codec = make_codec()
+        client = SpaceClient(LocalConnection(SpaceServer(TupleSpace(), codec)), codec)
+        client.write(LindaTuple("k", "a\rb", "c\r\nd"))
+        got = client.take_if_exists(TupleTemplate("k", str, str))
+        assert got == LindaTuple("k", "a\rb", "c\r\nd")
+
+    @pytest.mark.parametrize("text", ["x\x01y", "\ud800", "\uffff"])
+    def test_unencodable_string_leaves_the_connection_usable(self, text):
+        codec = make_codec()
+        client = SpaceClient(LocalConnection(SpaceServer(TupleSpace(), codec)), codec)
+        with pytest.raises(ProtocolError, match="XML 1.0"):
+            client.write(LindaTuple("k", text))
+        assert client.ping()
+        client.write(LindaTuple("k", "ok"))
+        assert client.take_if_exists(TupleTemplate("k", str)) == LindaTuple("k", "ok")
 
 
 class TestPollEventsNonBlocking:
