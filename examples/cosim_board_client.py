@@ -6,7 +6,7 @@ tuplespace write through every layer of the paper's architecture.
     SC1 bridge (shared-memory channels)
       | TpWIRE 1-wire bus, master-relayed <- the NS-2-analog bus model
     SC2 bridge
-      | socket wrapper + RMI proxy        <- Figure 4
+      | socket wrapper (RMI hop timed)    <- Figure 4
     SpaceServer (JavaSpaces analog)
 
 The firmware streams a pre-marshalled WRITE request byte-by-byte out of

@@ -1,9 +1,9 @@
 """Quickstart: the tuplespace middleware in five minutes.
 
 Covers the Linda/JavaSpaces primitives of Section 2 — write / read / take,
-associative matching, leases, subscribe/notify, transactions — first on a
-local space, then through the wire protocol exactly as a remote (non-Java)
-client would use it.
+associative matching, leases, subscribe/notify — first on a local space,
+then through the wire protocol exactly as a remote (non-Java) client
+would use it.
 
 Run:  python examples/quickstart.py
 """
@@ -18,7 +18,6 @@ from repro.core import (
     SpaceClient,
     SpaceJournal,
     SpaceServer,
-    Transaction,
     TupleSpace,
     TupleTemplate,
     XmlCodec,
@@ -64,17 +63,6 @@ def local_space_basics():
     space.notify(TupleTemplate("alarm", ANY), events.append)
     space.write(LindaTuple("alarm", "pressure-spike"))
     print("notification:", events[0].item, "(seq", events[0].sequence, ")")
-
-    print("\n== transactions ==")
-    space.write(LindaTuple("job", "pending", 42))
-    with Transaction(space) as txn:
-        job = space.take_if_exists(
-            TupleTemplate("job", "pending", int), txn=txn
-        )
-        space.write(LindaTuple("job", "active", job[2]), txn=txn)
-    print("atomically moved:", space.read_if_exists(
-        TupleTemplate("job", "active", int)
-    ))
 
 
 def remote_client_over_wire_protocol():

@@ -19,10 +19,9 @@ The package rebuilds the paper's whole prototyping stack in Python:
 ``repro.board``   Theseus board: stack-machine ISS, assembler, gdb-RSP
                   debug stub, firmware programs
 ``repro.core``    the tuplespace middleware: tuples/entries/templates, the
-                  space engine with leases + notify + transactions, service
-                  discovery, SpaceServer, RMI-analog proxies, XML-Tuples
-                  codec, socket wire protocol, sync and simulated clients,
-                  factory-automation agents
+                  space engine with leases + notify, service discovery,
+                  SpaceServer, XML-Tuples codec, socket wire protocol,
+                  sync and simulated clients, factory-automation agents
 ``repro.cosim``   experiment assembly: the Figure 6/7 scenarios and the
                   Table 3 calibration
 ``repro.analysis``  statistics and table rendering for the benchmarks

@@ -8,11 +8,10 @@ The middleware follows the Linda / JavaSpaces model the paper builds on:
   ``take`` primitives, leases, and subscribe/notify
   (:mod:`repro.core.space`, :mod:`repro.core.lease`,
   :mod:`repro.core.events`);
-* transactions and a service-discovery subsystem layered on the space
-  (:mod:`repro.core.transactions`, :mod:`repro.core.discovery`);
-* the ``SpaceServer`` with its RMI-analog in-process proxies, the
-  XML-Tuples codec and the socket wire protocol that lets non-Java (C++)
-  clients participate (:mod:`repro.core.server`, :mod:`repro.core.rmi`,
+* a service-discovery subsystem layered on the space
+  (:mod:`repro.core.discovery`);
+* the ``SpaceServer``, the XML-Tuples codec and the socket wire protocol
+  that lets non-Java (C++) clients participate (:mod:`repro.core.server`,
   :mod:`repro.core.xmlcodec`, :mod:`repro.core.protocol`);
 * transports: real TCP sockets, hermetic in-memory pipes, and (through
   :mod:`repro.cosim`) the TpWIRE bus (:mod:`repro.core.transports`);
@@ -27,7 +26,6 @@ from repro.core.errors import (
     NoMatchError,
     LeaseDeniedError,
     LeaseExpiredError,
-    TransactionError,
     ProtocolError,
 )
 from repro.core.clock import Clock, SystemClock, SimClock, ManualClock
@@ -36,11 +34,9 @@ from repro.core.entry import Entry, entry_fields
 from repro.core.lease import Lease, LeaseManager, FOREVER
 from repro.core.events import EventRegistration, RemoteEvent
 from repro.core.space import TupleSpace, SpaceStats
-from repro.core.transactions import Transaction, TransactionState
 from repro.core.discovery import ServiceRegistry, ServiceEntry
 from repro.core.server import SpaceServer
 from repro.core.persistence import SpaceJournal, recover_space, replay_journal
-from repro.core.rmi import RemoteProxy, Skeleton, Registry
 from repro.core.xmlcodec import XmlCodec
 from repro.core.protocol import (
     MessageType,
@@ -64,7 +60,6 @@ __all__ = [
     "NoMatchError",
     "LeaseDeniedError",
     "LeaseExpiredError",
-    "TransactionError",
     "ProtocolError",
     "Clock",
     "SystemClock",
@@ -82,17 +77,12 @@ __all__ = [
     "RemoteEvent",
     "TupleSpace",
     "SpaceStats",
-    "Transaction",
-    "TransactionState",
     "ServiceRegistry",
     "ServiceEntry",
     "SpaceServer",
     "SpaceJournal",
     "recover_space",
     "replay_journal",
-    "RemoteProxy",
-    "Skeleton",
-    "Registry",
     "XmlCodec",
     "MessageType",
     "Message",

@@ -90,7 +90,7 @@ class _AsyncConnection(ServerConnection):
     """
 
     def __init__(self, front, reader, writer):
-        super().__init__(front.server, self.enqueue, front.target)
+        super().__init__(front.server, self.enqueue)
         self.front = front
         self.reader = reader
         self.writer = writer
@@ -132,7 +132,7 @@ class _AsyncConnection(ServerConnection):
                 MessageType.STATS_ACK, message.request_id, front.stats()
             ))
             return
-        self.target.handle(self, message)
+        self.server.handle(self, message)
 
     def hello(self, message: Message) -> str:
         front = self.front
@@ -258,9 +258,6 @@ class AsyncSpaceServer:
         drain_grace: float = 2.0,
     ):
         self.server = server
-        #: What each request's ``handle`` is looked up on, per dispatch:
-        #: the server itself, or (SocketSpaceServer) its RMI proxy.
-        self.target = server
         self.host = host
         self.port = port
         self.health_port = health_port

@@ -98,7 +98,7 @@ class ServiceRegistry:
             item = record.item
             if not isinstance(item, ServiceEntry):
                 continue
-            if record.lease.expired or record.txn_owner or record.taken_by:
+            if record.lease.expired:
                 continue
             if template.matches(item) and id(item) not in seen_ids:
                 seen_ids.add(id(item))

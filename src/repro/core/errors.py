@@ -17,20 +17,12 @@ class LeaseExpiredError(SpaceError):
     """An operation referenced a lease that has already expired."""
 
 
-class TransactionError(SpaceError):
-    """Illegal transaction usage (reuse after commit, cross-space, ...)."""
-
-
 class ProtocolError(SpaceError):
     """Malformed wire-protocol message or XML entry encoding."""
 
 
 class ConnectionClosedError(SpaceError, ConnectionError):
     """The transport closed mid-request (also a ``ConnectionError``)."""
-
-
-class RmiError(SpaceError):
-    """Registry/skeleton misuse (unknown name, unexposed method)."""
 
 
 class RequestTimeoutError(SpaceError):

@@ -86,7 +86,7 @@ class ItemIndex:
     ``item`` attributes — the space's internal storage slot.  The index
     holds no liveness state of its own: the space adds a record when it
     is stored and discards it when it is dropped, and visibility
-    filtering (leases, transactions) stays in the space.
+    filtering (leases) stays in the space.
     """
 
     __slots__ = (

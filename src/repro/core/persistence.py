@@ -2,9 +2,10 @@
 
 "the messages are kept in a **persistent message store**" — this module
 gives the space engine that property: a :class:`SpaceJournal` observes a
-:class:`~repro.core.space.TupleSpace` and appends every committed store
-and drop to an append-only journal (JSON lines wrapping XML-Tuples
-payloads).  After a crash, :func:`recover_space` replays the journal into
+:class:`~repro.core.space.TupleSpace` and appends every store and drop
+to an append-only journal (JSON lines wrapping XML-Tuples payloads); a
+lease renewal is logged as a fresh store of the entry with its new
+deadline.  After a crash, :func:`recover_space` replays the journal into
 a fresh space, re-granting each surviving entry the *remainder* of its
 lease.
 
@@ -84,7 +85,7 @@ class SpaceJournal:
         old_sink = self.sink
         self.sink = new_sink
         for record in self.space._records.values():
-            if record.lease.expired or record.txn_owner or record.taken_by:
+            if record.lease.expired:
                 continue
             self.item_stored(record.seq, record.item, record.lease.expires_at)
             live += 1

@@ -383,16 +383,15 @@ class ServerConnection:
     frame is answered with ERROR when its request id survived and the
     connection closes (a frame that lost sync just closes).  HELLO
     switches the body codec of both directions; every other request is
-    dispatched to ``target.handle`` — the :class:`SpaceServer`, or an
-    RMI proxy of it — with ``handle`` looked up per request.  The
-    connection is its own session: replies come back through
-    :meth:`send`, encoded and passed to ``transmit(bytes)``.
+    dispatched to the :class:`SpaceServer`'s ``handle``, looked up on
+    the instance per request.  The connection is its own session:
+    replies come back through :meth:`send`, encoded and passed to
+    ``transmit(bytes)``.
     :meth:`close` reaps the session's parked requests.
     """
 
-    def __init__(self, server: SpaceServer, transmit: Callable[[bytes], None], target):
+    def __init__(self, server: SpaceServer, transmit: Callable[[bytes], None]):
         self.server = server
-        self.target = target
         self.transmit = transmit
         self.wire = XmlWireCodec(server.codec)
         self.parser = StreamParser(self.wire)
@@ -419,7 +418,7 @@ class ServerConnection:
         return True
 
     def dispatch(self, message: Message) -> None:
-        self.target.handle(self, message)
+        self.server.handle(self, message)
 
     def hello(self, message: Message) -> str:
         """Ack in the current encoding, then switch both directions."""

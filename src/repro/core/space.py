@@ -34,7 +34,7 @@ from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.core.clock import Clock, SystemClock
-from repro.core.errors import SpaceError, TransactionError
+from repro.core.errors import SpaceError
 from repro.core.events import EventRegistration, RemoteEvent
 from repro.core.index import ItemIndex, TemplateTable
 from repro.core.lease import FOREVER, Lease, LeaseManager
@@ -48,16 +48,12 @@ class WaitMode(enum.Enum):
 class _Record:
     """Internal storage slot for one item."""
 
-    __slots__ = ("seq", "item", "lease", "txn_owner", "taken_by", "op_key")
+    __slots__ = ("seq", "item", "lease", "op_key")
 
     def __init__(self, seq: int, item: Any, lease: Lease):
         self.seq = seq
         self.item = item
         self.lease = lease
-        #: transaction that wrote the item (invisible outside it until commit)
-        self.txn_owner = None
-        #: transaction holding a provisional take (invisible until resolved)
-        self.taken_by = None
         #: idempotency key of the write that created this record, if any
         self.op_key = None
 
@@ -65,13 +61,12 @@ class _Record:
 class Waiter:
     """A pending blocking read/take."""
 
-    __slots__ = ("template", "mode", "callback", "txn", "active")
+    __slots__ = ("template", "mode", "callback", "active")
 
-    def __init__(self, template, mode: WaitMode, callback, txn=None):
+    def __init__(self, template, mode: WaitMode, callback):
         self.template = template
         self.mode = mode
         self.callback = callback
-        self.txn = txn
         self.active = True
 
     def cancel(self) -> None:
@@ -164,7 +159,6 @@ class TupleSpace:
         self,
         item: Any,
         lease: Optional[float] = None,
-        txn=None,
         op_key: Optional[str] = None,
     ) -> Lease:
         """Store ``item`` under a lease; returns the granted lease.
@@ -177,10 +171,7 @@ class TupleSpace:
         """
         if item is None:
             raise SpaceError("cannot write None to a space")
-        self._check_txn(txn)
         if op_key is not None:
-            if txn is not None:
-                raise SpaceError("op_key cannot be combined with a transaction")
             existing = self._op_keys.get(op_key)
             if existing is not None:
                 self.duplicate_writes += 1
@@ -191,7 +182,6 @@ class TupleSpace:
                 return existing
         self._seq += 1
         record = _Record(self._seq, item, self._grant(lease))
-        record.txn_owner = txn
         if op_key is not None:
             record.op_key = op_key
             self._op_keys[op_key] = record.lease
@@ -202,17 +192,16 @@ class TupleSpace:
         expires_at = record.lease.expires_at
         if not math.isinf(expires_at):
             heapq.heappush(self._expiry_heap, (expires_at, record.seq))
-        if txn is not None:
-            txn._written.append(record)
         self.stats.writes += 1
         self._trace_op(
             "write", seq=record.seq,
             lease=record.lease.duration if record.lease.duration != FOREVER else None,
-            txn=txn is not None,
         )
-        if txn is None:
-            self._notify_stored(record)
-            self._item_became_visible(record)
+        self._notify_stored(record)
+        # Notifications fire for every write, even when a blocked take
+        # consumes the item immediately (JavaSpaces semantics).
+        self._serve_waiters(record)
+        self._fire_notifications(record)
         self._obs_depth()
         return record.lease
 
@@ -224,10 +213,9 @@ class TupleSpace:
 
     # -- non-blocking read/take ------------------------------------------------
 
-    def read_if_exists(self, template, txn=None) -> Optional[Any]:
+    def read_if_exists(self, template) -> Optional[Any]:
         """The oldest matching item, or ``None`` (item stays in the space)."""
-        self._check_txn(txn)
-        record = self._find(template, txn)
+        record = self._find(template)
         if record is None:
             self.stats.misses += 1
             self._trace_op("miss", op="read")
@@ -236,15 +224,14 @@ class TupleSpace:
         self._trace_op("read", seq=record.seq)
         return record.item
 
-    def take_if_exists(self, template, txn=None) -> Optional[Any]:
+    def take_if_exists(self, template) -> Optional[Any]:
         """Remove and return the oldest matching item, or ``None``."""
-        self._check_txn(txn)
-        record = self._find(template, txn)
+        record = self._find(template)
         if record is None:
             self.stats.misses += 1
             self._trace_op("miss", op="take")
             return None
-        self._consume(record, txn)
+        self._drop(record)
         self.stats.takes += 1
         self._trace_op("take", seq=record.seq)
         self._obs_depth()
@@ -257,21 +244,19 @@ class TupleSpace:
         template,
         mode: WaitMode,
         callback: Callable[[Any], None],
-        txn=None,
     ) -> Waiter:
-        """Register a callback for the next matching visible item.
+        """Register a callback for the next matching live item.
 
         If a match already exists the callback fires immediately (and a
         take consumes the item).  The returned waiter can be cancelled,
         which is how timeouts are implemented by the callers.
         """
-        self._check_txn(txn)
-        record = self._find(template, txn)
-        waiter = Waiter(template, mode, callback, txn)
+        record = self._find(template)
+        waiter = Waiter(template, mode, callback)
         if record is not None:
             waiter.active = False
             if mode is WaitMode.TAKE:
-                self._consume(record, txn)
+                self._drop(record)
                 self.stats.takes += 1
                 self._trace_op("take", seq=record.seq, waited=False)
                 self._obs_depth()
@@ -281,8 +266,6 @@ class TupleSpace:
             callback(record.item)
             return waiter
         self._waiters.add(waiter)
-        if txn is not None:
-            txn._waiters.append(waiter)
         return waiter
 
     # -- notify ------------------------------------------------------------------
@@ -308,9 +291,9 @@ class TupleSpace:
         """The live lease granted under space key ``key``, or ``None``.
 
         The key is an entry's sequence number or a registration id.
-        ``None`` once the entry was taken, cancelled, expired or dropped
-        by an abort, or the registration ended: this space is the one
-        owner of lease lifetime, so a front end holds no lease table.
+        ``None`` once the entry was taken, cancelled or expired, or the
+        registration ended: this space is the one owner of lease
+        lifetime, so a front end holds no lease table.
         """
         holder = self._records.get(key) or self._registration_keys.get(key)
         if holder is None or holder.lease.expired:
@@ -354,12 +337,8 @@ class TupleSpace:
         return dropped
 
     def __len__(self) -> int:
-        """Number of live, publicly visible items."""
-        return sum(
-            1
-            for r in self._records.values()
-            if not r.lease.expired and r.txn_owner is None and r.taken_by is None
-        )
+        """Number of live items."""
+        return sum(1 for r in self._records.values() if not r.lease.expired)
 
     @property
     def pending_waiters(self) -> int:
@@ -367,29 +346,15 @@ class TupleSpace:
 
     # -- internals ----------------------------------------------------------------
 
-    @staticmethod
-    def _check_txn(txn) -> None:
-        if txn is not None and not txn.is_active:
-            raise TransactionError(f"transaction is {txn.state.value}, not active")
-
-    def _visible(self, record: _Record, txn) -> bool:
-        if record.taken_by is not None:
-            return False
-        if record.txn_owner is not None and record.txn_owner is not txn:
-            return False
-        if record.lease.expired:
-            return False
-        return True
-
-    def _find(self, template, txn) -> Optional[_Record]:
-        """Oldest visible matching record (total order by timestamp)."""
+    def _find(self, template) -> Optional[_Record]:
+        """Oldest live matching record (total order by timestamp)."""
         self._expire_due()
         candidates = self._index.candidates(template)
         if candidates is None:
             # Unknown template discipline: only the full scan is safe.
             candidates = self._records.values()
         for record in candidates:
-            if self._visible(record, txn) and template.matches(record.item):
+            if not record.lease.expired and template.matches(record.item):
                 return record
         return None
 
@@ -410,7 +375,7 @@ class TupleSpace:
             _when, seq = heapq.heappop(heap)
             record = self._records.get(seq)
             if record is None:
-                continue  # already dropped (taken, cancelled, committed away)
+                continue  # already dropped (taken or cancelled)
             if not record.lease.expired:
                 continue  # renewed: the renewal pushed the live deadline
             self._drop(record)
@@ -420,24 +385,22 @@ class TupleSpace:
         return dropped
 
     def _reschedule_expiry(self, lease: Lease) -> None:
-        """Lease renewal hook: enter the new deadline into the heap."""
-        if lease.key in self._records and not math.isinf(lease.expires_at):
+        """Lease renewal hook: enter the new deadline into the heap, and
+        re-announce the record to the observers as a store with it, so
+        a journal recovers the renewed lease, not the original one."""
+        record = self._records.get(lease.key)
+        if record is None:
+            return
+        if not math.isinf(lease.expires_at):
             heapq.heappush(self._expiry_heap, (lease.expires_at, lease.key))
-
-    def _consume(self, record: _Record, txn) -> None:
-        if txn is None:
-            self._drop(record)
-        else:
-            record.taken_by = txn
-            txn._taken.append(record)
+        self._notify_stored(record)
 
     def _drop(self, record: _Record) -> None:
         existed = self._records.pop(record.seq, None)
         if existed is not None:
             self._index.discard(record.seq)
-            if record.txn_owner is None:
-                for observer in self.observers:
-                    observer.item_dropped(record.seq)
+            for observer in self.observers:
+                observer.item_dropped(record.seq)
             self._compact_expiry_heap()
 
     def _compact_expiry_heap(self) -> None:
@@ -462,31 +425,14 @@ class TupleSpace:
         ]
         heapq.heapify(heap)
 
-    def _item_became_visible(self, record: _Record) -> None:
-        """Serve waiters and notify subscribers for a newly visible item.
-
-        Notifications fire for every visible write, even when a blocked
-        take consumes the item immediately (JavaSpaces semantics).
-        """
-        self._serve_waiters(record)
-        self._fire_notifications(record)
-
-    def _serve_waiters(self, record: _Record) -> bool:
+    def _serve_waiters(self, record: _Record) -> None:
         """Deliver to matching waiters in registration order.
 
         Read waiters all observe the item; the first matching take waiter
-        consumes it and stops delivery.  Returns True when consumed.
-
-        A waiter whose transaction resolved while it was blocked is
-        skipped and deactivated: consuming into a dead transaction would
-        strand the item in a ``_taken`` list nothing will ever restore.
+        consumes it and stops delivery.
         """
         for waiter in self._waiters.candidates_for(record.item):
             if not waiter.active:
-                self._waiters.discard(waiter)
-                continue
-            if waiter.txn is not None and not waiter.txn.is_active:
-                waiter.active = False
                 self._waiters.discard(waiter)
                 continue
             if not waiter.template.matches(record.item):
@@ -498,13 +444,12 @@ class TupleSpace:
                 self._trace_op("read", seq=record.seq, waited=True)
                 waiter.callback(record.item)
                 continue
-            self._consume(record, waiter.txn)
+            self._drop(record)
             self.stats.takes += 1
             self._trace_op("take", seq=record.seq, waited=True)
             self._obs_depth()
             waiter.callback(record.item)
-            return True
-        return False
+            return
 
     def _fire_notifications(self, record: _Record) -> None:
         for registration in self._registrations.candidates_for(record.item):
@@ -519,40 +464,6 @@ class TupleSpace:
                     seq=record.seq,
                     registration=registration.registration_id,
                 )
-
-    # -- transaction resolution (called by Transaction) ---------------------------
-
-    def _commit_txn(self, txn) -> None:
-        self._retire_txn_waiters(txn)
-        for record in txn._taken:
-            self._drop(record)
-        for record in txn._written:
-            if record.seq in self._records and not record.lease.expired:
-                record.txn_owner = None
-                self._notify_stored(record)
-                self._item_became_visible(record)
-
-    def _abort_txn(self, txn) -> None:
-        self._retire_txn_waiters(txn)
-        for record in txn._written:
-            self._drop(record)
-        for record in txn._taken:
-            if record.seq not in self._records:
-                # Written and taken within the same transaction: the
-                # aborted write already dropped it; nothing to restore.
-                continue
-            if record.lease.expired:
-                self._drop(record)
-                continue
-            record.taken_by = None
-            self._item_became_visible(record)
-
-    def _retire_txn_waiters(self, txn) -> None:
-        """A resolved transaction's blocked waiters can never deliver."""
-        for waiter in txn._waiters:
-            if waiter.active:
-                waiter.active = False
-                self._waiters.discard(waiter)
 
     def __repr__(self) -> str:
         return f"TupleSpace({self.name!r}, items={len(self)})"

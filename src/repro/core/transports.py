@@ -11,8 +11,9 @@ Three ways to reach a :class:`~repro.core.server.SpaceServer`:
   co-simulated embedded path.
 
 All three drive the one connection core,
-:class:`~repro.core.server.ServerConnection`, and reach the server
-through an RMI proxy, mirroring the paper's server-internal RMI hop.
+:class:`~repro.core.server.ServerConnection`, which calls the server
+directly; the cost of the paper's server-internal RMI hop is charged by
+:class:`~repro.cosim.server_host.ServerTimingModel`.
 """
 
 from __future__ import annotations
@@ -26,22 +27,15 @@ from typing import Optional
 
 from repro.core.aio import AsyncSpaceServer, LoopTimers
 from repro.core.errors import ConnectionClosedError
-from repro.core.rmi import Registry, RemoteProxy
 from repro.core.server import ServerConnection, SpaceServer
 from repro.core.xmlcodec import XmlCodec
-
-
-def _rmi_proxy(server: SpaceServer) -> RemoteProxy:
-    registry = Registry()
-    registry.bind("SpaceServer", server, exposed=["handle"])
-    return registry.lookup("SpaceServer")
 
 
 class LocalConnection:
     """Synchronous in-process connection to a space server.
 
-    ``send_bytes`` feeds requests straight into a server connection
-    (dispatching through the server's RMI proxy); responses accumulate
+    ``send_bytes`` feeds requests straight into a server connection;
+    responses accumulate
     in an internal buffer that ``recv_bytes`` drains.
 
     Single-threaded by contract: the server's timeouts must fire on the
@@ -57,7 +51,7 @@ class LocalConnection:
                 "fires its timeouts on the event loop's thread"
             )
         self._rx = bytearray()
-        self._session = ServerConnection(server, self._deliver, _rmi_proxy(server))
+        self._session = ServerConnection(server, self._deliver)
 
     @property
     def closed(self) -> bool:
@@ -88,7 +82,7 @@ class LocalConnection:
 
 class SocketSpaceServer:
     """Blocking-world TCP front end: :class:`AsyncSpaceServer` run on a
-    loop thread, dispatching through the server's RMI proxy.
+    loop thread.
 
     All request handling and every timer callback run on that one
     thread, so the single-threaded space engine needs no locks.
@@ -98,7 +92,6 @@ class SocketSpaceServer:
     def __init__(self, server: SpaceServer, host: str = "127.0.0.1", port: int = 0):
         self.server = server
         self._front = AsyncSpaceServer(server, host, port)
-        self._front.target = _rmi_proxy(server)
         self.address = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None

@@ -4,9 +4,9 @@ In the paper (Figures 4 and 5) the JavaSpaces server runs on a host
 reached through the SC2 SystemC node: bytes leave the bus, cross UNIX
 sockets into the Java/socket wrapper, hop over RMI into the SpaceServer,
 and the response retraces the path.  :class:`SimServerHost` is that whole
-host: it feeds inbound bus bytes through the wire-protocol parser, invokes
-the real :class:`~repro.core.server.SpaceServer` through a real RMI proxy,
-and charges a :class:`ServerTimingModel` for parsing and marshalling —
+host: it feeds inbound bus bytes through the wire-protocol parser, calls
+the real :class:`~repro.core.server.SpaceServer` directly, and charges a
+:class:`ServerTimingModel` for parsing, the RMI hop and marshalling —
 then ships responses back over the bridge in order.
 """
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator
 
-from repro.core.rmi import Registry
+from repro.core.protocol import Message
 from repro.core.server import ServerConnection, SpaceServer
 from repro.des.resource import Store
 from repro.hw.bridge import ServerBridge
@@ -23,7 +23,7 @@ from repro.hw.bridge import ServerBridge
 
 @dataclass(frozen=True)
 class ServerTimingModel:
-    """Host-side processing costs (XML parse, dispatch, marshalling)."""
+    """Host-side processing costs (XML parse, RMI dispatch, marshalling)."""
 
     parse_seconds_per_byte: float = 0.0
     build_seconds_per_byte: float = 0.0
@@ -43,10 +43,14 @@ class _BridgeSession(ServerConnection):
         self.host = host
         self.node_id = node_id
         self.outgoing: Store = Store(host.sim)
-        super().__init__(host.server, self.outgoing.put, host._proxy)
+        super().__init__(host.server, self.outgoing.put)
         self._sender = host.sim.spawn(
             self._send_loop(), name=f"server-session{node_id}"
         )
+
+    def dispatch(self, message: Message) -> None:
+        self.host.requests_dispatched += 1
+        super().dispatch(message)
 
     def _send_loop(self) -> Generator:
         while True:
@@ -62,7 +66,10 @@ class SimServerHost:
     """The space-server host process behind an SC2 bridge.
 
     ``bridge`` is anything with a settable ``deliver(src, data)`` inbound
-    callback and a ``send_to(node, data)`` outbound path.  A source whose
+    callback and a ``send_to(node, data)`` outbound path.  Requests reach
+    ``server.handle`` directly: the paper's RMI hop is a cost, charged by
+    ``timing``, not a layer; ``requests_dispatched`` counts the requests
+    handed to the server (all but HELLO).  A source whose
     bytes fail to parse gets the shared ERROR-then-close treatment: its
     connection is dropped (reaping its parked requests) and its next
     bytes open a fresh one.
@@ -81,21 +88,13 @@ class SimServerHost:
         self.bridge = bridge
         self.timing = timing
         self.name = name
-        # The paper keeps RMI between the socket wrapper and the server;
-        # requests therefore go through a real proxy here as well.
-        registry = Registry()
-        self._skeleton = registry.bind("SpaceServer", server, exposed=["handle"])
-        self._proxy = registry.lookup("SpaceServer")
+        self.requests_dispatched = 0
         self._sessions: dict[int, _BridgeSession] = {}
         self._inbound: Store = Store(sim)
         self.bytes_received = 0
         self.bytes_sent = 0
         bridge.deliver = self._on_bus_bytes
         self._worker = sim.spawn(self._dispatch_loop(), name=f"{name}.dispatch")
-
-    @property
-    def requests_dispatched(self) -> int:
-        return self._skeleton.invocations
 
     # -- inbound path -----------------------------------------------------------
 

@@ -7,7 +7,6 @@ import pytest
 from repro.core import (
     LindaTuple,
     ManualClock,
-    Transaction,
     TupleSpace,
     TupleTemplate,
     XmlCodec,
@@ -52,15 +51,6 @@ class TestJournaling:
         space.take_if_exists(tpl("a", int))
         assert journal.drops_logged == 1
 
-    def test_transaction_logs_only_committed_state(self, world):
-        _clock, space, sink, journal = world
-        with Transaction(space) as txn:
-            space.write(t("kept"), txn=txn)
-        aborted = Transaction(space)
-        space.write(t("discarded"), txn=aborted)
-        aborted.abort()
-        assert journal.entries_logged == 1
-
     def test_detach_stops_logging(self, world):
         _clock, space, _sink, journal = world
         journal.detach()
@@ -95,6 +85,21 @@ class TestRecovery:
         clock.advance(30.0)  # t=90 < 100: still alive
         assert restored.read_if_exists(tpl("a")) is not None
         clock.advance(15.0)  # t=105 > 100: gone
+        assert restored.read_if_exists(tpl("a")) is None
+
+    def test_renewed_lease_is_recovered(self, world):
+        """Regression: a renewal never reached the journal, so recovery
+        dropped an entry that was renewed and still live at the crash."""
+        clock, space, sink, _journal = world
+        lease = space.write(t("a"), lease=10.0)
+        clock.advance(5.0)
+        lease.renew(100.0)          # now expires at t=105
+        clock.advance(15.0)         # t=20: the original deadline passed
+        restored, count = recovered(sink, clock)
+        assert count == 1
+        clock.advance(80.0)         # t=100 < 105: still alive
+        assert restored.read_if_exists(tpl("a")) is not None
+        clock.advance(10.0)         # t=110 > 105: gone
         assert restored.read_if_exists(tpl("a")) is None
 
     def test_expired_entries_not_restored(self, world):

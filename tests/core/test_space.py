@@ -9,7 +9,6 @@ from repro.core import (
     Entry,
     LindaTuple,
     ManualClock,
-    Transaction,
     TupleSpace,
     TupleTemplate,
 )
@@ -148,13 +147,6 @@ class TestLeaseKeys:
         clock.advance(10.0)
         assert space.lease(lease.key) is None
 
-    def test_aborted_write_lease_is_gone(self, space):
-        txn = Transaction(space)
-        lease = space.write(t("a", 1), lease=10.0, txn=txn)
-        assert space.lease(lease.key) is lease
-        txn.abort()
-        assert space.lease(lease.key) is None
-
     def test_registrations_share_the_entry_counter(self, space, clock):
         written = space.write(t("a", 1))
         registration = space.notify(tpl("a", int), lambda e: None, lease=5.0)
@@ -286,48 +278,6 @@ class TestNotify:
         assert first.notify(tpl("a"), lambda e: None).registration_id == 1
         assert second.notify(tpl("a"), lambda e: None).registration_id == 1
         assert first.notify(tpl("b"), lambda e: None).registration_id == 2
-
-
-class TestTransactionWaiters:
-    def test_aborted_txn_take_waiter_does_not_steal_the_item(self, space):
-        """Regression: a blocked take-waiter registered under a
-        transaction used to consume the next matching write even after
-        the transaction aborted — the record landed in the dead
-        transaction's ``_taken`` list and the tuple was lost forever."""
-        txn = Transaction(space)
-        got = []
-        space.register_waiter(tpl("job", int), WaitMode.TAKE, got.append, txn=txn)
-        txn.abort()
-        space.write(t("job", 1))
-        assert got == []
-        # The tuple survived and is still takeable by everyone else.
-        assert space.take_if_exists(tpl("job", int)) == t("job", 1)
-
-    def test_committed_txn_take_waiter_is_retired_too(self, space):
-        txn = Transaction(space)
-        got = []
-        space.register_waiter(tpl("job", int), WaitMode.TAKE, got.append, txn=txn)
-        txn.commit()
-        space.write(t("job", 1))
-        assert got == []
-        assert len(space) == 1
-
-    def test_resolving_txn_deactivates_its_waiters(self, space):
-        txn = Transaction(space)
-        space.register_waiter(tpl("job", int), WaitMode.TAKE, lambda i: None, txn=txn)
-        assert space.pending_waiters == 1
-        txn.abort()
-        assert space.pending_waiters == 0
-
-    def test_live_txn_waiter_still_consumes(self, space):
-        txn = Transaction(space)
-        got = []
-        space.register_waiter(tpl("job", int), WaitMode.TAKE, got.append, txn=txn)
-        space.write(t("job", 1))
-        assert got == [t("job", 1)]
-        assert len(space) == 0          # provisionally taken: invisible
-        txn.abort()
-        assert len(space) == 1          # abort restores it
 
 
 class TestIndexedMatching:

@@ -4,7 +4,7 @@ The matching index in :mod:`repro.core.index` is a pure pruning layer: it
 must never change *which* record an operation returns, only how many
 candidates are inspected on the way.  This test drives random
 interleavings of write / read / take / lease renew / lease cancel /
-lease expiry / transaction commit / abort against
+lease expiry against
 
 * the real :class:`TupleSpace` (indexed matching, heap-driven expiry), and
 * :class:`LinearScanSpace`, a deliberately naive oracle that scans every
@@ -36,7 +36,6 @@ from repro.core import (
     Entry,
     LindaTuple,
     ManualClock,
-    Transaction,
     TupleSpace,
     TupleTemplate,
 )
@@ -63,31 +62,22 @@ class HotSensor(Sensor):
 
 
 class _OracleRecord:
-    __slots__ = ("seq", "item", "expires_at", "cancelled", "txn_owner",
-                 "taken_by", "dropped")
+    __slots__ = ("seq", "item", "expires_at", "cancelled", "dropped")
 
     def __init__(self, seq, item, expires_at):
         self.seq = seq
         self.item = item
         self.expires_at = expires_at
         self.cancelled = False
-        self.txn_owner = None
-        self.taken_by = None
         self.dropped = False
-
-
-class _OracleTxn:
-    def __init__(self):
-        self.written = []
-        self.taken = []
 
 
 class LinearScanSpace:
     """Reference semantics with no index: scan everything, oldest first.
 
     Mirrors :class:`TupleSpace` observable behaviour — lease clamping,
-    transaction visibility, eager expiry of every due lease at the start
-    of each matching operation — using nothing but a seq-ordered list.
+    eager expiry of every due lease at the start of each matching
+    operation — using nothing but a seq-ordered list.
     """
 
     def __init__(self, clock, max_lease=FOREVER, default_lease=FOREVER):
@@ -99,15 +89,12 @@ class LinearScanSpace:
         self.stats = {"writes": 0, "reads": 0, "takes": 0, "misses": 0,
                       "expirations": 0, "notifications": 0}
 
-    def write(self, item, lease=None, txn=None):
+    def write(self, item, lease=None):
         self.seq += 1
         requested = self.default_lease if lease is None else lease
         granted = min(requested, self.max_lease)
         rec = _OracleRecord(self.seq, item, self.clock.now() + granted)
-        rec.txn_owner = txn
         self.records.append(rec)
-        if txn is not None:
-            txn.written.append(rec)
         self.stats["writes"] += 1
         return rec
 
@@ -121,35 +108,27 @@ class LinearScanSpace:
             self._drop(rec)
             self.stats["expirations"] += 1
 
-    def _find(self, template, txn):
+    def _find(self, template):
         self._expire_due()
         for rec in self.records:
-            if rec.taken_by is not None:
-                continue
-            if rec.txn_owner is not None and rec.txn_owner is not txn:
-                continue
             if template.matches(rec.item):
                 return rec
         return None
 
-    def read_if_exists(self, template, txn=None):
-        rec = self._find(template, txn)
+    def read_if_exists(self, template):
+        rec = self._find(template)
         if rec is None:
             self.stats["misses"] += 1
             return None
         self.stats["reads"] += 1
         return rec.item
 
-    def take_if_exists(self, template, txn=None):
-        rec = self._find(template, txn)
+    def take_if_exists(self, template):
+        rec = self._find(template)
         if rec is None:
             self.stats["misses"] += 1
             return None
-        if txn is None:
-            self._drop(rec)
-        else:
-            rec.taken_by = txn
-            txn.taken.append(rec)
+        self._drop(rec)
         self.stats["takes"] += 1
         return rec.item
 
@@ -172,42 +151,9 @@ class LinearScanSpace:
         if not rec.dropped:
             self._drop(rec)
 
-    # -- transaction resolution ----------------------------------------
-
-    def commit(self, txn):
-        for rec in txn.taken:
-            if not rec.dropped:
-                self._drop(rec)
-        now = self.clock.now()
-        for rec in txn.written:
-            if not rec.dropped and rec.expires_at > now:
-                rec.txn_owner = None
-            # An expired pending write stays hidden until expiry
-            # accounting collects (and counts) it, like the engine's heap.
-
-    def abort(self, txn):
-        for rec in txn.written:
-            if not rec.dropped:
-                self._drop(rec)
-        now = self.clock.now()
-        for rec in txn.taken:
-            if rec.dropped:
-                continue
-            if rec.expires_at <= now:
-                # Expired while provisionally held: silently gone (the
-                # engine drops it on restore without counting an expiry).
-                self._drop(rec)
-                continue
-            rec.taken_by = None
-
     def visible_count(self):
         now = self.clock.now()
-        return sum(
-            1
-            for r in self.records
-            if r.taken_by is None and r.txn_owner is None
-            and r.expires_at > now
-        )
+        return sum(1 for r in self.records if r.expires_at > now)
 
 
 # -- strategies -------------------------------------------------------------
@@ -273,8 +219,6 @@ class EquivalenceMachine(RuleBasedStateMachine):
         self.oracle = LinearScanSpace(self.clock, max_lease=self.MAX_LEASE)
         #: (engine Lease, oracle record) pairs, for renew/cancel rules
         self.handles = []
-        self.txn = None          # engine Transaction
-        self.oracle_txn = None   # paired oracle transaction
 
     # -- plain operations ----------------------------------------------
 
@@ -334,46 +278,6 @@ class EquivalenceMachine(RuleBasedStateMachine):
         lease, rec = self.handles[pick % len(self.handles)]
         lease.cancel()
         self.oracle.cancel(rec)
-
-    # -- transactions ----------------------------------------------------
-
-    def _ensure_txn(self):
-        if self.txn is None:
-            self.txn = Transaction(self.space)
-            self.oracle_txn = _OracleTxn()
-
-    @rule(item=_items, lease=_leases)
-    def txn_write(self, item, lease):
-        self._ensure_txn()
-        granted = self.space.write(item, lease=lease, txn=self.txn)
-        rec = self.oracle.write(item, lease=lease, txn=self.oracle_txn)
-        self.handles.append((granted, rec))
-
-    @rule(template=_templates)
-    def txn_take(self, template):
-        self._ensure_txn()
-        got = self.space.take_if_exists(template, txn=self.txn)
-        expected = self.oracle.take_if_exists(template, txn=self.oracle_txn)
-        assert got == expected
-
-    @rule(template=_templates)
-    def txn_read(self, template):
-        self._ensure_txn()
-        got = self.space.read_if_exists(template, txn=self.txn)
-        expected = self.oracle.read_if_exists(template, txn=self.oracle_txn)
-        assert got == expected
-
-    @precondition(lambda self: self.txn is not None)
-    @rule(commit=st.booleans())
-    def resolve_txn(self, commit):
-        if commit:
-            self.txn.commit()
-            self.oracle.commit(self.oracle_txn)
-        else:
-            self.txn.abort()
-            self.oracle.abort(self.oracle_txn)
-        self.txn = None
-        self.oracle_txn = None
 
     # -- invariants ------------------------------------------------------
 

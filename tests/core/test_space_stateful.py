@@ -1,13 +1,9 @@
 """Stateful property testing of the space engine against a reference model.
 
 Hypothesis drives random interleavings of write / read / take / lease
-expiry / transactions against :class:`TupleSpace` while a plain-Python
-model tracks what the visible contents must be.  Catches ordering,
-visibility and lease-accounting bugs that example-based tests miss.
-
-Modelled semantics: the timestamp (total order) of an entry is assigned
-when it is *written*, even under a transaction — committing later does
-not move it behind entries written in between.
+expiry against :class:`TupleSpace` while a plain-Python model tracks
+what the visible contents must be.  Catches ordering, visibility and
+lease-accounting bugs that example-based tests miss.
 """
 
 from hypothesis import settings
@@ -19,7 +15,7 @@ from hypothesis.stateful import (
 )
 from hypothesis import strategies as st
 
-from repro.core import LindaTuple, ManualClock, Transaction, TupleSpace, TupleTemplate
+from repro.core import LindaTuple, ManualClock, TupleSpace, TupleTemplate
 
 KEYS = ["a", "b", "c"]
 
@@ -41,9 +37,6 @@ class SpaceMachine(RuleBasedStateMachine):
         self.space = TupleSpace(clock=self.clock)
         self.visible: list[_ModelEntry] = []
         self.counter = 0
-        self.txn = None
-        self.txn_writes: list[_ModelEntry] = []   # pending until commit
-        self.txn_taken: list[_ModelEntry] = []    # held until resolution
 
     # -- helpers -----------------------------------------------------------
 
@@ -57,12 +50,6 @@ class SpaceMachine(RuleBasedStateMachine):
             if entry.key == key:
                 return entry
         return None
-
-    def _ensure_txn(self):
-        if self.txn is None:
-            self.txn = Transaction(self.space)
-            self.txn_writes = []
-            self.txn_taken = []
 
     # -- rules ---------------------------------------------------------------
 
@@ -103,57 +90,6 @@ class SpaceMachine(RuleBasedStateMachine):
     @rule()
     def sweep(self):
         self.space.sweep_expired()
-
-    # -- transactions ------------------------------------------------------------
-
-    @rule(key=st.sampled_from(KEYS))
-    def txn_write(self, key):
-        self._ensure_txn()
-        self.counter += 1
-        self.space.write(LindaTuple(key, self.counter), txn=self.txn)
-        # Order is assigned NOW; visibility comes at commit.
-        self.txn_writes.append(
-            _ModelEntry(self.counter, key, self.counter, float("inf"))
-        )
-
-    @rule(key=st.sampled_from(KEYS))
-    def txn_take(self, key):
-        self._ensure_txn()
-        # A transaction sees the public entries AND its own pending
-        # writes; the oldest matching timestamp wins.
-        candidates = self._now_visible() + [
-            e for e in self.txn_writes if e.key == key
-        ]
-        candidates = [e for e in candidates if e.key == key]
-        expected = min(candidates, key=lambda e: e.order, default=None)
-        got = self.space.take_if_exists(TupleTemplate(key, int), txn=self.txn)
-        if expected is None:
-            assert got is None
-            return
-        assert got is not None and got[1] == expected.value
-        if expected in self.txn_writes:
-            # Written-then-taken inside the txn: gone whatever happens.
-            self.txn_writes.remove(expected)
-        else:
-            self.visible.remove(expected)
-            self.txn_taken.append(expected)
-
-    @rule(commit=st.booleans())
-    def resolve_txn(self, commit):
-        if self.txn is None:
-            return
-        if commit:
-            self.txn.commit()
-            self.visible.extend(self.txn_writes)
-        else:
-            self.txn.abort()
-            # Provisionally taken entries reappear with their original
-            # timestamps (unless their lease ran out meanwhile, which the
-            # visibility filter handles).
-            self.visible.extend(self.txn_taken)
-        self.txn = None
-        self.txn_writes = []
-        self.txn_taken = []
 
     # -- invariants ----------------------------------------------------------------
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import pathlib
+import runpy
 
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parents[2] / "examples"
 
@@ -34,3 +35,10 @@ def test_bus_activity_timeline_renders_tx_rx_strips(capsys):
         assert "@" in strip and " " not in strip
     assert "  (tpwire, rx ) -> 275" in lines
     assert "  (tpwire, tx ) -> 276" in lines
+
+
+def test_quickstart_runs_to_the_end(capsys):
+    runpy.run_path(str(EXAMPLES_DIR / "quickstart.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "recovered 1 entry with its remaining lease" in out
+    assert out.rstrip().endswith("quickstart done.")
