@@ -64,13 +64,11 @@ def lint_source(
         )
         return report
 
-    ignored = config.ignored_rules_for(path)
     suppressions = SuppressionIndex.from_lines(ctx.lines)
     collected: list[Finding] = []
     for rule in rules:
-        if rule.id in ignored or not rule.applies_to(ctx):
-            continue
-        collected.extend(rule.check(ctx))
+        if rule.applies_to(ctx):
+            collected.extend(rule.check(ctx))
     for finding in sorted(collected, key=lambda f: (f.line, f.col, f.rule)):
         if suppressions.suppresses(finding):
             report.suppressed.append(finding)

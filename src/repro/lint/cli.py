@@ -44,11 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: src)",
     )
     parser.add_argument(
-        "--config",
-        metavar="PYPROJECT",
-        help="explicit pyproject.toml (default: discovered from cwd upward)",
-    )
-    parser.add_argument(
         "--no-config",
         action="store_true",
         help="ignore pyproject.toml and run with built-in defaults",
@@ -56,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--select",
         metavar="RULES",
-        help="comma-separated rule ids to run (overrides config)",
+        help="comma-separated rule ids to run (default: every rule)",
     )
     parser.add_argument(
         "--format",
@@ -84,19 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         metavar="N",
         help="worker processes for the project pass (default: auto)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help=(
-            "report and gate only on findings not recorded in FILE "
-            "(create/refresh it with --update-baseline)"
-        ),
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="write the current findings to the --baseline file and exit 0",
     )
     parser.add_argument(
         "--list-rules",
@@ -150,18 +132,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.update_baseline and not args.baseline:
-        print(
-            "repro-lint: --update-baseline requires --baseline FILE",
-            file=sys.stderr,
-        )
-        return 2
     try:
-        if args.no_config:
-            config = LintConfig(root=Path.cwd())
-        else:
-            start = Path(args.config) if args.config else Path.cwd()
-            config = load_config(start)
+        config = LintConfig(root=Path.cwd()) if args.no_config else load_config()
 
         if args.list_rules:
             return _list_rules(config)
@@ -192,16 +164,18 @@ def main(argv: Optional[list[str]] = None) -> int:
         if not args.project_only:
             reports = lint_paths(paths, config=config, select=select)
         project_reports = []
+        project_files = 0
         if not args.no_project and project_rules:
             from repro.lint.project import run_project
 
-            project_reports, _stats = run_project(
+            project_reports, stats = run_project(
                 paths,
                 config=config,
                 select=select,
                 use_cache=not args.no_cache,
                 jobs=args.jobs,
             )
+            project_files = stats.selected
     except LintError as exc:
         print(f"repro-lint: {exc}", file=sys.stderr)
         return 2
@@ -220,25 +194,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             key=lambda f: (f.path, f.line, f.col, f.rule),
         )
     )
-    files = len(reports) if reports else len(project_reports)
-
-    if args.baseline:
-        from repro.lint.baseline import filter_new, load_baseline, save_baseline
-
-        baseline_path = Path(args.baseline)
-        try:
-            if args.update_baseline:
-                recorded = save_baseline(baseline_path, findings)
-                if not args.quiet:
-                    print(
-                        f"repro-lint: baseline {baseline_path} updated "
-                        f"({recorded} findings recorded)"
-                    )
-                return 0
-            findings = filter_new(findings, load_baseline(baseline_path))
-        except LintError as exc:
-            print(f"repro-lint: {exc}", file=sys.stderr)
-            return 2
+    files = project_files if args.project_only else len(reports)
 
     if args.format == "json":
         print(

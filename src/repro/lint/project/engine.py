@@ -57,6 +57,9 @@ class ProjectStats:
     """What the engine did — the observable the cache tests assert on."""
 
     files: int = 0
+    #: Indexed files under the requested paths (findings are reported
+    #: only for these).
+    selected: int = 0
     #: Files parsed this run (cache misses).
     parsed: int = 0
     #: Files served from the summary cache.
@@ -556,6 +559,7 @@ def run_project(
         for display, summary in index.by_path.items()
         if _selected(display, config, wanted)
     }
+    stats.selected = len(selected)
 
     collected: list[Finding] = []
     for rule in rules:
@@ -566,8 +570,6 @@ def run_project(
         collected, key=lambda f: (f.path, f.line, f.col, f.rule, f.message)
     ):
         if finding.path not in selected:
-            continue
-        if finding.rule in config.ignored_rules_for(finding.path):
             continue
         report = per_file.setdefault(finding.path, FileReport(path=finding.path))
         summary = index.by_path.get(finding.path)

@@ -25,14 +25,14 @@ class Rule:
     ----------------
     id:
         Unique kebab-case identifier (used in ``# lint: disable=``,
-        config ``select``/``ignore`` and finding output).
+        ``--select``, the rule's options table and finding output).
     summary:
         One-line description shown by ``--list-rules``.
     default_severity:
         ERROR findings gate the run; WARNING findings are advisory.
     default_scope:
         Dotted module prefixes the rule applies to, or ``None`` for
-        every module.  Overridable per rule via config ``scope``.
+        every module.
     """
 
     id: str = ""
@@ -43,11 +43,8 @@ class Rule:
     def __init__(self, config):
         self.config = config
         self.options: dict = config.rule_options.get(self.id, {})
-        self.severity: Severity = config.severities.get(self.id, self.default_severity)
-        scope = self.options.get("scope")
-        self.scope: Optional[tuple[str, ...]] = (
-            tuple(scope) if scope is not None else self.default_scope
-        )
+        self.severity: Severity = self.default_severity
+        self.scope: Optional[tuple[str, ...]] = self.default_scope
 
     # -- scoping -----------------------------------------------------------
 
@@ -169,19 +166,15 @@ def validate_rule_ids(rule_ids: Iterable[str]) -> None:
 def instantiate(
     config, select: Optional[Iterable[str]] = None, *, project: bool = False
 ) -> list[Rule]:
-    """Build rule instances of one kind enabled under ``config``.
+    """Build rule instances of one kind: ``select`` (``--select``), or
+    every registered rule when it is ``None``.
 
-    ``select`` (CLI override) wins over config select/ignore.  Ids are
-    validated against the union of both kinds, so selecting a project
-    rule while instantiating the per-file pass is not an error — it just
-    contributes nothing to this pass.
+    Ids are validated against the union of both kinds, so selecting a
+    project rule while instantiating the per-file pass is not an error —
+    it just contributes nothing to this pass.
     """
     classes = all_rule_classes()
-    if select is not None:
-        wanted = list(select)
-    else:
-        wanted = config.select if config.select is not None else sorted(classes)
-        wanted = [rule_id for rule_id in wanted if rule_id not in config.ignore]
+    wanted = list(select) if select is not None else sorted(classes)
     validate_rule_ids(wanted)
     return [
         classes[rule_id](config)

@@ -77,6 +77,21 @@ def test_project_only_skips_the_per_file_pass(tmp_path, monkeypatch, capsys):
     assert "mutable-default" not in out
 
 
+def test_project_only_counts_the_files_it_reports_on(
+    tmp_path, monkeypatch, capsys
+):
+    # Counted are the files under the requested paths, not only the ones
+    # with findings: the clean fixture below has none.
+    files = dict(DRIFT_PROJECT)
+    files["src/repro/hw/phy.py"] = "from repro.tpwire.constants import FRAME_BITS\n"
+    write_project(tmp_path, files)
+    monkeypatch.chdir(tmp_path)
+    assert main(["--project-only", "--no-cache", "src"]) == 0
+    assert "repro-lint: 4 files, 0 errors" in capsys.readouterr().out
+    assert main(["--project-only", "--no-cache", "--format", "json", "src"]) == 0
+    assert json.loads(capsys.readouterr().out)["files"] == 4
+
+
 def test_no_project_and_project_only_conflict(tmp_path, monkeypatch, capsys):
     write_project(tmp_path, DRIFT_PROJECT)
     monkeypatch.chdir(tmp_path)
@@ -128,12 +143,12 @@ def test_iter_python_files_honours_exclusion_globs(tmp_path):
         tmp_path,
         {
             "src/repro/hw/phy.py": "",
-            "src/repro/hw/_generated/tables.py": "",
-            "src/repro/net/vendor/blob.py": "",
+            "src/repro/hw/__pycache__/phy.py": "",
+            "src/build/lib/repro/net/agent.py": "",
             "src/repro/net/agent.py": "",
         },
     )
-    config = LintConfig(exclude=["_generated", "*/vendor/*"], root=tmp_path)
+    config = LintConfig(root=tmp_path)
     found = {
         path.relative_to(tmp_path).as_posix()
         for path in iter_python_files([tmp_path / "src"], config)
