@@ -13,13 +13,13 @@ import pytest
 
 from repro.analysis import Table
 from repro.core import XmlCodec
-from repro.core.entry import entry_fields
 from repro.cosim.scenarios import default_entry, make_case_study_codec
 
 
 def json_size(entry) -> int:
     """A compact non-XML strawman encoding of the same entry."""
-    payload = {"class": type(entry).__name__, "fields": entry_fields(entry)}
+    fields = {name: getattr(entry, name) for name in type(entry)._fields}
+    payload = {"class": type(entry).__name__, "fields": fields}
     return len(json.dumps(payload, separators=(",", ":")).encode())
 
 

@@ -30,7 +30,7 @@ from repro.core.errors import (
 )
 from repro.core.clock import Clock, SystemClock, SimClock, ManualClock
 from repro.core.tuples import LindaTuple, TupleTemplate, ANY
-from repro.core.entry import Entry, entry_fields
+from repro.core.entry import Entry
 from repro.core.lease import Lease, LeaseManager, FOREVER
 from repro.core.events import EventRegistration, RemoteEvent
 from repro.core.space import TupleSpace, SpaceStats
@@ -69,7 +69,6 @@ __all__ = [
     "TupleTemplate",
     "ANY",
     "Entry",
-    "entry_fields",
     "Lease",
     "LeaseManager",
     "FOREVER",

@@ -47,7 +47,7 @@ from __future__ import annotations
 import struct
 from typing import Any
 
-from repro.core.entry import Entry, entry_fields
+from repro.core.entry import Entry
 from repro.core.errors import ProtocolError
 from repro.core.protocol import Message, MessageType
 from repro.core.tuples import ANY, LindaTuple, TupleTemplate
@@ -163,11 +163,10 @@ class BinaryCodec:
         if isinstance(item, Entry):
             out.append(TAG_ENTRY)
             _write_str(out, type(item).__name__)
-            fields = sorted(entry_fields(item).items())
-            _write_varint(out, len(fields))
-            for name, value in fields:
+            _write_varint(out, len(item._fields))
+            for name in item._fields:
                 _write_str(out, name)
-                self._write_value(out, value)
+                self._write_value(out, getattr(item, name))
         elif isinstance(item, LindaTuple):
             out.append(TAG_TUPLE)
             _write_varint(out, len(item.fields))
@@ -278,17 +277,13 @@ class BinaryCodec:
                 self._read_value(reader) for _ in range(reader.varint())
             )
         if tag == TAG_DICT:
-            members = {}
-            for _ in range(reader.varint()):
-                key = reader.string()
-                members[key] = self._read_value(reader)
-            return members
+            return dict(self._read_named(reader))
         if tag == TAG_TUPLE:
             return LindaTuple(
                 *[self._read_value(reader) for _ in range(reader.varint())]
             )
         if tag == TAG_ENTRY:
-            return self._read_entry(reader)
+            return self.registry.build_entry(reader.string(), self._read_named(reader))
         if tag == TAG_TEMPLATE:
             return TupleTemplate(
                 *[self._read_pattern(reader) for _ in range(reader.varint())]
@@ -297,19 +292,12 @@ class BinaryCodec:
             raise ProtocolError("pattern tag outside a template")
         raise ProtocolError(f"unknown binary tag {tag:#04x}")
 
-    def _read_entry(self, reader: _Reader) -> Entry:
-        class_name = reader.string()
-        entry_class = self.registry.resolve_class(class_name)
-        fields = {}
+    def _read_named(self, reader: _Reader):
+        """``(name, value)`` pairs of an entry or dict: a count, then each
+        name string and its value."""
         for _ in range(reader.varint()):
             name = reader.string()
-            fields[name] = self._read_value(reader)
-        try:
-            return entry_class(**fields)
-        except TypeError as exc:
-            raise ProtocolError(
-                f"cannot construct {class_name}(**{sorted(fields)}): {exc}"
-            ) from exc
+            yield name, self._read_value(reader)
 
     def _read_pattern(self, reader: _Reader) -> Any:
         tag = reader.data[reader.pos] if reader.pos < len(reader.data) else None

@@ -17,10 +17,19 @@ Define entries as plain classes with keyword fields::
 
     space.write(SensorReading("t1", 20.5, 7), lease=60.0)
     hot = space.take(SensorReading(sensor_id="t1"))   # value/tick wildcards
+
+The fields belong to the class: ``cls._fields``, worked out once, is
+the sorted names of the parameters of the ``__init__`` the class
+defines (or inherits), and ``__init__`` stores each under its own name.
+Matching, equality, ``repr``, the index and both codecs read only these;
+an attribute set later is not a field.  Defining a class raises
+``TypeError`` if its ``__init__`` takes ``*args``, ``**kwargs`` or
+positional-only parameters, or if it drops a parent's field.
 """
 
 from __future__ import annotations
 
+import inspect
 from typing import Any
 
 
@@ -32,49 +41,46 @@ class Entry:
     agreeing on the non-``None`` fields.
     """
 
+    #: The class's field names, sorted (set per class when it is defined).
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        init = cls.__dict__.get("__init__")
+        if init is not None:
+            params = list(inspect.signature(init).parameters.values())[1:]
+            unnamed = [
+                p.name for p in params
+                if p.kind not in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
+            ]
+            if unnamed:
+                raise TypeError(f"{cls.__name__}.__init__ takes {unnamed}: "
+                                "entry fields must be named parameters")
+            cls._fields = tuple(sorted(p.name for p in params))
+        for base in cls.__bases__:
+            dropped = set(getattr(base, "_fields", ())) - set(cls._fields)
+            if dropped:
+                raise TypeError(f"{cls.__name__} drops field(s) "
+                                f"{sorted(dropped)} of {base.__name__}")
+
     def matches(self, item: Any) -> bool:
         """JavaSpaces template matching with ``self`` as the template."""
         if not isinstance(item, type(self)):
             return False
-        item_fields = entry_fields(item)
-        for name, value in entry_fields(self).items():
-            if value is None:
-                continue
-            if name not in item_fields or item_fields[name] != value:
+        for name in self._fields:
+            value = getattr(self, name)
+            if value is not None and getattr(item, name) != value:
                 return False
         return True
 
     def __eq__(self, other) -> bool:
-        return type(self) is type(other) and entry_fields(self) == entry_fields(other)
+        return type(self) is type(other) and [
+            getattr(self, name) for name in self._fields
+        ] == [getattr(other, name) for name in self._fields]
 
     # Entries are mutable records, not dictionary keys.
     __hash__ = None
 
     def __repr__(self) -> str:
-        inner = ", ".join(
-            f"{k}={v!r}" for k, v in sorted(entry_fields(self).items())
-        )
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({inner})"
-
-
-def entry_fields(entry: Entry) -> dict[str, Any]:
-    """Public fields of an entry: instance attributes not starting with _."""
-    return {
-        name: value
-        for name, value in vars(entry).items()
-        if not name.startswith("_")
-    }
-
-
-def iter_constrained_fields(entry: Entry):
-    """Yield the ``(name, value)`` pairs a template actually constrains.
-
-    For a stored entry this is every public field with a value; for a
-    template it is the non-``None`` (non-wildcard) fields, in the
-    deterministic order the instance assigned them — the matching
-    engine's per-field equality index keys off exactly these pairs.
-    """
-    for name, value in vars(entry).items():
-        if value is not None and not name.startswith("_"):
-            yield name, value
-

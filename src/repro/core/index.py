@@ -46,7 +46,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Iterable, Iterator, Optional
 
-from repro.core.entry import Entry, iter_constrained_fields
+from repro.core.entry import Entry
 from repro.core.tuples import LindaTuple, TupleTemplate
 
 _EMPTY: dict = {}
@@ -147,7 +147,10 @@ class ItemIndex:
             for cls in type(item).__mro__:
                 if cls is not object and issubclass(cls, Entry):
                     self._put(self._entry_class, cls, seq, record, handles)
-            for name, value in iter_constrained_fields(item):
+            for name in item._fields:
+                value = getattr(item, name)
+                if value is None:
+                    continue
                 try:
                     self._put(
                         self._entry_field, (name, value), seq, record, handles
@@ -207,23 +210,24 @@ class ItemIndex:
         bucket = self._entry_class.get(type(template))
         if not bucket:
             return ()
-        for name, value in iter_constrained_fields(template):
+        # The narrowest field bucket wins: fields come in name order, so
+        # the first one may be unselective (every entry's ``firmware``).
+        best, best_size = None, len(bucket)
+        for name in template._fields:
+            value = getattr(template, name)
+            if value is None:
+                continue
             try:
                 exact = self._entry_field.get((name, value))
             except TypeError:
                 continue  # unhashable constraint: try the next field
             loose = self._entry_loose.get(name)
-            narrowed = (len(exact) if exact else 0) + (
-                len(loose) if loose else 0
-            )
-            if narrowed >= len(bucket):
-                break  # the class bucket is already the tighter set
-            return (
-                record
-                for record in _merged(exact, loose)
-                if record.seq in bucket
-            )
-        return bucket.values()
+            size = (len(exact) if exact else 0) + (len(loose) if loose else 0)
+            if size < best_size:
+                best, best_size = (exact, loose), size
+        if best is None:
+            return bucket.values()
+        return (record for record in _merged(*best) if record.seq in bucket)
 
     # -- introspection -----------------------------------------------------
 

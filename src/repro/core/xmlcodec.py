@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from typing import Any
+from typing import Any, Iterable
 
-from repro.core.entry import Entry, entry_fields
+from repro.core.entry import Entry
 from repro.core.errors import ProtocolError
 from repro.core.tuples import ANY, LindaTuple, TupleTemplate
 
@@ -103,19 +103,32 @@ class XmlCodec:
         """Register an Entry subclass for decoding (usable as decorator)."""
         if not (isinstance(entry_class, type) and issubclass(entry_class, Entry)):
             raise ProtocolError(f"{entry_class!r} is not an Entry subclass")
-        self._classes[entry_class.__name__] = entry_class
+        known = self._classes.setdefault(entry_class.__name__, entry_class)
+        if known is not entry_class:
+            raise ProtocolError(f"{entry_class.__name__!r} already names {known!r}")
         return entry_class
 
     def known_classes(self) -> list[str]:
         return sorted(self._classes)
 
-    def resolve_class(self, name: str) -> type:
-        """Registered Entry class for ``name`` (shared with the binary
-        codec, which decodes against the same value model/registry)."""
-        entry_class = self._classes.get(name)
+    def build_entry(self, class_name: str, fields: Iterable[tuple[str, Any]]) -> Entry:
+        """Registered class ``class_name`` built from decoded ``(name,
+        value)`` pairs, refusing a name given twice (both codecs decode
+        entries here; ``fields`` is consumed after the class lookup)."""
+        entry_class = self._classes.get(class_name)
         if entry_class is None:
-            raise ProtocolError(f"unregistered entry class {name!r}")
-        return entry_class
+            raise ProtocolError(f"unregistered entry class {class_name!r}")
+        values = {}
+        for name, value in fields:
+            if name in values:
+                raise ProtocolError(f"{class_name} field {name!r} given twice")
+            values[name] = value
+        try:
+            return entry_class(**values)
+        except TypeError as exc:
+            raise ProtocolError(
+                f"cannot construct {class_name}(**{sorted(values)}): {exc}"
+            ) from exc
 
     # -- encoding -----------------------------------------------------------
     #
@@ -134,13 +147,12 @@ class XmlCodec:
         """Append the element of an entry, tuple or template to ``out``."""
         if isinstance(item, Entry):
             head = f'<entry class="{escape_attrib(type(item).__name__)}"'
-            fields = entry_fields(item)
-            if not fields:
+            if not item._fields:
                 out.append(head + " />")
                 return
             out.append(head + ">")
-            for name, value in sorted(fields.items()):
-                self._write_field(out, value, f' name="{escape_attrib(name)}"')
+            for name in item._fields:
+                self._write_field(out, getattr(item, name), f' name="{escape_attrib(name)}"')
             out.append("</entry>")
         elif isinstance(item, LindaTuple):
             out.append("<tuple>")
@@ -230,7 +242,10 @@ class XmlCodec:
 
     def from_element(self, element: ET.Element) -> Any:
         if element.tag == "entry":
-            return self._decode_entry(element)
+            class_name = element.get("class")
+            if class_name is None:
+                raise ProtocolError("<entry> without a class attribute")
+            return self.build_entry(class_name, self._read_named(element))
         if element.tag == "tuple":
             return LindaTuple(
                 *[self._read_value(child) for child in element]
@@ -241,23 +256,16 @@ class XmlCodec:
             )
         raise ProtocolError(f"unknown XML element <{element.tag}>")
 
-    def _decode_entry(self, element: ET.Element) -> Entry:
-        class_name = element.get("class")
-        if class_name is None:
-            raise ProtocolError("<entry> without a class attribute")
-        entry_class = self.resolve_class(class_name)
-        fields = {}
+    def _read_named(self, element: ET.Element):
+        """``(name, value)`` of each child of an entry or dict field."""
         for child in element:
             name = child.get("name")
             if name is None:
-                raise ProtocolError("entry <field> without a name")
-            fields[name] = self._read_value(child)
-        try:
-            return entry_class(**fields)
-        except TypeError as exc:
-            raise ProtocolError(
-                f"cannot construct {class_name}(**{sorted(fields)}): {exc}"
-            ) from exc
+                # The encoder names every entry field and (string) dict
+                # key; a nameless one would fabricate a ``None`` name.
+                kind = element.get("type", element.tag)
+                raise ProtocolError(f"{kind} <field> without a name")
+            yield name, self._read_value(child)
 
     def _read_value(self, element: ET.Element) -> Any:
         kind = element.get("type")
@@ -281,16 +289,7 @@ class XmlCodec:
         if kind == "pytuple":
             return tuple(self._read_value(child) for child in element)
         if kind == "dict":
-            members = {}
-            for child in element:
-                name = child.get("name")
-                if name is None:
-                    # The encoder enforces string keys; accepting a
-                    # nameless field here would fabricate a {None: ...}
-                    # key no encoder could ever have produced.
-                    raise ProtocolError("dict <field> without a name")
-                members[name] = self._read_value(child)
-            return members
+            return dict(self._read_named(element))
         if kind == "tuple":
             return LindaTuple(*[self._read_value(child) for child in element])
         if kind == "entry":

@@ -43,7 +43,7 @@ DEFAULT_ALLOWED = (
 #: Every builtin exception name.
 BUILTIN_EXCEPTIONS = frozenset(
     name
-    for name, obj in vars(builtins).items()
+    for name, obj in builtins.__dict__.items()
     if isinstance(obj, type) and issubclass(obj, BaseException)
 )
 

@@ -146,6 +146,24 @@ class TestStrictDecoding:
         with pytest.raises(ProtocolError, match="varint"):
             reader.varint()
 
+    @pytest.mark.parametrize(
+        "wire, body",
+        [
+            (
+                "xml",
+                b'<entry class="Part"><field name="serial" type="int">1</field>'
+                b'<field name="serial" type="int">2</field></entry>',
+            ),
+            # TAG_ENTRY "Part", 2 fields: "serial" = int 1, "serial" = int 2
+            ("binary", b"\x0b\x04Part\x02\x06serial\x03\x02\x06serial\x03\x04"),
+        ],
+        ids=["xml", "binary"],
+    )
+    def test_field_named_twice_is_refused(self, registry, bin_codec, wire, body):
+        codec = registry if wire == "xml" else bin_codec
+        with pytest.raises(ProtocolError, match="'serial' given twice"):
+            codec.decode(body)
+
     def test_big_int_varint_is_legal(self, bin_codec):
         # The bomb guard must not reject genuine big ints.
         item = LindaTuple("k", 2**600)

@@ -1,8 +1,12 @@
 """JavaSpaces entries and template matching."""
 
+import io
+
 import pytest
 
-from repro.core import Entry, entry_fields
+from repro.core import Entry, ManualClock, TupleSpace, XmlCodec
+from repro.core.bincodec import BinaryCodec
+from repro.core.persistence import SpaceJournal, recover_space
 
 
 class Reading(Entry):
@@ -25,13 +29,72 @@ class Unrelated(Entry):
 
 class TestFields:
     def test_public_fields_extracted(self):
-        entry = Reading("t1", 20.5, 7)
-        assert entry_fields(entry) == {"sensor": "t1", "value": 20.5, "tick": 7}
+        assert Reading._fields == ("sensor", "tick", "value")
+        assert CalibratedReading._fields == ("offset", "sensor", "tick", "value")
+
+    def test_a_class_without_init_inherits_its_parents_fields(self):
+        class Bare(Entry):
+            pass
+
+        class Relabelled(Reading):
+            pass
+
+        assert Entry._fields == () and Bare._fields == ()
+        assert Relabelled._fields == Reading._fields
+
+    def test_init_without_named_parameters_is_refused(self):
+        with pytest.raises(TypeError, match=r"\['rest'\]: entry fields must be named"):
+
+            class Star(Entry):
+                def __init__(self, sensor=None, *rest):
+                    self.sensor = sensor
+
+        with pytest.raises(TypeError, match=r"\['extra'\]"):
+
+            class DoubleStar(Entry):
+                def __init__(self, sensor=None, **extra):
+                    self.sensor = sensor
+
+        with pytest.raises(TypeError, match=r"\['sensor'\]"):
+
+            class PositionalOnly(Entry):
+                def __init__(self, sensor=None, /):
+                    self.sensor = sensor
+
+    def test_subclass_dropping_a_parent_field_is_refused(self):
+        with pytest.raises(TypeError, match=r"drops field\(s\) \['tick', 'value'\]"):
+
+            class Narrowed(Reading):
+                def __init__(self, sensor=None):
+                    super().__init__(sensor)
+
+    def test_attribute_set_after_init_is_not_a_field(self):
+        clock = ManualClock()
+        space = TupleSpace(clock=clock)
+        codec = XmlCodec()
+        codec.register(Reading)
+        sink = io.StringIO()
+        SpaceJournal(space, sink, codec)
+        entry = Reading("t1", 20.5)
+        entry.unit = "C"
+        space.write(entry)
+
+        template = Reading(sensor="t1")
+        template.unit = "F"
+        assert template.matches(entry)
+        assert space.read_if_exists(template) == entry
+        assert "unit" not in repr(entry)
+        for wire in (codec, BinaryCodec(codec)):
+            assert wire.decode(wire.encode(entry)) == entry
+        restored = TupleSpace(clock=clock)
+        assert recover_space(restored, io.StringIO(sink.getvalue()), codec) == 1
+        assert restored.read_if_exists(Reading()) == Reading("t1", 20.5)
 
     def test_private_fields_ignored(self):
         entry = Reading("t1")
         entry._secret = "hidden"
-        assert "_secret" not in entry_fields(entry)
+        assert entry == Reading("t1")
+        assert "_secret" not in repr(entry)
 
     def test_equality(self):
         assert Reading("a", 1.0) == Reading("a", 1.0)

@@ -28,7 +28,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ANY, Entry, LindaTuple, TupleTemplate, XmlCodec
-from repro.core.entry import entry_fields
 from repro.core.errors import ProtocolError
 from repro.core.protocol import Message, MessageType, XmlWireCodec, encode_message
 from repro.core.xmlcodec import _NOT_XML_CHAR
@@ -131,8 +130,8 @@ def make_codec():
 def _oracle_element(item):
     if isinstance(item, Entry):
         element = ET.Element("entry", {"class": type(item).__name__})
-        for name, value in sorted(entry_fields(item).items()):
-            element.append(_oracle_field(value, name))
+        for name in type(item)._fields:
+            element.append(_oracle_field(getattr(item, name), name))
         return element
     if isinstance(item, LindaTuple):
         element = ET.Element("tuple")

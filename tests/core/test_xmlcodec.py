@@ -58,6 +58,18 @@ class TestEntryRoundtrip:
         with pytest.raises(ProtocolError):
             codec.register(int)
 
+    def test_register_refuses_a_second_class_under_a_taken_name(self, codec):
+        codec.register(Block)  # the same class again: a no-op
+
+        class Block2(Entry):
+            def __init__(self, other=None):
+                self.other = other
+
+        Block2.__name__ = "Block"
+        with pytest.raises(ProtocolError, match="'Block' already names"):
+            codec.register(Block2)
+        assert codec.decode(codec.encode(Block("b1"))) == Block("b1")
+
     def test_register_as_decorator(self):
         codec = XmlCodec()
 
