@@ -12,6 +12,25 @@ is one high-priority event at the current simulation time.  Within a step:
 Steps repeat at the same timestamp until no process is runnable and no
 update is pending, then simulated time advances — exactly SystemC's
 scheduler contract, which is what makes the bit-level TpWIRE PHY race-free.
+
+Timed delta steps
+-----------------
+
+A timed wake-up (:meth:`HwKernel.notify_after`, :meth:`HwKernel.notify_at`)
+or a timed write (:meth:`HwKernel.write_after`) is one ordinary
+priority-0 event whose callback runs its delta step inline, instead of
+queueing a second, delta-priority event for the same instant.  This
+fires the same callbacks in the same order.  A priority-0 entry at time
+t pops only after every :attr:`~HwKernel.DELTA_PRIORITY` entry at t has
+popped, and only delta steps use that priority, so when the entry fires
+no delta step is pending, and the one it would queue would be the very
+next pop.  Later entries draw lower sequence numbers than they would
+have, which leaves their order among themselves unchanged.
+
+Likewise a signal written while a step runs rides that step's update
+phase: the step queues a follow-up delta only when a process is left
+runnable, rather than on every write, so no empty delta step is ever
+dispatched.
 """
 
 from __future__ import annotations
@@ -34,48 +53,69 @@ class HwKernel:
         self._runnable: list = []
         self._runnable_set: set = set()
         self._pending_updates: list["Signal"] = []
-        self._pending_update_set: set = set()
+        #: True from the moment a delta step is queued until it has run.
         self._delta_scheduled = False
         self.delta_count = 0
-        self.processes: list = []
-
-    # -- registration ------------------------------------------------------
-
-    def register_process(self, process) -> None:
-        self.processes.append(process)
 
     def make_runnable(self, process) -> None:
         """Queue a process for the next evaluate phase."""
-        if id(process) in self._runnable_set:
+        if process in self._runnable_set:
             return
         self._runnable.append(process)
-        self._runnable_set.add(id(process))
-        self._schedule_delta()
+        self._runnable_set.add(process)
+        if not self._delta_scheduled:
+            self._schedule_delta()
 
     def request_update(self, signal: "Signal") -> None:
-        """Queue a signal for the next update phase."""
-        if id(signal) in self._pending_update_set:
-            return
+        """Queue a signal for the next update phase.
+
+        A signal requests once per pending value (``Signal.write`` keeps
+        that flag), so the queue needs no duplicate check."""
         self._pending_updates.append(signal)
-        self._pending_update_set.add(id(signal))
-        self._schedule_delta()
+        if not self._delta_scheduled:
+            self._schedule_delta()
+
+    # -- timed delta steps ---------------------------------------------------
 
     def notify_after(self, delay: float, process) -> None:
         """Resume a process after a timed wait."""
-        self.sim.call_after(delay, self.make_runnable, process)
+        self.sim.call_after(delay, self._timed_wake, process)
+
+    def notify_at(self, time: float, process):
+        """Resume a process at absolute ``time``; returns the cancellable
+        :class:`~repro.des.event.Event`."""
+        return self.sim.at(time, self._timed_wake, process)
+
+    def write_after(self, delay: float, signal: "Signal", value) -> None:
+        """Write ``value`` to ``signal`` after ``delay``; it commits in the
+        update phase of that instant's first delta step."""
+        self.sim.call_after(delay, self._timed_write, signal, value)
+
+    def _timed_wake(self, process) -> None:
+        assert not self._delta_scheduled, "timed wake with a delta pending"
+        self._delta_scheduled = True
+        self._runnable.append(process)
+        self._runnable_set.add(process)
+        self._delta_step()
+
+    def _timed_write(self, signal: "Signal", value) -> None:
+        assert not self._delta_scheduled, "timed write with a delta pending"
+        self._delta_scheduled = True
+        signal.write(value)
+        self._delta_step()
 
     # -- delta machinery -----------------------------------------------------
 
     def _schedule_delta(self) -> None:
-        if self._delta_scheduled:
-            return
         self._delta_scheduled = True
         self.sim.call_at(
             self.sim.now, self._delta_step, priority=self.DELTA_PRIORITY
         )
 
     def _delta_step(self) -> None:
-        self._delta_scheduled = False
+        # ``_delta_scheduled`` stays set while the step runs: writes made
+        # during evaluate commit in this step's update phase, and wake-ups
+        # made in either phase are queued once, below.
         self.delta_count += 1
         # Evaluate phase.
         runnable, self._runnable = self._runnable, []
@@ -84,24 +124,9 @@ class HwKernel:
             process.run()
         # Update phase.
         updates, self._pending_updates = self._pending_updates, []
-        self._pending_update_set.clear()
         for signal in updates:
             signal.apply_update()
-
-    def settle(self) -> None:
-        """Run all deltas pending at the current time (for tests)."""
-        while self._delta_scheduled:
-            # The scheduled event will fire when the sim runs; for direct
-            # settling outside a run loop, execute steps inline.
+        if self._runnable or self._pending_updates:
+            self._schedule_delta()
+        else:
             self._delta_scheduled = False
-            self.delta_count += 1
-            runnable, self._runnable = self._runnable, []
-            self._runnable_set.clear()
-            for process in runnable:
-                process.run()
-            updates, self._pending_updates = self._pending_updates, []
-            self._pending_update_set.clear()
-            for signal in updates:
-                signal.apply_update()
-            if self._runnable or self._pending_updates:
-                self._delta_scheduled = True

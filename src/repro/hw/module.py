@@ -55,7 +55,6 @@ class HwModule:
     def __init__(self, kernel: HwKernel, name: str = ""):
         self.kernel = kernel
         self.name = name or type(self).__name__
-        self._processes: list = []
         self.build()
 
     def build(self) -> None:
@@ -69,8 +68,6 @@ class HwModule:
     def thread(self, fn: Callable[[], Generator], start: bool = True) -> ThreadProcess:
         """Register a thread process (a generator yielding waits)."""
         process = ThreadProcess(self.kernel, fn, f"{self.name}.{fn.__name__}")
-        self._processes.append(process)
-        self.kernel.register_process(process)
         if start:
             self.kernel.make_runnable(process)
         return process

@@ -58,6 +58,9 @@ class Signal:
     def wait_negedge_once(self, process) -> None:
         self._neg_waiters.append(process)
 
+    def cancel_negedge_wait(self, process) -> None:
+        self._neg_waiters.remove(process)
+
     def _notify(self, old: Any, new: Any) -> None:
         kernel = self.kernel
         waiters, self._change_waiters = self._change_waiters, []
@@ -113,3 +116,45 @@ class wait_time(WaitCondition):
 
     def arm(self, process) -> None:
         process.kernel.notify_after(self.delay, process)
+
+
+class wait_until(WaitCondition):
+    """Resume at an absolute simulated time."""
+
+    def __init__(self, time: float):
+        self.time = time
+
+    def arm(self, process) -> None:
+        process.kernel.notify_at(self.time, process)
+
+
+class wait_negedge_until(WaitCondition):
+    """Resume on a truthy -> falsy transition or at absolute ``time``,
+    whichever comes first; the trigger that loses is withdrawn, so it
+    resumes nothing later.
+
+    The resumed thread tells the two apart by the signal's level: it
+    is falsy after the edge and still truthy at the timeout.
+    """
+
+    def __init__(self, signal: Signal, time: float):
+        self.signal = signal
+        self.time = time
+
+    def arm(self, process) -> None:
+        # The condition itself waits in place of the thread (the kernel
+        # only calls ``run()``), so whichever trigger fires first can
+        # withdraw the other before the thread resumes.
+        self._process = process
+        self.signal.wait_negedge_once(self)
+        self._timer = process.kernel.notify_at(self.time, self)
+
+    def run(self) -> None:
+        # Dropping the timer breaks the condition <-> event reference
+        # cycle, so both are freed without the cyclic collector.
+        timer, self._timer = self._timer, None
+        if timer.pending:
+            self._process.kernel.sim.cancel(timer)
+        else:
+            self.signal.cancel_negedge_wait(self)
+        self._process.run()

@@ -2,12 +2,13 @@
 
 This is the reproduction's stand-in for the *physical* TpICU/SCM bus of
 Table 3: every start bit, command bit, data bit and CRC bit is serialised
-on signals; slaves repeat frames down the daisy chain with a per-hop
-repeater delay, inject the INT bit into passing RX frames, and run the
-same :class:`~repro.tpwire.slave.TpwireSlave` protocol state machine as
-the packet-level model — so the two models differ *only* in how the wire
-is represented, which is precisely what a validation experiment must
-isolate.
+on signals (each line commits one transition per level change, and the
+drivers schedule only those); slaves repeat frames down the daisy chain
+with a per-hop repeater delay, inject the INT bit into passing RX frames,
+and run the same :class:`~repro.tpwire.slave.TpwireSlave` protocol state
+machine as the packet-level model — so the two models differ *only* in
+how the wire is represented, which is precisely what a validation
+experiment must isolate.
 
 Timing artifacts the packet-level model does not capture (and which the
 Table 3 scaling factor therefore measures):
@@ -15,7 +16,9 @@ Table 3 scaling factor therefore measures):
 * per-frame master firmware overhead with jitter (a software master
   cannot emit back-to-back frames at exactly the protocol gap);
 * start-bit detection quantisation (the master polls the line at half-bit
-  granularity, so RX reception is detected up to half a bit late).
+  granularity, so RX reception is detected up to half a bit late; the
+  model waits for the edge and replays the poll grid to find the poll
+  that sees it).
 
 :class:`BitLevelTpwireBus` exposes the same ``execute(frame)`` interface
 as :class:`repro.tpwire.bus.TpwireBus`, so the same
@@ -32,7 +35,14 @@ from typing import Optional
 from repro.des.process import Waitable
 from repro.hw.kernel import HwKernel
 from repro.hw.module import HwModule
-from repro.hw.signal import Signal, wait_change, wait_negedge, wait_time
+from repro.hw.signal import (
+    Signal,
+    wait_change,
+    wait_negedge,
+    wait_negedge_until,
+    wait_time,
+    wait_until,
+)
 from repro.tpwire.bus import CycleResult, CycleStatus
 from repro.tpwire.commands import BROADCAST_NODE_ID, Command, split_address
 from repro.tpwire.errors import FrameError, TpwireError
@@ -62,8 +72,19 @@ class PhyTiming:
     def __post_init__(self):
         if self.bit_rate <= 0:
             raise ValueError("bit rate must be positive")
-        if self.hop_delay_bits < self.poll_bits:
-            raise ValueError("hop delay must be at least the poll granularity")
+        # The master finds its detecting poll by replay, not by waking at
+        # each poll (MasterPhy._receive).  That gives the per-poll result
+        # only if an edge's event is queued more than one poll ahead (an
+        # edge on a poll instant then counts as seen) and every reply's
+        # start bit comes before the deadline poll.
+        if self.hop_delay_bits - 0.5 <= self.poll_bits:
+            raise ValueError(
+                "hop delay must exceed the poll granularity by more than half a bit"
+            )
+        if self.turnaround_bits <= self.poll_bits:
+            raise ValueError("turnaround must exceed the poll granularity")
+        if self.timeout_margin < 1.0:
+            raise ValueError("timeout margin must cover the expected response")
         if self.fw_overhead_bits - self.fw_jitter_bits < 1.0:
             raise ValueError("firmware overhead must leave >= 1 idle bit")
 
@@ -113,6 +134,10 @@ class SlavePhy(HwModule):
         super().__init__(kernel, name or f"phy.{protocol.name}")
 
     def build(self) -> None:
+        #: Level last scheduled on ``up_out``, which both ``_drive_up``
+        #: and ``_upstream`` drive (``down_out`` has one driver, so
+        #: ``_downstream`` keeps its level in a local).
+        self._up_level = IDLE
         self.thread(self._downstream)
         self.thread(self._upstream)
 
@@ -122,20 +147,31 @@ class SlavePhy(HwModule):
         bp = self.timing.bit_period
         hop = self.timing.hop_delay_bits * bp
         sim = self.kernel.sim
+        write_after = self.kernel.write_after
+        down_in, down_out = self.down_in, self.down_out
+        half_bit, one_bit = wait_time(0.5 * bp), wait_time(bp)
+        level = IDLE
         while True:
-            yield wait_negedge(self.down_in)
+            yield wait_negedge(down_in)
             # Start-bit edge: sample each bit slot at its midpoint and
             # forward it so it appears on down_out hop_delay after its
-            # slot boundary.
+            # slot boundary.  Only level changes are scheduled: a line
+            # carries one frame at a time, so its writes commit in the
+            # order they are scheduled, and one repeating the level
+            # before it would commit nothing.
             bits = []
-            yield wait_time(0.5 * bp)
+            yield half_bit
             for index in range(FRAME_BITS):
-                bit = self.down_in.read()
+                bit = down_in.read()
                 bits.append(bit)
-                sim.call_after(hop - 0.5 * bp, self.down_out.write, bit)
+                if bit != level:
+                    write_after(hop - 0.5 * bp, down_out, bit)
+                    level = bit
                 if index < FRAME_BITS - 1:
-                    yield wait_time(bp)
-            sim.call_after(hop + 0.5 * bp, self.down_out.write, IDLE)
+                    yield one_bit
+            if level != IDLE:
+                write_after(hop + 0.5 * bp, down_out, IDLE)
+                level = IDLE
             self.frames_seen += 1
             try:
                 frame = TxFrame.from_bits(bits)
@@ -153,30 +189,42 @@ class SlavePhy(HwModule):
 
     def _drive_up(self, bits):
         bp = self.timing.bit_period
+        up_out = self.up_out
+        one_bit = wait_time(bp)
         for bit in bits:
-            self.up_out.write(bit)
-            yield wait_time(bp)
-        self.up_out.write(IDLE)
+            if bit != self._up_level:
+                up_out.write(bit)
+                self._up_level = bit
+            yield one_bit
+        if self._up_level != IDLE:
+            up_out.write(IDLE)
+            self._up_level = IDLE
 
     # -- upstream: repeat replies from deeper slaves, inject INT ----------------
 
     def _upstream(self):
         bp = self.timing.bit_period
         hop = self.timing.hop_delay_bits * bp
-        sim = self.kernel.sim
+        write_after = self.kernel.write_after
+        up_in, up_out = self.up_in, self.up_out
+        half_bit, one_bit = wait_time(0.5 * bp), wait_time(bp)
         while True:
-            yield wait_negedge(self.up_in)
-            yield wait_time(0.5 * bp)
+            yield wait_negedge(up_in)
+            yield half_bit
             for index in range(FRAME_BITS):
-                bit = self.up_in.read()
+                bit = up_in.read()
                 if index == 1 and self.protocol.interrupt_pending:
                     # Sec. 3.1: the INT bit is set as the RX frame passes
                     # through a slave with a pending interrupt.
                     bit = 1
-                sim.call_after(hop - 0.5 * bp, self.up_out.write, bit)
+                if bit != self._up_level:
+                    write_after(hop - 0.5 * bp, up_out, bit)
+                    self._up_level = bit
                 if index < FRAME_BITS - 1:
-                    yield wait_time(bp)
-            sim.call_after(hop + 0.5 * bp, self.up_out.write, IDLE)
+                    yield one_bit
+            if self._up_level != IDLE:
+                write_after(hop + 0.5 * bp, up_out, IDLE)
+                self._up_level = IDLE
 
 
 class MasterPhy(HwModule):
@@ -217,7 +265,9 @@ class MasterPhy(HwModule):
 
     def _run(self):
         bp = self.timing.bit_period
-        sim = self.kernel.sim
+        down_out = self.down_out
+        one_bit = wait_time(bp)
+        level = IDLE
         while True:
             if not self._queue:
                 yield wait_change(self._kick)
@@ -230,9 +280,13 @@ class MasterPhy(HwModule):
             yield wait_time((self.timing.fw_overhead_bits + jitter) * bp)
             self.tx_frames += 1
             for bit in frame.to_bits():
-                self.down_out.write(bit)
-                yield wait_time(bp)
-            self.down_out.write(IDLE)
+                if bit != level:
+                    down_out.write(bit)
+                    level = bit
+                yield one_bit
+            if level != IDLE:
+                down_out.write(IDLE)
+                level = IDLE
             if not expect_reply:
                 # Broadcast: let the frame flush through the chain.
                 tail = self.timing.hop_delay_bits * self.chain_length
@@ -243,23 +297,57 @@ class MasterPhy(HwModule):
             done.succeed(result)
 
     def _receive(self):
+        """Detect the RX start bit on the half-bit poll grid, then sample.
+
+        The firmware checks the line now and then every ``poll_bits``,
+        and gives up at the first poll at or after the deadline.  Rather
+        than waking at every poll, the thread waits once for the start
+        bit's falling edge or that last poll, whichever comes first, and
+        then replays the grid's float additions to find the poll that
+        would have seen the edge: the first at or after it, so detection
+        lags the edge by less than ``poll_bits`` (quantisation that the
+        packet-level model does not have).
+
+        A poll that falls on the very instant of the edge sees it.  The
+        edge comes from a forwarded write scheduled
+        ``hop_delay_bits - 0.5`` bits ahead, or from a reply whose first
+        bit waited ``turnaround_bits``; :class:`PhyTiming` requires both
+        to exceed ``poll_bits``, so the edge's event was queued before
+        the previous poll queued its wake-up for that instant, and ran
+        first.  A reply's start bit reaches the master at least 32 bits
+        before the deadline poll (``timeout_margin >= 1``), so the edge
+        never ties with the timeout.
+        """
         bp = self.timing.bit_period
-        sim = self.kernel.sim
-        deadline = sim.now + self.timing.response_timeout(self.chain_length)
-        # Poll for the start bit at half-bit granularity (quantisation
-        # that the packet-level model does not have).
-        while self.up_in.read() == IDLE:
-            if sim.now >= deadline:
+        poll = self.timing.poll_bits * bp
+        up_in = self.up_in
+        start = self.kernel.sim.now
+        deadline = start + self.timing.response_timeout(self.chain_length)
+        if up_in.read() == IDLE:
+            last_poll = start
+            while last_poll < deadline:
+                last_poll = last_poll + poll
+            yield wait_negedge_until(up_in, last_poll)
+            if up_in.read() == IDLE:
                 self.timeouts += 1
                 return CycleResult(CycleStatus.TIMEOUT)
-            yield wait_time(self.timing.poll_bits * bp)
+            # The poll at ``start`` was the check above, which saw the
+            # line idle, so the first poll that can see the edge is the
+            # next one.
+            edge = self.kernel.sim.now
+            detected = start + poll
+            while detected < edge:
+                detected = detected + poll
+            if detected > edge:
+                yield wait_until(detected)
         # Offset sampling a quarter bit so samples never coincide with a
-        # bit boundary (detection lags the edge by < poll_bits).
+        # bit boundary.
         yield wait_time(0.25 * bp)
+        one_bit = wait_time(bp)
         bits = [0]
         for _ in range(FRAME_BITS - 1):
-            yield wait_time(bp)
-            bits.append(self.up_in.read())
+            yield one_bit
+            bits.append(up_in.read())
         try:
             rx = RxFrame.from_bits(bits)
         except FrameError:
@@ -272,9 +360,13 @@ class MasterPhy(HwModule):
 class BitLevelTpwireBus:
     """Bit-accurate TpWIRE bus with the packet-level bus's interface.
 
-    Build it with a list of protocol slaves; it wires up the PHY chain::
+    Attach the protocol slaves in chain order, then finalize; it wires
+    up the PHY chain::
 
-        hwbus = BitLevelTpwireBus(sim, kernel, timing, slaves=[s1, s2])
+        hwbus = BitLevelTpwireBus(sim, kernel, timing)
+        hwbus.attach_slave(s1)
+        hwbus.attach_slave(s2)
+        hwbus.finalize()
         master = TpwireMaster(sim, hwbus)   # same master as packet level
     """
 

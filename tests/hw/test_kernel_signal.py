@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.des import Simulator
+from repro.des import HeapScheduler, Simulator
 from repro.hw import HwKernel, HwModule, Signal, wait_change, wait_negedge, wait_time
+from repro.hw.signal import wait_negedge_until, wait_until
 
 
 @pytest.fixture
@@ -202,9 +203,154 @@ class TestDeltaCycles:
         assert b.read() == 3
         assert kernel.delta_count >= 2
 
-    def test_settle_runs_pending_deltas(self, world):
+
+class _CountingHeap(HeapScheduler):
+    """The default heap, counting the entries it hands to the run loop."""
+
+    def __init__(self):
+        super().__init__()
+        self.events = 0
+
+    def pop_entry(self):
+        entry = super().pop_entry()
+        if entry is not None:
+            self.events += 1
+        return entry
+
+
+class _Probe:
+    """A bare process: logs the signal's committed level when resumed."""
+
+    def __init__(self, label, signal, log):
+        self.label, self.signal, self.log = label, signal, log
+
+    def run(self):
+        self.log.append((self.label, self.signal.read()))
+
+
+class TestTimedDeltaSteps:
+    def test_timed_wake_and_timed_write_at_one_instant_keep_scheduling_order(self):
+        heap = _CountingHeap()
+        sim = Simulator(scheduler=heap)
+        kernel = HwKernel(sim)
+        sig = Signal(kernel, 0)
+        log = []
+        kernel.notify_after(1.0, _Probe("before", sig, log))
+        kernel.write_after(1.0, sig, 1)
+        kernel.notify_after(1.0, _Probe("after", sig, log))
+        sim.run()
+        # The write commits in its own delta step, between the two wakes.
+        assert log == [("before", 0), ("after", 1)]
+        # One queue entry each: every delta step ran inside its entry.
+        assert heap.events == 3
+        assert kernel.delta_count == 3
+
+    def test_wake_after_a_commit_still_takes_its_own_delta(self, world):
         sim, kernel = world
         sig = Signal(kernel, 0)
-        sig.write(1)
-        kernel.settle()
+        log = []
+
+        class Watcher(HwModule):
+            def build(self):
+                self.thread(self.watch)
+
+            def watch(self):
+                yield wait_change(sig)
+                log.append((sim.now, kernel.delta_count, sig.read()))
+
+        Watcher(kernel)
+        kernel.write_after(2.0, sig, 1)
+        sim.run()
+        # Start-up delta, the write's delta, then the watcher one delta
+        # after the commit, at the same instant.
+        assert log == [(2.0, 3, 1)]
+
+    def test_write_during_evaluate_needs_no_delta_of_its_own(self):
+        heap = _CountingHeap()
+        sim = Simulator(scheduler=heap)
+        kernel = HwKernel(sim)
+        sig = Signal(kernel, 0)
+
+        class Driver(HwModule):
+            def build(self):
+                self.thread(self.drive)
+
+            def drive(self):
+                for level in (1, 0, 1):
+                    yield wait_time(1.0)
+                    sig.write(level)
+
+        Driver(kernel)
+        sim.run()
         assert sig.read() == 1
+        # The start-up delta, then one entry per timed wake: each write
+        # commits in the update phase of the step that made it.
+        assert heap.events == 1 + 3
+        assert sim.pending_events == 0
+
+    def test_wait_until_resumes_at_the_absolute_time(self, world):
+        sim, kernel = world
+        log = []
+
+        class Timed(HwModule):
+            def build(self):
+                self.thread(self.run)
+
+            def run(self):
+                yield wait_time(0.5)
+                yield wait_until(2.25)
+                log.append(sim.now)
+
+        Timed(kernel)
+        sim.run()
+        assert log == [2.25]
+
+
+class TestWaitNegedgeUntil:
+    def _waiter(self, kernel, sig, until, log):
+        sim = kernel.sim
+
+        class Waiter(HwModule):
+            def build(self):
+                self.proc = self.thread(self.run)
+
+            def run(self):
+                yield wait_negedge_until(sig, until)
+                log.append((sim.now, sig.read()))
+
+        return Waiter(kernel)
+
+    def test_edge_first_resumes_once_and_the_timer_fires_nothing(self, world):
+        sim, kernel = world
+        sig = Signal(kernel, 1)
+        log = []
+        waiter = self._waiter(kernel, sig, 5.0, log)
+        sim.after(2.0, sig.write, 0)
+        sim.run()
+        assert log == [(2.0, 0)]
+        assert waiter.proc.finished
+        # The withdrawn timer at 5.0 never advanced the clock.
+        assert sim.now < 5.0
+        assert sim.pending_events == 0
+
+    def test_timeout_first_withdraws_the_edge_wait(self, world):
+        sim, kernel = world
+        sig = Signal(kernel, 1)
+        log = []
+        self._waiter(kernel, sig, 5.0, log)
+        sim.after(6.0, sig.write, 0)
+        sim.run()
+        # Resumed at the timeout with the line still high; the later
+        # edge finds no waiter.
+        assert log == [(5.0, 1)]
+        assert sig.read() == 0
+
+    def test_posedge_does_not_end_the_wait(self, world):
+        sim, kernel = world
+        sig = Signal(kernel, 0)
+        log = []
+        self._waiter(kernel, sig, 5.0, log)
+        sim.after(1.0, sig.write, 1)
+        sim.after(3.0, sig.write, 0)
+        sim.run()
+        assert log == [(3.0, 0)]

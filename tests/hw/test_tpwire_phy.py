@@ -3,10 +3,14 @@
 import pytest
 
 from repro.des import Simulator
-from repro.hw import BitLevelTpwireBus, HwKernel, PhyTiming
+from repro.des.process import Waitable
+from repro.hw import BitLevelTpwireBus, HwKernel, HwModule, PhyTiming, Signal
+from repro.hw.signal import wait_negedge, wait_time, wait_until
+from repro.hw.tpwire_phy import IDLE, MasterPhy
 from repro.tpwire import (
     BusTiming,
     Command,
+    RxFrame,
     RxType,
     TpwireMaster,
     TpwireSlave,
@@ -129,10 +133,126 @@ class TestBitLevelTiming:
         assert len(set(round(d, 9) for d in durations)) > 1
 
 
+class _ReplyAt(HwModule):
+    """Stands in for the chain: once the master's TX frame starts, drives
+    an ACK onto the master's up line whose start edge lies ``ticks``
+    poll periods after the instant the master starts listening."""
+
+    def __init__(self, kernel, timing, down, up, ticks, queued_late=False):
+        self.timing, self.down, self.up, self.ticks = timing, down, up, ticks
+        self.queued_late = queued_late
+        self.edge = None
+        super().__init__(kernel, "reply")
+
+    def build(self):
+        self.thread(self.run)
+
+    def run(self):
+        bp = self.timing.bit_period
+        yield wait_negedge(self.down)
+        # The master listens once its 16 bit periods are over; replay
+        # its float additions, then those of the poll grid.
+        listen = self.kernel.sim.now
+        for _ in range(16):
+            listen = listen + bp
+        edge = listen
+        for _ in range(int(self.ticks)):
+            edge = edge + self.timing.poll_bits * bp
+        if self.ticks % 1:
+            edge = edge + (self.ticks % 1) * self.timing.poll_bits * bp
+        self.edge = edge
+        if self.queued_late:
+            # Queue the edge's wake-up after the master's last TX wake-up
+            # (one bit before it starts listening) was queued.
+            yield wait_until(listen - 0.25 * bp)
+        yield wait_until(edge)
+        for bit in RxFrame(RxType.ACK, 0x02).to_bits():
+            self.up.write(bit)
+            yield wait_time(bp)
+        self.up.write(IDLE)
+
+
+def _receive_with_edge_at(ticks, queued_late=False):
+    """Run one master cycle whose reply edge is ``ticks`` polls in;
+    returns ``(status, completion time, edge time, timing)``."""
+    sim = Simulator(seed=1)
+    kernel = HwKernel(sim)
+    timing = PhyTiming(fw_jitter_bits=0.0)
+    down = Signal(kernel, IDLE, name="down")
+    up = Signal(kernel, IDLE, name="up")
+    master = MasterPhy(kernel, timing, down_out=down, up_in=up, chain_length=1)
+    reply = _ReplyAt(kernel, timing, down, up, ticks, queued_late)
+    done = Waitable(sim)
+    finished = []
+    done.add_callback(lambda w: finished.append((w.value.status, sim.now)))
+    master.submit(TxFrame(Command.SELECT, node_address(1)), True, done)
+    sim.run()
+    (status, completed), = finished
+    return status, completed, reply.edge, timing
+
+
+def _sampling_end(detected, bp):
+    """When the master takes its last RX sample after detecting at
+    ``detected``: a quarter bit, then 15 bit periods, added one by one."""
+    t = detected + 0.25 * bp
+    for _ in range(15):
+        t = t + bp
+    return t
+
+
+class TestStartBitDetection:
+    def test_edge_on_a_poll_tick_is_detected_on_that_tick(self):
+        status, completed, edge, timing = _receive_with_edge_at(8)
+        assert status is CycleStatus.OK
+        assert repr(completed) == repr(_sampling_end(edge, timing.bit_period))
+
+    def test_edge_between_poll_ticks_is_detected_on_the_next_tick(self):
+        status, completed, edge, timing = _receive_with_edge_at(7.4)
+        _status, _completed, next_tick, _timing = _receive_with_edge_at(8)
+        assert status is CycleStatus.OK
+        assert edge < next_tick
+        assert repr(completed) == repr(_sampling_end(next_tick, timing.bit_period))
+
+    def test_edge_as_listening_starts_is_seen_by_the_first_check(self):
+        # The edge's wake-up was queued before the master's, so the line
+        # is already low when the master first looks.
+        status, completed, edge, timing = _receive_with_edge_at(0)
+        assert status is CycleStatus.OK
+        assert repr(completed) == repr(_sampling_end(edge, timing.bit_period))
+
+    def test_edge_after_the_first_check_is_seen_one_poll_later(self):
+        # Same instant, but the first check ran before the edge committed
+        # and saw the line idle: the next poll detects it.
+        status, completed, edge, timing = _receive_with_edge_at(0, queued_late=True)
+        bp = timing.bit_period
+        assert status is CycleStatus.OK
+        assert repr(completed) == repr(_sampling_end(edge + timing.poll_bits * bp, bp))
+
+    def test_timeout_ends_at_the_instant_the_poll_loop_gave_up(self):
+        sim, bus, _slaves = build()
+        result = run_cycle(sim, bus, TxFrame(Command.SELECT, node_address(9)))
+        assert result.status is CycleStatus.TIMEOUT
+        # Recorded from the per-poll loop this wait replaced: the first
+        # half-bit poll at or after the deadline.
+        assert repr(sim.now) == "0.0460416666666666"
+
+
 class TestPhyTimingValidation:
     def test_hop_vs_poll_constraint(self):
         with pytest.raises(ValueError):
             PhyTiming(hop_delay_bits=0.25, poll_bits=0.5)
+
+    @pytest.mark.parametrize("timing", [
+        {"hop_delay_bits": 1.0, "poll_bits": 0.5},
+        {"turnaround_bits": 0.5, "poll_bits": 0.5},
+        {"timeout_margin": 0.9},
+    ])
+    def test_timings_the_replayed_poll_grid_cannot_reproduce(self, timing):
+        # At these values a start bit could land on a poll instant with
+        # its event queued after that poll's (or on the deadline poll),
+        # where a per-poll loop would not have seen it.
+        with pytest.raises(ValueError):
+            PhyTiming(**timing)
 
     def test_fw_overhead_floor(self):
         with pytest.raises(ValueError):
