@@ -22,6 +22,14 @@ def run_model(bit_level, n_packets=8):
     return result, wall
 
 
+def best_of(bit_level, passes=5):
+    """The fastest of ``passes`` runs: a single run of the packet-level
+    model lasts a few milliseconds, too short to time once."""
+    return min(
+        (run_model(bit_level) for _ in range(passes)), key=lambda run: run[1]
+    )
+
+
 def test_packet_level_model_speed(benchmark):
     result = benchmark.pedantic(
         lambda: run_model(bit_level=False)[0], rounds=3, iterations=1
@@ -38,8 +46,8 @@ def test_bit_level_model_speed(benchmark):
 
 def test_fidelity_cost_ratio(benchmark, report, bench_json):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    packet_result, packet_wall = run_model(bit_level=False)
-    bit_result, bit_wall = run_model(bit_level=True)
+    packet_result, packet_wall = best_of(bit_level=False)
+    bit_result, bit_wall = best_of(bit_level=True)
     ratio = bit_wall / max(packet_wall, 1e-9)
     table = Table(
         ["model", "wall s", "sim s", "wall per sim-second"],

@@ -81,14 +81,6 @@ class ChaosHost:
     def down_at(self, now: float) -> bool:
         return any(spec.active_at(now) for spec in self._crash_windows)
 
-    def next_up_time(self, now: float) -> float:
-        """Earliest time the host is back up (``now`` if already up)."""
-        t = now
-        for spec in sorted(self._crash_windows, key=lambda s: s.at):
-            if spec.active_at(t):
-                t = spec.until
-        return t
-
     def connect(self) -> "ChaosConnection":
         now = self.clock.now()
         if self.down_at(now):

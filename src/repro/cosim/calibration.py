@@ -32,10 +32,6 @@ class ValidationPoint:
         return self.model.elapsed_seconds
 
     @property
-    def frame_count_matches(self) -> bool:
-        return self.reference.total_frames == self.model.total_frames
-
-    @property
     def timing_error(self) -> float:
         return relative_error(self.reference_seconds, self.model_seconds)
 

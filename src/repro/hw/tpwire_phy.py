@@ -44,7 +44,6 @@ from repro.hw.signal import (
     wait_until,
 )
 from repro.tpwire.bus import CycleResult, CycleStatus
-from repro.tpwire.commands import BROADCAST_NODE_ID, Command, split_address
 from repro.tpwire.errors import FrameError, TpwireError
 from repro.tpwire.frames import FRAME_BITS, RxFrame, TxFrame
 from repro.tpwire.slave import TpwireSlave
@@ -178,9 +177,7 @@ class SlavePhy(HwModule):
             except FrameError:
                 self.crc_drops += 1
                 continue
-            now = sim.now
-            self.protocol.observe_tx(frame, now)
-            reply = self.protocol.execute(frame, now)
+            reply = self.protocol.receive_tx(frame, sim.now)
             if reply is None:
                 continue
             self.frames_executed += 1
@@ -435,13 +432,8 @@ class BitLevelTpwireBus:
         if self.master_phy is None:
             self.finalize()
         done = Waitable(self.sim)
-        if frame.cmd is Command.RESET:
-            expect_reply = False
-        elif frame.cmd is Command.SELECT:
-            node_id, _ = split_address(frame.data)
-            expect_reply = expect_reply and node_id != BROADCAST_NODE_ID
         self.cycles += 1
-        self.master_phy.submit(frame, expect_reply, done)
+        self.master_phy.submit(frame, expect_reply and frame.expects_reply, done)
         return done
 
     def execute_cb(self, frame: TxFrame, expect_reply: bool, on_result) -> None:

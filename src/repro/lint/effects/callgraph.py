@@ -40,7 +40,7 @@ _CHA_EXCLUDED_PREFIX = "__"
 #: excluded from the fallback: ``self._signals.get(...)`` is a dict
 #: read, and resolving it to every project class that happens to define
 #: ``get`` (the DES ``Store.get``) manufactures false effect edges.
-#: Project-distinctive polymorphism (``recv_bytes``, ``execute_observed``)
+#: Project-distinctive polymorphism (``recv_bytes``, ``receive_tx``)
 #: is unaffected.
 _CHA_BUILTIN_TAILS = frozenset(
     {

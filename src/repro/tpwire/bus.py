@@ -6,8 +6,8 @@ A *communication cycle* (Sec. 3.1) is simulated as timed events:
 
 1. the master's TX frame propagates down the chain, reaching the slave at
    depth *h* after ``frame_duration + h * hop_delay``;
-2. each slave it passes observes it (reset watchdog) and the selected
-   slave executes it;
+2. each slave it passes receives it (:meth:`TpwireSlave.receive_tx`:
+   reset watchdog, then execution by the selected slave);
 3. after the turnaround time the responder's RX frame travels back up,
    collecting the INT bit from any slave with a pending interrupt;
 4. the master either receives the RX frame or times out.
@@ -27,7 +27,6 @@ from typing import Optional
 
 from repro.des.monitor import RateMonitor, TimeWeightedMonitor
 from repro.des.process import Waitable
-from repro.tpwire.commands import BROADCAST_NODE_ID, Command, split_address
 from repro.tpwire.errors import NoSuchNode, TpwireError
 from repro.tpwire.frames import RxFrame, TxFrame
 from repro.tpwire.slave import TpwireSlave
@@ -107,8 +106,8 @@ class TpwireBus:
         self.slaves: list[TpwireSlave] = []
         self._by_node_id: dict[int, TpwireSlave] = {}
         #: ``(slave, arrival_delay)`` pairs in chain order — the per-depth
-        #: ``tx_arrival_delay`` lookups hoisted out of the per-frame loops
-        #: in :meth:`_propagate_tx` / :meth:`_find_responder`.
+        #: ``tx_arrival_delay`` lookups hoisted out of the per-frame walk
+        #: in :meth:`_find_responder`.
         self._chain: list[tuple[TpwireSlave, float]] = []
         self._busy = False
         self._pending: deque[tuple[TxFrame, bool, object]] = deque()
@@ -168,7 +167,8 @@ class TpwireBus:
         Cycles are serialised: if the line is busy the cycle queues
         (FIFO).  ``expect_reply=False`` marks fire-and-forget frames (DMA
         burst payload): the cycle lasts only the TX leg and completes with
-        :attr:`CycleStatus.BROADCAST` regardless of any slave reply.
+        :attr:`CycleStatus.BROADCAST` regardless of any slave reply, as
+        does every frame whose :attr:`TxFrame.expects_reply` is false.
         """
         done = Waitable(self.sim)
         self.execute_cb(frame, expect_reply, done.succeed)
@@ -207,15 +207,8 @@ class TpwireBus:
                 "tpwire", "tx", cmd=frame.cmd.name, data=frame.data,
                 corrupted=corrupted,
             )
-        responder = None
-        if not corrupted:
-            self._propagate_tx(frame)
-            responder = self._find_responder(frame)
-        if (
-            not expect_reply
-            or frame.cmd is Command.RESET
-            or self._frame_target(frame) == BROADCAST_NODE_ID
-        ):
+        responder = None if corrupted else self._find_responder(frame)
+        if not (expect_reply and frame.expects_reply):
             # No reply expected: the cycle lasts the broadcast duration
             # (execution on the slaves has already been applied above).
             duration = self.timing.broadcast_duration(len(self.slaves))
@@ -271,47 +264,23 @@ class TpwireBus:
 
     # -- helpers ---------------------------------------------------------------
 
-    @staticmethod
-    def _frame_target(frame: TxFrame) -> Optional[int]:
-        """Node id addressed by a SELECT frame, else ``None``."""
-        if frame.cmd is Command.SELECT:
-            node_id, _ = split_address(frame.data)
-            return node_id
-        return None
-
-    def _propagate_tx(self, frame: TxFrame) -> None:
-        """Deliver the frame's watchdog observation to every slave.
-
-        Observations are applied eagerly, each stamped with its slave's
-        arrival time, rather than scheduled as one event per slave — the
-        same eager-with-timed-stamps treatment :meth:`_find_responder`
-        already gives execution.  The watchdog state they touch is only
-        ever read through bus cycles (which the busy flag serialises), so
-        resolving them at cycle start is observationally equivalent and
-        removes two scheduler events per cycle from the hot path.
-        """
-        now = self.sim.now
-        for slave, arrival in self._chain:
-            slave.observe_tx(frame, now + arrival)
-
     def _find_responder(self, frame: TxFrame) -> Optional[tuple[RxFrame, int]]:
-        """Execute the frame on the chain; return ``(rx, hops)`` if a slave
-        replies.
+        """Deliver the frame down the chain; return ``(rx, hops)`` if a
+        slave replies.
 
-        Execution is evaluated immediately (state updates are applied in
-        chain order) while the returned hops value carries the timing.
-        SELECT frames update every slave's selection state; other commands
-        execute on whichever slave considers itself selected.
-
-        :meth:`_propagate_tx` has just observed the frame on every slave
-        with these exact timestamps (both are skipped together when the
-        TX is corrupted), so the observed entry point applies: the
-        watchdog is already serviced and fed.
+        Each slave receives the frame stamped with its own arrival time,
+        but all of them at cycle start, in chain order, rather than as
+        one event per slave: slave state is only ever read through bus
+        cycles (which the busy flag serialises), so resolving the walk
+        eagerly is observationally equivalent, and the returned hops
+        value carries the timing.  SELECT frames update every slave's
+        selection state; other commands execute on whichever slave
+        considers itself selected.
         """
         now = self.sim.now
         responder: Optional[tuple[RxFrame, int]] = None
         for index, (slave, arrival) in enumerate(self._chain):
-            reply = slave.execute_observed(frame, now + arrival)
+            reply = slave.receive_tx(frame, now + arrival)
             if reply is not None and responder is None:
                 responder = (reply, index + 1)
         if responder is None:

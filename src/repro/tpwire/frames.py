@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.tpwire.commands import Command, RxType
+from repro.tpwire.commands import Command, RxType, is_broadcast, split_address
 from repro.tpwire.constants import FRAME_BITS
 from repro.tpwire.crc import crc4
 from repro.tpwire.errors import CrcMismatch, FrameError
@@ -63,6 +63,16 @@ class TxFrame:
         if frame is None:
             frame = _TX_CACHE[key] = cls(cmd, data)
         return frame
+
+    @property
+    def expects_reply(self) -> bool:
+        """Whether a slave answers this frame: a RESET and a broadcast
+        SELECT execute on the slaves without a reply (Sec. 3.1)."""
+        if self.cmd is Command.RESET:
+            return False
+        if self.cmd is Command.SELECT:
+            return not is_broadcast(split_address(self.data)[0])
+        return True
 
     @property
     def crc(self) -> int:

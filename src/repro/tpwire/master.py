@@ -59,7 +59,7 @@ class _Transaction(Waitable):
         master = self._master
         status = result.status
         if status is CycleStatus.BROADCAST:
-            master._observe_txn(self._started)
+            master._record_txn(self._started)
             self.succeed(None)
             return
         if status is CycleStatus.OK:
@@ -74,7 +74,7 @@ class _Transaction(Waitable):
                     f"(status {rx.data:#04x})"
                 ))
                 return
-            master._observe_txn(self._started)
+            master._record_txn(self._started)
             self.succeed(rx)
             return
         # TIMEOUT or CRC_ERROR: resend until the retry budget runs out.
@@ -167,7 +167,7 @@ class TpwireMaster:
         self.transactions += 1
         return self.bus.execute(frame, expect_reply)
 
-    def _observe_txn(self, started: float) -> None:
+    def _record_txn(self, started: float) -> None:
         if self.obs is not None:
             self._txn_seconds.observe(self.sim.now - started)
 
@@ -184,8 +184,7 @@ class TpwireMaster:
         if self._selected == (node_id, space):
             return None
         frame = TxFrame.of(Command.SELECT, node_address(node_id, space))
-        expect_reply = node_id != BROADCAST_NODE_ID
-        reply = yield self.transact(frame, expect_reply=expect_reply)
+        reply = yield self.transact(frame)
         self._selected = (node_id, space)
         return reply
 
@@ -286,7 +285,7 @@ class TpwireMaster:
     def op_broadcast_reset(self) -> Generator:
         """Broadcast-select then RESET: every slave resets, nobody replies."""
         yield from self.op_select(BROADCAST_NODE_ID, AddressSpace.MEMORY)
-        yield self.transact(TxFrame.of(Command.RESET, 0), expect_reply=False)
+        yield self.transact(TxFrame.of(Command.RESET, 0))
         self._selected = None
         return None
 

@@ -108,16 +108,10 @@ class SlaveRegisterFile:
         for address in range(region.start, region.start + region.length):
             self._mmio_map[address] = region
 
-    def _find_mmio(self, address: int) -> Optional[MmioRegion]:
-        return self._mmio_map.get(address)
-
     # -- pointer -------------------------------------------------------------
 
     def set_pointer(self, address: int) -> None:
         self.pointer = address % 256
-
-    def _advance_pointer(self) -> None:
-        self.pointer = (self.pointer + 1) % 256
 
     # -- memory-space access ---------------------------------------------------
 
@@ -147,10 +141,6 @@ class SlaveRegisterFile:
                 f"memory write at {address:#x} beyond size {self.memory_size}"
             )
         self.memory[address] = value
-
-    def _pointer_is_sticky(self) -> bool:
-        region = self._mmio_map.get(self.pointer)
-        return region is not None and region.sticky
 
     def read_at_pointer(self) -> int:
         pointer = self.pointer

@@ -1,14 +1,15 @@
 """TpWIRE slave protocol state machine.
 
-A slave observes every TX frame travelling down the daisy chain (which
+A slave receives every TX frame travelling down the daisy chain (which
 feeds its reset watchdog), executes the command when it is the selected
 node, and answers with an RX frame.  The broadcast node (id 127) makes all
 slaves execute without replying (Sec. 3.1).
 
-The reset watchdog is modelled lazily: on each observed frame the slave
-checks whether more than 2048 bit periods elapsed since the last valid TX
-frame; if so it self-reset at that deadline and stays unresponsive for the
-33-bit-period reset pulse.
+The reset watchdog is modelled lazily: on each received frame the slave
+counts the deadlines of 2048 bit periods that passed since the last valid
+TX frame; it self-reset at each of them, and a frame that arrives inside
+the 33-bit-period reset pulse goes unanswered.  A silent slave therefore
+resets once every ``reset_timeout + reset_active``.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ from repro.tpwire.commands import (
     AddressSpace,
     BROADCAST_NODE_ID,
     Command,
+    RxType,
     SysCommand,
     split_address,
     status_byte,
 )
 from repro.tpwire.errors import TpwireError
 from repro.tpwire.frames import RxFrame, TxFrame
-from repro.tpwire.commands import RxType
 from repro.tpwire.registers import Flag, SlaveRegisterFile, SystemRegister
 from repro.tpwire.timing import BusTiming
 
@@ -49,7 +50,6 @@ class TpwireSlave:
                 f"slave node id must be 0..{BROADCAST_NODE_ID - 1}, "
                 f"got {node_id}"
             )
-        self.sim = sim
         self.node_id = node_id
         self.timing = timing
         self.name = name or f"slave{node_id}"
@@ -62,9 +62,12 @@ class TpwireSlave:
         #: True when selection came via the broadcast node: the slave
         #: executes commands but never replies (Sec. 3.1).
         self.broadcast_selected = False
+        #: The watchdog starts at construction; from then on the slave
+        #: keeps no clock of its own and takes time only from
+        #: :meth:`receive_tx` and :meth:`power_on`.
         self._last_valid_tx: float = sim.now
         self._reset_until: float = -1.0
-        #: Fail-stop switch: a powered-off slave neither observes nor
+        #: Fail-stop switch: a powered-off slave neither receives nor
         #: answers frames (its master sees pure timeouts).  Restoring
         #: power performs a cold reset, exactly like a physical brown-out.
         self.powered = True
@@ -103,12 +106,6 @@ class TpwireSlave:
 
     # -- reset watchdog ---------------------------------------------------------
 
-    def _service_watchdog(self, now: float) -> None:
-        """Apply any reset that should have happened before ``now``."""
-        deadline = self._last_valid_tx + self.timing.reset_timeout
-        if now > deadline:
-            self._perform_reset(deadline, reason="watchdog")
-
     def _perform_reset(self, at: float, reason: str = "command") -> None:
         self.registers.reset()
         self.selected_space = None
@@ -132,14 +129,6 @@ class TpwireSlave:
             if handler is not None:
                 handler()
 
-    @property
-    def in_reset_at(self):
-        return self._reset_until
-
-    def is_in_reset(self, now: float) -> bool:
-        self._service_watchdog(now)
-        return now < self._reset_until
-
     # -- frame handling ------------------------------------------------------------
 
     def power_off(self) -> None:
@@ -152,66 +141,31 @@ class TpwireSlave:
             self.powered = True
             self._perform_reset(now, reason="power-on")
 
-    def observe_tx(self, frame: TxFrame, now: float) -> None:
-        """A valid TX frame passed through this slave: feed the watchdog."""
-        if not self.powered:
-            return
-        # _service_watchdog inlined: this runs once per slave per TX frame.
-        deadline = self._last_valid_tx + self.timing.reset_timeout
-        if now > deadline:
-            self._perform_reset(deadline, reason="watchdog")
-        if now >= self._reset_until:
-            self._last_valid_tx = now
+    def receive_tx(self, frame: TxFrame, now: float) -> Optional[RxFrame]:
+        """A valid TX frame reached this slave at ``now``.
 
-    def execute(self, frame: TxFrame, now: float) -> Optional[RxFrame]:
-        """Execute ``frame`` if it applies to this slave.
-
-        Returns the RX frame to send back, or ``None`` when the slave does
-        not respond (powered off, not selected, in reset, or a broadcast).
+        Both bus models call this once per slave per frame.  Returns the
+        RX frame to send back, or ``None`` when the slave does not reply
+        (powered off, in a reset pulse, not selected, or a broadcast).
         """
         if not self.powered:
             return None
-        # is_in_reset() + observe_tx() inlined (one call per frame per
-        # slave): service the watchdog, bail while the reset pulse is
-        # active, then service again — after a gap longer than two
-        # watchdog periods the first reset's release re-arms a second,
-        # later deadline — and feed the watchdog.
+        # Every deadline the line left unfed is one self-reset at that
+        # deadline; each reset re-arms the watchdog when its pulse ends.
         reset_timeout = self.timing.reset_timeout
         deadline = self._last_valid_tx + reset_timeout
-        if now > deadline:
+        while now > deadline:
             self._perform_reset(deadline, reason="watchdog")
+            deadline = self._last_valid_tx + reset_timeout
         if now < self._reset_until:
             return None
-        deadline = self._last_valid_tx + reset_timeout
-        if now > deadline:
-            self._perform_reset(deadline, reason="watchdog")
-        if now >= self._reset_until:
-            self._last_valid_tx = now
-        return self._dispatch_frame(frame)
-
-    def execute_observed(self, frame: TxFrame, now: float) -> Optional[RxFrame]:
-        """:meth:`execute` for a frame this slave has already observed.
-
-        The bus applies :meth:`observe_tx` to every slave in the chain
-        before resolving execution, which leaves the watchdog serviced
-        and fed for ``now``; re-doing that per slave per frame is the
-        single hottest redundancy on the cycle path.  Callers that have
-        not just observed the same ``(frame, now)`` must use
-        :meth:`execute`.
-        """
-        if not self.powered:
-            return None
-        if now < self._reset_until:
-            return None
-        return self._dispatch_frame(frame)
-
-    def _dispatch_frame(self, frame: TxFrame) -> Optional[RxFrame]:
+        self._last_valid_tx = now
         if frame.cmd is Command.SELECT:
             return self._execute_select(frame)
         if self.selected_space is None:
             return None
         self.executed_frames += 1
-        reply = self._execute_selected(frame)
+        reply = self._execute_selected(frame, now)
         if self.broadcast_selected:
             return None
         return reply
@@ -233,7 +187,7 @@ class TpwireSlave:
         self.broadcast_selected = False
         return None
 
-    def _execute_selected(self, frame: TxFrame) -> RxFrame:
+    def _execute_selected(self, frame: TxFrame, now: float) -> RxFrame:
         space = self.selected_space
         regs = self.registers
         cmd = frame.cmd
@@ -268,7 +222,6 @@ class TpwireSlave:
             if cmd is Command.SYS_CMD:
                 regs.write_system(0, frame.data)  # COMMAND register
                 if frame.data == int(SysCommand.DMA_WRITE):
-                    from repro.tpwire.registers import SystemRegister
                     self.dma_write_remaining = regs.system[
                         SystemRegister.DMA_COUNTER
                     ]
@@ -280,7 +233,7 @@ class TpwireSlave:
             if cmd is Command.POLL:
                 return self._ack()
             if cmd is Command.RESET:
-                self._perform_reset(self.sim.now)
+                self._perform_reset(now)
                 return None
         except TpwireError:
             regs.set_flag(Flag.ERROR, True)

@@ -17,7 +17,7 @@ from repro.tpwire import (
     TxFrame,
     node_address,
 )
-from repro.tpwire.bus import CycleStatus
+from repro.tpwire.bus import CycleStatus, TpwireBus
 from repro.tpwire.commands import BROADCAST_NODE_ID
 from repro.tpwire.errors import TpwireError
 
@@ -235,6 +235,71 @@ class TestStartBitDetection:
         # Recorded from the per-poll loop this wait replaced: the first
         # half-bit poll at or after the deadline.
         assert repr(sim.now) == "0.0460416666666666"
+
+
+def build_either(bus_type, n_slaves):
+    """``n_slaves`` protocol slaves behind either bus model at 2400 bit/s
+    (no firmware jitter, so both models start each frame on time)."""
+    sim = Simulator(seed=1)
+    timing = BusTiming(bit_rate=2400.0)
+    if bus_type is TpwireBus:
+        bus = TpwireBus(sim, timing)
+    else:
+        bus = BitLevelTpwireBus(
+            sim, HwKernel(sim), PhyTiming(bit_rate=2400.0, fw_jitter_bits=0.0)
+        )
+    slaves = [TpwireSlave(sim, node_id, timing) for node_id in range(1, n_slaves + 1)]
+    for slave in slaves:
+        bus.attach_slave(slave)
+    return sim, bus, slaves, timing
+
+
+@pytest.mark.parametrize("bus_type", [TpwireBus, BitLevelTpwireBus])
+class TestSlaveTimeAcrossBusModels:
+    """Both bus models hand the slave the same frames at the same
+    instants, so its watchdog and reset pulse give the same verdicts."""
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_frame_inside_the_kth_watchdog_reset_pulse_times_out(self, bus_type, k):
+        sim, bus, slaves, timing = build_either(bus_type, n_slaves=2)
+        select = TxFrame(Command.SELECT, node_address(2))
+        # Each frame reaches a slave the same delay after it starts, so
+        # the second reaches every slave this long after the first: a
+        # silent slave resets once every reset_timeout + reset_active,
+        # and this lands mid-way through the k-th pulse.
+        gap = (
+            k * timing.reset_timeout
+            + (k - 1) * timing.reset_active
+            + timing.reset_active / 2
+        )
+        results = []
+
+        def drive():
+            results.append((yield bus.execute(select)))
+            yield sim.timeout(gap - sim.now)
+            results.append((yield bus.execute(select)))
+
+        sim.spawn(drive())
+        sim.run()
+        assert [r.status for r in results] == [CycleStatus.OK, CycleStatus.TIMEOUT]
+        assert [s.resets for s in slaves] == [k, k]
+
+    def test_select_right_after_a_broadcast_reset(self, bus_type):
+        sim, bus, slaves, _timing = build_either(bus_type, n_slaves=3)
+        results = []
+        for frame in (
+            TxFrame(Command.SELECT, node_address(BROADCAST_NODE_ID)),
+            TxFrame(Command.RESET, 0),
+            TxFrame(Command.SELECT, node_address(3)),
+        ):
+            bus.execute(frame).add_callback(lambda w: results.append(w.value.status))
+        sim.run()
+        # The RESET's pulse starts as the frame reaches each slave, so
+        # the SELECT queued behind it arrives inside the deepest pulse.
+        assert results == [
+            CycleStatus.BROADCAST, CycleStatus.BROADCAST, CycleStatus.TIMEOUT,
+        ]
+        assert [s.resets for s in slaves] == [1, 1, 1]
 
 
 class TestPhyTimingValidation:

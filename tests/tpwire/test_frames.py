@@ -4,7 +4,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.tpwire import Command, CrcMismatch, FrameError, RxFrame, RxType, TxFrame
+from repro.tpwire import (
+    BROADCAST_NODE_ID,
+    Command,
+    CrcMismatch,
+    FrameError,
+    RxFrame,
+    RxType,
+    TxFrame,
+    node_address,
+)
 from repro.tpwire.frames import FRAME_BITS
 
 
@@ -44,6 +53,16 @@ class TestTxFrame:
     def test_wrong_bit_count_rejected(self):
         with pytest.raises(FrameError):
             TxFrame.from_bits([0] * 15)
+
+    @pytest.mark.parametrize("frame, expected", [
+        (TxFrame(Command.SELECT, node_address(3)), True),
+        (TxFrame(Command.SELECT, node_address(BROADCAST_NODE_ID)), False),
+        (TxFrame(Command.RESET, 0), False),
+        (TxFrame(Command.POLL, 0), True),
+        (TxFrame(Command.WRITE_DATA, 0x7F), True),
+    ])
+    def test_expects_reply(self, frame, expected):
+        assert frame.expects_reply is expected
 
     @given(st.sampled_from(list(Command)), st.integers(0, 255))
     def test_roundtrip_property(self, cmd, data):
