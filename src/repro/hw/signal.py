@@ -4,15 +4,33 @@ A signal's :meth:`write` does not take effect immediately: the new value
 commits in the update phase of the current delta cycle, and sensitive
 processes observe it one delta later — the SystemC semantics that avoid
 evaluation-order races between concurrently clocked processes.
+
+Each signal also keeps a short log of its committed transitions, stamped
+with the key of the step that committed them (see
+:mod:`repro.hw.kernel`), and calls its commit listeners as each one
+commits.  A reader that knows the keys of its sample instants can take
+all of a frame's samples at once, after the fact (:meth:`Signal.values_at`),
+with the answer a wake-up at each sample would have read.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from collections import deque
+from typing import Any, Callable, Optional
+
+from repro.des.errors import SimulationError
+
+#: Log stamp of a signal's initial value: before every key.
+_INITIAL = (float("-inf"),)
 
 
 class Signal:
     """A delta-cycle signal with change and falling-edge notification."""
+
+    #: Transitions each signal remembers.  Readers look back over one
+    #: TpWIRE frame, which commits at most 17 on a line (16 bits and the
+    #: return to idle).
+    LOG_DEPTH = 20
 
     def __init__(self, kernel, initial: Any = 0, name: str = ""):
         self.kernel = kernel
@@ -22,7 +40,9 @@ class Signal:
         self._has_pending = False
         self._change_waiters: list = []     # one-shot thread resumptions
         self._neg_waiters: list = []
-        self.last_change_time: Optional[float] = None
+        self._listeners: list[Callable[[tuple, Any], None]] = []
+        #: ``(key, value)`` per committed transition, oldest first.
+        self._log: deque = deque([(_INITIAL, initial)], maxlen=self.LOG_DEPTH)
 
     # -- access -------------------------------------------------------------
 
@@ -47,8 +67,41 @@ class Signal:
             return
         old, new = self._value, self._pending
         self._value = new
-        self.last_change_time = self.kernel.sim.now
-        self._notify(old, new)
+        key = self.kernel.key
+        self._log.append((key, new))
+        for listener in self._listeners:
+            listener(key, new)
+        if self._change_waiters or self._neg_waiters:
+            self._notify(old, new)
+
+    # -- transition log ---------------------------------------------------------
+
+    @property
+    def last_change_time(self) -> Optional[float]:
+        """When the last transition committed (``None`` if none has)."""
+        key = self._log[-1][0]
+        return None if key is _INITIAL else key[0]
+
+    def on_commit(self, listener: Callable[[tuple, Any], None]) -> None:
+        """Call ``listener(key, value)`` as each transition commits, in
+        the update phase of the step whose key is ``key``."""
+        self._listeners.append(listener)
+
+    def values_at(self, keys: list) -> list:
+        """The committed value each of ``keys`` (ascending, none after the
+        running step) would have read: a sample sees a transition whose
+        step's key is lower than its own."""
+        values = [None] * len(keys)
+        index = len(keys) - 1
+        for key, value in reversed(self._log):
+            while key < keys[index]:
+                values[index] = value
+                index -= 1
+                if index < 0:
+                    return values
+        raise SimulationError(
+            f"{self.name}: the transition log no longer reaches {keys[0][0]!r}"
+        )
 
     # -- sensitivity ----------------------------------------------------------
 
@@ -126,6 +179,17 @@ class wait_until(WaitCondition):
 
     def arm(self, process) -> None:
         process.kernel.notify_at(self.time, process)
+
+
+class wait_key(WaitCondition):
+    """Resume as the timed event ``key`` (see :mod:`repro.hw.kernel`): at
+    ``key[0]``, in the place among same-instant events its key gives it."""
+
+    def __init__(self, key: tuple):
+        self.key = key
+
+    def arm(self, process) -> None:
+        process.kernel.wake_at(self.key, process)
 
 
 class wait_negedge_until(WaitCondition):

@@ -10,6 +10,18 @@ machine as the packet-level model — so the two models differ *only* in
 how the wire is represented, which is precisely what a validation
 experiment must isolate.
 
+The PHY works per frame, not per bit slot.  A driver (the master's
+transmitter, a slave's reply) knows its whole frame when it starts, so
+it schedules each level change as a timed write and wakes once, a bit
+after the last.  A repeater forwards on its input's edges, from a commit
+listener (:class:`_Repeater`), and its thread wakes only at the start
+bit, at the INT-deciding second sample (upstream) and at the last
+sample, where it decodes the frame from the line's transition log and
+hands it to the protocol.  Every write and wake-up carries the event key
+of the per-bit wake-up it replaces (:mod:`repro.hw.kernel`), so lines
+commit at the same instants and in the same order as when every sample
+woke its thread.
+
 Timing artifacts the packet-level model does not capture (and which the
 Table 3 scaling factor therefore measures):
 
@@ -38,6 +50,7 @@ from repro.hw.module import HwModule
 from repro.hw.signal import (
     Signal,
     wait_change,
+    wait_key,
     wait_negedge,
     wait_negedge_until,
     wait_time,
@@ -102,6 +115,121 @@ class PhyTiming:
         return expected_bits * self.bit_period * self.timeout_margin
 
 
+def _sample_grid(first: tuple, bit_period: float) -> list:
+    """Keys of a frame's 16 bit-slot samples, ``first`` the first's: the
+    wake-ups of a loop that samples once per bit period."""
+    grid = [first]
+    append = grid.append
+    key = first
+    time = first[0]
+    for _ in range(FRAME_BITS - 1):
+        time = time + bit_period
+        key = (time, 0, key, 1)
+        append(key)
+    return grid
+
+
+def _drive(
+    kernel: HwKernel, line: Signal, bits, key: tuple, level: int, bit_period: float
+) -> tuple:
+    """Schedule ``bits`` on ``line``, now at ``level``, one per bit period:
+    each level change as the wake-up of its slot (``key`` the first's).
+    Returns the key of the slot after the last bit and the level left."""
+    write_at = kernel.write_at
+    for bit in bits:
+        if bit != level:
+            write_at(key, line, bit)
+            level = bit
+        key = (key[0] + bit_period, 0, key, 1)
+    return key, level
+
+
+class _Repeater:
+    """Repeats one frame at a time from an input line onto an output line.
+
+    A repeater samples each bit at the middle of its slot and, when the
+    sample differs from the level last scheduled on the output, writes
+    it there ``hop_delay_bits - 0.5`` bits after the sample.  The input's
+    commit listener does that per edge: an edge is first seen by the
+    sample after it, so the listener finds that slot on the frame's
+    sample grid and schedules the write the sample would have queued,
+    under the key it would have had.  Between samples the level holds,
+    so a slot with no edge forwards nothing.  That takes one edge per
+    slot, which every driver keeps — each writes on a bit-period grid,
+    and a line carries one frame at a time — and a second edge in one
+    slot raises rather than being forwarded twice.
+
+    Slots before ``first_slot`` are left to the owning thread, which
+    wakes at their sample (the INT bit, upstream).
+    """
+
+    __slots__ = (
+        "kernel", "line", "out", "bit_period", "lag", "tail",
+        "level", "grid", "slot", "first_slot",
+    )
+
+    def __init__(self, kernel: HwKernel, line: Signal, out: Signal, timing: PhyTiming):
+        self.kernel = kernel
+        self.line = line
+        self.out = out
+        self.bit_period = bp = timing.bit_period
+        hop = timing.hop_delay_bits * bp
+        self.lag = hop - 0.5 * bp
+        self.tail = hop + 0.5 * bp
+        #: Level last scheduled on ``out``.
+        self.level = IDLE
+        #: Sample keys of the frame being repeated, or ``None`` between frames.
+        self.grid: Optional[list] = None
+        self.slot = 0
+        self.first_slot = 0
+        line.on_commit(self)
+
+    def open(self, first_slot: int) -> list:
+        """At a start bit's edge: start repeating the frame; returns the
+        keys of its samples."""
+        kernel = self.kernel
+        first = kernel.child_key(kernel.sim.now + 0.5 * self.bit_period)
+        self.grid = _sample_grid(first, self.bit_period)
+        self.slot = 0
+        self.first_slot = first_slot
+        self.forward(0, self.line.read())
+        return self.grid
+
+    def close(self) -> None:
+        """At the last sample: stop repeating, and return the output to
+        idle one bit after the last slot's forward."""
+        self.grid = None
+        if self.level != IDLE:
+            kernel = self.kernel
+            kernel.write_at(kernel.child_key(kernel.sim.now + self.tail), self.out, IDLE)
+            self.level = IDLE
+
+    def forward(self, slot: int, value: int) -> None:
+        """Forward what the sample of ``slot`` reads."""
+        if value != self.level:
+            sample = self.grid[slot]
+            self.kernel.write_at((sample[0] + self.lag, 0, sample, 0), self.out, value)
+            self.level = value
+
+    def __call__(self, key: tuple, value: int) -> None:
+        grid = self.grid
+        if grid is None:
+            return
+        slot = self.slot
+        while grid[slot] < key:
+            slot += 1
+            if slot == FRAME_BITS:
+                return  # after the last sample: the frame's return to idle
+        if slot == self.slot:
+            raise TpwireError(
+                f"{self.out.name}: two edges within bit slot {slot} of one frame"
+            )
+        if slot < self.first_slot:
+            return
+        self.slot = slot
+        self.forward(slot, value)
+
+
 class SlavePhy(HwModule):
     """Bit-level line interface of one slave.
 
@@ -133,47 +261,26 @@ class SlavePhy(HwModule):
         super().__init__(kernel, name or f"phy.{protocol.name}")
 
     def build(self) -> None:
-        #: Level last scheduled on ``up_out``, which both ``_drive_up``
-        #: and ``_upstream`` drive (``down_out`` has one driver, so
-        #: ``_downstream`` keeps its level in a local).
-        self._up_level = IDLE
+        self._down = _Repeater(self.kernel, self.down_in, self.down_out, self.timing)
+        #: Replies are driven on ``up_out`` too, through this repeater's
+        #: level.
+        self._up = _Repeater(self.kernel, self.up_in, self.up_out, self.timing)
         self.thread(self._downstream)
         self.thread(self._upstream)
 
     # -- downstream: receive, repeat, execute --------------------------------
 
     def _downstream(self):
-        bp = self.timing.bit_period
-        hop = self.timing.hop_delay_bits * bp
         sim = self.kernel.sim
-        write_after = self.kernel.write_after
-        down_in, down_out = self.down_in, self.down_out
-        half_bit, one_bit = wait_time(0.5 * bp), wait_time(bp)
-        level = IDLE
+        down_in = self.down_in
         while True:
             yield wait_negedge(down_in)
-            # Start-bit edge: sample each bit slot at its midpoint and
-            # forward it so it appears on down_out hop_delay after its
-            # slot boundary.  Only level changes are scheduled: a line
-            # carries one frame at a time, so its writes commit in the
-            # order they are scheduled, and one repeating the level
-            # before it would commit nothing.
-            bits = []
-            yield half_bit
-            for index in range(FRAME_BITS):
-                bit = down_in.read()
-                bits.append(bit)
-                if bit != level:
-                    write_after(hop - 0.5 * bp, down_out, bit)
-                    level = bit
-                if index < FRAME_BITS - 1:
-                    yield one_bit
-            if level != IDLE:
-                write_after(hop + 0.5 * bp, down_out, IDLE)
-                level = IDLE
+            grid = self._down.open(1)
+            yield wait_key(grid[-1])
+            self._down.close()
             self.frames_seen += 1
             try:
-                frame = TxFrame.from_bits(bits)
+                frame = TxFrame.from_bits(down_in.values_at(grid))
             except FrameError:
                 self.crc_drops += 1
                 continue
@@ -181,47 +288,41 @@ class SlavePhy(HwModule):
             if reply is None:
                 continue
             self.frames_executed += 1
-            yield wait_time(self.timing.turnaround_bits * bp)
-            yield from self._drive_up(reply.to_bits())
-
-    def _drive_up(self, bits):
-        bp = self.timing.bit_period
-        up_out = self.up_out
-        one_bit = wait_time(bp)
-        for bit in bits:
-            if bit != self._up_level:
-                up_out.write(bit)
-                self._up_level = bit
-            yield one_bit
-        if self._up_level != IDLE:
-            up_out.write(IDLE)
-            self._up_level = IDLE
+            # The reply is known whole: schedule it after the turnaround,
+            # and wake a bit after its last bit to return the line to idle.
+            bp = self.timing.bit_period
+            first = self.kernel.child_key(sim.now + self.timing.turnaround_bits * bp)
+            end, self._up.level = _drive(
+                self.kernel, self.up_out, reply.to_bits(), first, self._up.level, bp
+            )
+            yield wait_key(end)
+            if self._up.level != IDLE:
+                self.up_out.write(IDLE)
+                self._up.level = IDLE
 
     # -- upstream: repeat replies from deeper slaves, inject INT ----------------
 
     def _upstream(self):
-        bp = self.timing.bit_period
-        hop = self.timing.hop_delay_bits * bp
-        write_after = self.kernel.write_after
-        up_in, up_out = self.up_in, self.up_out
-        half_bit, one_bit = wait_time(0.5 * bp), wait_time(bp)
+        up_in = self.up_in
+        up = self._up
         while True:
             yield wait_negedge(up_in)
-            yield half_bit
-            for index in range(FRAME_BITS):
-                bit = up_in.read()
-                if index == 1 and self.protocol.interrupt_pending:
-                    # Sec. 3.1: the INT bit is set as the RX frame passes
-                    # through a slave with a pending interrupt.
-                    bit = 1
-                if bit != self._up_level:
-                    write_after(hop - 0.5 * bp, up_out, bit)
-                    self._up_level = bit
-                if index < FRAME_BITS - 1:
-                    yield one_bit
-            if self._up_level != IDLE:
-                write_after(hop + 0.5 * bp, up_out, IDLE)
-                self._up_level = IDLE
+            grid = up.open(2)
+            # Sec. 3.1: the INT bit is set as the RX frame passes through
+            # a slave with a pending interrupt — decided at the second
+            # sample, from the flag at that instant.
+            yield wait_key(grid[1])
+            bit = up_in.read()
+            if self.protocol.interrupt_pending:
+                bit = 1
+            up.forward(1, bit)
+            if bit != up_in.read():
+                # The injected bit left the output off the input's level:
+                # the third sample restores it unless an edge did first.
+                yield wait_key(grid[2])
+                up.forward(2, up_in.read())
+            yield wait_key(grid[-1])
+            up.close()
 
 
 class MasterPhy(HwModule):
@@ -254,44 +355,50 @@ class MasterPhy(HwModule):
 
     # -- public request API ----------------------------------------------------
 
-    def submit(self, frame: TxFrame, expect_reply: bool, done: Waitable) -> None:
-        self._queue.append((frame, expect_reply, done))
+    def submit(self, frame: TxFrame, expect_reply: bool, on_result) -> None:
+        """Queue one cycle; ``on_result(CycleResult)`` fires when it ends."""
+        self._queue.append((frame, expect_reply, on_result))
         self._kick.write(1 - self._kick.value)
 
     # -- transmit/receive engine -------------------------------------------------
 
     def _run(self):
         bp = self.timing.bit_period
+        kernel = self.kernel
+        sim = kernel.sim
         down_out = self.down_out
-        one_bit = wait_time(bp)
-        level = IDLE
         while True:
             if not self._queue:
                 yield wait_change(self._kick)
                 continue
-            frame, expect_reply, done = self._queue.popleft()
-            # Master firmware overhead before each cycle (with jitter).
+            frame, expect_reply, on_result = self._queue.popleft()
+            # Master firmware overhead before each cycle (with jitter);
+            # the cycle's event keys grow from this wake-up.
             jitter = self._rng.uniform(
                 -self.timing.fw_jitter_bits, self.timing.fw_jitter_bits
             )
-            yield wait_time((self.timing.fw_overhead_bits + jitter) * bp)
+            fw = (self.timing.fw_overhead_bits + jitter) * bp
+            yield wait_key(kernel.root_key(sim.now + fw))
             self.tx_frames += 1
-            for bit in frame.to_bits():
-                if bit != level:
-                    down_out.write(bit)
-                    level = bit
-                yield one_bit
+            # The frame is known whole: the start bit commits now, every
+            # later level change is scheduled as its bit slot's wake-up,
+            # and the thread wakes again one bit after the last.
+            bits = frame.to_bits()
+            if bits[0] != IDLE:
+                down_out.write(bits[0])
+            end, level = _drive(
+                kernel, down_out, bits[1:], kernel.child_key(sim.now + bp), bits[0], bp
+            )
+            yield wait_key(end)
             if level != IDLE:
                 down_out.write(IDLE)
-                level = IDLE
             if not expect_reply:
                 # Broadcast: let the frame flush through the chain.
                 tail = self.timing.hop_delay_bits * self.chain_length
                 yield wait_time(tail * bp)
-                done.succeed(CycleResult(CycleStatus.BROADCAST))
+                on_result(CycleResult(CycleStatus.BROADCAST))
                 continue
-            result = yield from self._receive()
-            done.succeed(result)
+            on_result((yield from self._receive()))
 
     def _receive(self):
         """Detect the RX start bit on the half-bit poll grid, then sample.
@@ -314,11 +421,16 @@ class MasterPhy(HwModule):
         first.  A reply's start bit reaches the master at least 32 bits
         before the deadline poll (``timeout_margin >= 1``), so the edge
         never ties with the timeout.
+
+        The 15 bits after the start bit are sampled a quarter bit into
+        their slots; the thread wakes once, at the last sample, and reads
+        all 15 from the line's transition log.
         """
         bp = self.timing.bit_period
         poll = self.timing.poll_bits * bp
+        kernel = self.kernel
         up_in = self.up_in
-        start = self.kernel.sim.now
+        start = kernel.sim.now
         deadline = start + self.timing.response_timeout(self.chain_length)
         if up_in.read() == IDLE:
             last_poll = start
@@ -331,7 +443,7 @@ class MasterPhy(HwModule):
             # The poll at ``start`` was the check above, which saw the
             # line idle, so the first poll that can see the edge is the
             # next one.
-            edge = self.kernel.sim.now
+            edge = kernel.sim.now
             detected = start + poll
             while detected < edge:
                 detected = detected + poll
@@ -339,14 +451,11 @@ class MasterPhy(HwModule):
                 yield wait_until(detected)
         # Offset sampling a quarter bit so samples never coincide with a
         # bit boundary.
-        yield wait_time(0.25 * bp)
-        one_bit = wait_time(bp)
-        bits = [0]
-        for _ in range(FRAME_BITS - 1):
-            yield one_bit
-            bits.append(up_in.read())
+        key = kernel.child_key(kernel.sim.now + 0.25 * bp)
+        samples = _sample_grid(key, bp)[1:]
+        yield wait_key(samples[-1])
         try:
-            rx = RxFrame.from_bits(bits)
+            rx = RxFrame.from_bits([0] + up_in.values_at(samples))
         except FrameError:
             self.crc_errors += 1
             return CycleResult(CycleStatus.CRC_ERROR)
@@ -429,21 +538,19 @@ class BitLevelTpwireBus:
     # -- TpwireBus-compatible interface ---------------------------------------
 
     def execute(self, frame: TxFrame, expect_reply: bool = True) -> Waitable:
-        if self.master_phy is None:
-            self.finalize()
+        """Run one communication cycle; succeeds with a :class:`CycleResult`."""
         done = Waitable(self.sim)
-        self.cycles += 1
-        self.master_phy.submit(frame, expect_reply and frame.expects_reply, done)
+        self.execute_cb(frame, expect_reply, done.succeed)
         return done
 
     def execute_cb(self, frame: TxFrame, expect_reply: bool, on_result) -> None:
-        """Callback-style :meth:`execute` (packet-level bus protocol).
-
-        The bit-level bus is not throughput-critical, so it adapts the
-        waitable form instead of duplicating the submit path."""
-        self.execute(frame, expect_reply).add_callback(
-            lambda done: on_result(done.value)
-        )
+        """:meth:`execute` without the waitable: ``on_result(CycleResult)``
+        fires when the cycle completes (the master's transaction engine
+        chains on this)."""
+        if self.master_phy is None:
+            self.finalize()
+        self.cycles += 1
+        self.master_phy.submit(frame, expect_reply and frame.expects_reply, on_result)
 
     def slave_by_id(self, node_id: int) -> TpwireSlave:
         try:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.des import HeapScheduler, Simulator
+from repro.des.errors import SimulationError
 from repro.hw import HwKernel, HwModule, Signal, wait_change, wait_negedge, wait_time
 from repro.hw.signal import wait_negedge_until, wait_until
 
@@ -89,9 +90,45 @@ class TestSignalSemantics:
     def test_last_change_time(self, world):
         sim, kernel = world
         sig = Signal(kernel, 0)
+        assert sig.last_change_time is None
         sim.after(3.0, sig.write, 1)
         sim.run()
         assert sig.last_change_time == 3.0
+
+
+class TestTransitionLog:
+    def _drive(self, kernel, sig, levels):
+        """Commit ``levels`` at t = 1, 2, ...; returns each step's key."""
+        keys = [kernel.child_key(float(t)) for t in range(1, len(levels) + 1)]
+        for key, level in zip(keys, levels):
+            kernel.write_at(key, sig, level)
+        return keys
+
+    def test_samples_read_the_value_committed_before_them(self, world):
+        sim, kernel = world
+        sig = Signal(kernel, 0)
+        self._drive(kernel, sig, [1, 0, 1])
+        sim.run()
+        samples = [(t, 0, (), 0) for t in (0.5, 1.5, 2.5, 3.5)]
+        assert sig.values_at(samples) == [0, 1, 0, 1]
+
+    def test_a_sample_on_an_edge_sees_it_only_if_keyed_after_it(self, world):
+        sim, kernel = world
+        sig = Signal(kernel, 0)
+        edge, = self._drive(kernel, sig, [1])
+        sim.run()
+        before = (1.0, 0, edge[2], edge[3] - 1)
+        after = (1.0, 0, edge[2], edge[3] + 1)
+        assert sig.values_at([before]) == [0]
+        assert sig.values_at([after]) == [1]
+
+    def test_a_sample_older_than_the_log_raises(self, world):
+        sim, kernel = world
+        sig = Signal(kernel, 0)
+        self._drive(kernel, sig, [1, 0] * Signal.LOG_DEPTH)
+        sim.run()
+        with pytest.raises(SimulationError):
+            sig.values_at([(0.5, 0, (), 0)])
 
 
 class TestThreadProcesses:
@@ -236,7 +273,7 @@ class TestTimedDeltaSteps:
         sig = Signal(kernel, 0)
         log = []
         kernel.notify_after(1.0, _Probe("before", sig, log))
-        kernel.write_after(1.0, sig, 1)
+        kernel.write_at(kernel.child_key(1.0), sig, 1)
         kernel.notify_after(1.0, _Probe("after", sig, log))
         sim.run()
         # The write commits in its own delta step, between the two wakes.
@@ -259,7 +296,7 @@ class TestTimedDeltaSteps:
                 log.append((sim.now, kernel.delta_count, sig.read()))
 
         Watcher(kernel)
-        kernel.write_after(2.0, sig, 1)
+        kernel.write_at(kernel.child_key(2.0), sig, 1)
         sim.run()
         # Start-up delta, the write's delta, then the watcher one delta
         # after the commit, at the same instant.

@@ -44,21 +44,9 @@ class _FlippedCrcFrame:
         return list(self._bits)
 
 
-def _record_run(monkeypatch) -> tuple[list[str], BitLevelTpwireBus]:
-    lines: list[str] = []
-    original = Signal.apply_update
-
-    def recording_apply_update(signal):
-        before = signal.value
-        original(signal)
-        if signal.value != before:
-            lines.append(json.dumps(
-                [repr(signal.kernel.sim.now), signal.name, signal.value]
-            ))
-
-    monkeypatch.setattr(Signal, "apply_update", recording_apply_update)
-
-    sim = Simulator(seed=7)
+def run_scenario(sim: Simulator, on_cycle) -> BitLevelTpwireBus:
+    """Run the cycle script on a 3-slave chain; ``on_cycle(label,
+    result)`` sees each cycle as it completes."""
     kernel = HwKernel(sim)
     bus = BitLevelTpwireBus(sim, kernel, PhyTiming())
     timing = BusTiming()
@@ -71,7 +59,7 @@ def _record_run(monkeypatch) -> tuple[list[str], BitLevelTpwireBus]:
     def flipped_crc_cycle():
         done = Waitable(sim)
         frame = _FlippedCrcFrame(TxFrame(Command.SELECT, node_address(3)))
-        bus.master_phy.submit(frame, True, done)
+        bus.master_phy.submit(frame, True, done.succeed)
         return done
 
     cycles = [
@@ -93,15 +81,42 @@ def _record_run(monkeypatch) -> tuple[list[str], BitLevelTpwireBus]:
         for label, start in cycles:
             if label == "int_poll":
                 slaves[1].raise_interrupt()
-            result = yield start()
-            rx = result.rx.encode() if result.rx is not None else None
-            lines.append(json.dumps(
-                {"cycle": label, "status": result.status.name,
-                 "t": repr(sim.now), "rx": rx}, sort_keys=True
-            ))
+            on_cycle(label, (yield start()))
 
     sim.spawn(driver())
     sim.run()
+    return bus
+
+
+def record_transitions(monkeypatch, lines: list) -> None:
+    """Append ``json([repr(time), signal name, value])`` to ``lines`` for
+    every committed transition, in commit order."""
+    original = Signal.apply_update
+
+    def recording_apply_update(signal):
+        before = signal.value
+        original(signal)
+        if signal.value != before:
+            lines.append(json.dumps(
+                [repr(signal.kernel.sim.now), signal.name, signal.value]
+            ))
+
+    monkeypatch.setattr(Signal, "apply_update", recording_apply_update)
+
+
+def _record_run(monkeypatch) -> tuple[list[str], BitLevelTpwireBus]:
+    lines: list[str] = []
+    record_transitions(monkeypatch, lines)
+    sim = Simulator(seed=7)
+
+    def on_cycle(label, result):
+        rx = result.rx.encode() if result.rx is not None else None
+        lines.append(json.dumps(
+            {"cycle": label, "status": result.status.name,
+             "t": repr(sim.now), "rx": rx}, sort_keys=True
+        ))
+
+    bus = run_scenario(sim, on_cycle)
     return lines, bus
 
 

@@ -6,7 +6,7 @@ from repro.des import Simulator
 from repro.des.process import Waitable
 from repro.hw import BitLevelTpwireBus, HwKernel, HwModule, PhyTiming, Signal
 from repro.hw.signal import wait_negedge, wait_time, wait_until
-from repro.hw.tpwire_phy import IDLE, MasterPhy
+from repro.hw.tpwire_phy import IDLE, MasterPhy, SlavePhy
 from repro.tpwire import (
     BusTiming,
     Command,
@@ -92,6 +92,37 @@ class TestBitLevelCycles:
         sim, bus, _slaves = build()
         with pytest.raises(TpwireError):
             bus.attach_slave(TpwireSlave(sim, 9, BusTiming()))
+
+
+class _GlitchDriver(HwModule):
+    """Starts a frame on ``line``, then puts two edges in its bit slot 1."""
+
+    def __init__(self, kernel, line, bit_period):
+        self.line = line
+        self.bit_period = bit_period
+        super().__init__(kernel, "glitch")
+
+    def build(self):
+        self.thread(self.run)
+
+    def run(self):
+        bp = self.bit_period
+        self.line.write(0)
+        for gap in (1.2 * bp, 0.2 * bp):
+            yield wait_time(gap)
+            self.line.write(1 - self.line.read())
+
+
+class TestRepeaterEdges:
+    def test_two_edges_in_one_bit_slot_are_refused(self):
+        sim = Simulator(seed=1)
+        kernel = HwKernel(sim)
+        timing = PhyTiming()
+        lines = [Signal(kernel, IDLE, name=f"line{i}") for i in range(4)]
+        SlavePhy(kernel, TpwireSlave(sim, 1, BusTiming()), timing, *lines)
+        _GlitchDriver(kernel, lines[0], timing.bit_period)
+        with pytest.raises(TpwireError, match="two edges within bit slot 1"):
+            sim.run()
 
 
 class TestBitLevelTiming:
@@ -185,7 +216,7 @@ def _receive_with_edge_at(ticks, queued_late=False):
     done = Waitable(sim)
     finished = []
     done.add_callback(lambda w: finished.append((w.value.status, sim.now)))
-    master.submit(TxFrame(Command.SELECT, node_address(1)), True, done)
+    master.submit(TxFrame(Command.SELECT, node_address(1)), True, done.succeed)
     sim.run()
     (status, completed), = finished
     return status, completed, reply.edge, timing
