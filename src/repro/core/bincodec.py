@@ -70,10 +70,22 @@ TAG_ANY = 0x0D
 TAG_FORMAL = 0x0E
 
 _DOUBLE = struct.Struct(">d")
+_pack_double = _DOUBLE.pack
+_unpack_double = _DOUBLE.unpack_from
 
 #: Formal (type-pattern) names shared with the XML codec's table.
 _FORMAL_TYPES = dict(XmlCodec._FORMAL_TYPES)
 _FORMAL_NAMES = {cls: name for name, cls in _FORMAL_TYPES.items()}
+
+_TRUNCATED = "truncated binary body"
+
+#: A varint longer than this many 7-bit groups is refused: ints are
+#: unbounded like XML's decimal literals, but a multi-kilobyte varint is
+#: an attack, not a number.
+_MAX_VARINT_SHIFT = 4096 * 7
+
+
+# -- encoding ---------------------------------------------------------------
 
 
 def _write_varint(out: bytearray, value: int) -> None:
@@ -89,57 +101,266 @@ def _write_varint(out: bytearray, value: int) -> None:
 
 def _write_str(out: bytearray, text: str) -> None:
     raw = text.encode("utf-8")
-    _write_varint(out, len(raw))
+    size = len(raw)
+    if size < 0x80:
+        out.append(size)
+    else:
+        _write_varint(out, size)
     out += raw
 
 
-class _Reader:
-    """Bounds-checked cursor over one body; all errors are typed."""
+def _zigzag(value: int) -> int:
+    # Arbitrary-precision ints survive, matching XML's unbounded decimal
+    # literals.
+    return value << 1 if value >= 0 else ((-value) << 1) - 1
 
-    __slots__ = ("data", "pos")
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+#: ``{entry class: (head, ((field name, name prefix), ...))}``.  The head
+#: is the bytes of ``TAG_ENTRY``, the class name and the field count, a
+#: prefix the bytes of one field's name.  A class's fields are fixed when
+#: it is defined (``Entry.__init_subclass__``), so a plan never goes stale.
+_ENTRY_PLANS: dict[type, tuple[bytes, tuple[tuple[str, bytes], ...]]] = {}
 
-    def read_exact(self, count: int) -> bytes:
-        end = self.pos + count
-        if end > len(self.data):
-            raise ProtocolError("truncated binary body")
-        chunk = self.data[self.pos : end]
-        self.pos = end
-        return chunk
 
-    def byte(self) -> int:
-        if self.pos >= len(self.data):
-            raise ProtocolError("truncated binary body")
-        value = self.data[self.pos]
-        self.pos += 1
-        return value
+def _entry_plan(entry_class: type) -> tuple[bytes, tuple[tuple[str, bytes], ...]]:
+    head = bytearray((TAG_ENTRY,))
+    _write_str(head, entry_class.__name__)
+    _write_varint(head, len(entry_class._fields))
+    fields = []
+    for name in entry_class._fields:
+        prefix = bytearray()
+        _write_str(prefix, name)
+        fields.append((name, bytes(prefix)))
+    plan = _ENTRY_PLANS[entry_class] = (bytes(head), tuple(fields))
+    return plan
 
-    def varint(self) -> int:
-        result = 0
-        shift = 0
-        while True:
-            byte = self.byte()
-            result |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return result
-            shift += 7
-            if shift > 4096 * 7:
-                # Ints are unbounded like XML's decimal literals, but a
-                # multi-kilobyte varint is an attack, not a number.
-                raise ProtocolError("malformed varint")
 
-    def string(self) -> str:
-        raw = self.read_exact(self.varint())
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ProtocolError(f"bad UTF-8 in binary body: {exc}") from exc
+def _write_entry(out: bytearray, entry: Entry) -> None:
+    plan = _ENTRY_PLANS.get(type(entry))
+    head, fields = plan if plan is not None else _entry_plan(type(entry))
+    out += head
+    for name, prefix in fields:
+        out += prefix
+        value = getattr(entry, name)
+        kind = type(value)
+        # Exact types only: bool, IntEnum and str subclasses take the
+        # general writer, which decides by isinstance in wire order.
+        if value is None:
+            out.append(TAG_NONE)
+        elif kind is int:
+            out.append(TAG_INT)
+            _write_varint(out, _zigzag(value))
+        elif kind is str:
+            out.append(TAG_STR)
+            _write_str(out, value)
+        elif kind is float:
+            out.append(TAG_FLOAT)
+            out += _pack_double(value)
+        else:
+            _write_value(out, value)
 
-    def done(self) -> bool:
-        return self.pos == len(self.data)
+
+def _write_item(out: bytearray, item: Any) -> None:
+    if isinstance(item, Entry):
+        _write_entry(out, item)
+    elif isinstance(item, LindaTuple):
+        out.append(TAG_TUPLE)
+        _write_varint(out, len(item.fields))
+        for value in item.fields:
+            _write_value(out, value)
+    elif isinstance(item, TupleTemplate):
+        out.append(TAG_TEMPLATE)
+        _write_varint(out, len(item.patterns))
+        for pattern in item.patterns:
+            if pattern is ANY:
+                out.append(TAG_ANY)
+            elif isinstance(pattern, type):
+                out.append(TAG_FORMAL)
+                _write_str(out, _FORMAL_NAMES.get(pattern, pattern.__name__))
+            else:
+                _write_value(out, pattern)
+    else:
+        raise ProtocolError(
+            f"cannot encode {type(item).__name__} as a binary item"
+        )
+
+
+def _write_value(out: bytearray, value: Any) -> None:
+    if value is None:
+        out.append(TAG_NONE)
+    elif isinstance(value, bool):
+        out.append(TAG_TRUE if value else TAG_FALSE)
+    elif isinstance(value, int):
+        out.append(TAG_INT)
+        _write_varint(out, _zigzag(value))
+    elif isinstance(value, float):
+        out.append(TAG_FLOAT)
+        out += _pack_double(value)
+    elif isinstance(value, str):
+        out.append(TAG_STR)
+        _write_str(out, value)
+    elif isinstance(value, bytes):
+        out.append(TAG_BYTES)
+        _write_varint(out, len(value))
+        out += value
+    elif isinstance(value, list):
+        out.append(TAG_LIST)
+        _write_varint(out, len(value))
+        for member in value:
+            _write_value(out, member)
+    elif isinstance(value, tuple):
+        out.append(TAG_PYTUPLE)
+        _write_varint(out, len(value))
+        for member in value:
+            _write_value(out, member)
+    elif isinstance(value, dict):
+        out.append(TAG_DICT)
+        _write_varint(out, len(value))
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise ProtocolError("dict keys must be strings on the wire")
+            _write_str(out, key)
+            _write_value(out, value[key])
+    elif isinstance(value, LindaTuple):
+        out.append(TAG_TUPLE)
+        _write_varint(out, len(value.fields))
+        for member in value.fields:
+            _write_value(out, member)
+    elif isinstance(value, Entry):
+        _write_entry(out, value)
+    else:
+        raise ProtocolError(
+            f"unsupported field type {type(value).__name__} for binary"
+        )
+
+
+# -- decoding ---------------------------------------------------------------
+#
+# Each reader takes the body and a position and returns ``(value, next
+# position)``.  Reading past the end indexes out of range: the entry
+# points turn that ``IndexError`` into a ProtocolError, and every slice
+# and fixed-width unpack checks its end explicitly.
+
+
+def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
+    result = 0
+    shift = 0
+    while True:
+        byte = data[pos]
+        pos += 1
+        result |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            return result, pos
+        shift += 7
+        if shift > _MAX_VARINT_SHIFT:
+            raise ProtocolError("malformed varint")
+
+
+def _read_str(data: bytes, pos: int) -> tuple[str, int]:
+    size = data[pos]
+    if size < 0x80:
+        pos += 1
+    else:
+        size, pos = _read_varint(data, pos)
+    end = pos + size
+    if end > len(data):
+        raise ProtocolError(_TRUNCATED)
+    try:
+        return data[pos:end].decode("utf-8"), end
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"bad UTF-8 in binary body: {exc}") from exc
+
+
+def _read_count(data: bytes, pos: int) -> tuple[int, int]:
+    count = data[pos]
+    if count < 0x80:
+        return count, pos + 1
+    return _read_varint(data, pos)
+
+
+def _read_value(data: bytes, pos: int, registry: XmlCodec) -> tuple[Any, int]:
+    tag = data[pos]
+    pos += 1
+    if tag == TAG_NONE:
+        return None, pos
+    if tag == TAG_STR:
+        return _read_str(data, pos)
+    if tag == TAG_INT:
+        raw = data[pos]
+        if raw < 0x80:
+            pos += 1
+        else:
+            raw, pos = _read_varint(data, pos)
+        return (raw >> 1) ^ -(raw & 1), pos
+    if tag == TAG_FLOAT:
+        if pos + 8 > len(data):
+            raise ProtocolError(_TRUNCATED)
+        return _unpack_double(data, pos)[0], pos + 8
+    if tag == TAG_ENTRY:
+        class_name, pos = _read_str(data, pos)
+        fields, pos = _read_named(data, pos, registry)
+        return registry.build_entry(class_name, fields), pos
+    if tag == TAG_FALSE:
+        return False, pos
+    if tag == TAG_TRUE:
+        return True, pos
+    if tag == TAG_BYTES:
+        size, pos = _read_count(data, pos)
+        end = pos + size
+        if end > len(data):
+            raise ProtocolError(_TRUNCATED)
+        return bytes(data[pos:end]), end
+    if tag == TAG_LIST or tag == TAG_PYTUPLE or tag == TAG_TUPLE:
+        count, pos = _read_count(data, pos)
+        members = []
+        for _ in range(count):
+            member, pos = _read_value(data, pos, registry)
+            members.append(member)
+        if tag == TAG_LIST:
+            return members, pos
+        if tag == TAG_PYTUPLE:
+            return tuple(members), pos
+        return LindaTuple(*members), pos
+    if tag == TAG_DICT:
+        pairs, pos = _read_named(data, pos, registry)
+        return dict(pairs), pos
+    if tag == TAG_TEMPLATE:
+        count, pos = _read_count(data, pos)
+        patterns = []
+        for _ in range(count):
+            pattern, pos = _read_pattern(data, pos, registry)
+            patterns.append(pattern)
+        return TupleTemplate(*patterns), pos
+    if tag == TAG_ANY or tag == TAG_FORMAL:
+        raise ProtocolError("pattern tag outside a template")
+    raise ProtocolError(f"unknown binary tag {tag:#04x}")
+
+
+def _read_named(
+    data: bytes, pos: int, registry: XmlCodec
+) -> tuple[list[tuple[str, Any]], int]:
+    """``(name, value)`` pairs of an entry or dict: a count, then each
+    name string and its value."""
+    count, pos = _read_count(data, pos)
+    pairs = []
+    for _ in range(count):
+        name, pos = _read_str(data, pos)
+        value, pos = _read_value(data, pos, registry)
+        pairs.append((name, value))
+    return pairs, pos
+
+
+def _read_pattern(data: bytes, pos: int, registry: XmlCodec) -> tuple[Any, int]:
+    tag = data[pos]
+    if tag == TAG_ANY:
+        return ANY, pos + 1
+    if tag == TAG_FORMAL:
+        name, pos = _read_str(data, pos + 1)
+        formal = _FORMAL_TYPES.get(name)
+        if formal is None:
+            raise ProtocolError(f"unknown formal type {name!r}")
+        return formal, pos
+    return _read_value(data, pos, registry)
 
 
 class BinaryCodec:
@@ -152,166 +373,19 @@ class BinaryCodec:
     def __init__(self, registry: XmlCodec):
         self.registry = registry
 
-    # -- encoding -----------------------------------------------------------
-
     def encode(self, item: Any) -> bytes:
         out = bytearray()
-        self._write_item(out, item)
+        _write_item(out, item)
         return bytes(out)
 
-    def _write_item(self, out: bytearray, item: Any) -> None:
-        if isinstance(item, Entry):
-            out.append(TAG_ENTRY)
-            _write_str(out, type(item).__name__)
-            _write_varint(out, len(item._fields))
-            for name in item._fields:
-                _write_str(out, name)
-                self._write_value(out, getattr(item, name))
-        elif isinstance(item, LindaTuple):
-            out.append(TAG_TUPLE)
-            _write_varint(out, len(item.fields))
-            for value in item.fields:
-                self._write_value(out, value)
-        elif isinstance(item, TupleTemplate):
-            out.append(TAG_TEMPLATE)
-            _write_varint(out, len(item.patterns))
-            for pattern in item.patterns:
-                self._write_pattern(out, pattern)
-        else:
-            raise ProtocolError(
-                f"cannot encode {type(item).__name__} as a binary item"
-            )
-
-    def _write_pattern(self, out: bytearray, pattern: Any) -> None:
-        if pattern is ANY:
-            out.append(TAG_ANY)
-        elif isinstance(pattern, type):
-            name = _FORMAL_NAMES.get(pattern, pattern.__name__)
-            out.append(TAG_FORMAL)
-            _write_str(out, name)
-        else:
-            self._write_value(out, pattern)
-
-    def _write_value(self, out: bytearray, value: Any) -> None:
-        if value is None:
-            out.append(TAG_NONE)
-        elif isinstance(value, bool):
-            out.append(TAG_TRUE if value else TAG_FALSE)
-        elif isinstance(value, int):
-            out.append(TAG_INT)
-            # zigzag: arbitrary-precision ints survive, matching XML's
-            # unbounded decimal literals.
-            _write_varint(
-                out, value << 1 if value >= 0 else ((-value) << 1) - 1
-            )
-        elif isinstance(value, float):
-            out.append(TAG_FLOAT)
-            out += _DOUBLE.pack(value)
-        elif isinstance(value, str):
-            out.append(TAG_STR)
-            _write_str(out, value)
-        elif isinstance(value, bytes):
-            out.append(TAG_BYTES)
-            _write_varint(out, len(value))
-            out += value
-        elif isinstance(value, list):
-            out.append(TAG_LIST)
-            _write_varint(out, len(value))
-            for member in value:
-                self._write_value(out, member)
-        elif isinstance(value, tuple):
-            out.append(TAG_PYTUPLE)
-            _write_varint(out, len(value))
-            for member in value:
-                self._write_value(out, member)
-        elif isinstance(value, dict):
-            out.append(TAG_DICT)
-            _write_varint(out, len(value))
-            for key in sorted(value):
-                if not isinstance(key, str):
-                    raise ProtocolError("dict keys must be strings on the wire")
-                _write_str(out, key)
-                self._write_value(out, value[key])
-        elif isinstance(value, LindaTuple):
-            out.append(TAG_TUPLE)
-            _write_varint(out, len(value.fields))
-            for member in value.fields:
-                self._write_value(out, member)
-        elif isinstance(value, Entry):
-            self._write_item(out, value)
-        else:
-            raise ProtocolError(
-                f"unsupported field type {type(value).__name__} for binary"
-            )
-
-    # -- decoding -----------------------------------------------------------
-
     def decode(self, data: bytes) -> Any:
-        reader = _Reader(data)
-        item = self._read_value(reader)
-        if not reader.done():
+        try:
+            item, pos = _read_value(data, 0, self.registry)
+        except IndexError:
+            raise ProtocolError(_TRUNCATED) from None
+        if pos != len(data):
             raise ProtocolError("trailing bytes after binary item")
         return item
-
-    def _read_value(self, reader: _Reader) -> Any:
-        tag = reader.byte()
-        if tag == TAG_NONE:
-            return None
-        if tag == TAG_FALSE:
-            return False
-        if tag == TAG_TRUE:
-            return True
-        if tag == TAG_INT:
-            raw = reader.varint()
-            return (raw >> 1) ^ -(raw & 1)
-        if tag == TAG_FLOAT:
-            return _DOUBLE.unpack(reader.read_exact(8))[0]
-        if tag == TAG_STR:
-            return reader.string()
-        if tag == TAG_BYTES:
-            return bytes(reader.read_exact(reader.varint()))
-        if tag == TAG_LIST:
-            return [self._read_value(reader) for _ in range(reader.varint())]
-        if tag == TAG_PYTUPLE:
-            return tuple(
-                self._read_value(reader) for _ in range(reader.varint())
-            )
-        if tag == TAG_DICT:
-            return dict(self._read_named(reader))
-        if tag == TAG_TUPLE:
-            return LindaTuple(
-                *[self._read_value(reader) for _ in range(reader.varint())]
-            )
-        if tag == TAG_ENTRY:
-            return self.registry.build_entry(reader.string(), self._read_named(reader))
-        if tag == TAG_TEMPLATE:
-            return TupleTemplate(
-                *[self._read_pattern(reader) for _ in range(reader.varint())]
-            )
-        if tag in (TAG_ANY, TAG_FORMAL):
-            raise ProtocolError("pattern tag outside a template")
-        raise ProtocolError(f"unknown binary tag {tag:#04x}")
-
-    def _read_named(self, reader: _Reader):
-        """``(name, value)`` pairs of an entry or dict: a count, then each
-        name string and its value."""
-        for _ in range(reader.varint()):
-            name = reader.string()
-            yield name, self._read_value(reader)
-
-    def _read_pattern(self, reader: _Reader) -> Any:
-        tag = reader.data[reader.pos] if reader.pos < len(reader.data) else None
-        if tag == TAG_ANY:
-            reader.byte()
-            return ANY
-        if tag == TAG_FORMAL:
-            reader.byte()
-            name = reader.string()
-            formal = _FORMAL_TYPES.get(name)
-            if formal is None:
-                raise ProtocolError(f"unknown formal type {name!r}")
-            return formal
-        return self._read_value(reader)
 
 
 class BinaryWireCodec:
@@ -326,22 +400,25 @@ class BinaryWireCodec:
 
     def __init__(self, registry: XmlCodec):
         self.registry = registry
-        self.values = BinaryCodec(registry)
 
     def encode_body(self, message: Message) -> bytes:
-        if not message.params and message.item is None:
+        params = message.params
+        item = message.item
+        if params:
+            out = bytearray()
+            _write_varint(out, len(params))
+            for key, value in sorted(params.items()):
+                _write_str(out, key)
+                _write_str(out, str(value))
+        elif item is None:
             return b""
-        out = bytearray()
-        params = sorted(message.params.items())
-        _write_varint(out, len(params))
-        for key, value in params:
-            _write_str(out, key)
-            _write_str(out, str(value))
-        if message.item is None:
+        else:
+            out = bytearray(b"\x00")
+        if item is None:
             out.append(0x00)
         else:
             out.append(0x01)
-            self.values._write_item(out, message.item)
+            _write_item(out, item)
         return bytes(out)
 
     def decode_body(
@@ -349,18 +426,23 @@ class BinaryWireCodec:
     ) -> Message:
         if not body:
             return Message(msg_type, request_id)
-        reader = _Reader(body)
-        params = {}
-        for _ in range(reader.varint()):
-            key = reader.string()
-            params[key] = reader.string()
-        flag = reader.byte()
-        if flag not in (0x00, 0x01):
-            raise ProtocolError(f"bad item flag {flag:#04x}")
-        item = None
-        if flag:
-            item = self.values._read_value(reader)
-        if not reader.done():
+        try:
+            count, pos = _read_count(body, 0)
+            params = {}
+            for _ in range(count):
+                key, pos = _read_str(body, pos)
+                params[key], pos = _read_str(body, pos)
+            flag = body[pos]
+            if flag == 0x00:
+                item = None
+                pos += 1
+            elif flag == 0x01:
+                item, pos = _read_value(body, pos + 1, self.registry)
+            else:
+                raise ProtocolError(f"bad item flag {flag:#04x}")
+        except IndexError:
+            raise ProtocolError(_TRUNCATED) from None
+        if pos != len(body):
             raise ProtocolError("trailing bytes after binary message body")
         return Message(msg_type, request_id, params, item)
 

@@ -87,6 +87,21 @@ def escape_attrib(text: str) -> str:
     return text
 
 
+#: ``{entry class: (start tag, ((field name, name attribute), ...))}``:
+#: the escaped ``<entry class="…"`` and each field's ready `` name="…"``,
+#: built on a class's first encode.  A class's fields are fixed when it
+#: is defined (``Entry.__init_subclass__``), so a plan never goes stale.
+_ENTRY_PLANS: dict[type, tuple[str, tuple[tuple[str, str], ...]]] = {}
+
+
+def _entry_plan(entry_class: type) -> tuple[str, tuple[tuple[str, str], ...]]:
+    plan = _ENTRY_PLANS[entry_class] = (
+        f'<entry class="{escape_attrib(entry_class.__name__)}"',
+        tuple((name, f' name="{escape_attrib(name)}"') for name in entry_class._fields),
+    )
+    return plan
+
+
 class XmlCodec:
     """Encode/decode entries, tuples and templates to XML bytes.
 
@@ -146,13 +161,14 @@ class XmlCodec:
     def write_item(self, out: list[str], item: Any) -> None:
         """Append the element of an entry, tuple or template to ``out``."""
         if isinstance(item, Entry):
-            head = f'<entry class="{escape_attrib(type(item).__name__)}"'
-            if not item._fields:
+            plan = _ENTRY_PLANS.get(type(item))
+            head, fields = plan if plan is not None else _entry_plan(type(item))
+            if not fields:
                 out.append(head + " />")
                 return
             out.append(head + ">")
-            for name in item._fields:
-                self._write_field(out, getattr(item, name), f' name="{escape_attrib(name)}"')
+            for name, attribute in fields:
+                self._write_field(out, getattr(item, name), attribute)
             out.append("</entry>")
         elif isinstance(item, LindaTuple):
             out.append("<tuple>")

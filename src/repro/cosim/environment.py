@@ -93,6 +93,13 @@ def build_bus_system(
             raise ValueError(
                 "frame error injection is a packet-level model feature"
             )
+        if wires != 1 or mode not in (None, WireMode.SERIAL):
+            # The PHY carries only 1-wire serial frames; building it for
+            # another line group would silently simulate the 1-wire bus.
+            raise ValueError(
+                f"the bit-level PHY models the 1-wire serial bus only "
+                f"(asked for wires={wires}, mode={mode})"
+            )
         kernel = HwKernel(sim)
         phy = phy_timing if phy_timing is not None else PhyTiming(bit_rate=bit_rate)
         bus = BitLevelTpwireBus(sim, kernel, phy)

@@ -11,7 +11,7 @@ from repro.core import (
     TupleTemplate,
     XmlCodec,
 )
-from repro.core.bincodec import BinaryCodec, BinaryWireCodec, _Reader
+from repro.core.bincodec import BinaryCodec, BinaryWireCodec
 from repro.core.errors import ProtocolError
 from repro.core.protocol import (
     Message,
@@ -141,10 +141,10 @@ class TestStrictDecoding:
         with pytest.raises(ProtocolError, match="UTF-8"):
             bin_codec.decode(b"\x0a\x01\x05\x02\xff\xfe")
 
-    def test_varint_continuation_bomb(self):
-        reader = _Reader(b"\x80" * 8192 + b"\x00")
+    def test_varint_continuation_bomb(self, bin_codec):
+        # TAG_INT, then a varint of 8192 continuation bytes
         with pytest.raises(ProtocolError, match="varint"):
-            reader.varint()
+            bin_codec.decode(b"\x03" + b"\x80" * 8192 + b"\x00")
 
     @pytest.mark.parametrize(
         "wire, body",

@@ -24,6 +24,18 @@ class TestBuildBusSystem:
         assert isinstance(system.bus, BitLevelTpwireBus)
         assert system.kernel is not None
 
+    @pytest.mark.parametrize(
+        "wires, mode",
+        [(2, None), (2, WireMode.PARALLEL_DATA), (1, WireMode.PARALLEL_BUS)],
+    )
+    def test_bit_level_refuses_other_line_groups(self, wires, mode):
+        with pytest.raises(ValueError, match="1-wire"):
+            build_bus_system(Simulator(), [1, 2], wires=wires, mode=mode, bit_level=True)
+
+    def test_bit_level_accepts_serial_mode(self):
+        system = build_bus_system(Simulator(), [1], mode=WireMode.SERIAL, bit_level=True)
+        assert isinstance(system.bus, BitLevelTpwireBus)
+
     def test_two_wire_timing(self):
         sim = Simulator()
         system = build_bus_system(sim, [1], wires=2)

@@ -74,6 +74,11 @@ class TestCaseStudyScenario:
         two = CaseStudyScenario(CaseStudyConfig(wires=2)).run()
         assert two.elapsed_seconds < one.elapsed_seconds
 
+    def test_two_wire_bit_level_is_refused(self):
+        # The PHY has no 2-wire framing; it must not stand in for one.
+        with pytest.raises(ValueError, match="1-wire"):
+            CaseStudyScenario(CaseStudyConfig(wires=2, bit_level=True))
+
     def test_heavy_cbr_goes_out_of_time_on_one_wire(self):
         result = CaseStudyScenario(
             CaseStudyConfig(cbr_rate_bytes_per_s=1.0)
