@@ -15,13 +15,12 @@ from repro.cosim import (
     CaseStudyConfig,
     CaseStudyScenario,
     EthernetCaseStudy,
-    EthernetConfig,
 )
 
 
 @pytest.fixture(scope="module")
 def both():
-    ethernet = EthernetCaseStudy(EthernetConfig()).run()
+    ethernet = EthernetCaseStudy().run()
     tpwire = CaseStudyScenario(CaseStudyConfig()).run(max_sim_time=4000.0)
     return ethernet, tpwire
 

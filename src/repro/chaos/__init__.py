@@ -56,7 +56,6 @@ from repro.chaos.scenarios import (
     NoisyBurstScenario,
     PartitionScenario,
     SlowConsumerScenario,
-    run_scenario,
 )
 from repro.chaos.transport import ChaosConnection, ChaosHost
 
@@ -88,5 +87,4 @@ __all__ = [
     "LeaseStormScenario",
     "SlowConsumerScenario",
     "SCENARIOS",
-    "run_scenario",
 ]

@@ -38,7 +38,6 @@ from repro.core.agents import (
     fft_result_template,
 )
 from repro.core.clock import ManualClock, SimClock
-from repro.core.errors import SpaceError
 from repro.core.resilience import BackoffPolicy, CircuitBreaker, ResilientSpaceClient
 from repro.core.server import NullTimers, SpaceServer
 from repro.core.simops import LeaseKeeper, space_take
@@ -118,18 +117,18 @@ class ChaosResult:
 
 
 class ChaosScenario:
-    """Base scenario: a plan, a recovery budget, and a ``run()``."""
+    """Base scenario: a seeded plan, a recovery budget, and a ``run()``.
+
+    The fault plan is the class's :meth:`default_plan` for ``seed``; the
+    workload size and the recovery budget are class constants.
+    """
 
     kind: FaultKind
+    #: seconds past the fault window within which recovery must land
+    recovery_budget = 2.0
 
-    def __init__(
-        self,
-        plan: Optional[FaultPlan] = None,
-        seed: int = 0,
-        recovery_budget: float = 2.0,
-    ):
-        self.plan = plan if plan is not None else self.default_plan(seed)
-        self.recovery_budget = recovery_budget
+    def __init__(self, seed: int = 0):
+        self.plan = self.default_plan(seed)
 
     @classmethod
     def default_plan(cls, seed: int) -> FaultPlan:
@@ -163,10 +162,7 @@ class CrashRestartScenario(ChaosScenario):
     """
 
     kind = FaultKind.CRASH_RESTART
-
-    def __init__(self, plan=None, seed=0, recovery_budget=2.0, n_writes=20):
-        super().__init__(plan, seed, recovery_budget)
-        self.n_writes = n_writes
+    n_writes = 20
 
     @classmethod
     def default_plan(cls, seed: int) -> FaultPlan:
@@ -272,10 +268,8 @@ class DropDelayDupScenario(ChaosScenario):
     """
 
     kind = FaultKind.DROP_DELAY_DUP
-
-    def __init__(self, plan=None, seed=0, recovery_budget=3.0, n_writes=30):
-        super().__init__(plan, seed, recovery_budget)
-        self.n_writes = n_writes
+    recovery_budget = 3.0
+    n_writes = 30
 
     @classmethod
     def default_plan(cls, seed: int) -> FaultPlan:
@@ -422,10 +416,7 @@ class PartitionScenario(ChaosScenario):
     """
 
     kind = FaultKind.PARTITION
-
-    def __init__(self, plan=None, seed=0, recovery_budget=2.0, n_messages=40):
-        super().__init__(plan, seed, recovery_budget)
-        self.n_messages = n_messages
+    n_messages = 40
 
     @classmethod
     def default_plan(cls, seed: int) -> FaultPlan:
@@ -504,12 +495,8 @@ class NoisyBurstScenario(ChaosScenario):
     """
 
     kind = FaultKind.NOISY_BURST
-
-    def __init__(self, plan=None, seed=0, recovery_budget=2.0,
-                 n_rounds=6, payload_len=4):
-        super().__init__(plan, seed, recovery_budget)
-        self.n_rounds = n_rounds
-        self.payload_len = payload_len
+    n_rounds = 6
+    payload_len = 4
 
     @classmethod
     def default_plan(cls, seed: int) -> FaultPlan:
@@ -613,12 +600,9 @@ class LeaseStormScenario(ChaosScenario):
     """
 
     kind = FaultKind.LEASE_STORM
-
-    def __init__(self, plan=None, seed=0, recovery_budget=0.5,
-                 storm_size=200, protected=5):
-        super().__init__(plan, seed, recovery_budget)
-        self.storm_size = storm_size
-        self.protected = protected
+    recovery_budget = 0.5
+    storm_size = 200
+    protected = 5
 
     @classmethod
     def default_plan(cls, seed: int) -> FaultPlan:
@@ -722,13 +706,10 @@ class SlowConsumerScenario(ChaosScenario):
     """
 
     kind = FaultKind.SLOW_CONSUMER
-
-    def __init__(self, plan=None, seed=0, recovery_budget=3.0,
-                 n_jobs=24, interval=0.1, service_time=0.05):
-        super().__init__(plan, seed, recovery_budget)
-        self.n_jobs = n_jobs
-        self.interval = interval
-        self.service_time = service_time
+    recovery_budget = 3.0
+    n_jobs = 24
+    interval = 0.1
+    service_time = 0.05
 
     @classmethod
     def default_plan(cls, seed: int) -> FaultPlan:
@@ -817,12 +798,3 @@ SCENARIOS: dict[FaultKind, type] = {
     FaultKind.SLOW_CONSUMER: SlowConsumerScenario,
 }
 
-
-def run_scenario(kind: FaultKind, seed: int = 0,
-                 plan: Optional[FaultPlan] = None, **knobs) -> ChaosResult:
-    """Build and run the registered scenario for ``kind``."""
-    scenario_type = SCENARIOS.get(kind)
-    if scenario_type is None:
-        label = getattr(kind, "value", kind)
-        raise SpaceError(f"no chaos scenario registered for {label}")
-    return scenario_type(plan=plan, seed=seed, **knobs).run()

@@ -37,9 +37,11 @@ ints survive (matching XML's unbounded decimal literals)::
     0x0D any      (template wildcard)
     0x0E formal   type-name str                  (template type pattern)
 
-Decoding is strict: truncated payloads, unknown tags, non-canonical
-floats of the wrong width or trailing garbage all raise
-:class:`~repro.core.errors.ProtocolError`, never crash or mis-decode.
+Decoding is strict: truncated payloads, unknown tags, a top-level item
+that is not an entry, tuple or template, nesting deeper than the
+interpreter's recursion limit, non-canonical floats of the wrong width
+or trailing garbage all raise :class:`~repro.core.errors.ProtocolError`,
+never crash or mis-decode.
 """
 
 from __future__ import annotations
@@ -78,6 +80,11 @@ _FORMAL_TYPES = dict(XmlCodec._FORMAL_TYPES)
 _FORMAL_NAMES = {cls: name for name, cls in _FORMAL_TYPES.items()}
 
 _TRUNCATED = "truncated binary body"
+_TOO_DEEP = "binary body nested too deeply"
+
+#: The tags a top-level item may carry; the XML codec likewise accepts
+#: only ``<entry>``, ``<tuple>`` and ``<template>`` there.
+_ITEM_TAGS = frozenset((TAG_ENTRY, TAG_TUPLE, TAG_TEMPLATE))
 
 #: A varint longer than this many 7-bit groups is refused: ints are
 #: unbounded like XML's decimal literals, but a multi-kilobyte varint is
@@ -336,6 +343,16 @@ def _read_value(data: bytes, pos: int, registry: XmlCodec) -> tuple[Any, int]:
     raise ProtocolError(f"unknown binary tag {tag:#04x}")
 
 
+def _read_item(data: bytes, pos: int, registry: XmlCodec) -> tuple[Any, int]:
+    """A message's item: an entry, tuple or template, as on the XML wire."""
+    if data[pos] not in _ITEM_TAGS:
+        raise ProtocolError(
+            f"binary item must be an entry, tuple or template, "
+            f"not tag {data[pos]:#04x}"
+        )
+    return _read_value(data, pos, registry)
+
+
 def _read_named(
     data: bytes, pos: int, registry: XmlCodec
 ) -> tuple[list[tuple[str, Any]], int]:
@@ -380,9 +397,11 @@ class BinaryCodec:
 
     def decode(self, data: bytes) -> Any:
         try:
-            item, pos = _read_value(data, 0, self.registry)
+            item, pos = _read_item(data, 0, self.registry)
         except IndexError:
             raise ProtocolError(_TRUNCATED) from None
+        except RecursionError:
+            raise ProtocolError(_TOO_DEEP) from None
         if pos != len(data):
             raise ProtocolError("trailing bytes after binary item")
         return item
@@ -437,11 +456,13 @@ class BinaryWireCodec:
                 item = None
                 pos += 1
             elif flag == 0x01:
-                item, pos = _read_value(body, pos + 1, self.registry)
+                item, pos = _read_item(body, pos + 1, self.registry)
             else:
                 raise ProtocolError(f"bad item flag {flag:#04x}")
         except IndexError:
             raise ProtocolError(_TRUNCATED) from None
+        except RecursionError:
+            raise ProtocolError(_TOO_DEEP) from None
         if pos != len(body):
             raise ProtocolError("trailing bytes after binary message body")
         return Message(msg_type, request_id, params, item)

@@ -214,7 +214,7 @@ def decode_body(msg_type: MessageType, request_id: int, body: bytes, codec: XmlC
     children = list(root)
     if len(children) > 1:
         raise ProtocolError("a message carries at most one item")
-    item = codec.from_element(children[0]) if children else None
+    item = codec.read_item(children[0]) if children else None
     return Message(msg_type, request_id, params, item)
 
 

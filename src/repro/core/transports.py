@@ -28,7 +28,6 @@ from typing import Optional
 from repro.core.aio import AsyncSpaceServer, LoopTimers
 from repro.core.errors import ConnectionClosedError
 from repro.core.server import ServerConnection, SpaceServer
-from repro.core.xmlcodec import XmlCodec
 
 
 class LocalConnection:
@@ -189,10 +188,3 @@ class SocketConnection:
         except OSError:
             pass
 
-
-def make_threaded_server(
-    space, codec: Optional[XmlCodec] = None, host: str = "127.0.0.1", port: int = 0
-) -> SocketSpaceServer:
-    """Convenience: space + codec -> TCP space server (not started)."""
-    codec = codec if codec is not None else XmlCodec()
-    return SocketSpaceServer(SpaceServer(space, codec), host, port)

@@ -254,7 +254,15 @@ class XmlCodec:
             element = ET.fromstring(data)
         except ET.ParseError as exc:
             raise ProtocolError(f"bad XML: {exc}") from exc
-        return self.from_element(element)
+        return self.read_item(element)
+
+    def read_item(self, element: ET.Element) -> Any:
+        """:meth:`from_element` for a top-level item: nesting past the
+        interpreter's recursion limit is refused like any malformed body."""
+        try:
+            return self.from_element(element)
+        except RecursionError:
+            raise ProtocolError("XML item nested too deeply") from None
 
     def from_element(self, element: ET.Element) -> Any:
         if element.tag == "entry":

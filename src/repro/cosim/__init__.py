@@ -25,7 +25,6 @@ from repro.cosim.calibration import (
 )
 from repro.cosim.ethernet import (
     EthernetCaseStudy,
-    EthernetConfig,
     EthernetResult,
 )
 
@@ -47,6 +46,5 @@ __all__ = [
     "run_validation_suite",
     "derive_scaling_factor",
     "EthernetCaseStudy",
-    "EthernetConfig",
     "EthernetResult",
 ]

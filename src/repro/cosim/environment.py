@@ -34,6 +34,10 @@ from repro.tpwire import (
 from repro.tpwire.nwire import timing_for
 from repro.tpwire.transport import TransportEndpoint, TransportFabric
 
+#: The master drains up to this many link messages from each mailbox it
+#: visits: a store-and-forward relay, not one message per poll.
+RELAY_MESSAGES_PER_VISIT = 64
+
 
 @dataclass
 class BusSystem:
@@ -70,10 +74,6 @@ def build_bus_system(
     mode: Optional[WireMode] = None,
     bit_level: bool = False,
     error_model: Optional[BitErrorModel] = None,
-    max_payload: int = 32,
-    max_messages_per_visit: int = 64,
-    max_retries: int = 3,
-    phy_timing: Optional[PhyTiming] = None,
     use_dma: bool = False,
     poll_strategy: PollStrategy = PollStrategy.ROUND_ROBIN,
     obs=None,
@@ -101,8 +101,7 @@ def build_bus_system(
                 f"(asked for wires={wires}, mode={mode})"
             )
         kernel = HwKernel(sim)
-        phy = phy_timing if phy_timing is not None else PhyTiming(bit_rate=bit_rate)
-        bus = BitLevelTpwireBus(sim, kernel, phy)
+        bus = BitLevelTpwireBus(sim, kernel, PhyTiming(bit_rate=bit_rate))
     else:
         from repro.tpwire.bus import TpwireBus
         bus = TpwireBus(sim, timing, error_model, obs=obs)
@@ -121,19 +120,17 @@ def build_bus_system(
         mailbox = MailboxDevice()
         slave.attach_device(mailbox)
         bus.attach_slave(slave)
-        endpoint = TransportEndpoint(
-            sim, fabric, mailbox, node_id, max_payload=max_payload
-        )
+        endpoint = TransportEndpoint(sim, fabric, mailbox, node_id)
         system.slaves[node_id] = slave
         system.mailboxes[node_id] = mailbox
         system.endpoints[node_id] = endpoint
     if bit_level:
         bus.finalize()
-    master = TpwireMaster(sim, bus, max_retries=max_retries, obs=obs)
+    master = TpwireMaster(sim, bus, obs=obs)
     system.master = master
     system.poller = MasterPoller(
         sim, master, fabric, list(slave_ids),
-        max_messages_per_visit=max_messages_per_visit,
+        max_messages_per_visit=RELAY_MESSAGES_PER_VISIT,
         use_dma=use_dma,
         strategy=poll_strategy,
     )

@@ -10,48 +10,31 @@ becomes a quantitative one: seconds saved vs. active devices required.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.server import SimTimers, SpaceServer
-from repro.core.sim_client import ClientTimingModel, SimSpaceClient
+from repro.core.sim_client import SimSpaceClient
 from repro.core.space import TupleSpace
 from repro.core.clock import SimClock
 from repro.cosim.scenarios import (
+    CASE_STUDY_CLIENT_TIMING,
+    CASE_STUDY_LEASE_SECONDS,
+    CASE_STUDY_SERVER_TIMING,
+    CASE_STUDY_TAKE_TIMEOUT,
     MachineParameters,
     default_entry,
     make_case_study_codec,
 )
 from repro.cosim.errors import CaseStudyIncompleteError
-from repro.cosim.server_host import ServerTimingModel, SimServerHost
+from repro.cosim.server_host import SimServerHost
 from repro.des import Simulator
 from repro.hw.shared_memory import SharedMemoryChannel
 from repro.net.stream import build_switched_star
 
-
-@dataclass
-class EthernetConfig:
-    """Knobs of the Ethernet variant of the case study."""
-
-    bandwidth_bps: float = 10_000_000.0  #: 10BASE-T per link
-    link_delay: float = 50e-6
-    lease_seconds: float = 160.0
-    take_timeout: float = 10.0
-    seed: int = 1
-    client_timing: ClientTimingModel = field(
-        default_factory=lambda: ClientTimingModel(
-            build_seconds_per_byte=0.004,
-            parse_seconds_per_byte=0.002,
-            request_overhead=0.3,
-        )
-    )
-    server_timing: ServerTimingModel = field(
-        default_factory=lambda: ServerTimingModel(
-            parse_seconds_per_byte=0.002,
-            build_seconds_per_byte=0.001,
-            request_overhead=0.1,
-        )
-    )
+#: Every link of the star: 10BASE-T with a 50 µs propagation delay.
+ETHERNET_BANDWIDTH_BPS = 10_000_000.0
+ETHERNET_LINK_DELAY = 50e-6
 
 
 @dataclass
@@ -66,13 +49,11 @@ class EthernetResult:
 class EthernetCaseStudy:
     """Write+take over the switched network (same endpoints as Fig. 7)."""
 
-    def __init__(self, config: Optional[EthernetConfig] = None):
-        self.config = config if config is not None else EthernetConfig()
-        cfg = self.config
-        self.sim = Simulator(seed=cfg.seed)
+    def __init__(self):
+        self.sim = Simulator(seed=1)
         self.switch, self.agents = build_switched_star(
             self.sim, ["client", "server"],
-            bandwidth_bps=cfg.bandwidth_bps, delay=cfg.link_delay,
+            bandwidth_bps=ETHERNET_BANDWIDTH_BPS, delay=ETHERNET_LINK_DELAY,
         )
         self.codec = make_case_study_codec()
         self.space = TupleSpace(clock=SimClock(self.sim), name="javaspace")
@@ -83,7 +64,7 @@ class EthernetCaseStudy:
         # Server side: the same host as behind the SC2 bridge, with the
         # server's NIC as its bridge.
         self.server_host = SimServerHost(
-            self.sim, self.server, _NicBridge(self), cfg.server_timing,
+            self.sim, self.server, _NicBridge(self), CASE_STUDY_SERVER_TIMING,
             name="eth-server",
         )
         self.agents["server"].on_data = self.server_host.bridge.deliver
@@ -97,7 +78,7 @@ class EthernetCaseStudy:
         self.sim.spawn(self._client_tx_loop(), name="eth-client-tx")
         self.client = SimSpaceClient(
             self.sim, self._client_tx, self._client_rx, self.codec,
-            timing=cfg.client_timing, name="eth-client",
+            timing=CASE_STUDY_CLIENT_TIMING, name="eth-client",
         )
         self.wire_bytes = 0
         self._result: Optional[EthernetResult] = None
@@ -116,11 +97,10 @@ class EthernetCaseStudy:
     # -- the measured operation ------------------------------------------------
 
     def _client_program(self):
-        cfg = self.config
         start = self.sim.now
         entry = default_entry()
         yield from self.client.op_write(
-            entry, lease=cfg.lease_seconds, created_at=start
+            entry, lease=CASE_STUDY_LEASE_SECONDS, created_at=start
         )
         template = MachineParameters(
             machine_id=entry.machine_id,
@@ -129,7 +109,7 @@ class EthernetCaseStudy:
             tool_slot=entry.tool_slot,
         )
         taken = yield from self.client.op_take(
-            template, timeout=cfg.take_timeout
+            template, timeout=CASE_STUDY_TAKE_TIMEOUT
         )
         self._result = EthernetResult(
             elapsed_seconds=self.sim.now - start,

@@ -11,7 +11,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.entry import Entry
@@ -182,6 +182,24 @@ def make_case_study_codec() -> XmlCodec:
     return codec
 
 
+#: Board-side marshalling costs: the client runs under an ISS.
+CASE_STUDY_CLIENT_TIMING = ClientTimingModel(
+    build_seconds_per_byte=0.004,
+    parse_seconds_per_byte=0.002,
+    request_overhead=0.3,
+)
+#: Host-side costs: socket wrapper + RMI + XML parse in the JVM.
+CASE_STUDY_SERVER_TIMING = ServerTimingModel(
+    parse_seconds_per_byte=0.002,
+    build_seconds_per_byte=0.001,
+    request_overhead=0.1,
+)
+#: The entry's lease: long enough for the 1-wire baseline's write+take.
+CASE_STUDY_LEASE_SECONDS = 160.0
+#: How long the board's take waits for a match before giving up.
+CASE_STUDY_TAKE_TIMEOUT = 10.0
+
+
 @dataclass
 class CaseStudyConfig:
     """Knobs of the Figure 7 / Table 4 experiment."""
@@ -192,13 +210,8 @@ class CaseStudyConfig:
     #: (write+take ~ 2.5 minutes, Out-of-Time between 0.3 and 1 B/s CBR).
     bit_rate: float = 2100.0
     cbr_rate_bytes_per_s: float = 0.0
-    cbr_packet_size: int = 1
-    lease_seconds: float = 160.0
-    take_timeout: float = 10.0
-    think_time: float = 0.0
+    lease_seconds: float = CASE_STUDY_LEASE_SECONDS
     seed: int = 1
-    #: the master drains each mailbox it visits (store-and-forward relay)
-    max_messages_per_visit: int = 64
     #: firmware what-ifs: DMA burst delivery and INT-driven discovery
     use_dma: bool = False
     poll_strategy: PollStrategy = PollStrategy.ROUND_ROBIN
@@ -212,22 +225,6 @@ class CaseStudyConfig:
     #: fresh :class:`~repro.des.HeapScheduler` (pass an instrumented
     #: subclass to count or trace what the run loop pops)
     scheduler: Optional[HeapScheduler] = None
-    #: board-side marshalling costs (the client runs under an ISS)
-    client_timing: ClientTimingModel = field(
-        default_factory=lambda: ClientTimingModel(
-            build_seconds_per_byte=0.004,
-            parse_seconds_per_byte=0.002,
-            request_overhead=0.3,
-        )
-    )
-    #: host-side costs (socket wrapper + RMI + XML parse in the JVM)
-    server_timing: ServerTimingModel = field(
-        default_factory=lambda: ServerTimingModel(
-            parse_seconds_per_byte=0.002,
-            build_seconds_per_byte=0.001,
-            request_overhead=0.1,
-        )
-    )
 
 
 @dataclass
@@ -278,7 +275,6 @@ class CaseStudyScenario:
             wires=cfg.wires,
             mode=cfg.mode,
             bit_rate=cfg.bit_rate,
-            max_messages_per_visit=cfg.max_messages_per_visit,
             use_dma=cfg.use_dma,
             poll_strategy=cfg.poll_strategy,
             error_model=error_model,
@@ -298,7 +294,8 @@ class CaseStudyScenario:
             self.sim, self.system.endpoint(self.SERVER_NODE)
         )
         self.server_host = SimServerHost(
-            self.sim, self.server, self.server_bridge, cfg.server_timing
+            self.sim, self.server, self.server_bridge,
+            CASE_STUDY_SERVER_TIMING,
         )
 
         # Client side (SC1): bridge + the board's space client.
@@ -310,7 +307,7 @@ class CaseStudyScenario:
             self.client_bridge.to_bus,
             self.client_bridge.from_bus,
             self.codec,
-            timing=cfg.client_timing,
+            timing=CASE_STUDY_CLIENT_TIMING,
             name="board-client",
         )
 
@@ -325,7 +322,6 @@ class CaseStudyScenario:
         self.cbr = CBRSource(
             self.sim, self.cbr_agent,
             rate_bytes_per_s=cfg.cbr_rate_bytes_per_s,
-            packet_size=cfg.cbr_packet_size,
         )
 
         self._result: Optional[CaseStudyResult] = None
@@ -350,8 +346,6 @@ class CaseStudyScenario:
             obs.metrics.histogram("client.write_seconds").observe(
                 write_ack_at - start
             )
-        if cfg.think_time > 0:
-            yield self.sim.timeout(cfg.think_time)
         # The client addresses the block it wrote: the template pins the
         # identifying fields (a realistic, several-hundred-byte template).
         template = MachineParameters(
@@ -362,7 +356,9 @@ class CaseStudyScenario:
         )
         take_span = obs.tracer.begin("client", "take") if obs is not None else None
         take_started = self.sim.now
-        taken = yield from self.client.op_take(template, timeout=cfg.take_timeout)
+        taken = yield from self.client.op_take(
+            template, timeout=CASE_STUDY_TAKE_TIMEOUT
+        )
         elapsed = self.sim.now - start
         if obs is not None:
             take_span.end(completed=taken is not None)

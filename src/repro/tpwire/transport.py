@@ -68,7 +68,7 @@ CRC_SIZE = 2
 #: Total per-message overhead.
 MESSAGE_OVERHEAD = HEADER_SIZE + CRC_SIZE
 
-#: Default largest payload per link message.
+#: Largest payload an endpoint puts in one link message.
 DEFAULT_MAX_PAYLOAD = 32
 
 #: ``flags`` bit marking the last chunk of an application-level send.
@@ -157,9 +157,11 @@ class MailboxDevice:
     #: recovers the byte here instead of popping the next one.
     OUT_LAST = 0xF4
 
-    def __init__(self, out_capacity: int = 65536, in_capacity: int = 65536):
-        self.out_capacity = out_capacity
-        self.in_capacity = in_capacity
+    #: buffer sizes in bytes, each way
+    out_capacity = 65536
+    in_capacity = 65536
+
+    def __init__(self):
         self._outbound: deque[int] = deque()
         self._last_out = 0
         self._inbound = bytearray()
@@ -303,21 +305,19 @@ class TransportEndpoint:
     reassembles and invokes ``on_data(src_id, data, context)``.
     """
 
+    max_payload = DEFAULT_MAX_PAYLOAD
+
     def __init__(
         self,
         sim,
         fabric: TransportFabric,
         mailbox: MailboxDevice,
         node_id: int,
-        max_payload: int = DEFAULT_MAX_PAYLOAD,
     ):
-        if not 1 <= max_payload <= 0xFF:
-            raise TpwireError(f"max_payload must be 1..255, got {max_payload}")
         self.sim = sim
         self.fabric = fabric
         self.mailbox = mailbox
         self.node_id = node_id
-        self.max_payload = max_payload
         self._seq = 0
         self._rx_buffers: dict[int, bytearray] = {}
         self.on_data: Optional[Callable[[int, bytes, object], None]] = None

@@ -23,7 +23,7 @@ from repro.core.protocol import Message, MessageType, encode_message
 from repro.core.server import NullTimers
 from repro.core.transports import (
     LocalConnection,
-    make_threaded_server,
+    SocketSpaceServer,
     open_socket_connection,
 )
 from repro.core.tuples import LindaTuple, TupleTemplate
@@ -62,7 +62,7 @@ class TakerThread(threading.Thread):
 
 def test_take_across_restart_completes_once_or_raises():
     space = TupleSpace()
-    first = make_threaded_server(space)
+    first = SocketSpaceServer(SpaceServer(space, XmlCodec()))
     first.start()
     try:
         taker = TakerThread(first.address)
@@ -82,7 +82,7 @@ def test_take_across_restart_completes_once_or_raises():
     assert first.server.waiters_reaped == 1
 
     # Restart: a fresh front end over the same space.
-    second = make_threaded_server(space)
+    second = SocketSpaceServer(SpaceServer(space, XmlCodec()))
     second.start()
     try:
         connection = open_socket_connection(second.address)
@@ -100,7 +100,7 @@ def test_take_across_restart_completes_once_or_raises():
 
 def test_take_completed_before_restart_is_delivered_once():
     space = TupleSpace()
-    first = make_threaded_server(space)
+    first = SocketSpaceServer(SpaceServer(space, XmlCodec()))
     first.start()
     try:
         taker = TakerThread(first.address)

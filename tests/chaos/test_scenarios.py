@@ -23,10 +23,8 @@ from repro.chaos import (
     ChaosResult,
     FaultKind,
     InvariantViolation,
-    run_scenario,
 )
 from repro.chaos.plan import FaultPlan
-from repro.core.errors import SpaceError
 
 KINDS = sorted(SCENARIOS, key=lambda kind: kind.value)
 
@@ -140,17 +138,6 @@ def test_slow_consumer_drains_the_backlog():
 
 
 # -- campaign API ------------------------------------------------------------
-
-
-def test_run_scenario_dispatches_by_kind():
-    result = run_scenario(FaultKind.LEASE_STORM, seed=0)
-    assert isinstance(result, ChaosResult)
-    assert result.kind is FaultKind.LEASE_STORM
-
-
-def test_run_scenario_rejects_unregistered_kinds():
-    with pytest.raises(SpaceError):
-        run_scenario("meteor-strike")
 
 
 def test_check_raises_naming_every_failed_invariant():

@@ -7,6 +7,7 @@ from repro.core import (
     Entry,
     LindaTuple,
     SpaceClient,
+    SpaceServer,
     TupleSpace,
     TupleTemplate,
     XmlCodec,
@@ -21,7 +22,7 @@ from repro.core.protocol import (
     make_wire_codec,
     negotiate_codec,
 )
-from repro.core.transports import make_threaded_server, open_socket_connection
+from repro.core.transports import SocketSpaceServer, open_socket_connection
 
 
 class Part(Entry):
@@ -129,12 +130,14 @@ class TestStrictDecoding:
             bin_codec.decode(data + b"\x00")
 
     def test_unknown_tag(self, bin_codec):
+        # TAG_TUPLE, 1 field, tag 0x7f
         with pytest.raises(ProtocolError, match="unknown binary tag"):
-            bin_codec.decode(b"\x7f")
+            bin_codec.decode(b"\x0a\x01\x7f")
 
     def test_pattern_tag_outside_template(self, bin_codec):
+        # TAG_TUPLE, 1 field, TAG_ANY
         with pytest.raises(ProtocolError, match="pattern tag"):
-            bin_codec.decode(b"\x0d")
+            bin_codec.decode(b"\x0a\x01\x0d")
 
     def test_bad_utf8(self, bin_codec):
         # TAG_TUPLE, 1 field, TAG_STR, length 2, invalid UTF-8
@@ -142,9 +145,10 @@ class TestStrictDecoding:
             bin_codec.decode(b"\x0a\x01\x05\x02\xff\xfe")
 
     def test_varint_continuation_bomb(self, bin_codec):
-        # TAG_INT, then a varint of 8192 continuation bytes
+        # a one-field tuple whose TAG_INT carries a varint of 8192
+        # continuation bytes
         with pytest.raises(ProtocolError, match="varint"):
-            bin_codec.decode(b"\x03" + b"\x80" * 8192 + b"\x00")
+            bin_codec.decode(b"\x0a\x01\x03" + b"\x80" * 8192 + b"\x00")
 
     @pytest.mark.parametrize(
         "wire, body",
@@ -233,9 +237,9 @@ class TestNegotiation:
             make_wire_codec("msgpack", XmlCodec())
 
     def test_sync_client_negotiates_binary_over_tcp(self, registry):
-        """Full-stack negotiation: threaded TCP server + sync client."""
+        """Full-stack negotiation: TCP server + sync client."""
         space = TupleSpace()
-        with make_threaded_server(space, registry) as server:
+        with SocketSpaceServer(SpaceServer(space, registry)) as server:
             connection = open_socket_connection(server.address)
             try:
                 client = SpaceClient(connection, registry, request_timeout=2.0)

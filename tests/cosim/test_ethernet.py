@@ -6,8 +6,27 @@ from repro.cosim import (
     CaseStudyConfig,
     CaseStudyScenario,
     EthernetCaseStudy,
-    EthernetConfig,
 )
+from repro.cosim import ethernet as ethernet_module
+
+
+def record_client_terms(study) -> dict:
+    """Make the study's client record the lease and take timeout it asks
+    for; the dict fills in as the study runs."""
+    terms = {}
+    client = study.client
+    write, take = client.op_write, client.op_take
+
+    def op_write(entry, lease=None, created_at=None):
+        terms["lease"] = lease
+        return write(entry, lease=lease, created_at=created_at)
+
+    def op_take(template, timeout=None):
+        terms["take_timeout"] = timeout
+        return take(template, timeout=timeout)
+
+    client.op_write, client.op_take = op_write, op_take
+    return terms
 
 
 class TestEthernetCaseStudy:
@@ -32,10 +51,27 @@ class TestEthernetCaseStudy:
         assert ethernet.elapsed_seconds < tpwire.elapsed_seconds / 5
         assert ethernet.active_devices == 1  # the switch TpWIRE avoids
 
-    def test_bandwidth_insensitive_in_this_regime(self):
+    def test_same_client_and_host_as_the_case_study(self):
+        """Sec. 4.3 compares interconnects, so both studies must charge
+        the same board client and the same JVM host."""
+        over_ethernet = EthernetCaseStudy()
+        over_tpwire = CaseStudyScenario(CaseStudyConfig())
+        assert over_ethernet.client.timing == over_tpwire.client.timing
+        assert (over_ethernet.server_host.timing
+                == over_tpwire.server_host.timing)
+        ethernet_terms = record_client_terms(over_ethernet)
+        tpwire_terms = record_client_terms(over_tpwire)
+        over_ethernet.run()
+        over_tpwire.run(max_sim_time=4000.0)
+        assert ethernet_terms == tpwire_terms == {
+            "lease": 160.0, "take_timeout": 10.0,
+        }
+
+    def test_bandwidth_insensitive_in_this_regime(self, monkeypatch):
         """10 vs 100 Mbit/s barely changes the result (endpoint-bound)."""
-        slow = EthernetCaseStudy(EthernetConfig(bandwidth_bps=1e7)).run()
-        fast = EthernetCaseStudy(EthernetConfig(bandwidth_bps=1e8)).run()
+        slow = EthernetCaseStudy().run()
+        monkeypatch.setattr(ethernet_module, "ETHERNET_BANDWIDTH_BPS", 1e8)
+        fast = EthernetCaseStudy().run()
         assert fast.elapsed_seconds == pytest.approx(
             slow.elapsed_seconds, rel=0.02
         )
