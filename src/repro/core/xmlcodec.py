@@ -291,6 +291,9 @@ class XmlCodec:
                 raise ProtocolError(f"{kind} <field> without a name")
             yield name, self._read_value(child)
 
+    #: Scalar field types read by one call on the element text.
+    _LITERALS = {"int": int, "float": float, "bytes": bytes.fromhex}
+
     def _read_value(self, element: ET.Element) -> Any:
         kind = element.get("type")
         text = element.text or ""
@@ -300,14 +303,17 @@ class XmlCodec:
             if text not in ("true", "false"):
                 raise ProtocolError(f"bad bool literal {text!r}")
             return text == "true"
-        if kind == "int":
-            return int(text)
-        if kind == "float":
-            return float(text)
+        parse = self._LITERALS.get(kind)
+        if parse is not None:
+            try:
+                return parse(text)
+            except ValueError:
+                # Includes an int past the interpreter's digit limit.
+                raise ProtocolError(
+                    f"bad {kind} literal {text[:32]!r}"
+                ) from None
         if kind == "str":
             return text
-        if kind == "bytes":
-            return bytes.fromhex(text)
         if kind == "list":
             return [self._read_value(child) for child in element]
         if kind == "pytuple":

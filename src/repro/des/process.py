@@ -24,9 +24,9 @@ from repro.des.errors import SimulationError
 class Waitable:
     """One-shot outcome that processes can wait on."""
 
-    # The bus allocates one bare Waitable per communication cycle; slots
-    # keep that allocation dict-free.  Subclasses that add attributes
-    # fall back to a lazily-created __dict__ as usual.
+    # Slots keep a bare Waitable (``sim.event()``, ``TpwireBus.execute``)
+    # dict-free.  Subclasses that add attributes fall back to a
+    # lazily-created __dict__ as usual.
     __slots__ = ("sim", "_callbacks", "_triggered", "_ok", "_value",
                  "_exception", "__weakref__", "__dict__")
 
@@ -95,6 +95,17 @@ class Waitable:
         callbacks, self._callbacks = self._callbacks, []
         for callback in callbacks:
             callback(self)
+
+    def _fail_or_raise(self, exc: BaseException) -> None:
+        """Fail waiters; re-raise when nobody waits, so that errors never
+        pass silently."""
+        if self._callbacks:
+            self.fail(exc)
+        else:
+            self._triggered = True
+            self._ok = False
+            self._exception = exc
+            raise exc
 
 
 class SimEvent(Waitable):
@@ -170,15 +181,6 @@ class Process(Waitable):
             self._step(waitable._value, None)
         else:
             self._step(None, waitable.exception)
-
-    def _fail_or_raise(self, exc: BaseException) -> None:
-        if self._callbacks:
-            self.fail(exc)
-        else:
-            self._triggered = True
-            self._ok = False
-            self._exception = exc
-            raise exc
 
     def __repr__(self) -> str:
         state = "done" if self._triggered else "alive"

@@ -56,7 +56,12 @@ from repro.hw.signal import (
     wait_time,
     wait_until,
 )
-from repro.tpwire.bus import CycleResult, CycleStatus
+from repro.tpwire.bus import (
+    RESULT_BROADCAST,
+    RESULT_CRC_ERROR,
+    RESULT_TIMEOUT,
+    ok_result,
+)
 from repro.tpwire.errors import FrameError, TpwireError
 from repro.tpwire.frames import FRAME_BITS, RxFrame, TxFrame
 from repro.tpwire.slave import TpwireSlave
@@ -396,7 +401,7 @@ class MasterPhy(HwModule):
                 # Broadcast: let the frame flush through the chain.
                 tail = self.timing.hop_delay_bits * self.chain_length
                 yield wait_time(tail * bp)
-                on_result(CycleResult(CycleStatus.BROADCAST))
+                on_result(RESULT_BROADCAST)
                 continue
             on_result((yield from self._receive()))
 
@@ -439,7 +444,7 @@ class MasterPhy(HwModule):
             yield wait_negedge_until(up_in, last_poll)
             if up_in.read() == IDLE:
                 self.timeouts += 1
-                return CycleResult(CycleStatus.TIMEOUT)
+                return RESULT_TIMEOUT
             # The poll at ``start`` was the check above, which saw the
             # line idle, so the first poll that can see the edge is the
             # next one.
@@ -458,9 +463,9 @@ class MasterPhy(HwModule):
             rx = RxFrame.from_bits([0] + up_in.values_at(samples))
         except FrameError:
             self.crc_errors += 1
-            return CycleResult(CycleStatus.CRC_ERROR)
+            return RESULT_CRC_ERROR
         self.rx_frames += 1
-        return CycleResult(CycleStatus.OK, rx)
+        return ok_result(rx)
 
 
 class BitLevelTpwireBus:

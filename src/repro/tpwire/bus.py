@@ -52,12 +52,23 @@ class CycleResult:
         return self.status in (CycleStatus.OK, CycleStatus.BROADCAST)
 
 
-#: Shared no-payload outcomes: one of these finishes every cycle that
-#: carries no RX frame, so the hot path reuses them instead of building
-#: a frozen dataclass per cycle.
-_RESULT_BROADCAST = CycleResult(CycleStatus.BROADCAST)
-_RESULT_TIMEOUT = CycleResult(CycleStatus.TIMEOUT)
-_RESULT_CRC_ERROR = CycleResult(CycleStatus.CRC_ERROR)
+#: Shared outcomes of both bus models: one of these finishes every cycle
+#: that carries no RX frame, and :func:`ok_result` hands out one OK
+#: outcome per RX frame value, so no cycle builds a frozen dataclass.
+RESULT_BROADCAST = CycleResult(CycleStatus.BROADCAST)
+RESULT_TIMEOUT = CycleResult(CycleStatus.TIMEOUT)
+RESULT_CRC_ERROR = CycleResult(CycleStatus.CRC_ERROR)
+
+#: Bounded by the RX frame value space (4 types x 256 bytes x INT bit).
+_OK_RESULTS: dict[RxFrame, CycleResult] = {}
+
+
+def ok_result(rx: RxFrame) -> CycleResult:
+    """The OK outcome carrying ``rx``, interned per frame value."""
+    result = _OK_RESULTS.get(rx)
+    if result is None:
+        result = _OK_RESULTS[rx] = CycleResult(CycleStatus.OK, rx)
+    return result
 
 
 class BitErrorModel:
@@ -105,10 +116,11 @@ class TpwireBus:
         #: (depth/hops = index + 1).
         self.slaves: list[TpwireSlave] = []
         self._by_node_id: dict[int, TpwireSlave] = {}
-        #: ``(slave, arrival_delay)`` pairs in chain order — the per-depth
-        #: ``tx_arrival_delay`` lookups hoisted out of the per-frame walk
-        #: in :meth:`_find_responder`.
-        self._chain: list[tuple[TpwireSlave, float]] = []
+        #: ``(slave, arrival_delay, exchange_duration)`` in chain order:
+        #: the per-depth ``tx_arrival_delay`` and ``exchange_duration``
+        #: lookups hoisted out of the per-frame walk in
+        #: :meth:`_find_responder`.
+        self._chain: list[tuple[TpwireSlave, float, float]] = []
         self._busy = False
         self._pending: deque[tuple[TxFrame, bool, object]] = deque()
         # -- statistics
@@ -140,9 +152,12 @@ class TpwireBus:
             raise TpwireError(f"duplicate node id {slave.node_id}")
         self.slaves.append(slave)
         self._by_node_id[slave.node_id] = slave
-        self._chain.append(
-            (slave, self.timing.tx_arrival_delay(len(self.slaves)))
-        )
+        depth = len(self.slaves)
+        self._chain.append((
+            slave,
+            self.timing.tx_arrival_delay(depth),
+            self.timing.exchange_duration(depth),
+        ))
 
     def slave_by_id(self, node_id: int) -> TpwireSlave:
         try:
@@ -213,28 +228,27 @@ class TpwireBus:
             # (execution on the slaves has already been applied above).
             duration = self.timing.broadcast_duration(len(self.slaves))
             sim.call_after(
-                duration, self._finish_cycle, on_result, _RESULT_BROADCAST,
+                duration, self._finish_cycle, on_result, RESULT_BROADCAST,
             )
             return
         if responder is None:
             timeout = self.timing.response_timeout(len(self.slaves))
             self.timeouts += 1
             sim.call_after(
-                timeout, self._finish_cycle, on_result, _RESULT_TIMEOUT,
+                timeout, self._finish_cycle, on_result, RESULT_TIMEOUT,
             )
             return
-        rx_frame, hops = responder
-        duration = self.timing.exchange_duration(hops)
+        rx_frame, duration = responder
         rx_corrupted = (
             error_model.corrupt_rx() if error_model is not None else False
         )
         if rx_corrupted:
             self.crc_errors += 1
-            result = _RESULT_CRC_ERROR
+            result = RESULT_CRC_ERROR
         else:
             self.rx_frames += 1
             self.frame_rate.tick()
-            result = CycleResult(CycleStatus.OK, rx_frame)
+            result = ok_result(rx_frame)
         sim.call_after(duration, self._finish_cycle, on_result, result)
 
     def _finish_cycle(self, on_result, result: CycleResult) -> None:
@@ -264,36 +278,36 @@ class TpwireBus:
 
     # -- helpers ---------------------------------------------------------------
 
-    def _find_responder(self, frame: TxFrame) -> Optional[tuple[RxFrame, int]]:
-        """Deliver the frame down the chain; return ``(rx, hops)`` if a
-        slave replies.
+    def _find_responder(self, frame: TxFrame) -> Optional[tuple[RxFrame, float]]:
+        """Deliver the frame down the chain; return ``(rx, duration)`` if
+        a slave replies, ``duration`` being the exchange time at its depth.
 
         Each slave receives the frame stamped with its own arrival time,
         but all of them at cycle start, in chain order, rather than as
         one event per slave: slave state is only ever read through bus
         cycles (which the busy flag serialises), so resolving the walk
-        eagerly is observationally equivalent, and the returned hops
-        value carries the timing.  SELECT frames update every slave's
+        eagerly is observationally equivalent, and the returned duration
+        carries the timing.  SELECT frames update every slave's
         selection state; other commands execute on whichever slave
         considers itself selected.
         """
         now = self.sim.now
-        responder: Optional[tuple[RxFrame, int]] = None
-        for index, (slave, arrival) in enumerate(self._chain):
+        chain = self._chain
+        responder = None
+        for index, (slave, arrival, _exchange) in enumerate(chain):
             reply = slave.receive_tx(frame, now + arrival)
             if reply is not None and responder is None:
-                responder = (reply, index + 1)
+                responder = index
+                rx_frame = reply
         if responder is None:
             return None
-        rx_frame, hops = responder
         # INT piggyback: slaves between the responder and the master set
         # the INT bit while the RX frame passes through them.
-        chain = self._chain
-        for i in range(hops - 1):
+        for i in range(responder):
             if chain[i][0].interrupt_pending:
                 rx_frame = rx_frame.with_int()
                 break
-        return rx_frame, hops
+        return rx_frame, chain[responder][2]
 
     def __repr__(self) -> str:
         return f"TpwireBus({self.name!r}, slaves={len(self.slaves)})"

@@ -102,17 +102,6 @@ class _Transaction(Waitable):
             f"{master.max_retries + 1} attempts (last: {status.value})"
         ))
 
-    def _fail_or_raise(self, exc: BaseException) -> None:
-        """Fail waiters; re-raise when nobody waits (errors never pass
-        silently — the same contract as ``Process._fail_or_raise``)."""
-        if self._callbacks:
-            self.fail(exc)
-        else:
-            self._triggered = True
-            self._ok = False
-            self._exception = exc
-            raise exc
-
 
 class TpwireMaster:
     """The bus master; owns one :class:`TpwireBus`."""
@@ -154,18 +143,6 @@ class TpwireMaster:
         with the RX frame (or ``None`` for no-reply cycles)."""
         self.transactions += 1
         return _Transaction(self, frame, expect_reply)
-
-    def transact_raw(self, frame: TxFrame, expect_reply: bool = True) -> Waitable:
-        """One cycle, no retries: succeeds with the raw :class:`CycleResult`.
-
-        For protocol steps where blind resending is wrong (destructive
-        FIFO registers): the caller inspects the status — a TIMEOUT means
-        the slave never executed the frame (safe to resend), a CRC_ERROR
-        means it executed but the reply was garbled (recover, don't
-        resend).
-        """
-        self.transactions += 1
-        return self.bus.execute(frame, expect_reply)
 
     def _record_txn(self, started: float) -> None:
         if self.obs is not None:

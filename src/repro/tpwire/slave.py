@@ -31,6 +31,9 @@ from repro.tpwire.registers import Flag, SlaveRegisterFile, SystemRegister
 from repro.tpwire.timing import BusTiming
 
 _FLAGS_ADDRESS = int(SystemRegister.FLAGS)
+#: The INT bit as a plain int, read straight from the FLAGS register on
+#: every reply; it is bit 0, so the masked value is also an index.
+_INT_PENDING = int(Flag.INT_PENDING)
 
 
 class TpwireSlave:
@@ -96,7 +99,7 @@ class TpwireSlave:
 
     @property
     def interrupt_pending(self) -> bool:
-        return self.registers.test_flag(Flag.INT_PENDING)
+        return (self.registers.system[_FLAGS_ADDRESS] & _INT_PENDING) != 0
 
     def raise_interrupt(self) -> None:
         self.registers.set_flag(Flag.INT_PENDING, True)
@@ -214,11 +217,17 @@ class TpwireSlave:
                 else:
                     value = regs.read_system(regs.pointer)
                     regs.set_pointer((regs.pointer + 1) % 256)
-                return rx_of(RxType.DATA, value, self.interrupt_pending)
+                return rx_of(
+                    RxType.DATA, value,
+                    (regs.system[_FLAGS_ADDRESS] & _INT_PENDING) != 0,
+                )
             if cmd is Command.READ_FLAGS:
                 value = regs.read_system(_FLAGS_ADDRESS)
                 regs.set_flag(Flag.RESET_OCCURRED, False)
-                return rx_of(RxType.FLAGS, value, self.interrupt_pending)
+                return rx_of(
+                    RxType.FLAGS, value,
+                    (regs.system[_FLAGS_ADDRESS] & _INT_PENDING) != 0,
+                )
             if cmd is Command.SYS_CMD:
                 regs.write_system(0, frame.data)  # COMMAND register
                 if frame.data == int(SysCommand.DMA_WRITE):
@@ -253,7 +262,9 @@ class TpwireSlave:
     def _ack(self) -> RxFrame:
         # Only two ACK frames exist per node (INT bit clear/set); both are
         # interned once in __init__ so the reply path allocates nothing.
-        return self._ack_frames[self.registers.test_flag(Flag.INT_PENDING)]
+        return self._ack_frames[
+            self.registers.system[_FLAGS_ADDRESS] & _INT_PENDING
+        ]
 
     def __repr__(self) -> str:
         sel = (

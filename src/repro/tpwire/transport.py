@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Callable, Generator, Optional
+from typing import Callable, Generator, Optional, Sequence
 
 from repro.des.monitor import RateMonitor
+from repro.des.process import Waitable
+from repro.tpwire.bus import CycleResult, CycleStatus
 from repro.tpwire.commands import Command
 from repro.tpwire.errors import BusError, TpwireError
 from repro.tpwire.frames import TxFrame
@@ -564,38 +566,24 @@ class MasterPoller:
         Popping OUT_DATA is destructive, so a blind retry after a garbled
         reply would skip a byte.  Instead: a TIMEOUT (the slave never saw
         the frame) is resent; a CRC_ERROR (the slave popped the byte but
-        the reply was lost) is recovered from the OUT_LAST repeat
-        register.
+        the reply was lost) ends the transfer early, and the byte is
+        recovered from the OUT_LAST repeat register.
         """
-        from repro.tpwire.bus import CycleStatus
-
-        yield from self.master.op_select(slave_id)
-        yield from self.master.op_set_pointer(MailboxDevice.OUT_DATA)
-        out = bytearray()
-        frame = TxFrame.of(Command.READ_DATA, 0)
+        master = self.master
+        yield from master.op_select(slave_id)
+        yield from master.op_set_pointer(MailboxDevice.OUT_DATA)
+        out = b""
         while len(out) < count:
-            for _attempt in range(self.FIFO_ATTEMPTS):
-                result = yield self.master.transact_raw(frame)
-                if result.status is CycleStatus.OK:
-                    out.append(result.rx.data)
-                    break
-                if result.status is CycleStatus.CRC_ERROR:
-                    self.recovered_bytes += 1
-                    value = yield from self.master.op_read_bytes(
-                        slave_id, MailboxDevice.OUT_LAST, 1
-                    )
-                    out.append(value[0])
-                    yield from self.master.op_set_pointer(
-                        MailboxDevice.OUT_DATA
-                    )
-                    break
-                # TIMEOUT: the frame never executed; resend it.
-            else:
-                raise BusError(
-                    f"mailbox read from node {slave_id} failed after "
-                    f"{self.FIFO_ATTEMPTS} attempts"
+            out += yield _FifoTransfer(
+                self, slave_id, (_READ_FRAME,) * (count - len(out))
+            )
+            if len(out) < count:
+                self.recovered_bytes += 1
+                out += yield from master.op_read_bytes(
+                    slave_id, MailboxDevice.OUT_LAST, 1
                 )
-        return bytes(out)
+                yield from master.op_set_pointer(MailboxDevice.OUT_DATA)
+        return out
 
     def _write_mailbox_bytes(self, dest: int, data: bytes) -> Generator:
         """Duplicate-safe write into a destination inbox FIFO.
@@ -604,24 +592,9 @@ class MasterPoller:
         garbled acknowledgement would duplicate the byte.  A CRC_ERROR
         therefore counts as delivered; only TIMEOUTs are resent.
         """
-        from repro.tpwire.bus import CycleStatus
-
         yield from self.master.op_select(dest)
         yield from self.master.op_set_pointer(MailboxDevice.IN_DATA)
-        for value in data:
-            frame = TxFrame.of(Command.WRITE_DATA, value)
-            for _attempt in range(self.FIFO_ATTEMPTS):
-                result = yield self.master.transact_raw(frame)
-                if result.status is CycleStatus.OK:
-                    break
-                if result.status is CycleStatus.CRC_ERROR:
-                    self.optimistic_acks += 1
-                    break
-            else:
-                raise BusError(
-                    f"mailbox write to node {dest} failed after "
-                    f"{self.FIFO_ATTEMPTS} attempts"
-                )
+        yield _FifoTransfer(self, dest, [_WRITE_FRAMES[value] for value in data])
 
     def _deliver(self, message: LinkMessage) -> Generator:
         """Write a message into the destination slave's inbound mailbox."""
@@ -641,3 +614,80 @@ class MasterPoller:
         self.relayed_messages += 1
         self.relayed_bytes += len(message.payload)
         self.relay_rate.tick(len(message.payload))
+
+
+#: The frame that pops OUT_DATA, and the frame that pushes each byte value.
+_READ_FRAME = TxFrame.of(Command.READ_DATA, 0)
+_WRITE_FRAMES = [TxFrame.of(Command.WRITE_DATA, value) for value in range(256)]
+
+
+class _FifoTransfer(Waitable):
+    """One burst of single-cycle accesses to a sticky FIFO register,
+    each cycle issued from the previous cycle's completion.
+
+    The poller yields once per burst, not once per byte, so a mailbox
+    byte costs no waitable and no resumption of the visit's ``yield
+    from`` chain.  Each next cycle is queued by ``execute_cb`` from
+    inside the previous cycle's ``on_result``, while the bus is still
+    busy, so the bus starts it at the same instant with no event in
+    between.  The destructive-FIFO rules:
+
+    * every byte has :attr:`MasterPoller.FIFO_ATTEMPTS` cycles; a
+      TIMEOUT (the slave never executed the frame) resends the same
+      frame, and running out of attempts fails with :class:`BusError`;
+    * a write whose acknowledgement is garbled (CRC_ERROR) was executed,
+      so it counts as delivered (``optimistic_acks``);
+    * a read whose reply is garbled popped a byte that is now lost from
+      OUT_DATA: the transfer succeeds early with the bytes read so far,
+      and the poller recovers the byte from OUT_LAST.
+
+    Succeeds with the bytes read (``b""`` for writes).  Every cycle is
+    one master transaction.
+    """
+
+    def __init__(
+        self, poller: MasterPoller, node_id: int, frames: Sequence[TxFrame]
+    ) -> None:
+        super().__init__(poller.sim)
+        self._poller = poller
+        self._node_id = node_id
+        self._frames = frames
+        self._reading = frames[0] is _READ_FRAME
+        self._out = bytearray()
+        self._index = 0
+        self._attempt = 0
+        self._issue()
+
+    def _issue(self) -> None:
+        master = self._poller.master
+        master.transactions += 1
+        master.bus.execute_cb(self._frames[self._index], True, self._on_result)
+
+    def _on_result(self, result: CycleResult) -> None:
+        status = result.status
+        if status is CycleStatus.OK:
+            if self._reading:
+                self._out.append(result.rx.data)
+        elif status is CycleStatus.CRC_ERROR:
+            if self._reading:
+                self.succeed(bytes(self._out))
+                return
+            self._poller.optimistic_acks += 1
+        else:
+            # TIMEOUT: the frame never executed; resend it.
+            self._attempt += 1
+            if self._attempt < MasterPoller.FIFO_ATTEMPTS:
+                self._issue()
+                return
+            direction = "read from" if self._reading else "write to"
+            self._fail_or_raise(BusError(
+                f"mailbox {direction} node {self._node_id} failed after "
+                f"{MasterPoller.FIFO_ATTEMPTS} attempts"
+            ))
+            return
+        self._index += 1
+        if self._index == len(self._frames):
+            self.succeed(bytes(self._out))
+            return
+        self._attempt = 0
+        self._issue()

@@ -7,9 +7,13 @@ Each test here failed before its fix:
   only ``<entry>``, ``<tuple>`` and ``<template>``;
 * nesting past the interpreter's recursion limit escaped both codecs as
   ``RecursionError``, which the connection core does not catch, so the
-  server sent no ERROR reply and left the connection open.
+  server sent no ERROR reply and left the connection open;
+* a bad XML scalar literal (an int, float or bytes field that does not
+  parse, or an int past the interpreter's digit limit) escaped the XML
+  codec as ``ValueError`` the same way, in a tuple and in a template.
 """
 
+import asyncio
 import sys
 
 import pytest
@@ -26,6 +30,7 @@ from repro.core.protocol import (
     XmlWireCodec,
     encode_message,
 )
+from repro.core.aio import AsyncSpaceServer
 from repro.core.server import NullTimers
 from repro.core.transports import LocalConnection
 
@@ -128,4 +133,82 @@ class TestDeepNestingIsAProtocolError:
         connection.send_bytes(frame(MessageType.WRITE, 9, body))
         text = assert_error_then_close(connection, parser, 9)
         assert "nested too deeply" in text
+        assert len(space) == 0
+
+
+#: Scalar fields whose literal does not parse as their type.
+BAD_LITERALS = {
+    "int": '<field type="int">abc</field>',
+    "float": '<field type="float">1.5x</field>',
+    "bytes": '<field type="bytes">zz</field>',
+    "long_int": '<field type="int">' + "9" * 4301 + "</field>",
+}
+
+#: ``id -> (message type, XML body)``: each bad literal in a written
+#: tuple and in a read template, beside a well-formed field.
+BAD_LITERAL_BODIES = {
+    f"{container}_{kind}": (
+        msg_type,
+        (
+            f'<request><{container}><field type="str">ok</field>{field}'
+            f"</{container}></request>"
+        ).encode("ascii"),
+    )
+    for kind, field in BAD_LITERALS.items()
+    for container, msg_type in (
+        ("tuple", MessageType.WRITE), ("template", MessageType.READ_IF_EXISTS),
+    )
+}
+
+
+class TestBadScalarLiteralIsAProtocolError:
+    @pytest.mark.parametrize("field", BAD_LITERALS.values(), ids=BAD_LITERALS.keys())
+    def test_xml_codec(self, field):
+        registry = XmlCodec()
+        for container in ("tuple", "template"):
+            item = f"<{container}>{field}</{container}>".encode("ascii")
+            with pytest.raises(ProtocolError, match="bad .* literal"):
+                registry.decode(item)
+
+    @pytest.mark.parametrize(
+        "msg_type, body", BAD_LITERAL_BODIES.values(), ids=BAD_LITERAL_BODIES.keys()
+    )
+    def test_server_answers_error_then_closes(self, msg_type, body):
+        connection, space, parser = open_session("xml")
+        connection.send_bytes(frame(msg_type, 11, body))
+        text = assert_error_then_close(connection, parser, 11)
+        assert "literal" in text
+        assert len(space) == 0
+
+    @pytest.mark.parametrize(
+        "msg_type, body", BAD_LITERAL_BODIES.values(), ids=BAD_LITERAL_BODIES.keys()
+    )
+    def test_async_server_answers_error_then_closes(self, msg_type, body):
+        registry = XmlCodec()
+        space = TupleSpace()
+
+        async def scenario():
+            front = AsyncSpaceServer(SpaceServer(space, registry), port=0)
+            await front.start()
+            try:
+                reader, writer = await asyncio.open_connection(*front.address)
+                writer.write(frame(msg_type, 13, body))
+                await writer.drain()
+                parser = StreamParser(registry)
+                replies = []
+                while not replies:
+                    data = await asyncio.wait_for(reader.read(65536), 2.0)
+                    assert data, "closed without ERROR reply"
+                    replies.extend(parser.feed(data))
+                assert await asyncio.wait_for(reader.read(65536), 2.0) == b""
+                writer.close()
+                return replies, front.protocol_errors
+            finally:
+                await front.stop()
+
+        replies, protocol_errors = asyncio.run(scenario())
+        assert [reply.msg_type for reply in replies] == [MessageType.ERROR]
+        assert replies[0].request_id == 13
+        assert "literal" in replies[0].params["text"]
+        assert protocol_errors == 1
         assert len(space) == 0

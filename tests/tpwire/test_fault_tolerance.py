@@ -10,9 +10,11 @@ lost) and uses the OUT_LAST repeat register / optimistic acknowledgement.
 import pytest
 
 from repro.des import Simulator
+from repro.obs import Observability
 from repro.tpwire import (
     BitErrorModel,
     BusTiming,
+    Command,
     MailboxDevice,
     MasterPoller,
     TpwireBus,
@@ -151,3 +153,176 @@ class TestNoisyCaseStudy:
         clean = CaseStudyScenario(CaseStudyConfig()).run(max_sim_time=4000.0)
         assert result.elapsed_seconds > clean.elapsed_seconds
         assert result.elapsed_seconds < clean.elapsed_seconds * 1.5
+
+
+class ScriptedFaults:
+    """Error model that garbles chosen cycles of the bus it is given.
+
+    ``faults`` maps a cycle number (the bus's 1-based ``cycles`` count)
+    to ``"tx"`` (the TX frame is garbled: no slave executes it, and the
+    master times out) or ``"rx"`` (the slave executed the frame and its
+    reply is garbled: a CRC error at the master).
+    """
+
+    def __init__(self, faults):
+        self.faults = faults
+        self.bus = None
+
+    def corrupt_tx(self):
+        return self.faults.get(self.bus.cycles) == "tx"
+
+    def corrupt_rx(self):
+        return self.faults.get(self.bus.cycles) == "rx"
+
+
+#: One 20-byte send: one link message of 27 wire bytes, read as a 5-byte
+#: header burst and a 22-byte burst, written as one 27-byte burst.
+SCRIPTED_PAYLOAD = bytes(range(100, 120))
+
+
+def run_scripted(faults, until=3.0):
+    """Relay SCRIPTED_PAYLOAD from node 1 to node 2 with ``faults``.
+
+    Stops at the delivery (or at ``until``).  Returns the TX frames of
+    every cycle as ``(command, data)``, the delivered payloads and the
+    poller.
+    """
+    sim = Simulator(seed=11)
+    obs = Observability(trace_categories=("tpwire",))
+    obs.bind_clock(lambda: sim.now)
+    timing = BusTiming(bit_rate=2400)
+    errors = ScriptedFaults(faults)
+    bus = TpwireBus(sim, timing, errors, obs=obs)
+    errors.bus = bus
+    master = TpwireMaster(sim, bus)
+    fabric = TransportFabric()
+    endpoints = {}
+    for node_id in (1, 2):
+        slave = TpwireSlave(sim, node_id, timing)
+        slave.attach_device(mailbox := MailboxDevice())
+        bus.attach_slave(slave)
+        endpoints[node_id] = TransportEndpoint(sim, fabric, mailbox, node_id)
+    poller = MasterPoller(sim, master, fabric, [1, 2])
+    delivered = []
+
+    def on_data(_src, data, _ctx):
+        delivered.append(data)
+        sim.stop()
+
+    endpoints[2].on_data = on_data
+    poller.start()
+    endpoints[1].send(2, SCRIPTED_PAYLOAD)
+    sim.run(until=until)
+    frames = [
+        (Command[event.fields["cmd"]], event.fields["data"])
+        for event in obs.tracer.named("tpwire", "tx")
+    ]
+    return frames, delivered, poller
+
+
+def bursts(frames, register):
+    """Cycle numbers of each run of READ_DATA or WRITE_DATA cycles that
+    follows a WRITE_ADDR to ``register``."""
+    found = []
+    pointer = current = None
+    for number, (cmd, data) in enumerate(frames, 1):
+        if cmd is Command.WRITE_ADDR:
+            pointer, current = data, None
+        elif cmd in (Command.READ_DATA, Command.WRITE_DATA):
+            if current is None:
+                current = []
+                if pointer == register:
+                    found.append(current)
+            current.append(number)
+        else:
+            current = None
+    return found
+
+
+@pytest.fixture(scope="module")
+def clean_run():
+    frames, delivered, poller = run_scripted({})
+    assert delivered == [SCRIPTED_PAYLOAD]
+    header, rest = bursts(frames, MailboxDevice.OUT_DATA)
+    (write,) = bursts(frames, MailboxDevice.IN_DATA)
+    assert (len(header), len(rest), len(write)) == (5, 22, 27)
+    return {
+        "frames": frames,
+        "transactions": poller.master.transactions,
+        "header": header,
+        "rest": rest,
+        "write": write,
+    }
+
+
+#: The cycles the poller adds to recover a byte whose reply was garbled.
+RECOVERY = [
+    (Command.WRITE_ADDR, MailboxDevice.OUT_LAST),
+    (Command.READ_DATA, 0),
+    (Command.WRITE_ADDR, MailboxDevice.OUT_DATA),
+]
+
+
+class TestScriptedFifoFaults:
+    """Chosen cycles of one relay burst fail; the frames that follow,
+    the counters and the delivered bytes are checked against the same
+    relay on a clean line."""
+
+    def test_timeout_mid_burst_resends_the_same_frame(self, clean_run):
+        cycle = clean_run["rest"][11]
+        frames, delivered, poller = run_scripted({cycle: "tx"})
+        clean = clean_run["frames"]
+        assert frames == clean[:cycle] + clean[cycle - 1:]
+        assert delivered == [SCRIPTED_PAYLOAD]
+        assert poller.master.transactions == clean_run["transactions"] + 1
+        assert poller.master.bus.timeouts == 1
+        assert (poller.recovered_bytes, poller.master.retries) == (0, 0)
+
+    def test_seven_timeouts_still_deliver(self, clean_run):
+        first = clean_run["write"][4]
+        frames, delivered, poller = run_scripted(
+            {first + i: "tx" for i in range(7)}
+        )
+        clean = clean_run["frames"]
+        assert frames == clean[:first] + [clean[first - 1]] * 7 + clean[first:]
+        assert delivered == [SCRIPTED_PAYLOAD]
+        assert poller.master.transactions == clean_run["transactions"] + 7
+        assert poller.bus_errors == 0
+
+    @pytest.mark.parametrize("burst", ["rest", "write"])
+    def test_eight_consecutive_failures_raise_bus_error(self, clean_run, burst):
+        first = clean_run[burst][4]
+        frames, delivered, poller = run_scripted(
+            {first + i: "tx" for i in range(8)}, until=1.5
+        )
+        clean = clean_run["frames"]
+        # The eighth TIMEOUT of one byte ends the visit; the poller moves
+        # on to the next slave, whose visit starts with a SELECT.
+        assert frames[:first + 7] == clean[:first] + [clean[first - 1]] * 7
+        assert frames[first + 7][0] is Command.SELECT
+        assert poller.bus_errors >= 1
+        assert delivered == []
+
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    @pytest.mark.parametrize("burst", ["header", "rest"])
+    def test_read_crc_error_recovers_from_out_last(self, clean_run, burst, position):
+        cycles = clean_run[burst]
+        cycle = {
+            "first": cycles[0], "middle": cycles[len(cycles) // 2], "last": cycles[-1],
+        }[position]
+        frames, delivered, poller = run_scripted({cycle: "rx"})
+        clean = clean_run["frames"]
+        assert frames == clean[:cycle] + RECOVERY + clean[cycle:]
+        assert delivered == [SCRIPTED_PAYLOAD]
+        assert poller.recovered_bytes == 1
+        assert poller.master.transactions == clean_run["transactions"] + 3
+        assert poller.master.retries == 0
+
+    def test_write_crc_error_counts_as_delivered(self, clean_run):
+        cycle = clean_run["write"][10]
+        frames, delivered, poller = run_scripted({cycle: "rx"})
+        assert frames == clean_run["frames"]
+        assert delivered == [SCRIPTED_PAYLOAD]
+        assert poller.optimistic_acks == 1
+        assert poller.master.transactions == clean_run["transactions"]
+        assert poller.master.bus.crc_errors == 1

@@ -168,43 +168,64 @@ class TestSlaveErrorHandling:
         assert not issubclass(SlaveError, BusError)
 
 
-class TestTransactRaw:
-    def test_returns_cycle_result(self, sim):
-        from repro.tpwire.bus import CycleStatus
-        from repro.tpwire.commands import node_address
-        master, _bus, _slaves = build(sim)
+class TestFifoTransfer:
+    """The relay's FIFO bursts: raw cycles the master never retries."""
+
+    @staticmethod
+    def _read_burst(sim, master, slave, outbox, count, on_setup=None):
+        """Queue ``outbox`` in a mailbox on ``slave``; SELECT it, point at
+        OUT_DATA, run ``on_setup`` and read ``count`` bytes in one burst.
+        Returns the burst's value and the mailbox."""
+        from repro.tpwire import MailboxDevice, MasterPoller
+        from repro.tpwire.transport import (
+            _READ_FRAME, TransportFabric, _FifoTransfer,
+        )
+
+        mailbox = MailboxDevice()
+        slave.attach_device(mailbox)
+        mailbox._outbound.extend(outbox)
+        poller = MasterPoller(sim, master, TransportFabric(), [slave.node_id])
         results = []
 
         def driver():
-            from repro.tpwire import Command, TxFrame
-            result = yield master.transact_raw(
-                TxFrame(Command.SELECT, node_address(1))
-            )
-            results.append(result)
+            yield from master.op_select(slave.node_id)
+            yield from master.op_set_pointer(MailboxDevice.OUT_DATA)
+            if on_setup is not None:
+                on_setup()
+            burst = _FifoTransfer(poller, slave.node_id, (_READ_FRAME,) * count)
+            results.append((yield burst))
 
         sim.spawn(driver())
         sim.run()
-        assert results[0].status is CycleStatus.OK
+        return results[0], mailbox
+
+    def test_reads_bytes_one_transaction_per_cycle(self, sim):
+        master, bus, slaves = build(sim)
+        data, mailbox = self._read_burst(
+            sim, master, slaves[1], b"\x11\x22\x33\x44", 3
+        )
+        assert data == b"\x11\x22\x33"
+        assert mailbox.outbound_bytes == 1
+        # SELECT, WRITE_ADDR, then one cycle and one transaction per byte.
+        assert bus.cycles == master.transactions == 5
 
     def test_no_retries_on_error(self, sim):
-        from repro.tpwire import Command, TxFrame
-        from repro.tpwire.bus import CycleStatus
-        model = BitErrorModel(sim, p_rx=1.0)
-        master, bus, _slaves = build(sim, error_model=model)
-        results = []
+        model = BitErrorModel(sim)
+        master, bus, slaves = build(sim, error_model=model)
 
-        def driver():
-            from repro.tpwire.commands import node_address
-            result = yield master.transact_raw(
-                TxFrame(Command.SELECT, node_address(1))
-            )
-            results.append(result)
+        def garble_every_reply():
+            model.p_rx = 1.0
 
-        sim.spawn(driver())
-        sim.run()
-        assert results[0].status is CycleStatus.CRC_ERROR
+        data, mailbox = self._read_burst(
+            sim, master, slaves[1], b"\x11\x22", 2, garble_every_reply
+        )
+        # The garbled reply ends the burst at once: the slave popped the
+        # byte, so resending would skip it; the master counts no retry.
+        assert data == b""
+        assert mailbox.outbound_bytes == 1
         assert master.retries == 0
-        assert bus.cycles == 1
+        assert bus.cycles == master.transactions == 3
+        assert bus.crc_errors == 1
 
 
 class TestOperationLock:
