@@ -20,7 +20,7 @@ from repro.core import (
 )
 from repro.core.server import SimTimers
 from repro.core.tuples import LindaTuple, TupleTemplate
-from repro.cosim import ServerTimingModel, SimServerHost, build_bus_system
+from repro.cosim import SimServerHost, build_bus_system
 from repro.des import Simulator
 from repro.hw import ClientBridge, ServerBridge
 
@@ -37,17 +37,14 @@ def run_fleet(n_clients, bit_rate=2100.0, payload_fields=40):
     codec = XmlCodec()
     space = TupleSpace(clock=SimClock(sim))
     server = SpaceServer(space, codec, timers=SimTimers(sim))
-    SimServerHost(
-        sim, server, ServerBridge(sim, system.endpoint(SERVER_NODE)),
-        ServerTimingModel(),
-    )
+    SimServerHost(sim, server, ServerBridge(sim, system.endpoint(SERVER_NODE)))
     completion = {}
 
     def board_program(node_id, client):
         start = sim.now
         entry = LindaTuple("block", node_id, [float(i) for i in range(payload_fields)])
-        yield from client.op_write(entry, lease=100000.0)
-        taken = yield from client.op_take(
+        yield from client.write(entry, lease=100000.0)
+        taken = yield from client.take(
             TupleTemplate("block", node_id, list), timeout=100000.0
         )
         assert taken is not None

@@ -18,7 +18,8 @@ import pathlib
 
 import pytest
 
-from repro.obs import bench_payload, load_bench_json, write_bench_json
+from repro.obs import load_bench_json, write_bench_json
+from repro.obs.export import bench_payload
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 

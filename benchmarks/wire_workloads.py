@@ -59,7 +59,7 @@ async def _connect(front, registry, codec_name):
     reader, writer = front.open_local()
     client = AsyncSpaceClient(reader, writer, registry, request_timeout=None)
     if codec_name != "xml":
-        await client.negotiate(f"{codec_name},xml")
+        await client.hello(f"{codec_name},xml")
     return client
 
 

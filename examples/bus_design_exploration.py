@@ -11,7 +11,7 @@ Walks the rapid-prototyping flow of Sections 4-5:
    right column) — the estimate that "gave enough information to plan
    the complete development of the bus and the tuplespace".
 
-Run:  python examples/bus_design_exploration.py        (~1 minute)
+Run:  python examples/bus_design_exploration.py
 """
 
 from repro.analysis import Table

@@ -33,7 +33,7 @@ from repro.core import (
     encode_message,
 )
 from repro.core.server import SimTimers
-from repro.cosim import ServerTimingModel, SimServerHost, build_bus_system
+from repro.cosim import SimServerHost, build_bus_system
 from repro.des import Simulator
 from repro.hw import ClientBridge, ServerBridge
 
@@ -46,10 +46,7 @@ def main():
     codec = XmlCodec()
     space = TupleSpace(clock=SimClock(sim), name="javaspace")
     server = SpaceServer(space, codec, timers=SimTimers(sim))
-    SimServerHost(
-        sim, server, ServerBridge(sim, system.endpoint(SERVER_NODE)),
-        ServerTimingModel(),
-    )
+    SimServerHost(sim, server, ServerBridge(sim, system.endpoint(SERVER_NODE)))
     bridge = ClientBridge(sim, system.endpoint(CLIENT_NODE), SERVER_NODE)
 
     # "Compile" the client: marshal the WRITE request and bake it into

@@ -8,7 +8,7 @@ crossing the 1-wire TpWIRE bus through the master relay.  A monitoring
 agent subscribed with ``notify`` raises an alarm the moment a reading
 crosses the threshold, and commands an output latch in response.
 
-Run:  python examples/sensor_to_space.py        (~30 s of wall time)
+Run:  python examples/sensor_to_space.py
 """
 
 from repro.core import (
@@ -20,7 +20,7 @@ from repro.core import (
     XmlCodec,
 )
 from repro.core.server import SimTimers
-from repro.cosim import ServerTimingModel, SimServerHost, build_bus_system
+from repro.cosim import SimServerHost, build_bus_system
 from repro.des import Simulator
 from repro.hw import ClientBridge, ServerBridge
 from repro.tpwire import OutputShiftRegister, TemperatureSensor
@@ -49,10 +49,7 @@ def main():
     # Server side.
     space = TupleSpace(clock=SimClock(sim), name="factory-space")
     server = SpaceServer(space, codec, timers=SimTimers(sim))
-    SimServerHost(
-        sim, server, ServerBridge(sim, system.endpoint(SERVER_NODE)),
-        ServerTimingModel(),
-    )
+    SimServerHost(sim, server, ServerBridge(sim, system.endpoint(SERVER_NODE)))
 
     # Sensor board: SPI thermometer + cooler latch on local firmware,
     # space client over the bus.
@@ -72,7 +69,7 @@ def main():
         tick = 0
         while tick < 12:
             celsius = sample_spi()
-            yield from client.op_write(
+            yield from client.write(
                 SensorReading("oven-1", celsius, tick), lease=30.0
             )
             print(f"[{sim.now:7.2f}s] board published "

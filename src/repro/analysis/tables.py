@@ -27,7 +27,7 @@ class Table:
 
     def to_records(self) -> list[dict]:
         """Rows as header-keyed dicts of the *raw* (unformatted) cells,
-        the shape :func:`repro.obs.bench_payload` takes."""
+        the shape :func:`repro.obs.export.bench_payload` takes."""
         return [
             dict(zip(self.headers, row)) for row in self._raw_rows
         ]

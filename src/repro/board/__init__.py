@@ -23,7 +23,7 @@ The analog here:
 from repro.board.cpu import StackCpu, CpuError, Op
 from repro.board.errors import BoardError, BridgeNotConnectedError
 from repro.board.assembler import assemble, AssemblerError
-from repro.board.gdb_stub import GdbStub, GdbClient, rsp_encode, rsp_decode
+from repro.board.gdb_stub import GdbStub, GdbClient
 from repro.board.theseus import TheseusBoard
 from repro.board import firmware
 
@@ -37,8 +37,6 @@ __all__ = [
     "AssemblerError",
     "GdbStub",
     "GdbClient",
-    "rsp_encode",
-    "rsp_decode",
     "TheseusBoard",
     "firmware",
 ]

@@ -31,13 +31,10 @@ from repro.chaos.errors import (
     InvariantViolation,
 )
 from repro.chaos.injectors import (
-    BusNoiseInjector,
     CallbackInjector,
     Injector,
-    LinkFaultInjector,
     SlaveCrashInjector,
     arm_plan,
-    make_injector,
 )
 from repro.chaos.plan import (
     FaultKind,
@@ -48,7 +45,6 @@ from repro.chaos.plan import (
 )
 from repro.chaos.scenarios import (
     SCENARIOS,
-    ChaosResult,
     ChaosScenario,
     CrashRestartScenario,
     DropDelayDupScenario,
@@ -70,15 +66,11 @@ __all__ = [
     "fault",
     "single_fault_plan",
     "Injector",
-    "LinkFaultInjector",
-    "BusNoiseInjector",
     "SlaveCrashInjector",
     "CallbackInjector",
-    "make_injector",
     "arm_plan",
     "ChaosHost",
     "ChaosConnection",
-    "ChaosResult",
     "ChaosScenario",
     "CrashRestartScenario",
     "DropDelayDupScenario",

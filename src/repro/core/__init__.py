@@ -34,9 +34,9 @@ from repro.core.entry import Entry
 from repro.core.lease import Lease, LeaseManager, FOREVER
 from repro.core.events import EventRegistration, RemoteEvent
 from repro.core.space import TupleSpace, SpaceStats
-from repro.core.discovery import ServiceRegistry, ServiceEntry
+from repro.core.discovery import ServiceRegistry
 from repro.core.server import SpaceServer
-from repro.core.persistence import SpaceJournal, recover_space, replay_journal
+from repro.core.persistence import SpaceJournal, recover_space
 from repro.core.xmlcodec import XmlCodec
 from repro.core.protocol import (
     MessageType,
@@ -45,7 +45,7 @@ from repro.core.protocol import (
     StreamParser,
 )
 from repro.core.client import SpaceClient
-from repro.core.sim_client import SimSpaceClient, ClientTimingModel
+from repro.core.sim_client import SimSpaceClient, MarshallingCost
 from repro.core.agents import (
     SpaceAgent,
     ControlAgent,
@@ -77,11 +77,9 @@ __all__ = [
     "TupleSpace",
     "SpaceStats",
     "ServiceRegistry",
-    "ServiceEntry",
     "SpaceServer",
     "SpaceJournal",
     "recover_space",
-    "replay_journal",
     "XmlCodec",
     "MessageType",
     "Message",
@@ -89,7 +87,7 @@ __all__ = [
     "StreamParser",
     "SpaceClient",
     "SimSpaceClient",
-    "ClientTimingModel",
+    "MarshallingCost",
     "SpaceAgent",
     "ControlAgent",
     "ActuatorAgent",

@@ -455,12 +455,8 @@ class AsyncSpaceClient(SpaceOperations):
         reader, writer = await asyncio.open_connection(host, port)
         client = cls(reader, writer, codec, request_timeout=request_timeout)
         if codecs is not None:
-            await client.negotiate(codecs)
+            await client.hello(codecs)
         return client
-
-    async def negotiate(self, codecs: str = "binary,xml") -> str:
-        """The HELLO exchange (``SpaceClient.hello``'s async counterpart)."""
-        return await self._call(self.session.negotiate(codecs))
 
     async def stats(self) -> dict:
         return await self._call(self.session.stats())

@@ -8,7 +8,8 @@ asynchronous NOTIFY_EVENT messages interleaved with responses are
 dispatched to registered callbacks.
 
 The protocol itself lives in :class:`~repro.core.protocol.ClientSession`;
-:class:`SpaceOperations` is the space API shared with the asyncio client.
+:class:`SpaceOperations` is the space API shared with the asyncio client
+and the simulated board client.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ class SpaceOperations:
 
     Each operation builds its :class:`Call` and hands it to the shell's
     ``_call``: :class:`SpaceClient` returns the result, the asyncio
-    client returns an awaitable of it.
+    client returns an awaitable of it and the simulated board client a
+    generator that a DES process drives to it.
     """
 
     session: ClientSession
@@ -95,6 +97,15 @@ class SpaceOperations:
     def ping(self) -> bool:
         return self._call(self.session.ping())
 
+    def hello(self, codecs: str = "binary,xml") -> str:
+        """Negotiate the body codec; returns the server's pick.
+
+        Must be the first request on the connection; a server that
+        answers ERROR leaves the client on XML
+        (:meth:`ClientSession.negotiate`).
+        """
+        return self._call(self.session.negotiate(codecs))
+
     # -- session state -----------------------------------------------------------
 
     @property
@@ -134,15 +145,6 @@ class SpaceClient(SpaceOperations):
         self.clock = clock if clock is not None else SystemClock()
         self.request_timeout = request_timeout
         self.session = ClientSession(codec)
-
-    def hello(self, codecs: str = "binary,xml") -> str:
-        """Negotiate the body codec; returns the server's pick.
-
-        Must be the first request on the connection; a server that
-        answers ERROR leaves the client on XML
-        (:meth:`ClientSession.negotiate`).
-        """
-        return self._call(self.session.negotiate(codecs))
 
     def poll_events(self) -> int:
         """Drain pending notify events without issuing a request.

@@ -13,7 +13,7 @@ Three ways to reach a :class:`~repro.core.server.SpaceServer`:
 All three drive the one connection core,
 :class:`~repro.core.server.ServerConnection`, which calls the server
 directly; the cost of the paper's server-internal RMI hop is charged by
-:class:`~repro.cosim.server_host.ServerTimingModel`.
+the simulated host's :class:`~repro.core.sim_client.MarshallingCost`.
 """
 
 from __future__ import annotations

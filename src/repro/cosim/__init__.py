@@ -8,7 +8,7 @@ canned experiment scenarios of Section 5.
 
 from repro.cosim.environment import BusSystem, build_bus_system
 from repro.cosim.errors import CosimError, CaseStudyIncompleteError
-from repro.cosim.server_host import SimServerHost, ServerTimingModel
+from repro.cosim.server_host import SimServerHost
 from repro.cosim.scenarios import (
     ValidationScenario,
     ValidationResult,
@@ -34,7 +34,6 @@ __all__ = [
     "CaseStudyIncompleteError",
     "build_bus_system",
     "SimServerHost",
-    "ServerTimingModel",
     "ValidationScenario",
     "ValidationResult",
     "CaseStudyConfig",

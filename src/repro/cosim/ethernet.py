@@ -99,7 +99,7 @@ class EthernetCaseStudy:
     def _client_program(self):
         start = self.sim.now
         entry = default_entry()
-        yield from self.client.op_write(
+        yield from self.client.write(
             entry, lease=CASE_STUDY_LEASE_SECONDS, created_at=start
         )
         template = MachineParameters(
@@ -108,7 +108,7 @@ class EthernetCaseStudy:
             firmware=entry.firmware,
             tool_slot=entry.tool_slot,
         )
-        taken = yield from self.client.op_take(
+        taken = yield from self.client.take(
             template, timeout=CASE_STUDY_TAKE_TIMEOUT
         )
         self._result = EthernetResult(

@@ -16,13 +16,13 @@ from typing import Optional
 
 from repro.core.entry import Entry
 from repro.core.server import SimTimers, SpaceServer
-from repro.core.sim_client import ClientTimingModel, SimSpaceClient
+from repro.core.sim_client import MarshallingCost, SimSpaceClient
 from repro.core.space import TupleSpace
 from repro.core.clock import SimClock
 from repro.core.xmlcodec import XmlCodec
 from repro.cosim.environment import BusSystem, build_bus_system
 from repro.cosim.errors import CaseStudyIncompleteError
-from repro.cosim.server_host import ServerTimingModel, SimServerHost
+from repro.cosim.server_host import SimServerHost
 from repro.des import HeapScheduler, Simulator
 from repro.hw.bridge import ClientBridge, ServerBridge
 from repro.net.traffic import CBRSource
@@ -182,16 +182,18 @@ def make_case_study_codec() -> XmlCodec:
     return codec
 
 
-#: Board-side marshalling costs: the client runs under an ISS.
-CASE_STUDY_CLIENT_TIMING = ClientTimingModel(
-    build_seconds_per_byte=0.004,
-    parse_seconds_per_byte=0.002,
+#: Board-side marshalling costs: the client runs under an ISS; it
+#: builds requests and parses replies.
+CASE_STUDY_CLIENT_TIMING = MarshallingCost(
+    request_seconds_per_byte=0.004,
+    reply_seconds_per_byte=0.002,
     request_overhead=0.3,
 )
-#: Host-side costs: socket wrapper + RMI + XML parse in the JVM.
-CASE_STUDY_SERVER_TIMING = ServerTimingModel(
-    parse_seconds_per_byte=0.002,
-    build_seconds_per_byte=0.001,
+#: Host-side costs: socket wrapper + RMI + XML parse in the JVM; it
+#: parses requests and builds replies.
+CASE_STUDY_SERVER_TIMING = MarshallingCost(
+    request_seconds_per_byte=0.002,
+    reply_seconds_per_byte=0.001,
     request_overhead=0.1,
 )
 #: The entry's lease: long enough for the 1-wire baseline's write+take.
@@ -337,7 +339,7 @@ class CaseStudyScenario:
         # (created_at): the take succeeds "only if the entry lifetime is
         # not out-of-date" relative to that moment.
         write_span = obs.tracer.begin("client", "write") if obs is not None else None
-        yield from self.client.op_write(
+        yield from self.client.write(
             entry, lease=cfg.lease_seconds, created_at=start
         )
         write_ack_at = self.sim.now
@@ -356,7 +358,7 @@ class CaseStudyScenario:
         )
         take_span = obs.tracer.begin("client", "take") if obs is not None else None
         take_started = self.sim.now
-        taken = yield from self.client.op_take(
+        taken = yield from self.client.take(
             template, timeout=CASE_STUDY_TAKE_TIMEOUT
         )
         elapsed = self.sim.now - start

@@ -6,34 +6,19 @@ sockets into the Java/socket wrapper, hop over RMI into the SpaceServer,
 and the response retraces the path.  :class:`SimServerHost` is that whole
 host: it feeds inbound bus bytes through the wire-protocol parser, calls
 the real :class:`~repro.core.server.SpaceServer` directly, and charges a
-:class:`ServerTimingModel` for parsing, the RMI hop and marshalling —
-then ships responses back over the bridge in order.
+:class:`~repro.core.sim_client.MarshallingCost` for parsing, the RMI hop
+and marshalling — then ships responses back over the bridge in order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Generator
 
 from repro.core.protocol import Message
 from repro.core.server import ServerConnection, SpaceServer
+from repro.core.sim_client import MarshallingCost
 from repro.des.resource import Store
 from repro.hw.bridge import ServerBridge
-
-
-@dataclass(frozen=True)
-class ServerTimingModel:
-    """Host-side processing costs (XML parse, RMI dispatch, marshalling)."""
-
-    parse_seconds_per_byte: float = 0.0
-    build_seconds_per_byte: float = 0.0
-    request_overhead: float = 0.0
-
-    def parse_time(self, nbytes: int) -> float:
-        return self.request_overhead + nbytes * self.parse_seconds_per_byte
-
-    def build_time(self, nbytes: int) -> float:
-        return nbytes * self.build_seconds_per_byte
 
 
 class _BridgeSession(ServerConnection):
@@ -55,7 +40,7 @@ class _BridgeSession(ServerConnection):
     def _send_loop(self) -> Generator:
         while True:
             wire = yield self.outgoing.get()
-            build_time = self.host.timing.build_time(len(wire))
+            build_time = self.host.timing.reply_time(len(wire))
             if build_time > 0:
                 yield self.host.sim.timeout(build_time)
             self.host.bridge.send_to(self.node_id, wire)
@@ -68,7 +53,8 @@ class SimServerHost:
     ``bridge`` is anything with a settable ``deliver(src, data)`` inbound
     callback and a ``send_to(node, data)`` outbound path.  Requests reach
     ``server.handle`` directly: the paper's RMI hop is a cost, charged by
-    ``timing``, not a layer; ``requests_dispatched`` counts the requests
+    ``timing`` (parsing a request, with its overhead, and building a
+    reply), not a layer; ``requests_dispatched`` counts the requests
     handed to the server (all but HELLO).  A source whose
     bytes fail to parse gets the shared ERROR-then-close treatment: its
     connection is dropped (reaping its parked requests) and its next
@@ -80,7 +66,7 @@ class SimServerHost:
         sim,
         server: SpaceServer,
         bridge: ServerBridge,
-        timing: ServerTimingModel = ServerTimingModel(),
+        timing: MarshallingCost = MarshallingCost(),
         name: str = "server-host",
     ):
         self.sim = sim
@@ -105,7 +91,7 @@ class SimServerHost:
     def _dispatch_loop(self) -> Generator:
         while True:
             src, data = yield self._inbound.get()
-            parse_time = self.timing.parse_time(len(data))
+            parse_time = self.timing.request_time(len(data))
             if parse_time > 0:
                 yield self.sim.timeout(parse_time)
             session = self._sessions.get(src)

@@ -18,7 +18,7 @@ decorate it with :func:`~repro.lint.registry.register`.
 """
 
 from repro.lint.checker import lint_file, lint_paths, lint_source
-from repro.lint.config import LintConfig, config_from_dict, load_config
+from repro.lint.config import LintConfig, load_config
 from repro.lint.errors import ConfigError, LintError, RegistryError
 from repro.lint.findings import FileReport, Finding, Severity
 from repro.lint.registry import Rule, all_rule_classes, instantiate, register
@@ -33,7 +33,6 @@ __all__ = [
     "Rule",
     "Severity",
     "all_rule_classes",
-    "config_from_dict",
     "instantiate",
     "lint_file",
     "lint_paths",

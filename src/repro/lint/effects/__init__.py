@@ -28,14 +28,10 @@ warm-cache CI gate for the whole pass is
 """
 
 from repro.lint.effects.model import (  # noqa: F401
-    ALL_KINDS,
     BLOCKING,
     ENV_READ,
     GLOBAL_MUTATION,
     NONDET_KINDS,
-    OS_ENTROPY,
-    REAL_IO,
     THREAD_SPAWN,
     UNSTABLE_ITER,
-    WALL_CLOCK,
 )

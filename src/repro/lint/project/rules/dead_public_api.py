@@ -1,14 +1,16 @@
 """Rule ``dead-public-api`` — every package export must have a user.
 
 A name re-exported from a package ``__init__`` is a promise: "this is
-the supported way in".  When nothing in the whole project — sources,
-tests, benchmarks or examples (the index always covers all configured
-roots, not just the paths being linted) — references the underlying
-symbol from outside its defining module, the promise is dead weight
-that still costs review attention and API-compatibility care.  Findings
-are warnings: an export can be intentionally forward-looking, in which
-case list it under ``allow`` in ``[tool.repro-lint.dead-public-api]``
-or delete the re-export.
+the supported way in".  When no program in the project — sources,
+benchmarks or examples (the index always covers all configured roots,
+not just the paths being linted) — references the underlying symbol
+from outside its defining module, the promise is dead weight that still
+costs review attention and API-compatibility care.  Tests do not count:
+a module under the ``tests`` root, or any ``test_*.py`` or
+``conftest.py``, exercises an export without being a reason to keep it.
+Findings are warnings: an export can be intentionally forward-looking,
+in which case list it under ``allow`` in
+``[tool.repro-lint.dead-public-api]`` or delete the re-export.
 
 References are counted on the *defining* symbol, so use through either
 the package (``repro.net.TpwireAgent``) or the submodule
@@ -17,6 +19,7 @@ the package (``repro.net.TpwireAgent``) or the submodule
 
 from __future__ import annotations
 
+from pathlib import PurePosixPath
 from typing import Iterator
 
 from repro.lint.findings import Finding, Severity
@@ -27,7 +30,7 @@ from repro.lint.registry import ProjectRule, register
 class DeadPublicApiRule(ProjectRule):
     id = "dead-public-api"
     summary = (
-        "package __init__ exports whose symbol is never referenced "
+        "package __init__ exports whose symbol no program references "
         "outside its defining module"
     )
     default_severity = Severity.WARNING
@@ -68,13 +71,13 @@ class DeadPublicApiRule(ProjectRule):
                     summary.path,
                     binding["line"],
                     f"{module} exports {name}, but {def_module}."
-                    f"{def_binding['name']} is never referenced outside its "
-                    f"defining module",
+                    f"{def_binding['name']} is never referenced by a program "
+                    f"outside its defining module",
                 )
 
     @staticmethod
     def _used_symbols(index) -> set:
-        """Every ``(defining_module, name)`` referenced from another module.
+        """Every ``(defining_module, name)`` referenced from another program.
 
         Built from the per-module ``refs`` (loaded names whose base is an
         import), so a plain re-export line does not count as a use — only
@@ -83,6 +86,8 @@ class DeadPublicApiRule(ProjectRule):
         """
         used: set = set()
         for module, summary in index.summaries.items():
+            if _is_test(summary.path):
+                continue
             refs = set(summary.refs)
             # local alias -> project module, from *every* import record.
             aliases: dict[str, str] = {}
@@ -122,3 +127,13 @@ class DeadPublicApiRule(ProjectRule):
                 if resolved is not None and resolved[0] != module:
                     used.add((resolved[0], resolved[1]["name"]))
         return used
+
+
+def _is_test(path: str) -> bool:
+    parts = PurePosixPath(path).parts
+    name = parts[-1] if parts else ""
+    return (
+        parts[:1] == ("tests",)
+        or name == "conftest.py"
+        or (name.startswith("test_") and name.endswith(".py"))
+    )

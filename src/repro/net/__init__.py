@@ -20,7 +20,7 @@ parameters.  This package provides those NS-2 building blocks:
 from repro.net.errors import NetError, AgentConfigError, NoRouteError
 from repro.net.packet import Packet
 from repro.net.node import Node
-from repro.net.link import Link, DuplexLink
+from repro.net.link import DuplexLink
 from repro.net.agent import NetAgent, LoopbackAgent
 from repro.net.traffic import CBRSource, PoissonSource
 from repro.net.sink import SinkAgent
@@ -32,7 +32,6 @@ __all__ = [
     "NoRouteError",
     "Packet",
     "Node",
-    "Link",
     "DuplexLink",
     "NetAgent",
     "LoopbackAgent",

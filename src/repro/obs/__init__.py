@@ -20,12 +20,7 @@ from repro.obs.tracer import Tracer, SpanHandle
 from repro.obs.metrics import MetricRegistry
 from repro.obs.vcd import VcdRecorder
 from repro.obs.export import (
-    BENCH_SCHEMA,
-    bench_payload,
-    bench_json_path,
-    dump_bench_json,
     load_bench_json,
-    validate_bench_payload,
     write_bench_json,
 )
 from repro.obs.observability import Observability
@@ -42,12 +37,7 @@ __all__ = [
     "SpanHandle",
     "MetricRegistry",
     "VcdRecorder",
-    "BENCH_SCHEMA",
-    "bench_payload",
-    "bench_json_path",
-    "dump_bench_json",
     "load_bench_json",
-    "validate_bench_payload",
     "write_bench_json",
     "Observability",
 ]

@@ -24,13 +24,12 @@ from repro.tpwire.errors import (
     SlaveError,
     NoSuchNode,
 )
-from repro.tpwire.crc import crc4, check_crc4, CRC4_POLY
+from repro.tpwire.crc import crc4, CRC4_POLY
 from repro.tpwire.commands import (
     Command,
     RxType,
     AddressSpace,
     BROADCAST_NODE_ID,
-    MAX_NODE_ID,
     node_address,
     split_address,
 )
@@ -46,12 +45,9 @@ from repro.tpwire.transport import (
     TransportEndpoint,
     MasterPoller,
     PollStrategy,
-    LinkMessage,
 )
 from repro.tpwire.spi import (
-    SpiController,
     SpiPeripheral,
-    SpiSysCommand,
     TemperatureSensor,
     OutputShiftRegister,
 )
@@ -65,13 +61,11 @@ __all__ = [
     "SlaveError",
     "NoSuchNode",
     "crc4",
-    "check_crc4",
     "CRC4_POLY",
     "Command",
     "RxType",
     "AddressSpace",
     "BROADCAST_NODE_ID",
-    "MAX_NODE_ID",
     "node_address",
     "split_address",
     "TxFrame",
@@ -91,10 +85,7 @@ __all__ = [
     "TransportEndpoint",
     "MasterPoller",
     "PollStrategy",
-    "LinkMessage",
-    "SpiController",
     "SpiPeripheral",
-    "SpiSysCommand",
     "TemperatureSensor",
     "OutputShiftRegister",
 ]

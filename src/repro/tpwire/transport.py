@@ -24,7 +24,7 @@ from typing import Callable, Generator, Optional, Sequence
 from repro.des.monitor import RateMonitor
 from repro.des.process import Waitable
 from repro.tpwire.bus import CycleResult, CycleStatus
-from repro.tpwire.commands import Command
+from repro.tpwire.commands import Command, RxType
 from repro.tpwire.errors import BusError, TpwireError
 from repro.tpwire.frames import TxFrame
 from repro.tpwire.master import TpwireMaster
@@ -616,6 +616,9 @@ class MasterPoller:
         self.relay_rate.tick(len(message.payload))
 
 
+#: Read once: an enum member looked up on its class costs about ten
+#: times a module global, and every FIFO cycle checks its reply type.
+_ERROR_REPLY = RxType.ERROR
 #: The frame that pops OUT_DATA, and the frame that pushes each byte value.
 _READ_FRAME = TxFrame.of(Command.READ_DATA, 0)
 _WRITE_FRAMES = [TxFrame.of(Command.WRITE_DATA, value) for value in range(256)]
@@ -639,7 +642,10 @@ class _FifoTransfer(Waitable):
       so it counts as delivered (``optimistic_acks``);
     * a read whose reply is garbled popped a byte that is now lost from
       OUT_DATA: the transfer succeeds early with the bytes read so far,
-      and the poller recovers the byte from OUT_LAST.
+      and the poller recovers the byte from OUT_LAST;
+    * an ERROR reply (a pop from an empty outbox, a push into a full
+      inbox) moved no byte, and its DATA is the slave's status byte, not
+      mailbox data: the transfer fails with :class:`BusError`.
 
     Succeeds with the bytes read (``b""`` for writes).  Every cycle is
     one master transaction.
@@ -666,8 +672,17 @@ class _FifoTransfer(Waitable):
     def _on_result(self, result: CycleResult) -> None:
         status = result.status
         if status is CycleStatus.OK:
+            rx = result.rx
+            if rx.rtype is _ERROR_REPLY:
+                self._poller.master.errors_signaled += 1
+                direction = "read from" if self._reading else "write to"
+                self._fail_or_raise(BusError(
+                    f"mailbox {direction} node {self._node_id} rejected "
+                    f"(status {rx.data:#04x})"
+                ))
+                return
             if self._reading:
-                self._out.append(result.rx.data)
+                self._out.append(rx.data)
         elif status is CycleStatus.CRC_ERROR:
             if self._reading:
                 self.succeed(bytes(self._out))

@@ -7,12 +7,11 @@ import pytest
 from repro.analysis import (
     Comparison,
     Table,
-    mean,
     relative_error,
     render_comparisons,
-    sample_stddev,
     scaling_factor,
 )
+from repro.analysis.stats import mean, sample_stddev
 
 
 class TestStats:

@@ -4,8 +4,8 @@ import struct
 
 import pytest
 
-from repro.board import GdbClient, GdbStub, StackCpu, firmware, rsp_decode, rsp_encode
-from repro.board.gdb_stub import PacketReader, RspError
+from repro.board import GdbClient, GdbStub, StackCpu, firmware
+from repro.board.gdb_stub import PacketReader, RspError, rsp_decode, rsp_encode
 
 
 class TestFraming:

@@ -9,17 +9,19 @@ with the exported ones.
 import pytest
 
 from repro.chaos import (
-    BusNoiseInjector,
     CallbackInjector,
     FaultKind,
     InjectorError,
-    LinkFaultInjector,
     SlaveCrashInjector,
     arm_plan,
     fault,
-    make_injector,
     single_fault_plan,
     FaultPlan,
+)
+from repro.chaos.injectors import (
+    BusNoiseInjector,
+    LinkFaultInjector,
+    make_injector,
 )
 from repro.des import Simulator
 from repro.net.link import Link

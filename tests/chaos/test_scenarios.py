@@ -20,11 +20,11 @@ import pytest
 
 from repro.chaos import (
     SCENARIOS,
-    ChaosResult,
     FaultKind,
     InvariantViolation,
 )
 from repro.chaos.plan import FaultPlan
+from repro.chaos.scenarios import ChaosResult
 
 KINDS = sorted(SCENARIOS, key=lambda kind: kind.value)
 

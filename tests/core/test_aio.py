@@ -224,7 +224,7 @@ class TestLocalPairs:
             try:
                 reader, writer = front.open_local()
                 client = AsyncSpaceClient(reader, writer, codec, request_timeout=2.0)
-                assert await client.negotiate() == "binary"
+                assert await client.hello() == "binary"
                 await client.write(LindaTuple("x", 1))
                 assert await client.take_if_exists(TupleTemplate("x", 1))
                 await client.close()
@@ -242,7 +242,7 @@ class TestLocalPairs:
                     client = AsyncSpaceClient(
                         reader, writer, codec, request_timeout=5.0
                     )
-                    await client.negotiate()
+                    await client.hello()
                     await client.write(LindaTuple("n", n))
                     got = await client.take(TupleTemplate("n", n), timeout=5)
                     await client.close()

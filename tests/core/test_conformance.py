@@ -9,10 +9,12 @@ blocking op that times out and a tuple of strings holding CR and CR LF
 * ``SpaceClient`` on {``LocalConnection``, ``SocketSpaceServer``,
   ``AsyncSpaceServer`` over TCP} × {xml, binary};
 * ``AsyncSpaceClient`` on {TCP, ``open_local()``} × {xml, binary};
-* ``SimSpaceClient`` through the TpWIRE bus and ``SimServerHost``, XML.
+* ``SimSpaceClient`` through the TpWIRE bus and ``SimServerHost`` ×
+  {xml, binary}.
 
 Each cell talks to a fresh server, so lease and registration ids line
-up, and every cell must produce the identical transcript.
+up, and every cell must produce the identical transcript: every shell
+takes the same ops and returns the same result shapes.
 """
 
 import asyncio
@@ -36,7 +38,7 @@ from repro.core.aio import AsyncSpaceClient, AsyncSpaceServer
 from repro.core.errors import SpaceError
 from repro.core.server import SimTimers
 from repro.core.transports import LocalConnection, open_socket_connection
-from repro.cosim import ServerTimingModel, SimServerHost, build_bus_system
+from repro.cosim import SimServerHost, build_bus_system
 from repro.des import Simulator
 from repro.hw import ClientBridge, ServerBridge
 from tests.core.fronts import serving
@@ -89,18 +91,6 @@ def op_script(seed):
     yield "ping", ()
 
 
-def normalise(op, result):
-    """One result shape per op across the shells."""
-    if op == "write":
-        return {"lease_id": result["lease_id"], "granted": result["granted"]}
-    if op == "renew_lease":
-        remaining = result if isinstance(result, float) else result["remaining"]
-        return round(remaining, 6)
-    if op == "cancel_lease":
-        return None
-    return result
-
-
 class Transcript:
     """Drives :func:`op_script`: ``next_op`` hands out the steps, each
     shell runs them its own way and ``record`` takes the outcomes."""
@@ -130,7 +120,7 @@ class Transcript:
             self.steps.append((op, ("error", str(error))))
         else:
             self._result = outcome
-            self.steps.append((op, normalise(op, outcome)))
+            self.steps.append((op, outcome))
 
     def result(self):
         return self.steps, self.events
@@ -166,12 +156,9 @@ def run_sim(client, transcript):
     while (step := transcript.next_op()) is not None:
         op, args = step
         if op == "notify":
-            # The board client has no notify op; the shared builder does.
-            ops = client._call(client.session.notify(*args, transcript.on_event))
-        else:
-            ops = getattr(client, f"op_{op}")(*args)
+            args = (*args, transcript.on_event)
         try:
-            transcript.record(op, (yield from ops))
+            transcript.record(op, (yield from getattr(client, op)(*args)))
         except SpaceError as exc:
             transcript.record(op, None, exc)
 
@@ -223,7 +210,7 @@ def async_cell(local, codecs):
                 reader, writer = front.open_local()
                 client = AsyncSpaceClient(reader, writer, codec, request_timeout=5.0)
                 if codecs:
-                    await client.negotiate(codecs)
+                    await client.hello(codecs)
             else:
                 client = await AsyncSpaceClient.connect(
                     front.address, codec, codecs=codecs, request_timeout=5.0
@@ -239,18 +226,21 @@ def async_cell(local, codecs):
     return asyncio.run(scenario())
 
 
-def sim_cell():
+def sim_cell(codecs):
     sim = Simulator(seed=1)
     system = build_bus_system(sim, [1, 3])
     codec = make_codec()
     space = TupleSpace(clock=SimClock(sim))
     server = SpaceServer(space, codec, timers=SimTimers(sim))
-    SimServerHost(sim, server, ServerBridge(sim, system.endpoint(3)), ServerTimingModel())
+    SimServerHost(sim, server, ServerBridge(sim, system.endpoint(3)))
     bridge = ClientBridge(sim, system.endpoint(1), 3)
     client = SimSpaceClient(sim, bridge.to_bus, bridge.from_bus, codec)
     transcript = Transcript()
 
     def board():
+        if codecs:
+            assert (yield from client.hello(codecs)) == codecs.split(",")[0]
+        assert client.wire_codec == (codecs or "xml").split(",")[0]
         yield from run_sim(client, transcript)
         system.stop()
         sim.stop()
@@ -272,7 +262,8 @@ CELLS = {
     "async-tcp-binary": lambda: async_cell(False, "binary,xml"),
     "async-local-xml": lambda: async_cell(True, None),
     "async-local-binary": lambda: async_cell(True, "binary,xml"),
-    "sim-bus-xml": sim_cell,
+    "sim-bus-xml": lambda: sim_cell(None),
+    "sim-bus-binary": lambda: sim_cell("binary,xml"),
 }
 
 

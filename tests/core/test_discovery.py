@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import ManualClock, ServiceEntry, ServiceRegistry, TupleSpace
+from repro.core import ManualClock, ServiceRegistry, TupleSpace
+from repro.core.discovery import ServiceEntry
 from repro.core.errors import SpaceError
 
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import ServiceEntry, ServiceRegistry, SimClock, TupleSpace
+from repro.core import ServiceRegistry, SimClock, TupleSpace
+from repro.core.discovery import ServiceEntry
 from repro.core.simops import LeaseKeeper
 from repro.des import Simulator
 

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core import (
-    ClientTimingModel,
     LindaTuple,
+    MarshallingCost,
     Message,
     MessageType,
     SimClock,
@@ -74,9 +74,9 @@ class TestOperations:
         results = {}
 
         def program():
-            ack = yield from client.op_write(t("a", 1), lease=60.0)
+            ack = yield from client.write(t("a", 1), lease=60.0)
             results["ack"] = ack
-            results["taken"] = yield from client.op_take(tpl("a", int), timeout=10.0)
+            results["taken"] = yield from client.take(tpl("a", int), timeout=10.0)
 
         sim.spawn(program())
         sim.run()
@@ -89,7 +89,7 @@ class TestOperations:
         results = {}
 
         def program():
-            results["taken"] = yield from client.op_take(tpl("a"), timeout=60.0)
+            results["taken"] = yield from client.take(tpl("a"), timeout=60.0)
             results["at"] = sim.now
 
         sim.spawn(program())
@@ -103,7 +103,7 @@ class TestOperations:
         results = {}
 
         def program():
-            results["taken"] = yield from client.op_take(tpl("a"), timeout=2.0)
+            results["taken"] = yield from client.take(tpl("a"), timeout=2.0)
 
         sim.spawn(program())
         sim.run()
@@ -115,8 +115,8 @@ class TestOperations:
         results = {}
 
         def program():
-            results["pong"] = yield from client.op_ping()
-            results["read"] = yield from client.op_read_if_exists(tpl("b", int))
+            results["pong"] = yield from client.ping()
+            results["read"] = yield from client.read_if_exists(tpl("b", int))
 
         sim.spawn(program())
         sim.run()
@@ -131,7 +131,7 @@ class TestOperations:
         def program():
             try:
                 # WRITE without an entry is a protocol error server-side.
-                yield from client.op_write(None)
+                yield from client.write(None)
             except SpaceError as exc:
                 caught.append(str(exc))
 
@@ -146,19 +146,19 @@ class TestLeaseOps:
         results = {}
 
         def program():
-            ack = yield from client.op_write(t("a", 1), lease=30.0)
+            ack = yield from client.write(t("a", 1), lease=30.0)
             yield sim.timeout(20.0)
-            results["renewed"] = yield from client.op_renew_lease(
+            results["renewed"] = yield from client.renew_lease(
                 ack["lease_id"], 30.0
             )
             # Past the original expiry (t=30) but inside the renewed term.
             yield sim.timeout(15.0)
-            results["read"] = yield from client.op_read_if_exists(tpl("a", int))
+            results["read"] = yield from client.read_if_exists(tpl("a", int))
 
         sim.spawn(program())
         sim.run()
-        assert results["renewed"]["granted"] == 30.0
-        assert results["renewed"]["remaining"] == pytest.approx(30.0, abs=1.0)
+        # The remaining term, as the server's clock reads it.
+        assert results["renewed"] == pytest.approx(30.0)
         assert results["read"] == t("a", 1)
 
     def test_renew_lease_reports_clamped_grant(self):
@@ -166,45 +166,45 @@ class TestLeaseOps:
         results = {}
 
         def program():
-            ack = yield from client.op_write(t("a", 1), lease=10.0)
-            results["renewed"] = yield from client.op_renew_lease(
+            ack = yield from client.write(t("a", 1), lease=10.0)
+            results["renewed"] = yield from client.renew_lease(
                 ack["lease_id"], 500.0
             )
 
         sim.spawn(program())
         sim.run()
-        # The server clamps to max_lease and the ack says so.
-        assert results["renewed"]["granted"] == 20.0
-        assert results["renewed"]["remaining"] == pytest.approx(20.0, abs=1.0)
+        # The server clamps to max_lease and the ack says so: the board
+        # schedules its next heartbeat from 20 s, not the 500 s it asked.
+        assert results["renewed"] == pytest.approx(20.0)
 
     def test_cancel_lease_drops_entry(self):
         sim, space, client = build()
         results = {}
 
         def program():
-            ack = yield from client.op_write(t("a", 1), lease=60.0)
-            results["cancelled"] = yield from client.op_cancel_lease(
+            ack = yield from client.write(t("a", 1), lease=60.0)
+            results["cancelled"] = yield from client.cancel_lease(
                 ack["lease_id"]
             )
-            results["read"] = yield from client.op_read_if_exists(tpl("a", int))
+            results["read"] = yield from client.read_if_exists(tpl("a", int))
 
         sim.spawn(program())
         sim.run()
-        assert results["cancelled"]["remaining"] == 0.0
+        assert results["cancelled"] is None
         assert results["read"] is None
         assert len(space) == 0
 
 
 class TestTimingModel:
     def test_build_time_charged_before_send(self):
-        timing = ClientTimingModel(
-            build_seconds_per_byte=0.01, request_overhead=1.0
+        timing = MarshallingCost(
+            request_seconds_per_byte=0.01, request_overhead=1.0
         )
         sim, _space, client = build(timing=timing)
         done = {}
 
         def program():
-            yield from client.op_ping()
+            yield from client.ping()
             done["at"] = sim.now
 
         sim.spawn(program())
@@ -214,14 +214,14 @@ class TestTimingModel:
 
     def test_parse_time_charged_on_receive(self):
         no_cost = build()
-        slow = build(timing=ClientTimingModel(parse_seconds_per_byte=0.01))
+        slow = build(timing=MarshallingCost(reply_seconds_per_byte=0.01))
 
         def run_ping(world):
             sim, _space, client = world
             done = {}
 
             def program():
-                yield from client.op_ping()
+                yield from client.ping()
                 done["at"] = sim.now
 
             sim.spawn(program())
@@ -231,6 +231,6 @@ class TestTimingModel:
         assert run_ping(slow) > run_ping(no_cost)
 
     def test_zero_cost_model_default(self):
-        model = ClientTimingModel()
-        assert model.build_time(1000) == 0.0
-        assert model.parse_time(1000) == 0.0
+        model = MarshallingCost()
+        assert model.request_time(1000) == 0.0
+        assert model.reply_time(1000) == 0.0

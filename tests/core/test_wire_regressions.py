@@ -352,9 +352,9 @@ class TestRequestIdWrap:
         results = []
 
         def program():
-            results.append((yield from client.op_ping()))
+            results.append((yield from client.ping()))
             # Before the fix this request died inside struct.pack('>I').
-            results.append((yield from client.op_ping()))
+            results.append((yield from client.ping()))
 
         sim.spawn(pump(), name="direct-server")
         sim.spawn(program(), name="board")
@@ -437,7 +437,7 @@ class TestFrontEndDrift:
 
         def program():
             try:
-                yield from client.op_ping()
+                yield from client.ping()
             except SpaceError as exc:
                 caught.append(str(exc))
 
@@ -452,8 +452,8 @@ class TestFrontEndDrift:
         results = []
 
         def program():
-            results.append((yield from client.op_ping()))
-            results.append((yield from client.op_ping()))
+            results.append((yield from client.ping()))
+            results.append((yield from client.ping()))
 
         sim.spawn(program(), name="board")
         sim.run(until=10.0)

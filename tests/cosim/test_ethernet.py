@@ -15,17 +15,17 @@ def record_client_terms(study) -> dict:
     for; the dict fills in as the study runs."""
     terms = {}
     client = study.client
-    write, take = client.op_write, client.op_take
+    write, take = client.write, client.take
 
-    def op_write(entry, lease=None, created_at=None):
+    def recording_write(entry, lease=None, created_at=None):
         terms["lease"] = lease
         return write(entry, lease=lease, created_at=created_at)
 
-    def op_take(template, timeout=None):
+    def recording_take(template, timeout=None):
         terms["take_timeout"] = timeout
         return take(template, timeout=timeout)
 
-    client.op_write, client.op_take = op_write, op_take
+    client.write, client.take = recording_write, recording_take
     return terms
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import (
     LindaTuple,
+    MarshallingCost,
     SimClock,
     SpaceServer,
     TupleSpace,
@@ -19,12 +20,12 @@ from repro.core.protocol import (
     StreamParser,
     encode_message,
 )
-from repro.cosim import ServerTimingModel, SimServerHost, build_bus_system
+from repro.cosim import SimServerHost, build_bus_system
 from repro.des import Simulator
 from repro.hw import ServerBridge
 
 
-def build(timing=ServerTimingModel()):
+def build(timing=MarshallingCost()):
     sim = Simulator()
     system = build_bus_system(sim, [1, 3])
     codec = XmlCodec()
@@ -56,8 +57,8 @@ class TestRequestPath:
 
     def test_processing_time_charged(self):
         fast_world = build()
-        slow_world = build(ServerTimingModel(
-            parse_seconds_per_byte=0.05, build_seconds_per_byte=0.05,
+        slow_world = build(MarshallingCost(
+            request_seconds_per_byte=0.05, reply_seconds_per_byte=0.05,
             request_overhead=1.0,
         ))
 

@@ -19,7 +19,7 @@ from repro.core import (
     encode_message,
 )
 from repro.core.server import SimTimers
-from repro.cosim import ServerTimingModel, SimServerHost, build_bus_system
+from repro.cosim import SimServerHost, build_bus_system
 from repro.des import Simulator
 from repro.hw import ClientBridge, ServerBridge
 
@@ -31,10 +31,7 @@ def completed_world():
     codec = XmlCodec()
     space = TupleSpace(clock=SimClock(sim))
     server = SpaceServer(space, codec, timers=SimTimers(sim))
-    SimServerHost(
-        sim, server, ServerBridge(sim, system.endpoint(3)),
-        ServerTimingModel(),
-    )
+    SimServerHost(sim, server, ServerBridge(sim, system.endpoint(3)))
     bridge = ClientBridge(sim, system.endpoint(1), server_node_id=3)
 
     # The "compiled C++ client": a pre-marshalled WRITE request baked into

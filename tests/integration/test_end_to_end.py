@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import (
-    ClientTimingModel,
     LindaTuple,
     SimClock,
     SimSpaceClient,
@@ -13,7 +12,7 @@ from repro.core import (
     XmlCodec,
 )
 from repro.core.server import SimTimers
-from repro.cosim import ServerTimingModel, SimServerHost, build_bus_system
+from repro.cosim import SimServerHost, build_bus_system
 from repro.des import Simulator
 from repro.hw import ClientBridge, ServerBridge
 from repro.net import CBRSource
@@ -35,7 +34,7 @@ def build_world(bit_rate=4800.0, client_ids=(1,), server_id=3):
     space = TupleSpace(clock=SimClock(sim))
     server = SpaceServer(space, codec, timers=SimTimers(sim))
     bridge = ServerBridge(sim, system.endpoint(server_id))
-    SimServerHost(sim, server, bridge, ServerTimingModel())
+    SimServerHost(sim, server, bridge)
     clients = {}
     for node_id in client_ids:
         client_bridge = ClientBridge(sim, system.endpoint(node_id), server_id)
@@ -53,9 +52,9 @@ class TestSingleClient:
         results = {}
 
         def program():
-            yield from clients[1].op_write(t("cmd", "open-valve"), lease=600.0)
+            yield from clients[1].write(t("cmd", "open-valve"), lease=600.0)
             results["len"] = len(space)
-            results["taken"] = yield from clients[1].op_take(
+            results["taken"] = yield from clients[1].take(
                 tpl("cmd", str), timeout=120.0
             )
 
@@ -73,7 +72,7 @@ class TestSingleClient:
         results = {}
 
         def program():
-            results["missing"] = yield from clients[1].op_take_if_exists(
+            results["missing"] = yield from clients[1].take_if_exists(
                 tpl("nothing")
             )
 
@@ -91,12 +90,12 @@ class TestTwoClients:
         results = {}
 
         def producer():
-            yield from clients[1].op_write(
+            yield from clients[1].write(
                 t("measurement", 42), lease=600.0
             )
 
         def consumer():
-            results["got"] = yield from clients[2].op_take(
+            results["got"] = yield from clients[2].take(
                 tpl("measurement", int), timeout=500.0
             )
 
@@ -113,10 +112,7 @@ class TestMixedTraffic:
         codec = XmlCodec()
         space = TupleSpace(clock=SimClock(sim))
         server = SpaceServer(space, codec, timers=SimTimers(sim))
-        SimServerHost(
-            sim, server, ServerBridge(sim, system.endpoint(3)),
-            ServerTimingModel(),
-        )
+        SimServerHost(sim, server, ServerBridge(sim, system.endpoint(3)))
         client_bridge = ClientBridge(sim, system.endpoint(1), 3)
         client = SimSpaceClient(
             sim, client_bridge.to_bus, client_bridge.from_bus, codec
@@ -130,8 +126,8 @@ class TestMixedTraffic:
         results = {}
 
         def program():
-            yield from client.op_write(t("x", 1), lease=900.0)
-            results["taken"] = yield from client.op_take(tpl("x", int), timeout=300.0)
+            yield from client.write(t("x", 1), lease=900.0)
+            results["taken"] = yield from client.take(tpl("x", int), timeout=300.0)
             results["at"] = sim.now
             cbr.stop()
             system.stop()

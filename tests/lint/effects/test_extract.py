@@ -4,18 +4,20 @@ import ast
 import textwrap
 
 from repro.lint.effects import (
-    ALL_KINDS,
     ENV_READ,
     GLOBAL_MUTATION,
     NONDET_KINDS,
-    OS_ENTROPY,
-    REAL_IO,
     THREAD_SPAWN,
     UNSTABLE_ITER,
-    WALL_CLOCK,
 )
 from repro.lint.effects.extract import extract_effects
-from repro.lint.effects.model import blocking_dotted
+from repro.lint.effects.model import (
+    ALL_KINDS,
+    OS_ENTROPY,
+    REAL_IO,
+    WALL_CLOCK,
+    blocking_dotted,
+)
 
 
 def test_the_effect_lattice_is_closed():

@@ -2,8 +2,8 @@
 
 import json
 
-from repro.lint.effects import REAL_IO, WALL_CLOCK
 from repro.lint.effects.infer import infer_effects
+from repro.lint.effects.model import REAL_IO, WALL_CLOCK
 from repro.lint.project.engine import build_index
 
 from tests.lint.project.projutil import project_config, run_rules, write_project

@@ -73,6 +73,40 @@ def test_function_local_import_counts_as_use(tmp_path):
     assert [f for f in findings if "Agent" in f.message] == []
 
 
+def test_reference_from_tests_only_does_not_keep_it_alive(tmp_path):
+    files = dict(PKG)
+    files["tests/net/test_agent.py"] = """\
+        from repro.net import Agent
+
+        def test_agent():
+            assert Agent()
+        """
+    files["benchmarks/conftest.py"] = """\
+        from repro.net import Agent
+
+        AGENT = Agent
+        """
+    files["benchmarks/bench_sink.py"] = """\
+        from repro.net import Sink
+
+        def run():
+            return Sink()
+        """
+    write_project(tmp_path, files)
+    findings, _s, _stats = run_rules(
+        tmp_path,
+        ["dead-public-api"],
+        rule_options={
+            "project": {
+                "roots": ["src", "tests", "benchmarks"],
+                "cache": ".cache.json",
+            }
+        },
+    )
+    assert [f for f in findings if "Agent" in f.message] != []
+    assert [f for f in findings if "Sink" in f.message] == []
+
+
 def test_reexport_alone_is_not_a_use(tmp_path):
     # A chain of __init__ re-exports with no real consumer stays dead.
     files = dict(PKG)

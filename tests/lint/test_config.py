@@ -8,10 +8,10 @@ from repro.lint import (
     ConfigError,
     LintConfig,
     RegistryError,
-    config_from_dict,
     instantiate,
     load_config,
 )
+from repro.lint.config import config_from_dict
 
 
 def test_select_limits_rules():

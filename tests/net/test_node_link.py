@@ -3,7 +3,8 @@
 import pytest
 
 from repro.des import Simulator
-from repro.net import DuplexLink, Link, NetAgent, Node, Packet
+from repro.net import DuplexLink, NetAgent, Node, Packet
+from repro.net.link import Link
 
 
 class Recorder(NetAgent):

@@ -10,7 +10,8 @@ with service time S and utilisation rho.  The simulated mean sojourn
 import pytest
 
 from repro.des import Simulator
-from repro.net import Node, Link, PoissonSource, SinkAgent, NetAgent
+from repro.net import Node, PoissonSource, SinkAgent, NetAgent
+from repro.net.link import Link
 
 
 def run_md1(rho, service_time=0.01, horizon=4000.0, seed=5):

@@ -8,15 +8,17 @@ import math
 import pytest
 
 from repro.obs import (
-    BENCH_SCHEMA,
     MetricRegistry,
     SchemaError,
+    load_bench_json,
+    write_bench_json,
+)
+from repro.obs.export import (
+    BENCH_SCHEMA,
     bench_json_path,
     bench_payload,
     dump_bench_json,
-    load_bench_json,
     validate_bench_payload,
-    write_bench_json,
 )
 
 

@@ -22,7 +22,7 @@ from repro.tpwire import (
     TpwireSlave,
     TransportEndpoint,
 )
-from repro.tpwire.transport import TransportFabric
+from repro.tpwire.transport import LinkMessage, TransportFabric
 
 
 def build_noisy(p_rx=0.0, p_tx=0.0, seed=11, node_ids=(1, 2)):
@@ -326,3 +326,30 @@ class TestScriptedFifoFaults:
         assert poller.optimistic_acks == 1
         assert poller.master.transactions == clean_run["transactions"]
         assert poller.master.bus.crc_errors == 1
+
+
+class TestOutboxUnderrun:
+    """A burst that reads past the end of an outbox gets the slave's
+    ERROR reply, whose DATA is a status byte, not mailbox data."""
+
+    def test_read_past_the_end_is_a_bus_error_not_data(self):
+        sim, endpoints, poller = build_noisy()
+        received = []
+        endpoints[2].on_data = lambda s, d, c: received.append(d)
+        # A message whose last three bytes never reach the outbox: its
+        # header promises more bytes than the burst can pop.
+        mailbox = endpoints[1].mailbox
+        wire = LinkMessage(2, 1, 1, 0, b"truncated").encode()
+        mailbox._outbound.extend(wire[:-3])
+        mailbox._update_flags()
+        poller.start()
+        sim.run(until=5.0)
+        assert poller.bus_errors == 1
+        assert poller.master.errors_signaled == 1
+        # No status byte was taken for data, so nothing reached the CRC.
+        assert poller.dropped_messages == 0
+        assert received == []
+        # The poller keeps relaying after the failed burst.
+        endpoints[1].send(2, PAYLOAD)
+        sim.run(until=120.0)
+        assert received == [PAYLOAD]

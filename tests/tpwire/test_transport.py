@@ -8,7 +8,6 @@ from repro.des import Simulator
 from repro.tpwire import (
     BusTiming,
     Flag,
-    LinkMessage,
     MailboxDevice,
     MasterPoller,
     TpwireBus,
@@ -20,6 +19,7 @@ from repro.tpwire.errors import TpwireError
 from repro.tpwire.transport import (
     DEFAULT_MAX_PAYLOAD,
     MESSAGE_OVERHEAD,
+    LinkMessage,
     TransportFabric,
     crc16_ccitt,
 )
