@@ -13,8 +13,9 @@ The middleware follows the Linda / JavaSpaces model the paper builds on:
 * the ``SpaceServer``, the XML-Tuples codec and the socket wire protocol
   that lets non-Java (C++) clients participate (:mod:`repro.core.server`,
   :mod:`repro.core.xmlcodec`, :mod:`repro.core.protocol`);
-* transports: real TCP sockets, hermetic in-memory pipes, and (through
-  :mod:`repro.cosim`) the TpWIRE bus (:mod:`repro.core.transports`);
+* transports: real TCP sockets, a hermetic in-process loopback, and
+  (through :mod:`repro.cosim`) the TpWIRE bus
+  (:mod:`repro.core.transports`);
 * agents for the paper's factory-automation patterns — redundant
   actuators with failover, producer/consumer offload
   (:mod:`repro.core.agents`).

@@ -22,10 +22,9 @@ connections around it:
   :mod:`repro.core.protocol` switches a connection from XML to the
   binary body codec; clients that never send HELLO speak the historical
   XML protocol unchanged;
-* **graceful shutdown and a health/stats endpoint** — ``stop()`` parks
-  no request forever (waiters are reaped through ``session_closed``),
-  and a tiny HTTP listener answers ``/health`` and ``/stats`` for
-  supervisors, modelled on gateway-daemon layouts.
+* **graceful shutdown** — ``stop()`` parks no request forever (waiters
+  are reaped through ``session_closed``); the counters travel in-band,
+  answered to the ``STATS`` message.
 
 Timer callbacks run on the loop via :class:`LoopTimers`, so — like the
 simulated stack — *everything* touching the space runs on one thread
@@ -35,7 +34,6 @@ and no locks are needed.  See docs/wire.md for the full protocol story.
 from __future__ import annotations
 
 import asyncio
-import json
 from typing import Any, Optional
 
 from repro.core.errors import (
@@ -79,10 +77,6 @@ class LoopTimers(Timers):
 class _AsyncConnection(ServerConnection):
     """One client connection: the connection core plus an outbox and
     reader + writer tasks.
-
-    Duck-typed over ``(reader, writer)`` so the same machinery serves
-    real TCP streams and the in-loop :func:`memory_pipe` endpoints the
-    concurrency benchmark multiplexes by the thousands.
 
     This object is also the *session* handed to ``SpaceServer.handle``:
     ``send`` encodes with the connection's negotiated codec and appends
@@ -240,10 +234,6 @@ class AsyncSpaceServer:
         await front.start()
         ...                       # front.address is the bound (host, port)
         await front.stop()
-
-    ``health_port`` additionally binds a minimal HTTP listener answering
-    ``GET /health`` and ``GET /stats`` with JSON, so a supervisor can
-    probe the daemon without speaking the space protocol.
     """
 
     def __init__(
@@ -251,7 +241,6 @@ class AsyncSpaceServer:
         server: SpaceServer,
         host: str = "127.0.0.1",
         port: int = 0,
-        health_port: Optional[int] = None,
         high_water: int = HIGH_WATER,
         resume_bytes: int = RESUME,
         limit_bytes: int = LIMIT,
@@ -260,20 +249,17 @@ class AsyncSpaceServer:
         self.server = server
         self.host = host
         self.port = port
-        self.health_port = health_port
         self.high_water = high_water
         self.resume_bytes = resume_bytes
         self.limit_bytes = limit_bytes
         self.drain_grace = drain_grace
         self.address = None
-        self.health_address = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._listener: Optional[asyncio.AbstractServer] = None
-        self._health_listener: Optional[asyncio.AbstractServer] = None
         self._connections: dict[int, _AsyncConnection] = {}
         self._conn_tasks: dict[int, asyncio.Task] = {}
         self._stopping = False
-        # -- counters surfaced by /stats and the STATS message
+        # -- counters surfaced by the STATS message
         self.connections_total = 0
         self.requests = 0
         self.protocol_errors = 0
@@ -294,28 +280,21 @@ class AsyncSpaceServer:
             self._client_connected, self.host, self.port
         )
         self.address = self._listener.sockets[0].getsockname()
-        if self.health_port is not None:
-            self._health_listener = await asyncio.start_server(
-                self._health_connected, self.host, self.health_port
-            )
-            self.health_address = self._health_listener.sockets[0].getsockname()
         return self
 
     async def stop(self) -> None:
         """Graceful shutdown: stop accepting, flush and close every
-        connection (reaping its parked waiters), release the ports."""
+        connection (reaping its parked waiters), release the port."""
         self._stopping = True
-        for listener in (self._listener, self._health_listener):
-            if listener is not None:
-                listener.close()
+        if self._listener is not None:
+            self._listener.close()
         for conn in list(self._connections.values()):
             conn.close()
         tasks = list(self._conn_tasks.values())
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
-        for listener in (self._listener, self._health_listener):
-            if listener is not None:
-                await listener.wait_closed()
+        if self._listener is not None:
+            await self._listener.wait_closed()
 
     async def __aenter__(self) -> "AsyncSpaceServer":
         return await self.start()
@@ -329,23 +308,7 @@ class AsyncSpaceServer:
         if self._stopping:
             writer.close()
             return
-        self._track(_AsyncConnection(self, reader, writer))
-
-    def open_local(self):
-        """In-loop loopback connect: no socket, no file descriptor.
-
-        Returns a ``(reader, writer)`` pair speaking to a fresh server
-        connection — what the 10k-client concurrency benchmark uses to
-        go beyond the process fd limit.  Must run inside the loop that
-        :meth:`start` ran on (or pass the pair to
-        :class:`AsyncSpaceClient` in the same loop).
-        """
-        client_reader, server_writer = memory_pipe(self._loop)
-        server_reader, client_writer = memory_pipe(self._loop)
-        self._track(_AsyncConnection(self, server_reader, server_writer))
-        return client_reader, client_writer
-
-    def _track(self, conn: _AsyncConnection) -> None:
+        conn = _AsyncConnection(self, reader, writer)
         self.connections_total += 1
         self._connections[id(conn)] = conn
         self._conn_tasks[id(conn)] = self._loop.create_task(conn.run())
@@ -362,10 +325,10 @@ class AsyncSpaceServer:
     def connections_open(self) -> int:
         return len(self._connections)
 
-    # -- stats / health ------------------------------------------------------
+    # -- stats ---------------------------------------------------------------
 
     def stats(self) -> dict:
-        """Flat scalar counters (STATS message params / ``/stats`` JSON)."""
+        """Flat scalar counters (the STATS message's params)."""
         return {
             "connections_open": self.connections_open,
             "connections_total": self.connections_total,
@@ -381,37 +344,6 @@ class AsyncSpaceServer:
             "negotiated_binary": self.negotiated.get("binary", 0),
             "negotiated_xml": self.negotiated.get("xml", 0),
         }
-
-    async def _health_connected(self, reader, writer) -> None:
-        try:
-            request_line = await reader.readline()
-            parts = request_line.decode("latin-1", "replace").split()
-            path = parts[1] if len(parts) > 1 else "/"
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-            if path == "/health":
-                status, payload = "200 OK", {"status": "ok"}
-            elif path == "/stats":
-                status, payload = "200 OK", self.stats()
-            else:
-                status, payload = "404 Not Found", {"error": "not found"}
-            body = json.dumps(payload, sort_keys=True).encode("utf-8")
-            writer.write(
-                f"HTTP/1.1 {status}\r\n"
-                f"Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                "Connection: close\r\n\r\n".encode("latin-1") + body
-            )
-            await writer.drain()
-        except (OSError, ConnectionError):
-            pass
-        finally:
-            try:
-                writer.close()
-            except (OSError, RuntimeError):
-                pass
 
 
 class AsyncSpaceClient(SpaceOperations):
@@ -455,7 +387,13 @@ class AsyncSpaceClient(SpaceOperations):
         reader, writer = await asyncio.open_connection(host, port)
         client = cls(reader, writer, codec, request_timeout=request_timeout)
         if codecs is not None:
-            await client.hello(codecs)
+            try:
+                await client.hello(codecs)
+            except BaseException:
+                # A failed handshake must not leak the socket and the
+                # reader task.
+                await client.close()
+                raise
         return client
 
     async def stats(self) -> dict:
@@ -524,81 +462,8 @@ class AsyncSpaceClient(SpaceOperations):
                 future.set_exception(exc)
 
 
-# -- in-loop byte pipes ------------------------------------------------------
-
-
-class _MemoryReader:
-    """Reader half of :func:`memory_pipe` (``await read(n)``)."""
-
-    def __init__(self, loop: asyncio.AbstractEventLoop):
-        self._loop = loop
-        self._buffer = bytearray()
-        self._eof = False
-        self._waiter: Optional[asyncio.Future] = None
-
-    def _feed(self, data: bytes) -> None:
-        self._buffer += data
-        waiter = self._waiter
-        if waiter is not None and not waiter.done():
-            waiter.set_result(None)
-
-    def _feed_eof(self) -> None:
-        self._eof = True
-        waiter = self._waiter
-        if waiter is not None and not waiter.done():
-            waiter.set_result(None)
-
-    async def read(self, max_bytes: int = 65536) -> bytes:
-        while not self._buffer:
-            if self._eof:
-                return b""
-            self._waiter = self._loop.create_future()
-            await self._waiter
-        chunk = bytes(self._buffer[:max_bytes])
-        del self._buffer[: len(chunk)]
-        return chunk
-
-
-class _MemoryWriter:
-    """Writer half: quacks like ``asyncio.StreamWriter`` where needed."""
-
-    def __init__(self, peer: _MemoryReader):
-        self._peer = peer
-        self._closed = False
-
-    def write(self, data: bytes) -> None:
-        if self._closed:
-            raise ConnectionClosedError("memory pipe closed")
-        self._peer._feed(data)
-
-    async def drain(self) -> None:
-        return None
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._peer._feed_eof()
-
-    async def wait_closed(self) -> None:
-        return None
-
-    def is_closing(self) -> bool:
-        return self._closed
-
-
-def memory_pipe(loop: asyncio.AbstractEventLoop):
-    """One-directional in-loop byte pipe: ``(reader, writer)``.
-
-    No socket, no fd — which is what lets the concurrency benchmark run
-    10k+ simulated client connections in one process.
-    """
-    reader = _MemoryReader(loop)
-    return reader, _MemoryWriter(reader)
-
-
 __all__ = [
     "AsyncSpaceServer",
     "AsyncSpaceClient",
     "LoopTimers",
-    "memory_pipe",
 ]

@@ -221,8 +221,8 @@ def decode_body(msg_type: MessageType, request_id: int, body: bytes, codec: XmlC
 class StreamParser:
     """Incremental parser: feed bytes, iterate complete messages.
 
-    Used by every transport — TCP sockets, in-memory pipes and the TpWIRE
-    bridges — since all of them deliver arbitrary byte chunks.
+    Used by every transport — TCP sockets, the in-process loopback and
+    the TpWIRE bridges — since all of them deliver arbitrary byte chunks.
 
     ``codec`` is an :class:`XmlCodec` (XML bodies, the default wire
     encoding) or any wire codec with ``decode_body``; :meth:`set_codec`

@@ -35,6 +35,13 @@ from repro.tpwire.errors import BusError, BusTimeout, SlaveError
 from repro.tpwire.frames import RxFrame, TxFrame
 from repro.tpwire.registers import Flag
 
+#: Read once: an enum member looked up on its class costs about ten
+#: times a module global, and every transaction checks its cycle status.
+_BROADCAST = CycleStatus.BROADCAST
+_OK = CycleStatus.OK
+_TIMEOUT = CycleStatus.TIMEOUT
+_ERROR_REPLY = RxType.ERROR
+
 
 class _Transaction(Waitable):
     """One command/response transaction driven by cycle-completion callbacks.
@@ -58,13 +65,13 @@ class _Transaction(Waitable):
     def _on_result(self, result: CycleResult) -> None:
         master = self._master
         status = result.status
-        if status is CycleStatus.BROADCAST:
+        if status is _BROADCAST:
             master._record_txn(self._started)
             self.succeed(None)
             return
-        if status is CycleStatus.OK:
+        if status is _OK:
             rx = result.rx
-            if rx.rtype is RxType.ERROR:
+            if rx.rtype is _ERROR_REPLY:
                 # The slave rejected the command: retrying the same
                 # frame cannot help.
                 master.errors_signaled += 1
@@ -95,7 +102,7 @@ class _Transaction(Waitable):
         master._selected = None  # selection state is now unknown
         master._observe_error(status.value)
         error_class = (
-            BusTimeout if status is CycleStatus.TIMEOUT else BusError
+            BusTimeout if status is _TIMEOUT else BusError
         )
         self._fail_or_raise(error_class(
             f"{master.name}: no valid reply to {self._frame} after "

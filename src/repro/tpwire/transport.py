@@ -617,7 +617,10 @@ class MasterPoller:
 
 
 #: Read once: an enum member looked up on its class costs about ten
-#: times a module global, and every FIFO cycle checks its reply type.
+#: times a module global, and every FIFO cycle checks its status and
+#: reply type.
+_OK = CycleStatus.OK
+_CRC_ERROR = CycleStatus.CRC_ERROR
 _ERROR_REPLY = RxType.ERROR
 #: The frame that pops OUT_DATA, and the frame that pushes each byte value.
 _READ_FRAME = TxFrame.of(Command.READ_DATA, 0)
@@ -671,7 +674,7 @@ class _FifoTransfer(Waitable):
 
     def _on_result(self, result: CycleResult) -> None:
         status = result.status
-        if status is CycleStatus.OK:
+        if status is _OK:
             rx = result.rx
             if rx.rtype is _ERROR_REPLY:
                 self._poller.master.errors_signaled += 1
@@ -683,7 +686,7 @@ class _FifoTransfer(Waitable):
                 return
             if self._reading:
                 self._out.append(rx.data)
-        elif status is CycleStatus.CRC_ERROR:
+        elif status is _CRC_ERROR:
             if self._reading:
                 self.succeed(bytes(self._out))
                 return

@@ -11,14 +11,10 @@ from repro.core import (
     TupleTemplate,
     XmlCodec,
 )
-from repro.core.aio import (
-    AsyncSpaceClient,
-    AsyncSpaceServer,
-    _AsyncConnection,
-    memory_pipe,
-)
+from repro.core.aio import AsyncSpaceClient, AsyncSpaceServer
 from repro.core.errors import (
     ConnectionClosedError,
+    ProtocolError,
     RequestTimeoutError,
     SpaceError,
 )
@@ -217,39 +213,62 @@ class TestPipelining:
         run(scenario())
 
 
-class TestLocalPairs:
-    def test_open_local_needs_no_socket(self):
+class TestConnectFailure:
+    def test_failed_connect_closes_its_socket(self):
         async def scenario():
-            front, codec, _space = await make_front()
+            eof = asyncio.get_running_loop().create_future()
+
+            async def garbage_peer(reader, writer):
+                await reader.read(65536)  # the client's HELLO
+                writer.write(b"XX" + bytes(HEADER.size - 2))  # not MAGIC
+                await writer.drain()
+                while await reader.read(65536):
+                    pass
+                eof.set_result(True)
+                writer.close()
+
+            peer = await asyncio.start_server(garbage_peer, "127.0.0.1", 0)
             try:
-                reader, writer = front.open_local()
-                client = AsyncSpaceClient(reader, writer, codec, request_timeout=2.0)
-                assert await client.hello() == "binary"
-                await client.write(LindaTuple("x", 1))
-                assert await client.take_if_exists(TupleTemplate("x", 1))
-                await client.close()
+                with pytest.raises(ProtocolError, match="bad magic"):
+                    await AsyncSpaceClient.connect(
+                        peer.sockets[0].getsockname(), make_codec(),
+                        request_timeout=2.0,
+                    )
+                # The failed client closed its socket: the peer reads EOF.
+                assert await asyncio.wait_for(eof, 1.0)
             finally:
-                await front.stop()
+                peer.close()
+                await peer.wait_closed()
 
         run(scenario())
 
-    def test_many_local_clients(self):
+
+class TestManyTcpClients:
+    CLIENTS = 200  # two descriptors each, well inside CI's limit
+
+    @pytest.mark.parametrize("codecs", [None, "binary,xml"])
+    def test_every_client_writes_then_takes(self, codecs):
         async def scenario():
             front, codec, space = await make_front()
             try:
                 async def one(n):
-                    reader, writer = front.open_local()
-                    client = AsyncSpaceClient(
-                        reader, writer, codec, request_timeout=5.0
+                    client = await AsyncSpaceClient.connect(
+                        front.address, codec, codecs=codecs, request_timeout=5.0
                     )
-                    await client.hello()
                     await client.write(LindaTuple("n", n))
                     got = await client.take(TupleTemplate("n", n), timeout=5)
                     await client.close()
-                    return got is not None
+                    return got == LindaTuple("n", n)
 
-                results = await asyncio.gather(*(one(n) for n in range(200)))
+                results = await asyncio.gather(
+                    *(one(n) for n in range(self.CLIENTS))
+                )
                 assert all(results)
+                ops = 2 * self.CLIENTS
+                hellos = self.CLIENTS if codecs else 0
+                assert front.requests == ops + hellos
+                assert front.protocol_errors == front.slow_consumer_closes == 0
+                assert front.negotiated.get("binary", 0) == hellos
                 assert len(space) == 0
             finally:
                 await front.stop()
@@ -349,8 +368,7 @@ class TestBackpressure:
                 reader = _ScriptedReader([pings, pings])
                 writer = _GatedWriter()
                 writer.gate = loop.create_future()
-                conn = _AsyncConnection(front, reader, writer)
-                front._track(conn)
+                front._client_connected(reader, writer)
                 await asyncio.sleep(0.05)
                 # Three PONGs (33 bytes) sit undrained: over high_water,
                 # so the reader must be parked, second chunk unread.
@@ -383,8 +401,7 @@ class TestBackpressure:
                 reader = _ScriptedReader([pings])
                 writer = _GatedWriter()
                 writer.gate = loop.create_future()  # never opened
-                conn = _AsyncConnection(front, reader, writer)
-                front._track(conn)
+                front._client_connected(reader, writer)
                 await asyncio.sleep(0.3)
                 # Four 11-byte PONGs exceed the 24-byte hard cap with the
                 # writer wedged: the connection must be closed, not
@@ -433,63 +450,5 @@ class TestShutdownAndStats:
                 await client.close()
             finally:
                 await front.stop()
-
-        run(scenario())
-
-    def test_health_endpoint(self):
-        async def scenario():
-            front, codec, _space = await make_front(health_port=0)
-            try:
-                async def http_get(path):
-                    reader, writer = await asyncio.open_connection(
-                        *front.health_address
-                    )
-                    writer.write(
-                        f"GET {path} HTTP/1.1\r\nHost: t\r\n\r\n".encode()
-                    )
-                    await writer.drain()
-                    raw = await asyncio.wait_for(reader.read(65536), 2.0)
-                    writer.close()
-                    return raw
-
-                health = await http_get("/health")
-                assert health.startswith(b"HTTP/1.1 200")
-                assert b'"status": "ok"' in health
-                stats = await http_get("/stats")
-                assert b"connections_total" in stats
-                missing = await http_get("/nope")
-                assert missing.startswith(b"HTTP/1.1 404")
-            finally:
-                await front.stop()
-
-        run(scenario())
-
-
-class TestMemoryPipe:
-    def test_pipe_carries_chunks_in_order(self):
-        async def scenario():
-            loop = asyncio.get_running_loop()
-            reader, writer = memory_pipe(loop)
-            writer.write(b"ab")
-            writer.write(b"cd")
-            assert await reader.read(3) == b"abc"
-            assert await reader.read(10) == b"d"
-            writer.close()
-            assert await reader.read(10) == b""
-
-        run(scenario())
-
-    def test_reader_wakes_on_late_write(self):
-        async def scenario():
-            loop = asyncio.get_running_loop()
-            reader, writer = memory_pipe(loop)
-
-            async def later():
-                await asyncio.sleep(0.01)
-                writer.write(b"x")
-
-            task = loop.create_task(later())
-            assert await asyncio.wait_for(reader.read(1), 1.0) == b"x"
-            await task
 
         run(scenario())

@@ -8,7 +8,7 @@ blocking op that times out and a tuple of strings holding CR and CR LF
 
 * ``SpaceClient`` on {``LocalConnection``, ``SocketSpaceServer``,
   ``AsyncSpaceServer`` over TCP} × {xml, binary};
-* ``AsyncSpaceClient`` on {TCP, ``open_local()``} × {xml, binary};
+* ``AsyncSpaceClient`` on TCP × {xml, binary};
 * ``SimSpaceClient`` through the TpWIRE bus and ``SimServerHost`` ×
   {xml, binary}.
 
@@ -200,21 +200,15 @@ def sync_tcp(kind, codecs):
             connection.close()
 
 
-def async_cell(local, codecs):
+def async_cell(codecs):
     async def scenario():
         codec = make_codec()
         front = AsyncSpaceServer(SpaceServer(_manual_space(), codec))
         await front.start()
         try:
-            if local:
-                reader, writer = front.open_local()
-                client = AsyncSpaceClient(reader, writer, codec, request_timeout=5.0)
-                if codecs:
-                    await client.hello(codecs)
-            else:
-                client = await AsyncSpaceClient.connect(
-                    front.address, codec, codecs=codecs, request_timeout=5.0
-                )
+            client = await AsyncSpaceClient.connect(
+                front.address, codec, codecs=codecs, request_timeout=5.0
+            )
             assert client.wire_codec == (codecs or "xml").split(",")[0]
             try:
                 return await run_async(client)
@@ -258,10 +252,8 @@ CELLS = {
     "sync-socket-binary": lambda: sync_tcp("socket", "binary,xml"),
     "sync-aio-xml": lambda: sync_tcp("aio", None),
     "sync-aio-binary": lambda: sync_tcp("aio", "binary,xml"),
-    "async-tcp-xml": lambda: async_cell(False, None),
-    "async-tcp-binary": lambda: async_cell(False, "binary,xml"),
-    "async-local-xml": lambda: async_cell(True, None),
-    "async-local-binary": lambda: async_cell(True, "binary,xml"),
+    "async-tcp-xml": lambda: async_cell(None),
+    "async-tcp-binary": lambda: async_cell("binary,xml"),
     "sim-bus-xml": lambda: sim_cell(None),
     "sim-bus-binary": lambda: sim_cell("binary,xml"),
 }
