@@ -57,6 +57,10 @@ from repro.core.xmlcodec import XmlCodec
 HIGH_WATER = 64 * 1024
 RESUME = 16 * 1024
 LIMIT = 4 * 1024 * 1024
+#: Listen backlog: connects the kernel queues before the loop accepts
+#: them.  asyncio's default of 100 drops the SYNs of a larger burst, and
+#: each dropped client waits out the 1 s SYN retransmit.
+BACKLOG = 1024
 
 
 class LoopTimers(Timers):
@@ -277,7 +281,7 @@ class AsyncSpaceServer:
         # the single-threaded-engine invariant, without locks.
         self.server.timers = LoopTimers(self._loop)
         self._listener = await asyncio.start_server(
-            self._client_connected, self.host, self.port
+            self._client_connected, self.host, self.port, backlog=BACKLOG
         )
         self.address = self._listener.sockets[0].getsockname()
         return self

@@ -7,10 +7,11 @@ records the scan has to touch:
 
 * :class:`ItemIndex` buckets stored records by shape —
   :class:`~repro.core.tuples.LindaTuple` records by arity plus a hash
-  index per ``(arity, position, value)``, :class:`~repro.core.entry.Entry`
-  records under every ``Entry`` class in their MRO plus a per-field
-  equality index, and anything else in an opaque bucket that always
-  falls back to the linear scan;
+  index per ``(arity, position)`` keyed by field value,
+  :class:`~repro.core.entry.Entry` records under every ``Entry`` class
+  in their MRO plus a per-field-name index keyed by field value, and
+  anything else in an opaque bucket that always falls back to the
+  linear scan;
 * :class:`TemplateTable` is the reverse direction: it buckets *templates*
   (pending waiters and notify registrations) the same way, so a write
   only tests the templates that could possibly match the written item.
@@ -35,10 +36,14 @@ implies ``hash(a) == hash(b)`` and that items are not mutated while
 stored (entries are value snapshots once written, as in JavaSpaces,
 where ``write`` serialises the entry).
 
-All buckets are ``dict[int, record]`` keyed by the space's monotonic
-sequence number; records are only ever inserted with a fresh, larger
-``seq``, so plain insertion order *is* timestamp order and merging
-buckets is an ordered merge, never a sort of the whole space.
+Arity, class, loose and opaque buckets are ``dict[int, record]`` keyed
+by the space's monotonic sequence number; records are only ever
+inserted with a fresh, larger ``seq``, so plain insertion order *is*
+timestamp order and merging buckets is an ordered merge, never a sort
+of the whole space.  A *value bucket* (the records holding one field
+value) is the record itself while it holds one, and such a dict from
+the second record on: most stored values are unique keys, and a
+one-record dict per value would cost more than the record.
 """
 
 from __future__ import annotations
@@ -52,13 +57,78 @@ from repro.core.tuples import LindaTuple, TupleTemplate
 _EMPTY: dict = {}
 
 
-def _merged(a: Optional[dict], b: Optional[dict]) -> Iterable:
-    """Values of two seq-keyed dicts, in ascending ``seq`` order."""
+def _merged(a, b: Optional[dict]) -> Iterable:
+    """Records of a value bucket ``a`` and a seq-keyed dict ``b``, in
+    ascending ``seq`` order."""
+    if a is not None and type(a) is not dict:
+        a = {a.seq: a}  # a singleton value bucket
     if not a:
         return b.values() if b else ()
     if not b:
         return a.values()
     return (record for _seq, record in heapq.merge(a.items(), b.items()))
+
+
+def _put(table: dict, key, record) -> None:
+    """Add ``record`` to the seq-keyed bucket ``table[key]``."""
+    bucket = table.get(key)
+    if bucket is None:
+        table[key] = {record.seq: record}
+    else:
+        bucket[record.seq] = record
+
+
+def _pop(table: dict, key, seq: int) -> None:
+    """Remove ``seq`` from ``table[key]``; an emptied bucket goes."""
+    bucket = table[key]
+    del bucket[seq]
+    if not bucket:
+        del table[key]
+
+
+def _file(table: dict, key, value, record) -> None:
+    """File ``record`` under ``table[key][value]``.
+
+    A value held by one record maps to the record itself; a second
+    record turns it into a seq-keyed dict.  Raises ``TypeError``, having
+    changed nothing, when ``value`` is unhashable.
+    """
+    values = table.get(key)
+    if values is None:
+        table[key] = {value: record}
+        return
+    bucket = values.get(value)
+    if bucket is None:
+        values[value] = record
+    elif type(bucket) is dict:
+        bucket[record.seq] = record
+    else:
+        values[value] = {bucket.seq: bucket, record.seq: record}
+
+
+def _unfile(table: dict, key, value, seq: int) -> bool:
+    """Undo :func:`_file`; ``False`` when ``value`` was not filed there
+    (it was unhashable, so its record sits in a loose bucket)."""
+    values = table.get(key)
+    if values is None:
+        return False
+    try:
+        bucket = values[value]
+    except TypeError:
+        return False
+    if type(bucket) is dict:
+        del bucket[seq]
+        if bucket:
+            return True
+    del values[value]
+    if not values:
+        del table[key]
+    return True
+
+
+def _value_buckets(table: dict) -> int:
+    """Value buckets across a ``{key: {value: bucket}}`` table."""
+    return sum(map(len, table.values()))
 
 
 def _stock_matches(template: Any) -> Optional[str]:
@@ -79,14 +149,26 @@ def _stock_matches(template: Any) -> Optional[str]:
     return None
 
 
+def _entry_classes(item: Entry) -> Iterator[type]:
+    """The ``Entry`` classes in ``item``'s MRO (its class buckets)."""
+    for cls in type(item).__mro__:
+        if cls is not object and issubclass(cls, Entry):
+            yield cls
+
+
 class ItemIndex:
     """Shape-bucketed index over a space's live records.
 
     A *record* is any object with ``seq`` (int, unique, monotonic) and
-    ``item`` attributes — the space's internal storage slot.  The index
-    holds no liveness state of its own: the space adds a record when it
-    is stored and discards it when it is dropped, and visibility
-    filtering (leases) stays in the space.
+    ``item`` attributes and a writable ``filed`` slot — the space's
+    internal storage slot.  For an :class:`Entry` item, :meth:`add`
+    stores in ``filed`` the tuple of field values it filed the record
+    under, and :meth:`discard` finds the buckets again from that tuple
+    (a :class:`LindaTuple` is immutable, so its own ``fields`` serve).
+    An entry mutated after it was stored thus still leaves every bucket
+    it was filed in.  The index holds no liveness state of its own: the
+    space adds a record when it is stored and discards it when it is
+    dropped, and visibility filtering (leases) stays in the space.
     """
 
     __slots__ = (
@@ -97,85 +179,85 @@ class ItemIndex:
         "_entry_field",
         "_entry_loose",
         "_opaque",
-        "_handles",
+        "_count",
     )
 
     def __init__(self):
         #: arity -> {seq: record}
         self._linda_arity: dict[int, dict] = {}
-        #: (arity, position, field value) -> {seq: record}
+        #: (arity, position) -> {field value: value bucket}
         self._linda_field: dict[tuple, dict] = {}
         #: (arity, position) -> {seq: record} with unhashable values there
         self._linda_loose: dict[tuple, dict] = {}
         #: Entry subclass -> {seq: record}, one bucket per MRO level
         self._entry_class: dict[type, dict] = {}
-        #: (field name, field value) -> {seq: record}
-        self._entry_field: dict[tuple, dict] = {}
+        #: field name -> {field value: value bucket}
+        self._entry_field: dict[str, dict] = {}
         #: field name -> {seq: record} with unhashable values for it
         self._entry_loose: dict[str, dict] = {}
         #: neither LindaTuple nor Entry: only the full scan can find these
         self._opaque: dict[int, Any] = {}
-        #: seq -> [(bucket, table, key), ...] for O(#buckets) removal
-        self._handles: dict[int, list] = {}
+        self._count = 0
 
     # -- maintenance -------------------------------------------------------
 
     def add(self, record) -> None:
         """Index one freshly stored record (``record.seq`` must be new
         and larger than every seq indexed before it)."""
-        seq = record.seq
         item = record.item
-        handles = []
         shaped = False
         if isinstance(item, LindaTuple):
             shaped = True
-            arity = item.arity
-            self._put(self._linda_arity, arity, seq, record, handles)
-            for position, value in enumerate(item.fields):
+            fields = item.fields
+            arity = len(fields)
+            _put(self._linda_arity, arity, record)
+            for position, value in enumerate(fields):
                 try:
-                    self._put(
-                        self._linda_field, (arity, position, value),
-                        seq, record, handles,
-                    )
+                    _file(self._linda_field, (arity, position), value, record)
                 except TypeError:
-                    self._put(
-                        self._linda_loose, (arity, position),
-                        seq, record, handles,
-                    )
+                    _put(self._linda_loose, (arity, position), record)
         if isinstance(item, Entry):
             shaped = True
-            for cls in type(item).__mro__:
-                if cls is not object and issubclass(cls, Entry):
-                    self._put(self._entry_class, cls, seq, record, handles)
-            for name in item._fields:
-                value = getattr(item, name)
+            for cls in _entry_classes(item):
+                _put(self._entry_class, cls, record)
+            names = item._fields
+            filed = record.filed = tuple([getattr(item, name) for name in names])
+            for name, value in zip(names, filed):
                 if value is None:
                     continue
                 try:
-                    self._put(
-                        self._entry_field, (name, value), seq, record, handles
-                    )
+                    _file(self._entry_field, name, value, record)
                 except TypeError:
-                    self._put(self._entry_loose, name, seq, record, handles)
+                    _put(self._entry_loose, name, record)
         if not shaped:
-            self._opaque[seq] = record
-            handles.append((self._opaque, None, None))
-        self._handles[seq] = handles
+            self._opaque[record.seq] = record
+        self._count += 1
 
-    @staticmethod
-    def _put(table: dict, key, seq: int, record, handles: list) -> None:
-        bucket = table.get(key)
-        if bucket is None:
-            bucket = table[key] = {}
-        bucket[seq] = record
-        handles.append((bucket, table, key))
-
-    def discard(self, seq: int) -> None:
-        """Forget a record; empty value buckets are reclaimed."""
-        for bucket, table, key in self._handles.pop(seq, ()):
-            bucket.pop(seq, None)
-            if not bucket and table is not None and table.get(key) is bucket:
-                del table[key]
+    def discard(self, record) -> None:
+        """Forget a record added before; emptied buckets are reclaimed."""
+        seq = record.seq
+        item = record.item
+        shaped = False
+        if isinstance(item, LindaTuple):
+            shaped = True
+            fields = item.fields
+            arity = len(fields)
+            _pop(self._linda_arity, arity, seq)
+            for position, value in enumerate(fields):
+                if not _unfile(self._linda_field, (arity, position), value, seq):
+                    _pop(self._linda_loose, (arity, position), seq)
+        if isinstance(item, Entry):
+            shaped = True
+            for cls in _entry_classes(item):
+                _pop(self._entry_class, cls, seq)
+            for name, value in zip(item._fields, record.filed):
+                if value is None:
+                    continue
+                if not _unfile(self._entry_field, name, value, seq):
+                    _pop(self._entry_loose, name, seq)
+        if not shaped:
+            del self._opaque[seq]
+        self._count -= 1
 
     # -- lookup ------------------------------------------------------------
 
@@ -199,12 +281,15 @@ class ItemIndex:
             return self._linda_arity.get(arity, _EMPTY).values()
         position, value = bound
         try:
-            exact = self._linda_field.get((arity, position, value))
+            exact = self._linda_field.get((arity, position), _EMPTY).get(value)
         except TypeError:
             # Unhashable actual: no equality bucket to consult, but the
             # arity bucket is still a valid (complete) candidate set.
             return self._linda_arity.get(arity, _EMPTY).values()
-        return _merged(exact, self._linda_loose.get((arity, position)))
+        loose = self._linda_loose.get((arity, position))
+        if not loose and exact is not None and type(exact) is not dict:
+            return (exact,)
+        return _merged(exact, loose)
 
     def _entry_candidates(self, template: Entry) -> Iterable:
         bucket = self._entry_class.get(type(template))
@@ -218,27 +303,33 @@ class ItemIndex:
             if value is None:
                 continue
             try:
-                exact = self._entry_field.get((name, value))
+                exact = self._entry_field.get(name, _EMPTY).get(value)
             except TypeError:
                 continue  # unhashable constraint: try the next field
             loose = self._entry_loose.get(name)
-            size = (len(exact) if exact else 0) + (len(loose) if loose else 0)
+            size = len(loose) if loose else 0
+            if exact is not None:
+                size += len(exact) if type(exact) is dict else 1
             if size < best_size:
                 best, best_size = (exact, loose), size
         if best is None:
             return bucket.values()
-        return (record for record in _merged(*best) if record.seq in bucket)
+        exact, loose = best
+        if not loose and exact is not None and type(exact) is not dict:
+            return (exact,) if exact.seq in bucket else ()
+        return (record for record in _merged(exact, loose) if record.seq in bucket)
 
     # -- introspection -----------------------------------------------------
 
     def bucket_count(self) -> int:
-        """Live buckets across every table (the obs gauge)."""
+        """Live buckets across every table (the obs gauge); each field
+        value held by a record counts as one bucket."""
         return (
             len(self._linda_arity)
-            + len(self._linda_field)
+            + _value_buckets(self._linda_field)
             + len(self._linda_loose)
             + len(self._entry_class)
-            + len(self._entry_field)
+            + _value_buckets(self._entry_field)
             + len(self._entry_loose)
             + (1 if self._opaque else 0)
         )
@@ -247,18 +338,18 @@ class ItemIndex:
         """Bucket population summary (tests and debugging)."""
         return {
             "linda_arity": {k: len(v) for k, v in self._linda_arity.items()},
-            "linda_field_buckets": len(self._linda_field),
+            "linda_field_buckets": _value_buckets(self._linda_field),
             "linda_loose_buckets": len(self._linda_loose),
             "entry_class": {
                 cls.__name__: len(v) for cls, v in self._entry_class.items()
             },
-            "entry_field_buckets": len(self._entry_field),
+            "entry_field_buckets": _value_buckets(self._entry_field),
             "entry_loose_buckets": len(self._entry_loose),
             "opaque": len(self._opaque),
         }
 
     def __len__(self) -> int:
-        return len(self._handles)
+        return self._count
 
 
 class TemplateTable:

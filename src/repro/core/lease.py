@@ -33,6 +33,17 @@ class Lease:
     grant lives.
     """
 
+    __slots__ = (
+        "clock",
+        "granted_at",
+        "expires_at",
+        "max_duration",
+        "key",
+        "_on_cancel",
+        "_on_renew",
+        "cancelled",
+    )
+
     def __init__(
         self,
         clock: Clock,

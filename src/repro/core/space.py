@@ -48,7 +48,7 @@ class WaitMode(enum.Enum):
 class _Record:
     """Internal storage slot for one item."""
 
-    __slots__ = ("seq", "item", "lease", "op_key")
+    __slots__ = ("seq", "item", "lease", "op_key", "filed")
 
     def __init__(self, seq: int, item: Any, lease: Lease):
         self.seq = seq
@@ -56,6 +56,8 @@ class _Record:
         self.lease = lease
         #: idempotency key of the write that created this record, if any
         self.op_key = None
+        #: the entry field values the index filed this record under
+        self.filed = None
 
 
 class Waiter:
@@ -109,6 +111,9 @@ class TupleSpace:
         self.clock = clock if clock is not None else SystemClock()
         self.name = name
         self.leases = LeaseManager(self.clock, max_lease, default_lease)
+        # Bound once: every lease this space grants shares these two.
+        self._on_cancel = self._lease_cancelled
+        self._on_renew = self._reschedule_expiry
         self._records: dict[int, _Record] = {}
         #: Space keys: one counter numbers both records (their ``seq``)
         #: and notify registrations, so a key names exactly one lease.
@@ -148,6 +153,8 @@ class TupleSpace:
             self.obs.tracer.event("space", event, space=self.name, **fields)
 
     def _obs_depth(self) -> None:
+        """Set the depth gauges after the stored set changed (a write,
+        take, cancel or expiry); ``len(self)`` walks only due deadlines."""
         if self.obs is not None:
             self._obs_items.set(len(self))
             self._obs_buckets.set(self._index.bucket_count())
@@ -304,8 +311,8 @@ class TupleSpace:
         """Grant the lease for the item or registration keyed ``_seq``."""
         lease = self.leases.grant(
             duration,
-            on_cancel=self._lease_cancelled,
-            on_renew=self._reschedule_expiry,
+            on_cancel=self._on_cancel,
+            on_renew=self._on_renew,
         )
         lease.key = self._seq
         return lease
@@ -314,6 +321,7 @@ class TupleSpace:
         record = self._records.get(lease.key)
         if record is not None:
             self._drop(record)
+            self._obs_depth()
             return
         registration = self._registration_keys.get(lease.key)
         if registration is not None:
@@ -332,13 +340,37 @@ class TupleSpace:
         for registration in list(self._registration_keys.values()):
             if not registration.active:
                 self._end_registration(registration)
-        if dropped:
-            self._obs_depth()
         return dropped
 
     def __len__(self) -> int:
-        """Number of live items."""
-        return sum(1 for r in self._records.values() if not r.lease.expired)
+        """Number of live items: the stored records less those whose
+        lease has run out but that no operation has dropped yet."""
+        return len(self._records) - self._lapsed()
+
+    def _lapsed(self) -> int:
+        """Stored records whose deadline has passed.
+
+        Each has a heap entry at its current deadline, and the entries
+        due by now form the top of the deadline heap, so only that part
+        is walked: O(due entries), not O(records).
+        """
+        heap = self._expiry_heap
+        if not heap:
+            return 0
+        now = self.clock.now()
+        lapsed = set()
+        size = len(heap)
+        stack = [0]
+        while stack:
+            i = stack.pop()
+            when, seq = heap[i]
+            if when > now:
+                continue
+            record = self._records.get(seq)
+            if record is not None and record.lease.expires_at <= now:
+                lapsed.add(seq)
+            stack.extend(j for j in (2 * i + 1, 2 * i + 2) if j < size)
+        return len(lapsed)
 
     @property
     def pending_waiters(self) -> int:
@@ -382,6 +414,8 @@ class TupleSpace:
             dropped += 1
             self.stats.expirations += 1
             self._trace_op("expire", seq=seq)
+        if dropped:
+            self._obs_depth()
         return dropped
 
     def _reschedule_expiry(self, lease: Lease) -> None:
@@ -398,7 +432,7 @@ class TupleSpace:
     def _drop(self, record: _Record) -> None:
         existed = self._records.pop(record.seq, None)
         if existed is not None:
-            self._index.discard(record.seq)
+            self._index.discard(record)
             for observer in self.observers:
                 observer.item_dropped(record.seq)
             self._compact_expiry_heap()

@@ -3,10 +3,22 @@
 from __future__ import annotations
 
 import ast
-from typing import Optional
+from typing import Optional, Union
 
 
-def module_aliases(tree: ast.Module, module: str) -> set[str]:
+ImportNode = Union[ast.Import, ast.ImportFrom]
+
+
+def import_nodes(tree: ast.Module) -> list[ImportNode]:
+    """Every ``import``/``from ... import`` statement, in walk order: one
+    pass over the tree that the alias lookups below then share."""
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+
+
+def module_aliases(imports: list[ImportNode], module: str) -> set[str]:
     """Local names that refer to ``module`` via ``import module [as alias]``.
 
     Dotted imports count when the root matches (``import time.x as t``
@@ -14,7 +26,7 @@ def module_aliases(tree: ast.Module, module: str) -> set[str]:
     must map ``_time`` -> ``time``).
     """
     aliases: set[str] = set()
-    for node in ast.walk(tree):
+    for node in imports:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name == module or alias.name.startswith(module + "."):
@@ -22,10 +34,12 @@ def module_aliases(tree: ast.Module, module: str) -> set[str]:
     return aliases
 
 
-def from_imported(tree: ast.Module, module: str) -> dict[str, tuple[ast.ImportFrom, str]]:
+def from_imported(
+    imports: list[ImportNode], module: str
+) -> dict[str, tuple[ast.ImportFrom, str]]:
     """``from module import name [as alias]`` -> {local: (node, name)}."""
     imported: dict[str, tuple[ast.ImportFrom, str]] = {}
-    for node in ast.walk(tree):
+    for node in imports:
         if isinstance(node, ast.ImportFrom) and node.module == module:
             for alias in node.names:
                 imported[alias.asname or alias.name] = (node, alias.name)

@@ -69,15 +69,16 @@ def _alias_maps(tree: ast.Module) -> tuple[dict[str, str], dict[str, str]]:
     ``{"t": "time"}`` for ``import time as t``; ``{"sleep":
     "time.sleep", "datetime": "datetime.datetime"}`` for from-imports.
     """
+    imports = astutil.import_nodes(tree)
     mod_aliases: dict[str, str] = {}
     from_names: dict[str, str] = {}
     for module in TRACKED_MODULES:
-        for alias in astutil.module_aliases(tree, module):
+        for alias in astutil.module_aliases(imports, module):
             # ``import os.path`` binds ``os`` — prefer the shortest
             # (head) module so ``os.path.join`` normalises unchanged.
             if alias not in mod_aliases or len(module) < len(mod_aliases[alias]):
                 mod_aliases[alias] = module.split(".")[0] if alias == module.split(".")[0] else module
-        for local, (_node, name) in astutil.from_imported(tree, module).items():
+        for local, (_node, name) in astutil.from_imported(imports, module).items():
             from_names[local] = f"{module}.{name}"
     return mod_aliases, from_names
 

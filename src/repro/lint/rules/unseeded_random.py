@@ -40,7 +40,8 @@ class UnseededRandomRule(Rule):
         if ctx.in_package(*allow):
             return
 
-        for local, (node, name) in astutil.from_imported(ctx.tree, "random").items():
+        imports = astutil.import_nodes(ctx.tree)
+        for local, (node, name) in astutil.from_imported(imports, "random").items():
             if name not in ALLOWED_NAMES:
                 yield self.finding(
                     ctx,
@@ -49,7 +50,7 @@ class UnseededRandomRule(Rule):
                     f"draw from a named StreamRegistry stream instead",
                 )
 
-        aliases = astutil.module_aliases(ctx.tree, "random")
+        aliases = astutil.module_aliases(imports, "random")
         for node in ast.walk(ctx.tree):
             if (
                 isinstance(node, ast.Attribute)

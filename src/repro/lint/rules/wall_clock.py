@@ -53,17 +53,18 @@ class WallClockRule(Rule):
         if ctx.in_package(*allow):
             return
 
-        time_aliases = astutil.module_aliases(ctx.tree, "time")
-        datetime_aliases = astutil.module_aliases(ctx.tree, "datetime")
+        imports = astutil.import_nodes(ctx.tree)
+        time_aliases = astutil.module_aliases(imports, "time")
+        datetime_aliases = astutil.module_aliases(imports, "datetime")
         datetime_classes = {
             local
             for local, (_, name) in astutil.from_imported(
-                ctx.tree, "datetime"
+                imports, "datetime"
             ).items()
             if name in ("datetime", "date")
         }
 
-        for local, (node, name) in astutil.from_imported(ctx.tree, "time").items():
+        for local, (node, name) in astutil.from_imported(imports, "time").items():
             if name in TIME_ATTRS:
                 yield self.finding(
                     ctx,

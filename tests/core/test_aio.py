@@ -275,6 +275,27 @@ class TestManyTcpClients:
 
         run(scenario())
 
+    def test_connect_burst_beyond_default_backlog_is_not_stalled(self):
+        """200 connects at once: with asyncio's default listen backlog of
+        100 the overflow's SYNs were dropped and retried after about 1 s."""
+        async def scenario():
+            front, _codec, _space = await make_front()
+            try:
+                loop = asyncio.get_running_loop()
+                started = loop.time()
+                pairs = await asyncio.gather(
+                    *(asyncio.open_connection(*front.address)
+                      for _ in range(self.CLIENTS))
+                )
+                elapsed = loop.time() - started
+                for _reader, writer in pairs:
+                    writer.close()
+                assert elapsed < 0.5
+            finally:
+                await front.stop()
+
+        run(scenario())
+
 
 class TestMalformedFrames:
     def test_error_reply_then_close(self):

@@ -1,5 +1,7 @@
 """The tuplespace engine: write/read/take, leases, waiters, notify."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from repro.core import (
 )
 from repro.core.errors import SpaceError
 from repro.core.space import WaitMode
+from repro.obs import Observability
 
 
 @pytest.fixture
@@ -377,3 +380,104 @@ def test_write_take_conservation(values):
         taken.append(item[1])
     assert taken == values
     assert len(space) == 0
+
+
+class TestDepthGauges:
+    """The ``<space>.items`` and ``<space>.index_buckets`` gauges."""
+
+    def test_items_gauge_is_the_visible_count_after_every_op(self, clock):
+        space = TupleSpace(clock=clock, name="ts", obs=Observability())
+        leases = []
+
+        def check():
+            live = sum(1 for lease in leases if not lease.expired)
+            assert len(space) == live
+            assert space._obs_items.value == live
+
+        for n in range(12):
+            leases.append(space.write(t("job", n), lease=1.0 + n % 4))
+            check()
+        forever = space.write(t("job", 99))
+        leases.append(forever)
+        check()
+        clock.advance(1.5)          # three leases lapse, nothing dropped yet
+        assert len(space) == 10
+        space.read_if_exists(tpl("job", 99))     # the read drops them
+        check()
+        leases[1].renew(10.0)
+        check()
+        leases[2].cancel()
+        check()
+        clock.advance(1.0)
+        leases.append(space.write(t("job", 100), lease=0.5))
+        check()
+        assert space.take_if_exists(tpl("job", 99)) == t("job", 99)
+        leases.remove(forever)      # taken: gone, though its lease lives on
+        check()
+        clock.advance(5.0)
+        space.sweep_expired()
+        check()
+        assert space._obs_items.value == 1      # only the renewed lease
+
+    def test_obs_costs_no_scan_of_a_large_space(self):
+        """A write plus a take with obs on at 10,000 stored entries costs a
+        small multiple of obs off, not an O(n) count per op."""
+
+        def cost(obs):
+            space = TupleSpace(clock=ManualClock(), obs=obs)
+            for n in range(10_000):
+                space.write(t("stored", n))
+            best = float("inf")
+            for _ in range(5):
+                started = time.perf_counter()
+                for _ in range(20):
+                    space.write(t("probe", 1))
+                    space.take_if_exists(tpl("probe", 1))
+                best = min(best, time.perf_counter() - started)
+            return best
+
+        assert cost(Observability()) < 20 * cost(None)
+
+    def test_index_buckets_return_to_zero(self, clock):
+        from tests.core.test_entry import Reading
+
+        class HotReading(Reading):
+            pass
+
+        space = TupleSpace(clock=clock, name="ts", obs=Observability())
+        items = [
+            t("a", 1), t("a", 1), t("a", 2, "x"), t("cfg", [1, 2]),
+            t("cfg", {3}), Reading("t1", 20.0), Reading("t1", 21.5),
+            Reading("t2", None), Reading("t3", [4]), HotReading("t1", 20.0),
+            "opaque",
+        ]
+        for item in items:
+            space.write(item)
+        index = space._index
+        assert index.bucket_count() > 0
+        assert space._obs_buckets.value == index.bucket_count()
+        for item in items:
+            template = (
+                TupleTemplate.exact(item) if isinstance(item, LindaTuple)
+                else Reading() if isinstance(item, Reading)
+                else _Exactly(item)
+            )
+            assert space.take_if_exists(template) is not None
+        assert len(index) == 0
+        assert index.bucket_count() == 0
+        assert space._obs_buckets.value == 0
+        assert index.stats() == {
+            "linda_arity": {}, "linda_field_buckets": 0,
+            "linda_loose_buckets": 0, "entry_class": {},
+            "entry_field_buckets": 0, "entry_loose_buckets": 0, "opaque": 0,
+        }
+
+
+class _Exactly:
+    """A template of no stock discipline: matches one item by equality."""
+
+    def __init__(self, item):
+        self.item = item
+
+    def matches(self, item):
+        return item == self.item
