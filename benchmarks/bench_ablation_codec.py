@@ -3,8 +3,9 @@
 The paper represents entries as XML over the socket link.  On a bus where
 every byte costs ~25 frame exchanges, encoding overhead directly buys
 seconds of Table 4 time.  This bench quantifies the choice: XML-Tuples
-size and speed against a binary strawman (the repr-pickle-free struct-ish
-lower bound), and what the inflation costs end-to-end on the bus.
+size and speed against a compact JSON strawman and against the binary
+body codec a connection negotiates with HELLO (docs/wire.md), and what
+the inflation costs end-to-end on the bus.
 """
 
 import json
@@ -13,6 +14,7 @@ import pytest
 
 from repro.analysis import Table
 from repro.core import XmlCodec
+from repro.core.bincodec import BinaryCodec
 from repro.cosim.scenarios import default_entry, make_case_study_codec
 
 
@@ -44,7 +46,9 @@ def test_xml_size_overhead(benchmark, codec, report, bench_json):
     entry = default_entry()
     xml_bytes = len(codec.encode(entry))
     json_bytes = json_size(entry)
+    binary_bytes = len(BinaryCodec(codec).encode(entry))
     inflation = xml_bytes / json_bytes
+    binary_inflation = xml_bytes / binary_bytes
     benchmark.pedantic(lambda: codec.encode(entry), rounds=5, iterations=10)
 
     # What the XML choice costs on the bus: each app byte costs roughly
@@ -60,10 +64,12 @@ def test_xml_size_overhead(benchmark, codec, report, bench_json):
     )
     table.add_row("XML-Tuples", xml_bytes, xml_bytes * seconds_per_byte * 2)
     table.add_row("compact JSON", json_bytes, json_bytes * seconds_per_byte * 2)
+    table.add_row("binary codec", binary_bytes, binary_bytes * seconds_per_byte * 2)
     report(
         "ablation_codec",
         table.render() + f"\ninflation {inflation:.2f}x -> "
-        f"~{extra_seconds:.0f} s of extra Table-4 time per operation",
+        f"~{extra_seconds:.0f} s of extra Table-4 time per operation"
+        f"\nXML over the negotiated binary codec: {binary_inflation:.2f}x",
     )
     bench_json(
         "ablation_codec",
@@ -71,8 +77,10 @@ def test_xml_size_overhead(benchmark, codec, report, bench_json):
         derived={
             "inflation": inflation,
             "extra_bus_seconds_per_operation": extra_seconds,
+            "xml_over_binary_inflation": binary_inflation,
         },
     )
 
     assert 1.2 <= inflation <= 4.0
     assert extra_seconds > 5.0
+    assert 1.2 <= binary_inflation <= 4.0

@@ -51,7 +51,7 @@ from typing import Any
 
 from repro.core.entry import Entry
 from repro.core.errors import ProtocolError
-from repro.core.protocol import Message, MessageType
+from repro.core.protocol import HEADER, MAGIC, Message, MessageType
 from repro.core.tuples import ANY, LindaTuple, TupleTemplate
 from repro.core.xmlcodec import XmlCodec
 
@@ -74,6 +74,8 @@ TAG_FORMAL = 0x0E
 _DOUBLE = struct.Struct(">d")
 _pack_double = _DOUBLE.pack
 _unpack_double = _DOUBLE.unpack_from
+_HEADER_SIZE = HEADER.size
+_pack_header = HEADER.pack_into
 
 #: Formal (type-pattern) names shared with the XML codec's table.
 _FORMAL_TYPES = dict(XmlCodec._FORMAL_TYPES)
@@ -304,9 +306,7 @@ def _read_value(data: bytes, pos: int, registry: XmlCodec) -> tuple[Any, int]:
             raise ProtocolError(_TRUNCATED)
         return _unpack_double(data, pos)[0], pos + 8
     if tag == TAG_ENTRY:
-        class_name, pos = _read_str(data, pos)
-        fields, pos = _read_named(data, pos, registry)
-        return registry.build_entry(class_name, fields), pos
+        return _read_entry(data, pos - 1, registry)
     if tag == TAG_FALSE:
         return False, pos
     if tag == TAG_TRUE:
@@ -345,12 +345,74 @@ def _read_value(data: bytes, pos: int, registry: XmlCodec) -> tuple[Any, int]:
 
 def _read_item(data: bytes, pos: int, registry: XmlCodec) -> tuple[Any, int]:
     """A message's item: an entry, tuple or template, as on the XML wire."""
-    if data[pos] not in _ITEM_TAGS:
+    tag = data[pos]
+    if tag == TAG_ENTRY:
+        return _read_entry(data, pos, registry)
+    if tag not in _ITEM_TAGS:
         raise ProtocolError(
             f"binary item must be an entry, tuple or template, "
-            f"not tag {data[pos]:#04x}"
+            f"not tag {tag:#04x}"
         )
     return _read_value(data, pos, registry)
+
+
+def _read_entry(data: bytes, pos: int, registry: XmlCodec) -> tuple[Any, int]:
+    """The entry whose tag is at ``pos``, by its class's decode plan.
+
+    A plan applies when the body holds the head its class encodes to
+    and then every field in class order under the encoder's name
+    prefix: it reads the values alone and calls the class.  Any other
+    layout (an unknown class, another order, a missing, extra or
+    repeated field, a short body) is read again from ``pos`` by
+    :func:`_read_entry_general`, which gives the result or the error
+    the codec always gave.  A head is self-delimiting, so a slice of
+    the body equals one only when the body starts with it.
+    """
+    plan = registry.binary_plans.get(data[pos : pos + 3 + data[pos + 1]])
+    if plan is None:
+        return _read_entry_general(data, pos, registry)
+    entry_class, at, fields = plan
+    at += pos
+    values = {}
+    for name, prefix in fields:
+        if not data.startswith(prefix, at):
+            return _read_entry_general(data, pos, registry)
+        at += len(prefix)
+        # The common scalars inline, exactly as _read_value reads them.
+        tag = data[at]
+        if tag == TAG_NONE:
+            values[name] = None
+            at += 1
+        elif tag == TAG_INT:
+            raw = data[at + 1]
+            if raw < 0x80:
+                at += 2
+            else:
+                raw, at = _read_varint(data, at + 1)
+            values[name] = (raw >> 1) ^ -(raw & 1)
+        else:
+            values[name], at = _read_value(data, at, registry)
+    try:
+        return entry_class(**values), at
+    except TypeError:
+        # The general reader builds it again and reports the failure.
+        return _read_entry_general(data, pos, registry)
+
+
+def _read_entry_general(
+    data: bytes, pos: int, registry: XmlCodec
+) -> tuple[Any, int]:
+    """An entry of any field layout, checked name by name; its class's
+    decode plan is made once it has decoded."""
+    class_name, pos = _read_str(data, pos + 1)
+    fields, pos = _read_named(data, pos, registry)
+    entry = registry.build_entry(class_name, fields)
+    entry_class = type(entry)
+    if entry_class.__name__ == class_name:  # the class the head names
+        plan = _ENTRY_PLANS.get(entry_class)
+        head, named = plan if plan is not None else _entry_plan(entry_class)
+        registry.binary_plans[head] = (entry_class, len(head), named)
+    return entry, pos
 
 
 def _read_named(
@@ -378,6 +440,26 @@ def _read_pattern(data: bytes, pos: int, registry: XmlCodec) -> tuple[Any, int]:
             raise ProtocolError(f"unknown formal type {name!r}")
         return formal, pos
     return _read_value(data, pos, registry)
+
+
+def _write_message(out: bytearray, message: Message) -> None:
+    """A message's body: nothing at all for a bare message."""
+    params = message.params
+    item = message.item
+    if params:
+        _write_varint(out, len(params))
+        for key, value in sorted(params.items()):
+            _write_str(out, key)
+            _write_str(out, str(value))
+    elif item is None:
+        return
+    else:
+        out.append(0x00)
+    if item is None:
+        out.append(0x00)
+    else:
+        out.append(0x01)
+        _write_item(out, item)
 
 
 class BinaryCodec:
@@ -421,23 +503,19 @@ class BinaryWireCodec:
         self.registry = registry
 
     def encode_body(self, message: Message) -> bytes:
-        params = message.params
-        item = message.item
-        if params:
-            out = bytearray()
-            _write_varint(out, len(params))
-            for key, value in sorted(params.items()):
-                _write_str(out, key)
-                _write_str(out, str(value))
-        elif item is None:
-            return b""
-        else:
-            out = bytearray(b"\x00")
-        if item is None:
-            out.append(0x00)
-        else:
-            out.append(0x01)
-            _write_item(out, item)
+        out = bytearray()
+        _write_message(out, message)
+        return bytes(out)
+
+    def encode_frame(self, message: Message) -> bytes:
+        """Header and body written into one buffer, the header packed
+        in place once the body's length is known."""
+        out = bytearray(_HEADER_SIZE)
+        _write_message(out, message)
+        _pack_header(
+            out, 0, MAGIC, message.msg_type, message.request_id,
+            len(out) - _HEADER_SIZE,
+        )
         return bytes(out)
 
     def decode_body(

@@ -52,7 +52,7 @@ class Lease:
         max_duration: float = FOREVER,
         on_renew: Optional[Callable[["Lease"], None]] = None,
     ):
-        if duration <= 0:
+        if not duration > 0:  # NaN too: a NaN deadline never passes
             raise LeaseDeniedError(f"lease duration must be positive, got {duration}")
         self.clock = clock
         self.granted_at = clock.now()
@@ -87,7 +87,7 @@ class Lease:
         """
         if self.expired:
             raise LeaseExpiredError("cannot renew an expired lease")
-        if duration <= 0:
+        if not duration > 0:
             raise LeaseDeniedError(f"renewal duration must be positive, got {duration}")
         granted = min(duration, self.max_duration)
         self.granted_at = self.clock.now()
@@ -115,7 +115,7 @@ class LeaseManager:
     """Grants leases, applying the space's duration policy."""
 
     def __init__(self, clock: Clock, max_lease: float = FOREVER, default_lease: float = FOREVER):
-        if max_lease <= 0 or default_lease <= 0:
+        if not (max_lease > 0 and default_lease > 0):
             raise LeaseDeniedError("lease bounds must be positive")
         self.clock = clock
         self.max_lease = max_lease
@@ -133,7 +133,7 @@ class LeaseManager:
         ``max_lease`` this grant applied.
         """
         requested = self.default_lease if duration is None else duration
-        if requested <= 0:
+        if not requested > 0:
             raise LeaseDeniedError(f"lease duration must be positive, got {requested}")
         granted = min(requested, self.max_lease)
         return Lease(

@@ -27,6 +27,7 @@ sends ``HELLO`` gets the historical XML protocol unchanged (docs/wire.md).
 from __future__ import annotations
 
 import enum
+import math
 import struct
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
@@ -82,6 +83,10 @@ RESPONSE_TYPES = {
     MessageType.STATS_ACK,
 }
 
+#: ``{type byte: MessageType}``: frames are typed by lookup, not by the
+#: enum's constructor.
+_MESSAGE_TYPES = {int(kind): kind for kind in MessageType}
+
 #: Body codecs this build can negotiate, in server preference order.
 SUPPORTED_CODECS = ("binary", "xml")
 
@@ -105,9 +110,14 @@ class Message:
         if value is None:
             return default
         try:
-            return float(value)
+            number = float(value)
         except ValueError:
             raise ProtocolError(f"parameter {name}={value!r} is not a number")
+        if math.isnan(number):
+            # A NaN lease or timeout compares false against every bound,
+            # so nothing measured by it would ever end.
+            raise ProtocolError(f"parameter {name}={value!r} is not a number")
+        return number
 
     def param_int(self, name: str, default: Optional[int] = None) -> Optional[int]:
         value = self.params.get(name)
@@ -146,6 +156,13 @@ class XmlWireCodec:
             self.registry.write_item(out, message.item)
             out.append("</request>")
         return "".join(out).encode("utf-8")
+
+    def encode_frame(self, message: Message) -> bytes:
+        """The whole frame: header, then the body."""
+        body = self.encode_body(message)
+        return HEADER.pack(
+            MAGIC, message.msg_type, message.request_id, len(body)
+        ) + body
 
     def decode_body(self, msg_type: MessageType, request_id: int, body: bytes) -> Message:
         return decode_body(msg_type, request_id, body, self.registry)
@@ -189,15 +206,14 @@ def encode_message(message: Message, codec) -> bytes:
     """Serialise a :class:`Message` to wire bytes.
 
     ``codec`` is an :class:`XmlCodec` (historical call sites — XML
-    bodies) or any wire codec exposing ``encode_body``.
+    bodies) or any wire codec exposing ``encode_frame``.
     """
-    body = as_wire_codec(codec).encode_body(message)
-    if len(body) > MAX_BODY:
-        raise ProtocolError(f"message body too large: {len(body)} bytes")
-    header = HEADER.pack(
-        MAGIC, int(message.msg_type), message.request_id, len(body)
-    )
-    return header + body
+    frame = as_wire_codec(codec).encode_frame(message)
+    if len(frame) > HEADER.size + MAX_BODY:
+        raise ProtocolError(
+            f"message body too large: {len(frame) - HEADER.size} bytes"
+        )
+    return frame
 
 
 def decode_body(msg_type: MessageType, request_id: int, body: bytes, codec: XmlCodec) -> Message:
@@ -274,9 +290,8 @@ class StreamParser:
         body = bytes(self._buffer[HEADER.size : total])
         del self._buffer[:total]
         self.error_request_id = request_id
-        try:
-            msg_type = MessageType(raw_type)
-        except ValueError:
+        msg_type = _MESSAGE_TYPES.get(raw_type)
+        if msg_type is None:
             raise ProtocolError(f"unknown message type {raw_type:#x}")
         message = self.codec.decode_body(msg_type, request_id, body)
         self.messages_parsed += 1

@@ -207,17 +207,43 @@ class SpaceServer:
                 outcome=outcome,
             )
 
-        def on_match(item):
+        def settle(outcome: str) -> None:
             # The space deactivates the waiter before calling back, so
             # a later timeout finds it inactive and stays silent.
             if parked.timer is not None:
                 parked.timer.cancel()
-            observe_wait("match")
-            session.send(Message(
-                MessageType.RESULT_ENTRY, message.request_id, {}, item
-            ))
+            observe_wait(outcome)
 
-        parked.waiter = self.space.register_waiter(message.item, mode, on_match)
+        def send_match(item) -> bool:
+            # A match this session's codec cannot carry is answered with
+            # ERROR here, not raised into the write that made it.
+            try:
+                session.send(Message(
+                    MessageType.RESULT_ENTRY, message.request_id, {}, item
+                ))
+            except ProtocolError as exc:
+                self._error(session, message, str(exc))
+                return False
+            return True
+
+        if mode is WaitMode.TAKE:
+            # The taker is sent the item while it is still stored, so
+            # an item it could not be sent stays in the space.
+            def claim(item) -> bool:
+                if send_match(item):
+                    return True
+                settle("error")
+                return False
+
+            parked.waiter = self.space.register_waiter(
+                message.item, mode, lambda _item: settle("match"), claim=claim
+            )
+        else:
+            def on_read(item) -> None:
+                settle("match")
+                send_match(item)
+
+            parked.waiter = self.space.register_waiter(message.item, mode, on_read)
         if not parked.waiter.active:
             return
 
@@ -261,13 +287,10 @@ class SpaceServer:
     def _handle_take(self, session, message: Message) -> None:
         self._handle_blocking(session, message, WaitMode.TAKE)
 
-    def _handle_if_exists(self, session, message: Message, take: bool) -> None:
+    def _handle_read_if_exists(self, session, message: Message) -> None:
         if message.item is None:
-            raise ProtocolError(f"{message.msg_type.name} carries no template")
-        if take:
-            item = self.space.take_if_exists(message.item)
-        else:
-            item = self.space.read_if_exists(message.item)
+            raise ProtocolError("READ_IF_EXISTS carries no template")
+        item = self.space.read_if_exists(message.item)
         if item is None:
             session.send(Message(MessageType.RESULT_NULL, message.request_id))
         else:
@@ -275,11 +298,19 @@ class SpaceServer:
                 MessageType.RESULT_ENTRY, message.request_id, {}, item
             ))
 
-    def _handle_read_if_exists(self, session, message: Message) -> None:
-        self._handle_if_exists(session, message, take=False)
-
     def _handle_take_if_exists(self, session, message: Message) -> None:
-        self._handle_if_exists(session, message, take=True)
+        if message.item is None:
+            raise ProtocolError("TAKE_IF_EXISTS carries no template")
+        request_id = message.request_id
+
+        def answer(item) -> None:
+            # Sent while the item is still stored: if this session's
+            # codec cannot carry it, the item stays and handle() turns
+            # the ProtocolError into the taker's ERROR.
+            session.send(Message(MessageType.RESULT_ENTRY, request_id, {}, item))
+
+        if self.space.take_if_exists(message.item, answer) is None:
+            session.send(Message(MessageType.RESULT_NULL, request_id))
 
     def _handle_notify_register(self, session, message: Message) -> None:
         if message.item is None:

@@ -63,12 +63,13 @@ class _Record:
 class Waiter:
     """A pending blocking read/take."""
 
-    __slots__ = ("template", "mode", "callback", "active")
+    __slots__ = ("template", "mode", "callback", "claim", "active")
 
-    def __init__(self, template, mode: WaitMode, callback):
+    def __init__(self, template, mode: WaitMode, callback, claim=None):
         self.template = template
         self.mode = mode
         self.callback = callback
+        self.claim = claim
         self.active = True
 
     def cancel(self) -> None:
@@ -225,23 +226,37 @@ class TupleSpace:
         record = self._find(template)
         if record is None:
             self.stats.misses += 1
-            self._trace_op("miss", op="read")
+            if self.obs is not None:
+                self._trace_op("miss", op="read")
             return None
         self.stats.reads += 1
-        self._trace_op("read", seq=record.seq)
+        if self.obs is not None:
+            self._trace_op("read", seq=record.seq)
         return record.item
 
-    def take_if_exists(self, template) -> Optional[Any]:
-        """Remove and return the oldest matching item, or ``None``."""
+    def take_if_exists(
+        self, template, claim: Optional[Callable[[Any], Any]] = None
+    ) -> Optional[Any]:
+        """Remove and return the oldest matching item, or ``None``.
+
+        ``claim(item)``, if given, runs while the item is still stored:
+        if it raises, the item stays and the exception propagates.  A
+        front end answers the taker there, so an item whose reply cannot
+        be encoded is never lost.
+        """
         record = self._find(template)
         if record is None:
             self.stats.misses += 1
-            self._trace_op("miss", op="take")
+            if self.obs is not None:
+                self._trace_op("miss", op="take")
             return None
+        if claim is not None:
+            claim(record.item)
         self._drop(record)
         self.stats.takes += 1
-        self._trace_op("take", seq=record.seq)
-        self._obs_depth()
+        if self.obs is not None:
+            self._trace_op("take", seq=record.seq)
+            self._obs_depth()
         return record.item
 
     # -- blocking support ---------------------------------------------------------
@@ -251,18 +266,27 @@ class TupleSpace:
         template,
         mode: WaitMode,
         callback: Callable[[Any], None],
+        claim: Optional[Callable[[Any], bool]] = None,
     ) -> Waiter:
         """Register a callback for the next matching live item.
 
         If a match already exists the callback fires immediately (and a
         take consumes the item).  The returned waiter can be cancelled,
         which is how timeouts are implemented by the callers.
+
+        A take may also pass ``claim(item)``: it runs while the item is
+        still stored, before ``callback``, and returning ``False``
+        spends the waiter and leaves the item where it is.  A front end
+        answers its taker there, so an item it could not send is never
+        lost.
         """
         record = self._find(template)
-        waiter = Waiter(template, mode, callback)
+        waiter = Waiter(template, mode, callback, claim)
         if record is not None:
             waiter.active = False
             if mode is WaitMode.TAKE:
+                if claim is not None and claim(record.item) is False:
+                    return waiter
                 self._drop(record)
                 self.stats.takes += 1
                 self._trace_op("take", seq=record.seq, waited=False)
@@ -379,19 +403,38 @@ class TupleSpace:
     # -- internals ----------------------------------------------------------------
 
     def _find(self, template) -> Optional[_Record]:
-        """Oldest live matching record (total order by timestamp)."""
-        self._expire_due()
+        """Oldest live matching record (total order by timestamp).
+
+        The clock is read at most once: when the deadline heap holds
+        something, or else when a candidate has a finite lease.
+        """
+        now = None
+        heap = self._expiry_heap
+        if heap:
+            now = self.clock.now()
+            if heap[0][0] <= now:
+                self._expire_due(now)
         candidates = self._index.candidates(template)
         if candidates is None:
             # Unknown template discipline: only the full scan is safe.
             candidates = self._records.values()
         for record in candidates:
-            if not record.lease.expired and template.matches(record.item):
+            lease = record.lease
+            if lease.cancelled:
+                continue
+            expires_at = lease.expires_at
+            if not math.isinf(expires_at):
+                if now is None:
+                    now = self.clock.now()
+                if now >= expires_at:
+                    continue
+            if template.matches(record.item):
                 return record
         return None
 
-    def _expire_due(self) -> int:
-        """Drop every record whose lease deadline has passed.
+    def _expire_due(self, now: Optional[float] = None) -> int:
+        """Drop every record whose lease deadline has passed by ``now``
+        (by default the clock's reading).
 
         Deadlines sit in a min-heap of ``(expires_at, seq)``; renewals
         push a fresh entry and leave the stale one to be recognised and
@@ -401,14 +444,16 @@ class TupleSpace:
         heap = self._expiry_heap
         if not heap:
             return 0
-        now = self.clock.now()
+        if now is None:
+            now = self.clock.now()
         dropped = 0
         while heap and heap[0][0] <= now:
             _when, seq = heapq.heappop(heap)
             record = self._records.get(seq)
             if record is None:
                 continue  # already dropped (taken or cancelled)
-            if not record.lease.expired:
+            lease = record.lease
+            if not lease.cancelled and now < lease.expires_at:
                 continue  # renewed: the renewal pushed the live deadline
             self._drop(record)
             dropped += 1
@@ -477,6 +522,8 @@ class TupleSpace:
                 self.stats.reads += 1
                 self._trace_op("read", seq=record.seq, waited=True)
                 waiter.callback(record.item)
+                continue
+            if waiter.claim is not None and waiter.claim(record.item) is False:
                 continue
             self._drop(record)
             self.stats.takes += 1

@@ -113,6 +113,9 @@ class XmlCodec:
 
     def __init__(self):
         self._classes: dict[str, type] = {}
+        #: The binary codec's decode plans for this registry's classes,
+        #: keyed on an entry's encoded head (:mod:`repro.core.bincodec`).
+        self.binary_plans: dict[bytes, tuple] = {}
 
     def register(self, entry_class: type) -> type:
         """Register an Entry subclass for decoding (usable as decorator)."""
