@@ -318,15 +318,21 @@ class SpaceServer:
         lease_duration = message.param_float("lease")
 
         def listener(event):
-            session.send(Message(
-                MessageType.NOTIFY_EVENT,
-                message.request_id,
-                {
-                    "registration_id": event.registration_id,
-                    "sequence": event.sequence,
-                },
-                event.item,
-            ))
+            # An event this session's codec cannot carry is answered
+            # with ERROR under the registration's request id, not raised
+            # into the write that fired it (as ``send_match`` does).
+            try:
+                session.send(Message(
+                    MessageType.NOTIFY_EVENT,
+                    message.request_id,
+                    {
+                        "registration_id": event.registration_id,
+                        "sequence": event.sequence,
+                    },
+                    event.item,
+                ))
+            except ProtocolError as exc:
+                self._error(session, message, str(exc))
 
         registration = self.space.notify(message.item, listener, lease_duration)
         self._park(session, registration)

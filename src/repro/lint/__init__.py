@@ -17,10 +17,11 @@ Rules are pluggable: subclass :class:`~repro.lint.registry.Rule` and
 decorate it with :func:`~repro.lint.registry.register`.
 """
 
-from repro.lint.checker import lint_file, lint_paths, lint_source
+from repro.lint.checker import lint_file, lint_source
 from repro.lint.config import LintConfig, load_config
 from repro.lint.errors import ConfigError, LintError, RegistryError
 from repro.lint.findings import FileReport, Finding, Severity
+from repro.lint.project.engine import lint_paths
 from repro.lint.registry import Rule, all_rule_classes, instantiate, register
 
 __all__ = [

@@ -9,12 +9,11 @@ from typing import Optional, Union
 ImportNode = Union[ast.Import, ast.ImportFrom]
 
 
-def import_nodes(tree: ast.Module) -> list[ImportNode]:
-    """Every ``import``/``from ... import`` statement, in walk order: one
-    pass over the tree that the alias lookups below then share."""
+def import_nodes(nodes: list[ast.AST]) -> list[ImportNode]:
+    """Every ``import``/``from ... import`` statement among ``nodes`` (a
+    module's walk-order node list), for the alias lookups below."""
     return [
-        node for node in ast.walk(tree)
-        if isinstance(node, (ast.Import, ast.ImportFrom))
+        node for node in nodes if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
 
 

@@ -36,22 +36,24 @@ class FieldBound:
     why: str
 
 
-def _module_int_constant(path: Path, name: str) -> Optional[int]:
-    """Module-level ``NAME = <int literal>`` read without importing."""
+def _module_int_constants(path: Path) -> dict[str, int]:
+    """Module-level ``NAME = <int literal>`` bindings (first wins), read
+    with one parse and without importing."""
     try:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     except (OSError, SyntaxError):
-        return None
+        return {}
+    found: dict[str, int] = {}
     for node in tree.body:
-        if isinstance(node, ast.Assign):
-            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            if (
-                name in targets
-                and isinstance(node.value, ast.Constant)
-                and type(node.value.value) is int
-            ):
-                return node.value.value
-    return None
+        if (
+            isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Constant)
+            and type(node.value.value) is int
+        ):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    found.setdefault(target.id, node.value.value)
+    return found
 
 
 def tpwire_source_dir() -> Path:
@@ -62,14 +64,15 @@ def tpwire_source_dir() -> Path:
 def frame_field_bounds(source_dir: Optional[Path] = None) -> dict[str, FieldBound]:
     """Bounds keyed by the identifier names the rule matches on."""
     source_dir = source_dir if source_dir is not None else tpwire_source_dir()
+    constants = _module_int_constants(source_dir / "constants.py")
     frame_bits = (
-        _module_int_constant(source_dir / "constants.py", "FRAME_BITS")
-        or _module_int_constant(source_dir / "frames.py", "FRAME_BITS")
+        constants.get("FRAME_BITS")
+        or _module_int_constants(source_dir / "frames.py").get("FRAME_BITS")
         or FALLBACK_FRAME_BITS
     )
     broadcast = (
-        _module_int_constant(source_dir / "constants.py", "BROADCAST_NODE_ID")
-        or _module_int_constant(source_dir / "commands.py", "BROADCAST_NODE_ID")
+        constants.get("BROADCAST_NODE_ID")
+        or _module_int_constants(source_dir / "commands.py").get("BROADCAST_NODE_ID")
         or FALLBACK_BROADCAST_NODE_ID
     )
     word_max = (1 << frame_bits) - 1

@@ -1,7 +1,9 @@
-"""The checker: file discovery, module naming, rule dispatch.
+"""The checker: file discovery, module naming, per-file rule dispatch.
 
-The entry points are :func:`lint_paths` (CLI), :func:`lint_file` and
-:func:`lint_source` (tests feed fixture snippets straight in).
+The library entry points are :func:`lint_file` and :func:`lint_source`
+(tests feed fixture snippets straight in).  The whole run, per-file and
+project rules over one parse of each file, is
+:func:`repro.lint.project.engine.lint_paths`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from repro.lint.registry import Rule, instantiate
 from repro.lint.suppressions import SuppressionIndex
 
 # Single source of truth for path -> dotted-module mapping: the per-file
-# and project passes must never disagree about a module's name.
+# rules and the project index must never disagree about a module's name.
 from repro.lint.project.resolver import module_name_for  # noqa: F401
 
 
@@ -36,35 +38,23 @@ def iter_python_files(paths: list[Path], config: LintConfig) -> Iterator[Path]:
             yield candidate
 
 
-def lint_source(
-    source: str,
-    *,
-    path: str = "<string>",
-    module: str = "repro.fixture",
-    config: Optional[LintConfig] = None,
-    rules: Optional[list[Rule]] = None,
-) -> FileReport:
-    """Lint an in-memory snippet (the unit-test entry point)."""
-    config = config if config is not None else LintConfig()
-    if rules is None:
-        rules = instantiate(config)
-    report = FileReport(path=path)
-    try:
-        ctx = ModuleContext.from_source(source, path=path, module=module)
-    except SyntaxError as exc:
-        report.findings.append(
-            Finding(
-                rule="parse-error",
-                path=path,
-                line=exc.lineno or 1,
-                col=(exc.offset or 0) + 1,
-                message=f"cannot parse: {exc.msg}",
-                severity=Severity.ERROR,
-            )
-        )
-        return report
+def parse_error(path: str, exc: SyntaxError) -> Finding:
+    """The finding for a file that does not parse (never suppressed)."""
+    return Finding(
+        rule="parse-error",
+        path=path,
+        line=exc.lineno or 1,
+        col=(exc.offset or 0) + 1,
+        message=f"cannot parse: {exc.msg}",
+        severity=Severity.ERROR,
+    )
 
-    suppressions = SuppressionIndex.from_lines(ctx.lines)
+
+def check_module(
+    ctx: ModuleContext, rules: list[Rule], suppressions: SuppressionIndex
+) -> FileReport:
+    """Run the per-file ``rules`` that apply to one parsed module."""
+    report = FileReport(path=ctx.path)
     collected: list[Finding] = []
     for rule in rules:
         if rule.applies_to(ctx):
@@ -77,37 +67,42 @@ def lint_source(
     return report
 
 
+def lint_source(
+    source: str,
+    *,
+    path: str = "<string>",
+    module: str = "repro.fixture",
+    config: Optional[LintConfig] = None,
+    rules: Optional[list[Rule]] = None,
+) -> FileReport:
+    """Lint an in-memory snippet (the unit-test entry point)."""
+    config = config if config is not None else LintConfig()
+    if rules is None:
+        rules = instantiate(config)
+    try:
+        ctx = ModuleContext.from_source(source, path=path, module=module)
+    except SyntaxError as exc:
+        return FileReport(path=path, findings=[parse_error(path, exc)])
+    return check_module(ctx, rules, SuppressionIndex.from_lines(ctx.lines))
+
+
 def lint_file(
     path: Path,
     config: Optional[LintConfig] = None,
     rules: Optional[list[Rule]] = None,
 ) -> FileReport:
     source = path.read_text(encoding="utf-8")
-    display = _display_path(path, config)
     return lint_source(
         source,
-        path=display,
+        path=display_path(path, config),
         module=module_name_for(path),
         config=config,
         rules=rules,
     )
 
 
-def lint_paths(
-    paths: list[Path],
-    config: Optional[LintConfig] = None,
-    select: Optional[list[str]] = None,
-) -> list[FileReport]:
-    """Lint every file under ``paths``; returns one report per file."""
-    config = config if config is not None else LintConfig()
-    rules = instantiate(config, select=select)
-    return [
-        lint_file(path, config=config, rules=rules)
-        for path in iter_python_files(paths, config)
-    ]
-
-
-def _display_path(path: Path, config: Optional[LintConfig]) -> str:
+def display_path(path: Path, config: Optional[LintConfig]) -> str:
+    """``path`` relative to the config root when it lies under it."""
     if config is not None and config.root is not None:
         try:
             return path.resolve().relative_to(config.root.resolve()).as_posix()

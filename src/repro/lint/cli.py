@@ -1,13 +1,11 @@
 """Command-line front end: ``python -m repro.lint [paths]``.
 
-Runs two passes over the tree and merges their findings:
-
-* the **per-file pass** (:mod:`repro.lint.checker`) — one module at a
-  time, rules like ``wall-clock`` and ``frame-bounds``;
-* the **project pass** (:mod:`repro.lint.project`) — whole-program
-  rules like ``layer-cycle`` and ``proto-const-drift``, backed by an
-  incremental cache.  The project index always covers the configured
-  roots; the CLI paths only filter which findings are reported.
+Runs :func:`repro.lint.project.engine.lint_paths`: one pass that parses
+each file once, runs the per-file rules (``wall-clock``,
+``frame-bounds``, ...) on it and summarises it for the whole-program
+rules (``layer-cycle``, ``proto-const-drift``, ...).  The project index
+always covers the configured roots; the CLI paths only filter which
+findings are reported.
 
 Exit status: 0 when clean (or warnings only), 1 when any error-severity
 finding survives suppression, 2 on usage/configuration problems.
@@ -21,10 +19,10 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from repro.lint.checker import lint_paths
 from repro.lint.config import LintConfig, load_config
 from repro.lint.errors import LintError
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import Severity
+from repro.lint.project.engine import lint_paths
 from repro.lint.registry import all_rule_classes, instantiate, is_project_rule
 from repro.lint.sarif import to_sarif
 
@@ -60,27 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: text)",
     )
     parser.add_argument(
-        "--no-project",
-        action="store_true",
-        help="skip the whole-program pass (per-file rules only)",
-    )
-    parser.add_argument(
-        "--project-only",
-        action="store_true",
-        help="run only the whole-program pass",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not write the project-pass cache",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        metavar="N",
-        help="worker processes for the project pass (default: auto)",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="list registered rules and exit",
@@ -111,27 +88,8 @@ def _list_rules(config: LintConfig) -> int:
     return 0
 
 
-def _dedup(findings: list[Finding]) -> list[Finding]:
-    """Drop exact duplicates (both passes report parse errors)."""
-    seen: set[tuple] = set()
-    unique: list[Finding] = []
-    for finding in findings:
-        key = (finding.path, finding.line, finding.col, finding.rule, finding.message)
-        if key in seen:
-            continue
-        seen.add(key)
-        unique.append(finding)
-    return unique
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.no_project and args.project_only:
-        print(
-            "repro-lint: --no-project and --project-only are mutually exclusive",
-            file=sys.stderr,
-        )
-        return 2
     try:
         config = LintConfig(root=Path.cwd()) if args.no_config else load_config()
 
@@ -157,44 +115,20 @@ def main(argv: Optional[list[str]] = None) -> int:
             )
             return 2
 
-        rules = instantiate(config, select=select)
-        project_rules = instantiate(config, select=select, project=True)
-
-        reports = []
-        if not args.project_only:
-            reports = lint_paths(paths, config=config, select=select)
-        project_reports = []
-        project_files = 0
-        if not args.no_project and project_rules:
-            from repro.lint.project import run_project
-
-            project_reports, stats = run_project(
-                paths,
-                config=config,
-                select=select,
-                use_cache=not args.no_cache,
-                jobs=args.jobs,
-            )
-            project_files = stats.selected
+        reports = lint_paths(paths, config=config, select=select)
     except LintError as exc:
         print(f"repro-lint: {exc}", file=sys.stderr)
         return 2
 
-    findings = _dedup(
-        sorted(
-            [f for report in reports for f in report.findings]
-            + [f for report in project_reports for f in report.findings],
-            key=lambda f: (f.path, f.line, f.col, f.rule),
-        )
+    findings = sorted(
+        (f for report in reports for f in report.findings),
+        key=lambda f: (f.path, f.line, f.col, f.rule),
     )
-    suppressed = _dedup(
-        sorted(
-            [f for report in reports for f in report.suppressed]
-            + [f for report in project_reports for f in report.suppressed],
-            key=lambda f: (f.path, f.line, f.col, f.rule),
-        )
+    suppressed = sorted(
+        (f for report in reports for f in report.suppressed),
+        key=lambda f: (f.path, f.line, f.col, f.rule),
     )
-    files = project_files if args.project_only else len(reports)
+    files = len(reports)
 
     if args.format == "json":
         print(
@@ -208,7 +142,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             )
         )
     elif args.format == "sarif":
-        print(json.dumps(to_sarif(findings, suppressed, rules + project_rules), indent=2))
+        rules = instantiate(config, select=select) + instantiate(
+            config, select=select, project=True
+        )
+        print(json.dumps(to_sarif(findings, suppressed, rules), indent=2))
     else:
         for finding in findings:
             print(finding.format())

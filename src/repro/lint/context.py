@@ -12,7 +12,9 @@ class ModuleContext:
 
     ``module`` is the dotted import name (``repro.core.client``); rules
     scope themselves by module prefix, so fixture snippets in tests can
-    opt into any scope by passing a synthetic module name.
+    opt into any scope by passing a synthetic module name.  ``nodes`` is
+    every node of ``tree`` in ``ast.walk`` order, walked once here so
+    the rules iterate a list instead of re-walking the tree.
     """
 
     path: str
@@ -20,6 +22,7 @@ class ModuleContext:
     source: str
     tree: ast.Module
     lines: list[str] = field(default_factory=list)
+    nodes: list[ast.AST] = field(default_factory=list)
 
     @classmethod
     def from_source(cls, source: str, *, path: str, module: str) -> "ModuleContext":
@@ -30,6 +33,7 @@ class ModuleContext:
             source=source,
             tree=tree,
             lines=source.splitlines(),
+            nodes=list(ast.walk(tree)),
         )
 
     def in_package(self, *prefixes: str) -> bool:

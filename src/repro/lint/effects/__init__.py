@@ -8,23 +8,21 @@ test-coverage luck into statically checked invariants:
   and the curated seed tables that map stdlib calls to effects;
 * :mod:`repro.lint.effects.extract`   — per-function effect seeds, call
   sites, scheduler registrations and ``# lint: effect=`` annotations,
-  distilled during summarisation so they ride the incremental cache;
+  distilled during summarisation from the file's one parse;
 * :mod:`repro.lint.effects.callgraph` — the project-wide call graph:
   method resolution through class bases (MRO), aliased imports and
   function-locals, with a bounded class-hierarchy fallback for dynamic
   dispatch;
 * :mod:`repro.lint.effects.infer`     — SCC-condensed fixpoint
   propagation of effects over the call graph, with cause links for
-  call-chain witnesses, cached across runs keyed on a project digest;
+  call-chain witnesses;
 * :mod:`repro.lint.effects.rules`     — the five project rules
   (``nondet-in-sim``, ``unstable-iter-order``, ``obs-hook-mutation``,
   ``effect-annotation-drift``, ``async-unsafe-call``).
 
 The fixpoint also answers "does this call block?" for
 ``async-unsafe-call`` (it reads
-:attr:`~repro.lint.effects.infer.EffectIndex.blocking_calls`).  The
-warm-cache CI gate for the whole pass is
-:mod:`repro.lint.project.timing`.
+:attr:`~repro.lint.effects.infer.EffectIndex.blocking_calls`).
 """
 
 from repro.lint.effects.model import (  # noqa: F401

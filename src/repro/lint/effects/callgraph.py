@@ -1,7 +1,6 @@
 """The project-wide call graph over effect summaries.
 
-Nodes are ``"module:qualname"`` strings (JSON-friendly, so the inferred
-results can ride the project cache).  Edges come from the raw per-call
+Nodes are ``"module:qualname"`` strings.  Edges come from the raw per-call
 names recorded by :mod:`repro.lint.effects.extract`; resolution is a
 layered best-effort:
 
@@ -90,29 +89,6 @@ class CallGraph:
         self.calls: dict[str, list[tuple[str, str, int]]] = {}
         #: (registering function, scheduled target, registration line).
         self.scheduled: list[tuple[str, str, int]] = []
-
-    def to_dict(self) -> dict:
-        return {
-            "nodes": sorted(self.nodes),
-            "edges": {n: [list(e) for e in self.edges[n]] for n in sorted(self.edges)},
-            "calls": {n: [list(c) for c in self.calls[n]] for n in sorted(self.calls)},
-            "scheduled": sorted([list(rec) for rec in self.scheduled]),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CallGraph":
-        graph = cls()
-        graph.nodes = set(data.get("nodes", []))
-        graph.edges = {
-            node: [tuple(edge) for edge in edges]
-            for node, edges in data.get("edges", {}).items()
-        }
-        graph.calls = {
-            node: [tuple(call) for call in calls]
-            for node, calls in data.get("calls", {}).items()
-        }
-        graph.scheduled = [tuple(rec) for rec in data.get("scheduled", [])]
-        return graph
 
 
 class CallResolver:

@@ -1,11 +1,11 @@
 """Per-function effect seeds, distilled during summarisation.
 
 :func:`extract_effects` is called by
-:func:`repro.lint.project.symbols.summarize_source` and returns a plain
-JSON dict riding inside the :class:`ModuleSummary`, so effect seeds are
-computed once per file *content* (in the multiprocessing workers) and
-served from the incremental cache on warm runs.  The interprocedural
-layer (:mod:`repro.lint.effects.infer`) then works over summaries only.
+:func:`repro.lint.project.symbols.summarize` on the file's one parse and
+returns a plain dict riding inside the :class:`ModuleSummary`.  Each
+function's in-scope nodes are walked once; every seed below reads that
+list.  The interprocedural layer (:mod:`repro.lint.effects.infer`) then
+works over summaries only.
 
 Shape (keys omitted when empty)::
 
@@ -27,6 +27,7 @@ import ast
 from typing import Optional
 
 from repro.lint import astutil
+from repro.lint.context import ModuleContext
 from repro.lint.effects.model import (
     ANNOTATION_RE,
     ENV_READ,
@@ -58,18 +59,18 @@ _SET_PRODUCER_TAILS = frozenset(
     {"union", "intersection", "difference", "symmetric_difference", "copy"}
 )
 
-#: Per-function caps keeping summaries (and the JSON cache) small.
+#: Per-function caps keeping summaries small.
 _MAX_SITES = 8
 _MAX_SELF_WRITES = 4
 
 
-def _alias_maps(tree: ast.Module) -> tuple[dict[str, str], dict[str, str]]:
+def _alias_maps(nodes: list[ast.AST]) -> tuple[dict[str, str], dict[str, str]]:
     """(module-alias map, from-import map) for the tracked stdlib set.
 
     ``{"t": "time"}`` for ``import time as t``; ``{"sleep":
     "time.sleep", "datetime": "datetime.datetime"}`` for from-imports.
     """
-    imports = astutil.import_nodes(tree)
+    imports = astutil.import_nodes(nodes)
     mod_aliases: dict[str, str] = {}
     from_names: dict[str, str] = {}
     for module in TRACKED_MODULES:
@@ -109,7 +110,7 @@ def _collect_functions(body, prefix, class_name, out):
                     _collect_functions(child.body, prefix, class_name, out)
 
 
-def _local_names(func) -> frozenset:
+def _local_names(func, nodes: list[ast.AST]) -> frozenset:
     args = func.args
     names = {
         a.arg
@@ -118,7 +119,7 @@ def _local_names(func) -> frozenset:
     for extra in (args.vararg, args.kwarg):
         if extra is not None:
             names.add(extra.arg)
-    for node in astutil.walk_in_scope(func):
+    for node in nodes:
         if isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Store, ast.Del)):
             names.add(node.id)
         elif isinstance(node, (ast.For, ast.AsyncFor)):
@@ -150,9 +151,9 @@ def _root_name(node: ast.AST) -> Optional[str]:
 class _SetTracker:
     """Which expressions in one function are set-valued (shallowly)."""
 
-    def __init__(self, func):
+    def __init__(self, nodes: list[ast.AST]):
         self.setish_locals: set[str] = set()
-        for node in astutil.walk_in_scope(func):
+        for node in nodes:
             if isinstance(node, ast.Assign) and self.is_setish(node.value):
                 for target in node.targets:
                     if isinstance(target, ast.Name):
@@ -192,17 +193,19 @@ class _FunctionEffects:
         self.mod_aliases = mod_aliases
         self.from_names = from_names
         self.lines = lines
-        self.locals = _local_names(func)
+        #: The function's in-scope nodes, walked once for every seed.
+        self.nodes = list(astutil.walk_in_scope(func))
+        self.locals = _local_names(func, self.nodes)
         self.params = _param_names(func)
         self.globals_decl: set[str] = set()
-        for node in astutil.walk_in_scope(func):
+        for node in self.nodes:
             if isinstance(node, ast.Global):
                 self.globals_decl.update(node.names)
         self.effects: dict[str, list[dict]] = {}
         self.calls: dict[str, int] = {}
         self.scheduled: list[list] = []
         self.self_writes: list[list] = []
-        self.sets = _SetTracker(func)
+        self.sets = _SetTracker(self.nodes)
 
     # -- recording ----------------------------------------------------------
 
@@ -216,7 +219,7 @@ class _FunctionEffects:
     # -- the walk -----------------------------------------------------------
 
     def extract(self) -> dict:
-        for node in astutil.walk_in_scope(self.func):
+        for node in self.nodes:
             if isinstance(node, ast.Call):
                 self._call(node)
             elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
@@ -360,9 +363,19 @@ class _FunctionEffects:
             self.seed(ENV_READ, node.lineno, f"reads {normalized}")
 
 
-def _unordered_os(tree_func, fn: "_FunctionEffects", parents: dict) -> None:
+def _unordered_os(fn: "_FunctionEffects") -> None:
     """Seed unstable-iteration for OS-ordered listings not under sorted()."""
-    for node in astutil.walk_in_scope(tree_func):
+    # Direct ``sorted(...)`` arguments: a listing passed straight to
+    # sorted() has a stable order.
+    under_sorted = {
+        id(arg)
+        for node in fn.nodes
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "sorted"
+        for arg in node.args
+    }
+    for node in fn.nodes:
         if not isinstance(node, ast.Call):
             continue
         raw = astutil.dotted(node.func)
@@ -372,12 +385,7 @@ def _unordered_os(tree_func, fn: "_FunctionEffects", parents: dict) -> None:
         tail = name.split(".")[-1]
         if name not in UNORDERED_OS_CALLS and tail not in UNORDERED_OS_TAILS:
             continue
-        parent = parents.get(id(node))
-        if (
-            isinstance(parent, ast.Call)
-            and isinstance(parent.func, ast.Name)
-            and parent.func.id == "sorted"
-        ):
+        if id(node) in under_sorted:
             continue
         fn.seed(
             UNSTABLE_ITER,
@@ -386,9 +394,9 @@ def _unordered_os(tree_func, fn: "_FunctionEffects", parents: dict) -> None:
         )
 
 
-def _converter_sets(tree_func, fn: "_FunctionEffects") -> None:
+def _converter_sets(fn: "_FunctionEffects") -> None:
     """``list(a_set)`` / ``tuple(a_set)`` bake hash order into a sequence."""
-    for node in astutil.walk_in_scope(tree_func):
+    for node in fn.nodes:
         if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Name):
             continue
         if node.func.id not in _ORDER_SENSITIVE_CONVERTERS or not node.args:
@@ -401,26 +409,20 @@ def _converter_sets(tree_func, fn: "_FunctionEffects") -> None:
             )
 
 
-def extract_effects(tree: ast.Module, source: str, module: str) -> dict:
+def extract_effects(ctx: ModuleContext) -> dict:
     """The per-module effect-seed dict (see module docstring)."""
-    mod_aliases, from_names = _alias_maps(tree)
-    lines = source.splitlines()
+    mod_aliases, from_names = _alias_maps(ctx.nodes)
     functions: list = []
-    _collect_functions(tree.body, "", None, functions)
-
-    parents: dict[int, ast.AST] = {}
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            parents[id(child)] = node
+    _collect_functions(ctx.tree.body, "", None, functions)
 
     func_records: dict[str, dict] = {}
     for qualname, func, class_name in functions:
         extractor = _FunctionEffects(
-            qualname, func, class_name, mod_aliases, from_names, lines
+            qualname, func, class_name, mod_aliases, from_names, ctx.lines
         )
         record = extractor.extract()
-        _unordered_os(func, extractor, parents)
-        _converter_sets(func, extractor)
+        _unordered_os(extractor)
+        _converter_sets(extractor)
         if extractor.effects:
             record["effects"] = {
                 kind: extractor.effects[kind] for kind in sorted(extractor.effects)

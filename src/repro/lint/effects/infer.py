@@ -14,20 +14,11 @@ Causes are recorded once, pointing at a function that already had the
 kind, so cause chains are acyclic by construction and
 :meth:`EffectIndex.witness` can walk them into a cross-file call-chain
 witness (rendered as SARIF ``codeFlows``).
-
-The whole inference result is cached in the project cache keyed on a
-*project digest* — the hash of every module's content hash plus the
-inference options — so warm runs deserialize instead of rebuilding the
-graph: that is what the ``python -m repro.lint.project.timing`` CI gate
-asserts via the ``effects_built``/``effects_reused`` counters.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from fnmatch import fnmatch
-from typing import Optional
 
 from repro.lint.effects.callgraph import (
     CallGraph,
@@ -59,17 +50,8 @@ def inference_options(config) -> dict:
     return options
 
 
-def effects_digest(module_sha: dict[str, str], options: dict) -> str:
-    """Any file or option change must invalidate the inferred effects."""
-    hasher = hashlib.sha256()
-    for module in sorted(module_sha):
-        hasher.update(f"{module}={module_sha[module]};".encode("utf-8"))
-    hasher.update(json.dumps(options, sort_keys=True).encode("utf-8"))
-    return hasher.hexdigest()
-
-
 class EffectIndex:
-    """Queryable result of one inference run (built or deserialized)."""
+    """Queryable result of one inference run."""
 
     def __init__(
         self,
@@ -135,26 +117,6 @@ class EffectIndex:
             current = callee
         return steps
 
-    # -- (de)serialization ---------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "effects": self.effects,
-            "mutating_callees": self.mutating_callees,
-            "blocking_calls": self.blocking_calls,
-            "scheduled": [list(rec) for rec in self.scheduled],
-        }
-
-    @classmethod
-    def from_dict(cls, index, data: dict) -> "EffectIndex":
-        return cls(
-            index,
-            data.get("effects", {}),
-            data.get("mutating_callees", {}),
-            data.get("blocking_calls", {}),
-            [tuple(rec) for rec in data.get("scheduled", [])],
-        )
-
 
 def _propagate(
     graph: CallGraph, seeds: dict[str, dict], pure: set[str], barrier: set[str]
@@ -182,9 +144,9 @@ def _propagate(
                 break
 
 
-def infer_effects(index, options: Optional[dict] = None) -> EffectIndex:
-    """Build the call graph and run the fixpoint (the cold path)."""
-    options = options if options is not None else inference_options(index.config)
+def infer_effects(index) -> EffectIndex:
+    """Build the call graph and run the fixpoint."""
+    options = inference_options(index.config)
     assume_pure = tuple(options.get("assume-pure", ()))
     graph = build_call_graph(index, cha_cap=int(options.get("cha-cap", DEFAULT_CHA_CAP)))
 
@@ -249,31 +211,9 @@ def infer_effects(index, options: Optional[dict] = None) -> EffectIndex:
 
 
 def effect_index(index) -> EffectIndex:
-    """The (memoized, cached) effect index of one project index.
-
-    Every effect rule runs against the same project index within one
-    lint invocation, so the result is memoized on the index; across
-    invocations it is served from the project cache when the project
-    digest (content hashes + options) matches.
-    """
+    """The effect index of one project index, memoized on it: every
+    effect rule of one lint run shares a single inference."""
     memo = getattr(index, "_effects_index", None)
-    if memo is not None:
-        return memo
-
-    options = inference_options(index.config)
-    digest = None
-    if index.cache is not None and index.module_sha:
-        digest = effects_digest(index.module_sha, options)
-        cached = index.cache.effects_for(digest)
-        if cached is not None:
-            result = EffectIndex.from_dict(index, cached)
-            index.stats.effects_reused += 1
-            index._effects_index = result
-            return result
-
-    result = infer_effects(index, options)
-    index.stats.effects_built += 1
-    if index.cache is not None and digest is not None:
-        index.cache.store_effects(digest, result.to_dict())
-    index._effects_index = result
-    return result
+    if memo is None:
+        memo = index._effects_index = infer_effects(index)
+    return memo

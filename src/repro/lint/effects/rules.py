@@ -18,8 +18,8 @@ Five project rules riding the :mod:`repro.lint.effects.infer` fixpoint
   directly or through a call chain, nor spawn threads (guards the
   asyncio wire front-end).
 
-All rules consume the inference result only — sources are never
-re-read — so a warm run serves them entirely from the project cache.
+All rules consume the inference result only; sources are never
+re-read.
 """
 
 from __future__ import annotations

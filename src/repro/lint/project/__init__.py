@@ -1,37 +1,25 @@
-"""repro.lint.project — whole-program analysis pass.
+"""repro.lint.project — whole-program analysis.
 
-Where the per-file pass (:mod:`repro.lint.checker`) sees one module at a
+Where a per-file rule (:mod:`repro.lint.checker`) sees one module at a
 time, this package builds a project-wide picture — a symbol table per
 module (:mod:`symbols`), an import graph with cycle detection
-(:mod:`graph`), import/symbol resolution against the ``repro`` package
-(:mod:`resolver`) and an incremental, content-hash-keyed cache
-(:mod:`cache`) — and runs :class:`~repro.lint.registry.ProjectRule`
-subclasses over it (:mod:`rules`).  The paper keeps three independent
-models of one bus protocol consistent; these rules are the commit-time
-enforcement of that consistency.
+(:mod:`graph`) and import/symbol resolution against the ``repro``
+package (:mod:`resolver`) — and runs
+:class:`~repro.lint.registry.ProjectRule` subclasses over it
+(:mod:`rules`).  The paper keeps three independent models of one bus
+protocol consistent; these rules are the commit-time enforcement of
+that consistency.
 
-Entry point: :func:`repro.lint.project.engine.run_project`.
+Entry point: :func:`repro.lint.project.engine.lint_paths`, which parses
+each file once for both kinds of rule.
 """
 
 from repro.lint.project.resolver import ImportResolver, module_name_for
-from repro.lint.project.symbols import ModuleSummary, summarize_source
+from repro.lint.project.symbols import ModuleSummary, summarize
 
 __all__ = [
     "ImportResolver",
     "ModuleSummary",
-    "ProjectStats",
     "module_name_for",
-    "run_project",
-    "summarize_source",
+    "summarize",
 ]
-
-
-def __getattr__(name):
-    # The engine pulls file discovery from the per-file checker, and the
-    # checker pulls module naming from this package's resolver; loading
-    # the engine lazily keeps that pair import-order independent.
-    if name in ("ProjectStats", "run_project"):
-        from repro.lint.project import engine
-
-        return getattr(engine, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,46 +1,44 @@
-"""The whole-program pass: index construction and project-rule dispatch.
+"""The lint run: one pass over the files, then the project rules.
 
-:func:`run_project` is the one entry point.  It discovers every file in
-the configured project roots (CLI paths only *filter reporting*, so a
-rule like ``dead-public-api`` always sees the tests that reference an
-export, even when only ``src`` was asked for), builds one
-:class:`ProjectIndex` — per-module symbol summaries, the import graph,
-an import/symbol resolver — and runs every registered
-:class:`~repro.lint.registry.ProjectRule` over it.
+:func:`lint_paths` is the one entry point the CLI runs.  Each file is
+read and parsed once into a :class:`~repro.lint.context.ModuleContext`:
+the per-file rules run on it when the file lies under the requested
+paths, and when any project rule is selected its
+:class:`~repro.lint.project.symbols.ModuleSummary` is built from the
+same context.  The summaries form one :class:`ProjectIndex` —
+per-module symbol summaries, the import graph, an import/symbol
+resolver — over which every selected
+:class:`~repro.lint.registry.ProjectRule` runs.
 
-Summaries come from a two-tier incremental cache
-(:mod:`repro.lint.project.cache`): unchanged files are never re-parsed,
-and resolved constant environments are reused unless a transitive
-dependency changed.  Cache misses fan out across a process pool when
-there are enough of them to amortise the pool start-up cost.
+The index always covers the configured project roots: the requested
+paths only *filter reporting*, so a rule like ``dead-public-api`` sees
+the tests that reference an export even when only ``src`` was asked
+for.
 """
 
 from __future__ import annotations
 
 import builtins as _builtins
-import concurrent.futures
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
-from repro.lint.checker import iter_python_files
+from repro.lint.checker import (
+    check_module,
+    display_path,
+    iter_python_files,
+    parse_error,
+)
 from repro.lint.config import LintConfig
-from repro.lint.findings import FileReport, Finding
-from repro.lint.project.cache import ProjectCache, content_hash
+from repro.lint.context import ModuleContext
+from repro.lint.findings import FileReport
 from repro.lint.project.graph import ModuleGraph
 from repro.lint.project.resolver import ImportResolver, module_name_for
-from repro.lint.project.symbols import ModuleSummary, summarize_source
-from repro.lint.registry import instantiate
+from repro.lint.project.symbols import ModuleSummary, summarize
+from repro.lint.registry import Rule, instantiate
+from repro.lint.suppressions import SuppressionIndex
 
 #: Default directories indexed relative to the config root.
 DEFAULT_ROOTS = ("src", "tests", "benchmarks", "examples")
-
-#: Default cache file name, relative to the config root.
-DEFAULT_CACHE = ".repro-lint-cache.json"
-
-#: Below this many cache-miss files, parsing in-process beats paying the
-#: process-pool start-up cost.
-PARALLEL_THRESHOLD = 12
 
 #: Exception names every Python build defines as subclasses of
 #: ``BaseException`` — the terminals of base-class resolution.
@@ -52,36 +50,6 @@ BUILTIN_EXCEPTIONS = frozenset(
 )
 
 
-@dataclass
-class ProjectStats:
-    """What the engine did — the observable the cache tests assert on."""
-
-    files: int = 0
-    #: Indexed files under the requested paths (findings are reported
-    #: only for these).
-    selected: int = 0
-    #: Files parsed this run (cache misses).
-    parsed: int = 0
-    #: Files served from the summary cache.
-    cache_hits: int = 0
-    #: Constant environments recomputed / reused from cache.
-    envs_computed: int = 0
-    envs_reused: int = 0
-    #: Effect call graphs built from scratch / served from the cache's
-    #: project-digest tier (the lint timing gate asserts warm runs never
-    #: build).
-    effects_built: int = 0
-    effects_reused: int = 0
-    #: True when cache misses were parsed on a process pool.
-    parallel: bool = False
-
-
-def _summarize_worker(task: tuple[str, str, str]) -> dict:
-    """Top-level so it pickles into :class:`ProcessPoolExecutor` workers."""
-    source, display, module = task
-    return summarize_source(source, path=display, module=module).to_dict()
-
-
 class ProjectIndex:
     """Everything a :class:`~repro.lint.registry.ProjectRule` may query.
 
@@ -90,25 +58,15 @@ class ProjectIndex:
     they never mutate the index.
     """
 
-    def __init__(
-        self,
-        summaries: dict[str, ModuleSummary],
-        by_path: dict[str, ModuleSummary],
-        config: LintConfig,
-        *,
-        cache: Optional[ProjectCache] = None,
-        module_sha: Optional[dict[str, str]] = None,
-        stats: Optional[ProjectStats] = None,
-    ):
-        #: module name -> summary.
-        self.summaries = summaries
-        #: display path -> summary (authoritative for suppressions).
-        self.by_path = by_path
+    def __init__(self, summaries: list[ModuleSummary], config: LintConfig):
+        #: module name -> summary.  First file wins on a (rare)
+        #: module-name collision; file order is deterministic so the
+        #: choice is too.
+        self.summaries: dict[str, ModuleSummary] = {}
+        for summary in summaries:
+            self.summaries.setdefault(summary.module, summary)
         self.config = config
-        self.cache = cache
-        self.module_sha = module_sha or {}
-        self.stats = stats or ProjectStats()
-        self.resolver = ImportResolver(set(summaries))
+        self.resolver = ImportResolver(set(self.summaries))
 
         #: Every project-internal import edge:
         #: ``(importer, imported, line, top_level)``.  Layer rules use
@@ -116,7 +74,7 @@ class ProjectIndex:
         #: (a function-local import is a legitimate lazy cycle-breaker).
         self.all_edges: list[tuple[str, str, int, bool]] = []
         top_edges: dict[str, set[str]] = {}
-        for module, summary in summaries.items():
+        for module, summary in self.summaries.items():
             tops = top_edges.setdefault(module, set())
             for rec in summary.imports:
                 for target in self._record_targets(summary, rec):
@@ -222,23 +180,10 @@ class ProjectIndex:
     # -- constant propagation -----------------------------------------------
 
     def const_env(self, module: str) -> dict:
-        """Resolved numeric constants of one module (name -> value).
-
-        Served from the cache when the module's *closure digest* — its
-        own content hash plus every transitive dependency's — matches;
-        editing a dependency therefore recomputes exactly the dependent
-        environments.
-        """
+        """Resolved numeric constants of one module (name -> value),
+        memoized for the run."""
         if module in self._envs:
             return self._envs[module]
-        digest = None
-        if self.cache is not None and module in self.module_sha:
-            digest = ProjectCache.closure_digest(module, self.graph, self.module_sha)
-            cached = self.cache.env_for(module, digest)
-            if cached is not None:
-                self._envs[module] = cached
-                self.stats.envs_reused += 1
-                return cached
         env: dict = {}
         # Registered before evaluation so an import cycle terminates on
         # the (partial) environment instead of recursing forever.
@@ -249,9 +194,6 @@ class ProjectIndex:
                 value = self.constant_value(module, name)
                 if value is not None:
                     env[name] = value
-        if self.cache is not None and digest is not None:
-            self.cache.store_env(module, digest, env)
-            self.stats.envs_computed += 1
         return env
 
     def constant_value(
@@ -384,7 +326,7 @@ _BIN_EVAL = {
 }
 
 
-# -- discovery and the run -------------------------------------------------
+# -- the run ----------------------------------------------------------------
 
 
 def project_roots(config: LintConfig) -> list[Path]:
@@ -395,200 +337,71 @@ def project_roots(config: LintConfig) -> list[Path]:
     return [base / entry for entry in declared if (base / entry).exists()]
 
 
-def cache_path(config: LintConfig) -> Path:
-    options = config.rule_options.get("project", {})
-    base = config.root if config.root is not None else Path.cwd()
-    return base / options.get("cache", DEFAULT_CACHE)
-
-
-def _display_path(path: Path, config: LintConfig) -> str:
-    if config.root is not None:
-        try:
-            return path.resolve().relative_to(config.root.resolve()).as_posix()
-        except ValueError:
-            pass
-    return path.as_posix()
-
-
-def build_index(
-    paths: list[Path],
-    config: LintConfig,
-    *,
-    use_cache: bool = True,
-    jobs: Optional[int] = None,
-    stats: Optional[ProjectStats] = None,
-) -> ProjectIndex:
-    """Index the project roots (plus any ``paths`` outside them)."""
-    stats = stats if stats is not None else ProjectStats()
-    roots = project_roots(config)
-    scan = list(roots) if roots else list(paths)
-    for path in paths:
-        resolved = path.resolve()
-        if not any(
-            resolved == root.resolve() or _is_under(resolved, root.resolve())
-            for root in scan
-        ):
-            scan.append(path)
-
-    cache = (
-        ProjectCache.load(cache_path(config)) if use_cache else ProjectCache(None)
-    )
-
-    files: list[tuple[Path, str, str, str]] = []  # (path, display, module, sha)
-    seen_display: set[str] = set()
+def _one_pass(
+    paths: list[Path], config: LintConfig, rules: list[Rule], *, index: bool
+) -> tuple[dict[str, tuple[FileReport, SuppressionIndex]], Optional[ProjectIndex]]:
+    """Parse each file once: per-file reports for the files under
+    ``paths``, and (when ``index``) the project index over the roots."""
+    wanted = {path.resolve() for path in iter_python_files(paths, config)}
+    # ``paths`` outside the roots join the index; iter_python_files
+    # yields a file under both only once.
+    scan = [*(project_roots(config) or paths), *paths] if index else paths
+    reports: dict[str, tuple[FileReport, SuppressionIndex]] = {}
+    summaries: list[ModuleSummary] = []
     for file_path in iter_python_files(scan, config):
-        display = _display_path(file_path, config)
-        if display in seen_display:
-            continue
-        seen_display.add(display)
+        display = display_path(file_path, config)
+        module = module_name_for(Path(display))
+        source = file_path.read_text(encoding="utf-8")
         try:
-            data = file_path.read_bytes()
-        except OSError:
-            continue
-        files.append(
-            (file_path, display, module_name_for(Path(display)), content_hash(data))
-        )
-    stats.files = len(files)
+            ctx: Optional[ModuleContext] = ModuleContext.from_source(
+                source, path=display, module=module
+            )
+        except SyntaxError as exc:
+            ctx, error = None, parse_error(display, exc)
+        if file_path.resolve() in wanted:
+            suppressions = SuppressionIndex.from_lines(source.splitlines())
+            report = (
+                check_module(ctx, rules, suppressions)
+                if ctx is not None
+                else FileReport(path=display, findings=[error])
+            )
+            reports[display] = (report, suppressions)
+        if index:
+            summaries.append(
+                summarize(ctx)
+                if ctx is not None
+                else ModuleSummary(module=module, path=display)
+            )
+    return reports, ProjectIndex(summaries, config) if index else None
 
-    summaries: dict[str, ModuleSummary] = {}
-    by_path: dict[str, ModuleSummary] = {}
-    module_sha: dict[str, str] = {}
-    misses: list[tuple[Path, str, str, str]] = []
-    for file_path, display, module, sha in files:
-        cached = cache.summary_for(display, sha)
-        if cached is not None:
-            summary = ModuleSummary.from_dict(cached)
-            stats.cache_hits += 1
-            _index_summary(summary, display, module, sha, summaries, by_path, module_sha)
-        else:
-            misses.append((file_path, display, module, sha))
 
-    parsed = _parse_files(misses, jobs=jobs, stats=stats)
-    for (file_path, display, module, sha), summary in zip(misses, parsed):
-        cache.store_summary(display, sha, summary.to_dict())
-        _index_summary(summary, display, module, sha, summaries, by_path, module_sha)
-    stats.parsed = len(misses)
-
-    cache.prune(set(by_path), set(summaries))
-    index = ProjectIndex(
-        summaries,
-        by_path,
-        config,
-        cache=cache if use_cache else None,
-        module_sha=module_sha,
-        stats=stats,
-    )
+def build_index(paths: list[Path], config: LintConfig) -> ProjectIndex:
+    """The project index over the roots (plus any ``paths`` outside them)."""
+    _reports, index = _one_pass(paths, config, [], index=True)
     return index
 
 
-def _index_summary(summary, display, module, sha, summaries, by_path, module_sha):
-    by_path[display] = summary
-    # First file wins on a (rare) module-name collision; file order is
-    # deterministic so the choice is too.
-    if module not in summaries:
-        summaries[module] = summary
-        module_sha[module] = sha
-
-
-def _is_under(path: Path, root: Path) -> bool:
-    try:
-        path.relative_to(root)
-        return True
-    except ValueError:
-        return False
-
-
-def _parse_files(
-    misses: list[tuple[Path, str, str, str]],
-    *,
-    jobs: Optional[int],
-    stats: ProjectStats,
-) -> list[ModuleSummary]:
-    tasks: list[tuple[str, str, str]] = []
-    for file_path, display, module, _sha in misses:
-        try:
-            source = file_path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError):
-            source = ""
-        tasks.append((source, display, module))
-
-    want_parallel = (jobs is None or jobs > 1) and len(tasks) >= PARALLEL_THRESHOLD
-    if want_parallel:
-        try:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                dicts = list(pool.map(_summarize_worker, tasks, chunksize=8))
-            stats.parallel = True
-            return [ModuleSummary.from_dict(d) for d in dicts]
-        except (OSError, PermissionError, concurrent.futures.process.BrokenProcessPool):
-            # Sandboxes may forbid the semaphores multiprocessing needs;
-            # correctness never depends on the pool.
-            pass
-    return [
-        summarize_source(source, path=display, module=module)
-        for source, display, module in tasks
-    ]
-
-
-def run_project(
+def lint_paths(
     paths: list[Path],
     config: Optional[LintConfig] = None,
     select: Optional[list[str]] = None,
-    *,
-    use_cache: bool = True,
-    jobs: Optional[int] = None,
-) -> tuple[list[FileReport], ProjectStats]:
-    """Run every enabled project rule; findings are filtered to ``paths``.
-
-    Returns one :class:`FileReport` per file with findings (surviving or
-    suppressed) plus the run's :class:`ProjectStats`.
-    """
+) -> list[FileReport]:
+    """Lint every file under ``paths``: one report per file, holding the
+    findings of both kinds of rule (see the module docstring)."""
     config = config if config is not None else LintConfig()
-    stats = ProjectStats()
-    rules = instantiate(config, select=select, project=True)
-    if not rules:
-        return [], stats
-
-    index = build_index(
-        paths, config, use_cache=use_cache, jobs=jobs, stats=stats
-    )
-
-    # Which display paths the caller asked to hear about.
-    wanted = [p.resolve() for p in paths]
-    selected = {
-        display
-        for display, summary in index.by_path.items()
-        if _selected(display, config, wanted)
-    }
-    stats.selected = len(selected)
-
-    collected: list[Finding] = []
-    for rule in rules:
-        collected.extend(rule.check(index))
-
-    per_file: dict[str, FileReport] = {}
-    for finding in sorted(
-        collected, key=lambda f: (f.path, f.line, f.col, f.rule, f.message)
-    ):
-        if finding.path not in selected:
-            continue
-        report = per_file.setdefault(finding.path, FileReport(path=finding.path))
-        summary = index.by_path.get(finding.path)
-        suppressions = (
-            summary.suppression_index() if summary is not None else None
-        )
-        if suppressions is not None and suppressions.suppresses(finding):
-            report.suppressed.append(finding)
-        else:
-            report.findings.append(finding)
-
-    if use_cache and index.cache is not None:
-        index.cache.save()
-    return [per_file[path] for path in sorted(per_file)], stats
-
-
-def _selected(display: str, config: LintConfig, wanted: list[Path]) -> bool:
-    base = config.root if config.root is not None else Path.cwd()
-    absolute = (base / display).resolve()
-    return any(
-        absolute == want or _is_under(absolute, want) for want in wanted
-    )
+    rules = instantiate(config, select=select)
+    project_rules = instantiate(config, select=select, project=True)
+    reports, index = _one_pass(paths, config, rules, index=bool(project_rules))
+    if index is not None:
+        collected = [f for rule in project_rules for f in rule.check(index)]
+        for finding in sorted(
+            collected, key=lambda f: (f.path, f.line, f.col, f.rule, f.message)
+        ):
+            if finding.path not in reports:
+                continue
+            report, suppressions = reports[finding.path]
+            if suppressions.suppresses(finding):
+                report.suppressed.append(finding)
+            else:
+                report.findings.append(finding)
+    return [report for report, _suppressions in reports.values()]

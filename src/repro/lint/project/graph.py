@@ -55,8 +55,8 @@ class ModuleGraph:
         return self._closure(self.deps(module), self.edges)
 
     def transitive_dependents(self, seeds: Iterable[str]) -> set[str]:
-        """Every module whose meaning may change when ``seeds`` change —
-        the invalidation set the incremental cache uses (seeds included)."""
+        """Every module whose meaning may change when ``seeds`` change
+        (seeds included)."""
         seeds = [s for s in seeds if s in self.edges]
         out = self._closure(
             {d for s in seeds for d in self.dependents(s)}, self.reverse

@@ -2,11 +2,9 @@
 
 A :class:`ModuleSummary` is everything the project rules need to know
 about one file — imports, module-level bindings, constant expressions,
-class/function skeletons, raise sites, ``__all__``, suppression comments
-— extracted in a single AST walk.  A summary is a pure function of the
-file's text, built from plain JSON-serialisable data, so it can be
-computed in a multiprocessing worker and cached across runs keyed on the
-file's content hash.
+class/function skeletons, raise sites, ``__all__`` — extracted by
+:func:`summarize` from the :class:`~repro.lint.context.ModuleContext`
+the per-file rules saw, so each file is parsed once per run.
 
 Constant expressions are stored as small nested dicts::
 
@@ -25,10 +23,11 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
 from repro.lint.astutil import dotted
-from repro.lint.suppressions import SuppressionIndex
+from repro.lint.context import ModuleContext
+from repro.lint.effects.extract import extract_effects
 
 _BINOPS = {
     ast.Add: "+",
@@ -54,7 +53,6 @@ class ModuleSummary:
 
     module: str
     path: str
-    is_package: bool = False
     #: Import records: {"kind": "import"|"from", "module": str|None,
     #: "level": int, "names": [[name, local], ...], "line": int,
     #: "top": bool} — ``top`` is False for imports inside functions.
@@ -82,53 +80,20 @@ class ModuleSummary:
     #: ``alias.attr``), deduplicated — the raw material for dead-export
     #: reference counting.
     refs: list[str] = field(default_factory=list)
-    #: Serialized suppression comments: {"file": [...], "lines": {"n": [...]}}.
-    suppressions: dict = field(default_factory=dict)
     #: Effect seeds distilled by :mod:`repro.lint.effects.extract`
     #: (per-function effect sites, call sites with lines, scheduler
     #: registrations, ``# lint: effect=`` annotations, self-mutation).
     effects: dict = field(default_factory=dict)
-    #: {"msg": str, "line": int, "col": int} when the file does not parse.
-    parse_error: Optional[dict] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "module": self.module,
-            "path": self.path,
-            "is_package": self.is_package,
-            "imports": self.imports,
-            "bindings": self.bindings,
-            "constants": self.constants,
-            "classes": self.classes,
-            "functions": self.functions,
-            "raises": self.raises,
-            "all_names": self.all_names,
-            "all_line": self.all_line,
-            "all_dynamic": self.all_dynamic,
-            "refs": self.refs,
-            "suppressions": self.suppressions,
-            "effects": self.effects,
-            "parse_error": self.parse_error,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModuleSummary":
-        return cls(**data)
 
     # -- conveniences used by the rules ------------------------------------
+
+    @property
+    def is_package(self) -> bool:
+        return self.path.endswith("__init__.py")
 
     def binding_map(self) -> dict[str, dict]:
         """Last-wins map of module-level bindings."""
         return {rec["name"]: rec for rec in self.bindings}
-
-    def suppression_index(self) -> SuppressionIndex:
-        index = SuppressionIndex()
-        index.file_wide = set(self.suppressions.get("file", []))
-        index.by_line = {
-            int(line): set(rules)
-            for line, rules in self.suppressions.get("lines", {}).items()
-        }
-        return index
 
 
 def _encode_expr(node: ast.AST) -> Optional[dict]:
@@ -205,8 +170,8 @@ class _Extractor:
     def __init__(self, summary: ModuleSummary):
         self.s = summary
 
-    def run(self, tree: ast.Module) -> None:
-        for stmt in tree.body:
+    def run(self, ctx: ModuleContext) -> None:
+        for stmt in ctx.tree.body:
             self._module_stmt(stmt, conditional=False)
         # References are only useful when their base is an imported name
         # (that is how another module's symbol can be reached), so filter
@@ -215,7 +180,7 @@ class _Extractor:
             local for rec in self.s.imports for _target, local in rec["names"]
         }
         refs: set[str] = set()
-        for node in ast.walk(tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.Attribute):
                 name = dotted(node)
                 if name and name.split(".")[0] in imported:
@@ -365,30 +330,9 @@ class _Extractor:
         }
 
 
-def summarize_source(source: str, *, path: str, module: str) -> ModuleSummary:
-    """Build the summary of one module from its source text."""
-    is_pkg = path.endswith("__init__.py")
-    summary = ModuleSummary(module=module, path=path, is_package=is_pkg)
-    lines = source.splitlines()
-    sidx = SuppressionIndex.from_lines(lines)
-    summary.suppressions = {
-        "file": sorted(sidx.file_wide),
-        "lines": {str(n): sorted(rules) for n, rules in sorted(sidx.by_line.items())},
-    }
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        summary.parse_error = {
-            "msg": exc.msg or "syntax error",
-            "line": exc.lineno or 1,
-            "col": (exc.offset or 0) + 1,
-        }
-        return summary
-    _Extractor(summary).run(tree)
-    # Imported late: effects depend on nothing in this module, but
-    # keeping the import local makes the layering (symbols ->
-    # effects.extract) obvious at the one point it happens.
-    from repro.lint.effects.extract import extract_effects
-
-    summary.effects = extract_effects(tree, source, module)
+def summarize(ctx: ModuleContext) -> ModuleSummary:
+    """Build the summary of one parsed module."""
+    summary = ModuleSummary(module=ctx.module, path=ctx.path)
+    _Extractor(summary).run(ctx)
+    summary.effects = extract_effects(ctx)
     return summary

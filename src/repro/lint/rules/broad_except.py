@@ -45,7 +45,7 @@ class BroadExceptRule(Rule):
     default_scope = None  # applies everywhere, tests included
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.ExceptHandler):
                 continue
             broad = self._broad_name(node)

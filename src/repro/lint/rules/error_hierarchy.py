@@ -58,7 +58,7 @@ class ErrorHierarchyRule(Rule):
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         allowed = frozenset(self.options.get("allowed-builtins", DEFAULT_ALLOWED))
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Raise) or node.exc is None:
                 continue
             name = self._raised_name(node.exc)

@@ -61,7 +61,7 @@ class FrameBoundsRule(Rule):
         return None
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, (ast.Assign, ast.AnnAssign)):
                 yield from self._check_assign(ctx, node)
             elif isinstance(node, ast.Compare):

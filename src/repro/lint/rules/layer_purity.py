@@ -47,7 +47,7 @@ class LayerPurityRule(Rule):
             root = module_name.split(".")[0]
             return root in forbidden
 
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if is_forbidden(alias.name):

@@ -36,7 +36,7 @@ class MutableDefaultRule(Rule):
     default_scope = None  # applies everywhere, tests included
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 continue
             defaults = list(node.args.defaults) + [

@@ -45,7 +45,7 @@ class PerfPop0Rule(Rule):
     default_scope = DEFAULT_HOT_LAYERS
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call) or not isinstance(
                 node.func, ast.Attribute
             ):

@@ -47,7 +47,7 @@ class PerfSchedAllocRule(Rule):
     default_scope = DEFAULT_HOT_LAYERS
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call) or not isinstance(
                 node.func, ast.Attribute
             ):

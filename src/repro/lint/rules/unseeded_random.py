@@ -40,7 +40,7 @@ class UnseededRandomRule(Rule):
         if ctx.in_package(*allow):
             return
 
-        imports = astutil.import_nodes(ctx.tree)
+        imports = astutil.import_nodes(ctx.nodes)
         for local, (node, name) in astutil.from_imported(imports, "random").items():
             if name not in ALLOWED_NAMES:
                 yield self.finding(
@@ -51,7 +51,7 @@ class UnseededRandomRule(Rule):
                 )
 
         aliases = astutil.module_aliases(imports, "random")
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if (
                 isinstance(node, ast.Attribute)
                 and isinstance(node.value, ast.Name)

@@ -53,7 +53,7 @@ class WallClockRule(Rule):
         if ctx.in_package(*allow):
             return
 
-        imports = astutil.import_nodes(ctx.tree)
+        imports = astutil.import_nodes(ctx.nodes)
         time_aliases = astutil.module_aliases(imports, "time")
         datetime_aliases = astutil.module_aliases(imports, "datetime")
         datetime_classes = {
@@ -73,7 +73,7 @@ class WallClockRule(Rule):
                     f"take a Clock (repro.core.clock) instead",
                 )
 
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Attribute):
                 continue
             value = node.value

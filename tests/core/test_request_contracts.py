@@ -14,6 +14,12 @@
   ``WRITE`` fail instead, and the taker was never answered.  Now the
   taker gets ERROR under its own request id, the entry stays under its
   lease id, and the writer gets its ``WRITE_ACK``.
+* **A listener that cannot be sent an event does not fail the write.**
+  A NOTIFY registration on an XML connection used to turn a binary
+  client's ``WRITE`` of such an entry into ERROR (the entry stored
+  anyway) and starve the registrations after it.  Now the writer gets
+  ``WRITE_ACK``, every other matching registration its event, and the
+  XML listener ERROR under its ``NOTIFY_REGISTER`` request id.
 
 Requests cross the wire as frames through the sans-IO connection cores
 (:class:`ClientSession` in, :class:`ServerConnection` out).
@@ -76,6 +82,12 @@ class Peer:
         self.start(call)
         ((_done, reply),) = self.replies()
         return reply
+
+    def frames(self) -> list:
+        """Every message received since, undispatched."""
+        data = bytes(self.inbox)
+        self.inbox.clear()
+        return list(self.session.parser.feed(data))
 
 
 @pytest.fixture
@@ -216,3 +228,34 @@ class TestTakeAcrossCodecs:
         assert refused.msg_type is MessageType.ERROR
         assert call.decode(taken) == UNENCODABLE_IN_XML
         assert len(space) == 0
+
+
+class TestNotifyAcrossCodecs:
+    def test_xml_listener_gets_error_and_the_binary_writer_is_acked(self, served):
+        _clock, space, server = served
+        writer, listener = Peer(server, "binary"), Peer(server, "xml")
+        request_id = listener.start(listener.session.notify(Part(key=1), lambda _event: None))
+        ((_call, ack),) = listener.replies()
+        assert ack.msg_type is MessageType.NOTIFY_ACK
+        write_ack = writer.message(writer.session.write(UNENCODABLE_IN_XML))
+        assert write_ack.msg_type is MessageType.WRITE_ACK
+        assert len(space) == 1
+        (refused,) = listener.frames()
+        assert (refused.msg_type, refused.request_id) == (MessageType.ERROR, request_id)
+        assert "XML 1.0" in refused.params["text"]
+
+    def test_every_other_matching_registration_gets_its_event(self, served):
+        _clock, _space, server = served
+        writer, xml_listener, binary_listener = (
+            Peer(server, "binary"), Peer(server, "xml"), Peer(server, "binary"))
+        events = []
+        xml_listener.call(xml_listener.session.notify(Part(key=1), lambda _event: None))
+        binary_listener.call(binary_listener.session.notify(Part(key=1), events.append))
+        assert writer.message(writer.session.write(UNENCODABLE_IN_XML)).msg_type is (
+            MessageType.WRITE_ACK)
+        assert binary_listener.replies() == []
+        (event,) = events
+        assert event.msg_type is MessageType.NOTIFY_EVENT
+        assert event.item == UNENCODABLE_IN_XML
+        ((refused,),) = [xml_listener.frames()]
+        assert refused.msg_type is MessageType.ERROR

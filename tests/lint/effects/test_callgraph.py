@@ -12,7 +12,7 @@ from tests.lint.project.projutil import project_config, write_project
 
 def index_for(tmp_path, files):
     write_project(tmp_path, files)
-    return build_index([tmp_path / "src"], project_config(tmp_path), use_cache=False)
+    return build_index([tmp_path / "src"], project_config(tmp_path))
 
 
 def edges_of(graph: CallGraph, caller: str) -> set:
@@ -221,30 +221,6 @@ def test_scheduled_targets_become_entry_records_not_edges(tmp_path):
     graph = build_call_graph(index)
     assert ("repro.net.drv:setup", "repro.net.drv:tick", 5) in graph.scheduled
     assert edges_of(graph, "repro.net.drv:setup") == set()
-
-
-def test_round_trips_through_dict_form(tmp_path):
-    index = index_for(
-        tmp_path,
-        {
-            "src/repro/net/__init__.py": "",
-            "src/repro/net/drv.py": """\
-                def a():
-                    b()
-
-                def b():
-                    pass
-
-                def setup(sim):
-                    sim.call_after(1.0, a)
-                """,
-        },
-    )
-    graph = build_call_graph(index)
-    clone = CallGraph.from_dict(graph.to_dict())
-    assert clone.nodes == graph.nodes
-    assert clone.edges == graph.edges
-    assert clone.scheduled == graph.scheduled
 
 
 def _linear_graph(edges: dict) -> CallGraph:

@@ -1,8 +1,6 @@
 """True/false positives and suppression for each of the five effect rules."""
 
-import json
-
-from repro.lint.project.engine import run_project
+from repro.lint.project.engine import lint_paths
 from tests.lint.project.projutil import project_config, run_rules, write_project
 
 _PKG = {"src/repro/net/__init__.py": "", "src/repro/obs/__init__.py": ""}
@@ -17,7 +15,7 @@ def run(tmp_path, files, select, rule_options=None):
 
 
 def test_nondet_scheduled_callback_is_flagged_at_registration(tmp_path):
-    findings, _s, _st = run(
+    findings, _s = run(
         tmp_path,
         {
             "src/repro/net/drv.py": """\
@@ -39,7 +37,7 @@ def test_nondet_scheduled_callback_is_flagged_at_registration(tmp_path):
 
 
 def test_nondet_entry_patterns_cover_configured_functions(tmp_path):
-    findings, _s, _st = run(
+    findings, _s = run(
         tmp_path,
         {
             "src/repro/net/drv.py": """\
@@ -59,7 +57,7 @@ def test_nondet_entry_patterns_cover_configured_functions(tmp_path):
 
 
 def test_nondet_ignores_deterministic_callbacks(tmp_path):
-    findings, _s, _st = run(
+    findings, _s = run(
         tmp_path,
         {
             "src/repro/net/drv.py": """\
@@ -76,7 +74,7 @@ def test_nondet_ignores_deterministic_callbacks(tmp_path):
 
 
 def test_nondet_suppression_on_the_registration_line(tmp_path):
-    findings, suppressed, _st = run(
+    findings, suppressed = run(
         tmp_path,
         {
             "src/repro/net/drv.py": """\
@@ -99,7 +97,7 @@ def test_nondet_suppression_on_the_registration_line(tmp_path):
 
 
 def test_unstable_iteration_reaching_a_sink_reports_the_seed(tmp_path):
-    findings, _s, _st = run(
+    findings, _s = run(
         tmp_path,
         {
             "src/repro/obs/export.py": """\
@@ -119,7 +117,7 @@ def test_unstable_iteration_reaching_a_sink_reports_the_seed(tmp_path):
 
 
 def test_sorted_iteration_does_not_reach_the_sink_rule(tmp_path):
-    findings, _s, _st = run(
+    findings, _s = run(
         tmp_path,
         {
             "src/repro/obs/export.py": """\
@@ -134,7 +132,7 @@ def test_sorted_iteration_does_not_reach_the_sink_rule(tmp_path):
 
 
 def test_unstable_iteration_suppression_at_the_seed(tmp_path):
-    findings, suppressed, _st = run(
+    findings, suppressed = run(
         tmp_path,
         {
             "src/repro/obs/export.py": """\
@@ -156,7 +154,7 @@ def test_obs_argument_mutation_is_flagged(tmp_path):
     # The pre-refactor MetricRegistry._get pattern: an obs helper that
     # takes a table and writes through it (regression for the fix that
     # keys the lookup by kind instead).
-    findings, _s, _st = run(
+    findings, _s = run(
         tmp_path,
         {
             "src/repro/obs/reg.py": """\
@@ -173,7 +171,7 @@ def test_obs_argument_mutation_is_flagged(tmp_path):
 
 
 def test_obs_call_into_core_mutator_is_flagged(tmp_path):
-    findings, _s, _st = run(
+    findings, _s = run(
         tmp_path,
         {
             "src/repro/net/space.py": """\
@@ -198,7 +196,7 @@ def test_obs_mutation_inside_core_callees_is_not_an_obs_finding(tmp_path):
     # The smoke-runner regression: a driver in the obs package may call
     # core code that mutates its own arguments internally — that is the
     # callee's contract, not an observability violation.
-    findings, _s, _st = run(
+    findings, _s = run(
         tmp_path,
         {
             "src/repro/net/wire.py": """\
@@ -218,7 +216,7 @@ def test_obs_mutation_inside_core_callees_is_not_an_obs_finding(tmp_path):
 
 
 def test_obs_mutating_its_own_instance_is_fine(tmp_path):
-    findings, _s, _st = run(
+    findings, _s = run(
         tmp_path,
         {
             "src/repro/obs/rec.py": """\
@@ -236,7 +234,7 @@ def test_obs_mutating_its_own_instance_is_fine(tmp_path):
 
 
 def test_obs_mutation_suppression(tmp_path):
-    findings, suppressed, _st = run(
+    findings, suppressed = run(
         tmp_path,
         {
             "src/repro/obs/reg.py": """\
@@ -254,7 +252,7 @@ def test_obs_mutation_suppression(tmp_path):
 
 
 def test_pure_annotation_with_any_effect_drifts(tmp_path):
-    findings, _s, _st = run(
+    findings, _s = run(
         tmp_path,
         {
             "src/repro/net/calc.py": """\
@@ -271,7 +269,7 @@ def test_pure_annotation_with_any_effect_drifts(tmp_path):
 
 
 def test_sim_safe_allows_benign_effects_but_not_blocking(tmp_path):
-    findings, _s, _st = run(
+    findings, _s = run(
         tmp_path,
         {
             "src/repro/net/calc.py": """\
@@ -293,7 +291,7 @@ def test_sim_safe_allows_benign_effects_but_not_blocking(tmp_path):
 
 
 def test_truthful_annotations_are_silent_and_transitive_drift_is_not(tmp_path):
-    findings, _s, _st = run(
+    findings, _s = run(
         tmp_path,
         {
             "src/repro/net/calc.py": """\
@@ -316,7 +314,7 @@ def test_truthful_annotations_are_silent_and_transitive_drift_is_not(tmp_path):
 
 
 def test_annotation_drift_suppression(tmp_path):
-    findings, suppressed, _st = run(
+    findings, suppressed = run(
         tmp_path,
         {
             "src/repro/net/calc.py": """\
@@ -336,7 +334,7 @@ def test_annotation_drift_suppression(tmp_path):
 
 
 def test_async_transitive_blocking_is_flagged(tmp_path):
-    findings, _s, _st = run(
+    findings, _s = run(
         tmp_path,
         {
             "src/repro/net/aio.py": """\
@@ -356,7 +354,7 @@ def test_async_transitive_blocking_is_flagged(tmp_path):
 
 
 def test_async_direct_blocking_is_reported_once(tmp_path):
-    findings, _s, _st = run(
+    findings, _s = run(
         tmp_path,
         {
             "src/repro/net/aio.py": """\
@@ -390,7 +388,7 @@ def test_async_transitive_blocking_is_one_finding_at_the_call_line(tmp_path):
         },
     )
     config = project_config(tmp_path)
-    reports, _stats = run_project([tmp_path / "src"], config=config, use_cache=False)
+    reports = lint_paths([tmp_path / "src"], config=config)
     findings = [f for report in reports for f in report.findings]
     assert [(f.rule, f.line) for f in findings] == [("async-unsafe-call", 5)]
     assert "pump()" in findings[0].message
@@ -399,7 +397,7 @@ def test_async_transitive_blocking_is_one_finding_at_the_call_line(tmp_path):
 
 
 def test_async_thread_spawn_is_flagged(tmp_path):
-    findings, _s, _st = run(
+    findings, _s = run(
         tmp_path,
         {
             "src/repro/net/aio.py": """\
@@ -416,7 +414,7 @@ def test_async_thread_spawn_is_flagged(tmp_path):
 
 
 def test_async_unsafe_suppression(tmp_path):
-    findings, suppressed, _st = run(
+    findings, suppressed = run(
         tmp_path,
         {
             "src/repro/net/aio.py": """\
@@ -436,7 +434,7 @@ def test_async_unsafe_suppression(tmp_path):
 
 
 def test_async_blocking_direct_call_fires(tmp_path):
-    findings, _s, _st = run(
+    findings, _s = run(
         tmp_path,
         {
             "src/repro/net/aio.py": """\
@@ -456,7 +454,7 @@ def test_async_blocking_direct_call_fires(tmp_path):
 
 
 def test_async_blocking_transitive_helper_fires(tmp_path):
-    findings, _s, _st = run(
+    findings, _s = run(
         tmp_path,
         {
             "src/repro/net/aio.py": """\
@@ -475,7 +473,7 @@ def test_async_blocking_transitive_helper_fires(tmp_path):
 
 
 def test_await_asyncio_sleep_is_the_correct_idiom(tmp_path):
-    findings, _s, _st = run(
+    findings, _s = run(
         tmp_path,
         {
             "src/repro/net/aio.py": """\
@@ -491,7 +489,7 @@ def test_await_asyncio_sleep_is_the_correct_idiom(tmp_path):
 
 
 def test_async_blocking_suppression(tmp_path):
-    findings, suppressed, _st = run(
+    findings, suppressed = run(
         tmp_path,
         {
             "src/repro/net/aio.py": """\
@@ -536,21 +534,5 @@ def _assert_pull_in_coroutine_flagged(findings):
 def test_blocking_call_through_an_attribute_receiver_in_a_coroutine(tmp_path):
     # ``self.conn.pull()`` has a three-part receiver: the call graph
     # resolves it to Conn.pull, whose recv blocks the event loop.
-    findings, _s, _st = run(tmp_path, _CONN_IN_COROUTINE, ["async-unsafe-call"])
-    _assert_pull_in_coroutine_flagged(findings)
-
-
-def test_version_3_cache_without_blocking_edges_is_rebuilt(tmp_path):
-    # A version-3 effects tier has the same project digest but no
-    # blocking edges; serving it would silently drop the finding.
-    write_project(tmp_path, {**_PKG, **_CONN_IN_COROUTINE})
-    run_rules(tmp_path, ["async-unsafe-call"], use_cache=True)
-    cache_file = tmp_path / ".cache.json"
-    data = json.loads(cache_file.read_text(encoding="utf-8"))
-    del data["effects"]["data"]["blocking_calls"]
-    data["version"] = 3
-    cache_file.write_text(json.dumps(data), encoding="utf-8")
-
-    findings, _s, stats = run_rules(tmp_path, ["async-unsafe-call"], use_cache=True)
-    assert stats.effects_built == 1
+    findings, _s = run(tmp_path, _CONN_IN_COROUTINE, ["async-unsafe-call"])
     _assert_pull_in_coroutine_flagged(findings)

@@ -1,8 +1,8 @@
 """Per-function effect-seed extraction (repro.lint.effects.extract)."""
 
-import ast
 import textwrap
 
+from repro.lint.context import ModuleContext
 from repro.lint.effects import (
     ENV_READ,
     GLOBAL_MUTATION,
@@ -27,9 +27,10 @@ def test_the_effect_lattice_is_closed():
 
 
 def extract(source: str) -> dict:
-    source = textwrap.dedent(source)
-    tree = ast.parse(source)
-    return extract_effects(tree, source, "repro.fixture").get("functions", {})
+    ctx = ModuleContext.from_source(
+        textwrap.dedent(source), path="fixture.py", module="repro.fixture"
+    )
+    return extract_effects(ctx).get("functions", {})
 
 
 def kinds_of(record: dict) -> set:

@@ -42,7 +42,7 @@ _FIXTURE = {
 
 def test_planted_wall_clock_three_calls_deep_is_caught(tmp_path):
     write_project(tmp_path, _FIXTURE)
-    findings, _s, _st = run_rules(tmp_path, ["nondet-in-sim"])
+    findings, _s = run_rules(tmp_path, ["nondet-in-sim"])
     assert [f.rule for f in findings] == ["nondet-in-sim"]
     finding = findings[0]
 
@@ -72,13 +72,13 @@ def test_fixing_the_seed_clears_the_finding(tmp_path):
             return 0.0
         """
     write_project(tmp_path, fixed)
-    findings, _s, _st = run_rules(tmp_path, ["nondet-in-sim"])
+    findings, _s = run_rules(tmp_path, ["nondet-in-sim"])
     assert findings == []
 
 
 def test_cross_file_code_flow_renders_as_valid_sarif(tmp_path):
     write_project(tmp_path, _FIXTURE)
-    findings, suppressed, _st = run_rules(tmp_path, ["nondet-in-sim"])
+    findings, suppressed = run_rules(tmp_path, ["nondet-in-sim"])
     doc = to_sarif(findings, suppressed, [])
     assert validate_sarif_2_1_0(doc) == []
 
@@ -106,7 +106,6 @@ def test_cli_sarif_output_for_the_regression_validates(tmp_path, monkeypatch, ca
             "pyproject.toml": """\
                 [tool.repro-lint.project]
                 roots = ["src"]
-                cache = ".cache.json"
                 """,
         },
     )

@@ -13,7 +13,7 @@ from typing import Optional
 
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
-from repro.lint.project.engine import ProjectStats, run_project
+from repro.lint.project.engine import lint_paths
 
 
 def write_project(tmp_path: Path, files: dict[str, str]) -> Path:
@@ -28,7 +28,7 @@ def write_project(tmp_path: Path, files: dict[str, str]) -> Path:
 def project_config(
     tmp_path: Path, rule_options: Optional[dict] = None
 ) -> LintConfig:
-    options = {"project": {"roots": ["src"], "cache": ".cache.json"}}
+    options = {"project": {"roots": ["src"]}}
     options.update(rule_options or {})
     return LintConfig(root=tmp_path, rule_options=options)
 
@@ -39,17 +39,13 @@ def run_rules(
     *,
     rule_options: Optional[dict] = None,
     paths: Optional[list[Path]] = None,
-    use_cache: bool = False,
-) -> tuple[list[Finding], list[Finding], ProjectStats]:
-    """Run selected project rules over the fixture; returns
-    (findings, suppressed, stats)."""
-    config = project_config(tmp_path, rule_options)
-    reports, stats = run_project(
+) -> tuple[list[Finding], list[Finding]]:
+    """Run selected rules over the fixture; returns (findings, suppressed)."""
+    reports = lint_paths(
         paths if paths is not None else [tmp_path / "src"],
-        config=config,
+        config=project_config(tmp_path, rule_options),
         select=select,
-        use_cache=use_cache,
     )
     findings = [f for report in reports for f in report.findings]
     suppressed = [f for report in reports for f in report.suppressed]
-    return findings, suppressed, stats
+    return findings, suppressed

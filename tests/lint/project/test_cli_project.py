@@ -15,7 +15,6 @@ DRIFT_PROJECT = {
     "pyproject.toml": """\
         [tool.repro-lint.project]
         roots = ["src"]
-        cache = ".cache.json"
         """,
     "src/repro/hw/__init__.py": "",
     "src/repro/hw/phy.py": "FRAME_BITS = 12\n",
@@ -59,43 +58,39 @@ def test_project_finding_gates_the_exit_code(tmp_path, monkeypatch, capsys):
     assert "src/repro/hw/phy.py" in out
 
 
-def test_no_project_hides_cross_module_findings(tmp_path, monkeypatch):
+def test_selecting_per_file_rules_skips_cross_module_findings(
+    tmp_path, monkeypatch
+):
     write_project(tmp_path, DRIFT_PROJECT)
     monkeypatch.chdir(tmp_path)
-    assert main(["--no-project", "src"]) == 0
+    assert main(["--select", "mutable-default", "src"]) == 0
 
 
-def test_project_only_skips_the_per_file_pass(tmp_path, monkeypatch, capsys):
+def test_selecting_project_rules_skips_per_file_rules(
+    tmp_path, monkeypatch, capsys
+):
     files = dict(DRIFT_PROJECT)
-    # A per-file violation the project pass must NOT report.
+    # A per-file violation a project-only selection must NOT report.
     files["src/repro/hw/bad.py"] = "def f(x=[]):\n    return x\n"
     write_project(tmp_path, files)
     monkeypatch.chdir(tmp_path)
-    assert main(["--project-only", "src"]) == 1
+    assert main(["--select", "proto-const-drift", "src"]) == 1
     out = capsys.readouterr().out
     assert "proto-const-drift" in out
     assert "mutable-default" not in out
 
 
-def test_project_only_counts_the_files_it_reports_on(
-    tmp_path, monkeypatch, capsys
-):
+def test_file_count_covers_clean_files(tmp_path, monkeypatch, capsys):
     # Counted are the files under the requested paths, not only the ones
     # with findings: the clean fixture below has none.
     files = dict(DRIFT_PROJECT)
     files["src/repro/hw/phy.py"] = "from repro.tpwire.constants import FRAME_BITS\n"
     write_project(tmp_path, files)
     monkeypatch.chdir(tmp_path)
-    assert main(["--project-only", "--no-cache", "src"]) == 0
+    assert main(["src"]) == 0
     assert "repro-lint: 4 files, 0 errors" in capsys.readouterr().out
-    assert main(["--project-only", "--no-cache", "--format", "json", "src"]) == 0
+    assert main(["--select", "proto-const-drift", "--format", "json", "src"]) == 0
     assert json.loads(capsys.readouterr().out)["files"] == 4
-
-
-def test_no_project_and_project_only_conflict(tmp_path, monkeypatch, capsys):
-    write_project(tmp_path, DRIFT_PROJECT)
-    monkeypatch.chdir(tmp_path)
-    assert main(["--no-project", "--project-only", "src"]) == 2
 
 
 def test_both_passes_merge_into_one_json_report(tmp_path, monkeypatch, capsys):

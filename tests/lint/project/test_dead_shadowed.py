@@ -22,7 +22,7 @@ PKG = {
 
 def test_unreferenced_export_warns(tmp_path):
     write_project(tmp_path, PKG)
-    findings, _s, _stats = run_rules(tmp_path, ["dead-public-api"])
+    findings, _s = run_rules(tmp_path, ["dead-public-api"])
     assert {f.message.split(" exports ")[1].split(",")[0] for f in findings} == {
         "Agent",
         "Sink",
@@ -41,7 +41,7 @@ def test_reference_through_the_package_keeps_it_alive(tmp_path):
             return Agent()
         """
     write_project(tmp_path, files)
-    findings, _s, _stats = run_rules(tmp_path, ["dead-public-api"])
+    findings, _s = run_rules(tmp_path, ["dead-public-api"])
     assert [f for f in findings if "Agent" in f.message] == []
     assert len([f for f in findings if "Sink" in f.message]) == 1
 
@@ -56,7 +56,7 @@ def test_reference_through_the_submodule_also_counts(tmp_path):
             return agent.Agent()
         """
     write_project(tmp_path, files)
-    findings, _s, _stats = run_rules(tmp_path, ["dead-public-api"])
+    findings, _s = run_rules(tmp_path, ["dead-public-api"])
     assert [f for f in findings if "Agent" in f.message] == []
 
 
@@ -69,7 +69,7 @@ def test_function_local_import_counts_as_use(tmp_path):
             return Agent()
         """
     write_project(tmp_path, files)
-    findings, _s, _stats = run_rules(tmp_path, ["dead-public-api"])
+    findings, _s = run_rules(tmp_path, ["dead-public-api"])
     assert [f for f in findings if "Agent" in f.message] == []
 
 
@@ -93,13 +93,12 @@ def test_reference_from_tests_only_does_not_keep_it_alive(tmp_path):
             return Sink()
         """
     write_project(tmp_path, files)
-    findings, _s, _stats = run_rules(
+    findings, _s = run_rules(
         tmp_path,
         ["dead-public-api"],
         rule_options={
             "project": {
                 "roots": ["src", "tests", "benchmarks"],
-                "cache": ".cache.json",
             }
         },
     )
@@ -112,7 +111,7 @@ def test_reexport_alone_is_not_a_use(tmp_path):
     files = dict(PKG)
     files["src/repro/__init__.py"] = "from repro.net import Agent\n"
     write_project(tmp_path, files)
-    findings, _s, _stats = run_rules(tmp_path, ["dead-public-api"])
+    findings, _s = run_rules(tmp_path, ["dead-public-api"])
     assert [f for f in findings if "Agent" in f.message] != []
 
 
@@ -126,7 +125,7 @@ def test_allow_option_and_dunders_are_exempt(tmp_path):
         __all__ = ["Agent", "Sink", "__version__"]
         """
     write_project(tmp_path, files)
-    findings, _s, _stats = run_rules(
+    findings, _s = run_rules(
         tmp_path,
         ["dead-public-api"],
         rule_options={"dead-public-api": {"allow": ["Sink"]}},
@@ -147,7 +146,7 @@ def test_all_ghost_name_fires(tmp_path):
             "src/repro/net/agent.py": "class Agent:\n    pass\n",
         },
     )
-    findings, _s, _stats = run_rules(tmp_path, ["shadowed-export"])
+    findings, _s = run_rules(tmp_path, ["shadowed-export"])
     assert len(findings) == 1
     assert "Ghost" in findings[0].message
 
@@ -166,7 +165,7 @@ def test_module_getattr_exempts_lazy_all_entries(tmp_path):
                 """,
         },
     )
-    findings, _s, _stats = run_rules(tmp_path, ["shadowed-export"])
+    findings, _s = run_rules(tmp_path, ["shadowed-export"])
     assert findings == []
 
 
@@ -182,7 +181,7 @@ def test_duplicate_all_entry_fires(tmp_path):
             "src/repro/net/agent.py": "class Agent:\n    pass\n",
         },
     )
-    findings, _s, _stats = run_rules(tmp_path, ["shadowed-export"])
+    findings, _s = run_rules(tmp_path, ["shadowed-export"])
     assert len(findings) == 1
     assert "duplicate" in findings[0].message
 
@@ -203,7 +202,7 @@ def test_unconditional_import_shadowing_fires(tmp_path):
             "src/repro/net/second.py": "def helper():\n    return 2\n",
         },
     )
-    findings, _s, _stats = run_rules(tmp_path, ["shadowed-export"])
+    findings, _s = run_rules(tmp_path, ["shadowed-export"])
     assert len(findings) == 1
     assert findings[0].line == 2
     assert "shadows the import on line 1" in findings[0].message
@@ -222,5 +221,5 @@ def test_conditional_fallback_import_is_allowed(tmp_path):
                 """,
         },
     )
-    findings, _s, _stats = run_rules(tmp_path, ["shadowed-export"])
+    findings, _s = run_rules(tmp_path, ["shadowed-export"])
     assert findings == []

@@ -1,8 +1,6 @@
-"""The engine: indexing, constant propagation, incremental cache."""
+"""The engine: indexing, constant propagation, the one pass."""
 
-import json
-
-from repro.lint.project.engine import run_project
+from repro.lint.project.engine import build_index
 
 from tests.lint.project.projutil import project_config, run_rules, write_project
 
@@ -25,60 +23,32 @@ CLEAN_PROJECT = {
 }
 
 
-def _findings_bytes(reports):
-    return json.dumps(
-        [
-            {
-                "path": r.path,
-                "findings": [f.as_dict() for f in r.findings],
-                "suppressed": [f.as_dict() for f in r.suppressed],
-            }
-            for r in reports
-        ],
-        sort_keys=True,
-    ).encode()
-
-
-def test_warm_run_parses_nothing_and_matches_cold(tmp_path):
-    write_project(tmp_path, CLEAN_PROJECT)
-    config = project_config(tmp_path)
-
-    cold_reports, cold_stats = run_project(
-        [tmp_path / "src"], config=config, select=["proto-const-drift"]
-    )
-    assert cold_stats.parsed == cold_stats.files > 0
-    assert cold_stats.cache_hits == 0
-
-    warm_reports, warm_stats = run_project(
-        [tmp_path / "src"], config=config, select=["proto-const-drift"]
-    )
-    assert warm_stats.parsed == 0
-    assert warm_stats.cache_hits == warm_stats.files == cold_stats.files
-    assert _findings_bytes(warm_reports) == _findings_bytes(cold_reports)
-
-
 def test_editing_canonical_invalidates_dependent_envs(tmp_path):
-    write_project(tmp_path, CLEAN_PROJECT)
-    config = project_config(tmp_path)
-    run_project([tmp_path / "src"], config=config, select=["proto-const-drift"])
+    # Each run recomputes every constant environment from the files as
+    # they are: editing the canonical module changes a dependent's
+    # propagated value, and with it the dependent's finding.
+    files = dict(CLEAN_PROJECT)
+    # Traces to the canonical module, and today's value matches it.
+    files["src/repro/hw/phy.py"] = """\
+        from repro.tpwire import constants
 
-    # Warm run reuses every constant environment.
-    _reports, warm = run_project(
-        [tmp_path / "src"], config=config, select=["proto-const-drift"]
-    )
-    assert warm.envs_reused > 0 and warm.envs_computed == 0
+        FRAME_BITS = constants.DATA_BITS * 2
+        """
+    write_project(tmp_path, files)
+    findings, _s = run_rules(tmp_path, ["proto-const-drift"])
+    assert findings == []
 
-    # Touch the canonical constants module: its dependents' closure
-    # digests change, so their environments are recomputed...
     constants = tmp_path / "src/repro/tpwire/constants.py"
     constants.write_text(
         constants.read_text().replace("DATA_BITS = 8", "DATA_BITS = 9")
     )
-    _reports, after = run_project(
-        [tmp_path / "src"], config=config, select=["proto-const-drift"]
-    )
-    assert after.parsed == 1  # ...while only the edited file re-parses.
-    assert after.envs_computed > 0
+    findings, _s = run_rules(tmp_path, ["proto-const-drift"])
+    assert [(f.path, f.message) for f in findings] == [
+        (
+            "src/repro/hw/phy.py",
+            "FRAME_BITS = 18 drifts from repro.tpwire.constants.FRAME_BITS = 16",
+        )
+    ]
 
 
 def test_cli_paths_filter_reporting_not_indexing(tmp_path):
@@ -88,14 +58,14 @@ def test_cli_paths_filter_reporting_not_indexing(tmp_path):
 
     # Linting only the clean file: the index still contains the rogue
     # module (same roots), but its finding is not reported.
-    findings, _suppressed, _stats = run_rules(
+    findings, _suppressed = run_rules(
         tmp_path,
         ["proto-const-drift"],
         paths=[tmp_path / "src/repro/tpwire/frames.py"],
     )
     assert findings == []
 
-    findings, _suppressed, _stats = run_rules(tmp_path, ["proto-const-drift"])
+    findings, _suppressed = run_rules(tmp_path, ["proto-const-drift"])
     assert len(findings) == 1
     assert findings[0].path == "src/repro/hw/rogue.py"
     assert findings[0].rule == "proto-const-drift"
@@ -116,9 +86,7 @@ def test_constant_value_follows_aliases_and_arithmetic(tmp_path):
                 """,
         },
     )
-    from repro.lint.project.engine import build_index
-
-    index = build_index([tmp_path / "src"], project_config(tmp_path), use_cache=False)
+    index = build_index([tmp_path / "src"], project_config(tmp_path))
     assert index.constant_value("repro.tpwire.derived", "HEADER") == 8
     assert index.constant_value("repro.tpwire.derived", "SHIFTED") == 256
     env = index.const_env("repro.tpwire.derived")
@@ -134,22 +102,8 @@ def test_import_cycle_terminates_constant_evaluation(tmp_path):
             "src/repro/des/b.py": "from repro.des.a import X\nY = X\n",
         },
     )
-    from repro.lint.project.engine import build_index
-
-    index = build_index([tmp_path / "src"], project_config(tmp_path), use_cache=False)
+    index = build_index([tmp_path / "src"], project_config(tmp_path))
     assert index.constant_value("repro.des.a", "X") is None
-
-
-def test_many_files_run_completes_with_parallel_threshold_crossed(tmp_path):
-    files = {"src/repro/des/__init__.py": ""}
-    for i in range(20):
-        files[f"src/repro/des/mod{i:02d}.py"] = f"VALUE_{i} = {i}\n"
-    write_project(tmp_path, files)
-    _findings, _suppressed, stats = run_rules(tmp_path, ["layer-cycle"])
-    # The pool may be unavailable in a sandbox; the serial fallback must
-    # produce the same complete result either way.
-    assert stats.files == 21
-    assert stats.parsed == 21
 
 
 def test_parse_error_does_not_crash_the_pass(tmp_path):
@@ -160,6 +114,8 @@ def test_parse_error_does_not_crash_the_pass(tmp_path):
             "src/repro/des/broken.py": "def nope(:\n",
         },
     )
-    findings, _suppressed, stats = run_rules(tmp_path, ["layer-cycle"])
-    assert stats.files == 2
-    assert findings == []
+    findings, _suppressed = run_rules(tmp_path, ["layer-cycle"])
+    # The one parse reports the error; the project rules still run.
+    assert [(f.rule, f.path) for f in findings] == [
+        ("parse-error", "src/repro/des/broken.py")
+    ]

@@ -23,7 +23,7 @@ def test_stray_exception_class_fires(tmp_path):
             pass
         """
     write_project(tmp_path, files)
-    findings, _s, _stats = run_rules(tmp_path, ["exception-flow"])
+    findings, _s = run_rules(tmp_path, ["exception-flow"])
     assert len(findings) == 1
     assert findings[0].path == "src/repro/des/kernel.py"
     assert "KernelPanic" in findings[0].message
@@ -39,7 +39,7 @@ def test_subclass_of_project_error_outside_errors_module_fires(tmp_path):
             pass
         """
     write_project(tmp_path, files)
-    findings, _s, _stats = run_rules(tmp_path, ["exception-flow"])
+    findings, _s = run_rules(tmp_path, ["exception-flow"])
     assert len(findings) == 1
     assert "DeadlockError" in findings[0].message
 
@@ -54,7 +54,7 @@ def test_classes_in_the_errors_module_are_clean(tmp_path):
             pass
         """
     write_project(tmp_path, files)
-    findings, _s, _stats = run_rules(tmp_path, ["exception-flow"])
+    findings, _s = run_rules(tmp_path, ["exception-flow"])
     assert findings == []
 
 
@@ -65,7 +65,7 @@ def test_non_exception_classes_are_ignored(tmp_path):
             pass
         """
     write_project(tmp_path, files)
-    findings, _s, _stats = run_rules(tmp_path, ["exception-flow"])
+    findings, _s = run_rules(tmp_path, ["exception-flow"])
     assert findings == []
 
 
@@ -78,7 +78,7 @@ def test_cross_layer_raise_fires(tmp_path):
             raise SimError("not ours to raise")
         """
     write_project(tmp_path, files)
-    findings, _s, _stats = run_rules(tmp_path, ["exception-flow"])
+    findings, _s = run_rules(tmp_path, ["exception-flow"])
     assert len(findings) == 1
     assert findings[0].path == "src/repro/net/agent.py"
     assert "repro.des.errors" in findings[0].message
@@ -93,7 +93,7 @@ def test_owners_option_permits_declared_flows(tmp_path):
             raise SimError("declared as allowed")
         """
     write_project(tmp_path, files)
-    findings, _s, _stats = run_rules(
+    findings, _s = run_rules(
         tmp_path,
         ["exception-flow"],
         rule_options={
@@ -117,7 +117,7 @@ def test_own_layer_raise_is_clean(tmp_path):
             raise NetError("ours")
         """
     write_project(tmp_path, files)
-    findings, _s, _stats = run_rules(tmp_path, ["exception-flow"])
+    findings, _s = run_rules(tmp_path, ["exception-flow"])
     assert findings == []
 
 
@@ -135,7 +135,7 @@ def test_stale_documented_raises_fires(tmp_path):
             return 1
         """
     write_project(tmp_path, files)
-    findings, _s, _stats = run_rules(tmp_path, ["exception-flow"])
+    findings, _s = run_rules(tmp_path, ["exception-flow"])
     assert len(findings) == 1
     assert "documents raising NetError" in findings[0].message
 
@@ -161,7 +161,7 @@ def test_documented_raise_satisfied_by_an_import_is_clean(tmp_path):
             return errors.fail()
         """
     write_project(tmp_path, files)
-    findings, _s, _stats = run_rules(tmp_path, ["exception-flow"])
+    findings, _s = run_rules(tmp_path, ["exception-flow"])
     assert findings == []
 
 
@@ -177,5 +177,5 @@ def test_documented_builtins_are_not_checked(tmp_path):
             return int(x)
         """
     write_project(tmp_path, files)
-    findings, _s, _stats = run_rules(tmp_path, ["exception-flow"])
+    findings, _s = run_rules(tmp_path, ["exception-flow"])
     assert findings == []

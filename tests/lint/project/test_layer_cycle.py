@@ -12,7 +12,7 @@ def test_import_cycle_fires(tmp_path):
             "src/repro/des/b.py": "from repro.des import a\n",
         },
     )
-    findings, _s, _stats = run_rules(tmp_path, ["layer-cycle"])
+    findings, _s = run_rules(tmp_path, ["layer-cycle"])
     cycle = [f for f in findings if "import cycle" in f.message]
     assert len(cycle) == 1
     assert "repro.des.a -> repro.des.b -> repro.des.a" in cycle[0].message
@@ -29,7 +29,7 @@ def test_function_local_import_breaks_the_cycle(tmp_path):
             ),
         },
     )
-    findings, _s, _stats = run_rules(tmp_path, ["layer-cycle"])
+    findings, _s = run_rules(tmp_path, ["layer-cycle"])
     assert [f for f in findings if "import cycle" in f.message] == []
 
 
@@ -44,7 +44,7 @@ def test_upward_layer_edge_fires(tmp_path):
             "src/repro/tpwire/frames.py": "FRAME_BITS = 16\n",
         },
     )
-    findings, _s, _stats = run_rules(tmp_path, ["layer-cycle"])
+    findings, _s = run_rules(tmp_path, ["layer-cycle"])
     assert len(findings) == 1
     finding = findings[0]
     assert finding.path == "src/repro/des/evil.py"
@@ -66,7 +66,7 @@ def test_function_local_import_is_still_a_layer_edge(tmp_path):
             "src/repro/tpwire/frames.py": "",
         },
     )
-    findings, _s, _stats = run_rules(tmp_path, ["layer-cycle"])
+    findings, _s = run_rules(tmp_path, ["layer-cycle"])
     assert len(findings) == 1
     assert findings[0].line == 2
 
@@ -85,7 +85,7 @@ def test_declared_edges_are_allowed(tmp_path):
             ),
         },
     )
-    findings, _s, _stats = run_rules(tmp_path, ["layer-cycle"])
+    findings, _s = run_rules(tmp_path, ["layer-cycle"])
     assert findings == []
 
 
@@ -99,7 +99,7 @@ def test_layers_option_overrides_the_dag(tmp_path):
             "src/repro/tpwire/frames.py": "",
         },
     )
-    findings, _s, _stats = run_rules(
+    findings, _s = run_rules(
         tmp_path,
         ["layer-cycle"],
         rule_options={

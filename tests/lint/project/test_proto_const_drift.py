@@ -18,7 +18,7 @@ def test_value_drift_fires(tmp_path):
     files = dict(CANONICAL)
     files["src/repro/hw/phy.py"] = "FRAME_BITS = 12\n"
     write_project(tmp_path, files)
-    findings, _s, _stats = run_rules(tmp_path, ["proto-const-drift"])
+    findings, _s = run_rules(tmp_path, ["proto-const-drift"])
     assert len(findings) == 1
     assert findings[0].path == "src/repro/hw/phy.py"
     assert "drifts" in findings[0].message
@@ -30,7 +30,7 @@ def test_matching_literal_still_fires(tmp_path):
     files = dict(CANONICAL)
     files["src/repro/hw/phy.py"] = "FRAME_BITS = 16\n"
     write_project(tmp_path, files)
-    findings, _s, _stats = run_rules(tmp_path, ["proto-const-drift"])
+    findings, _s = run_rules(tmp_path, ["proto-const-drift"])
     assert len(findings) == 1
     assert "re-derived locally" in findings[0].message
 
@@ -45,7 +45,7 @@ def test_reimport_and_derivation_are_clean(tmp_path):
         HEADER_BITS = FRAME_BITS - constants.DATA_BITS
         """
     write_project(tmp_path, files)
-    findings, _s, _stats = run_rules(tmp_path, ["proto-const-drift"])
+    findings, _s = run_rules(tmp_path, ["proto-const-drift"])
     assert findings == []
 
 
@@ -57,7 +57,7 @@ def test_derived_with_wrong_value_fires_as_drift(tmp_path):
         HEADER_BITS = FRAME_BITS - 4
         """
     write_project(tmp_path, files)
-    findings, _s, _stats = run_rules(tmp_path, ["proto-const-drift"])
+    findings, _s = run_rules(tmp_path, ["proto-const-drift"])
     assert len(findings) == 1
     assert "HEADER_BITS" in findings[0].message and "drifts" in findings[0].message
 
@@ -73,7 +73,7 @@ def test_indirect_chain_through_another_module_traces(tmp_path):
         DATA_BITS = FRAME_BITS - 8
         """
     write_project(tmp_path, files)
-    findings, _s, _stats = run_rules(tmp_path, ["proto-const-drift"])
+    findings, _s = run_rules(tmp_path, ["proto-const-drift"])
     assert findings == []
 
 
@@ -82,7 +82,7 @@ def test_modules_outside_scope_are_ignored(tmp_path):
     files["src/repro/core/__init__.py"] = ""
     files["src/repro/core/free.py"] = "FRAME_BITS = 99\n"
     write_project(tmp_path, files)
-    findings, _s, _stats = run_rules(tmp_path, ["proto-const-drift"])
+    findings, _s = run_rules(tmp_path, ["proto-const-drift"])
     assert findings == []
 
 
@@ -90,7 +90,7 @@ def test_untracked_names_are_ignored(tmp_path):
     files = dict(CANONICAL)
     files["src/repro/hw/phy.py"] = "LOCAL_TUNING = 42\n"
     write_project(tmp_path, files)
-    findings, _s, _stats = run_rules(tmp_path, ["proto-const-drift"])
+    findings, _s = run_rules(tmp_path, ["proto-const-drift"])
     assert findings == []
 
 
@@ -102,7 +102,7 @@ def test_missing_canonical_module_disables_the_rule(tmp_path):
             "src/repro/hw/phy.py": "FRAME_BITS = 12\n",
         },
     )
-    findings, _s, _stats = run_rules(tmp_path, ["proto-const-drift"])
+    findings, _s = run_rules(tmp_path, ["proto-const-drift"])
     assert findings == []
 
 
@@ -110,7 +110,7 @@ def test_track_option_narrows_the_watched_set(tmp_path):
     files = dict(CANONICAL)
     files["src/repro/hw/phy.py"] = "FRAME_BITS = 12\nDATA_BITS = 3\n"
     write_project(tmp_path, files)
-    findings, _s, _stats = run_rules(
+    findings, _s = run_rules(
         tmp_path,
         ["proto-const-drift"],
         rule_options={"proto-const-drift": {"track": ["DATA_BITS"]}},

@@ -140,7 +140,6 @@ def test_cli_sarif_output_validates(tmp_path, monkeypatch, capsys):
             "pyproject.toml": """\
                 [tool.repro-lint.project]
                 roots = ["src"]
-                cache = ".cache.json"
                 """,
             "src/repro/hw/__init__.py": "",
             "src/repro/hw/phy.py": "FRAME_BITS = 12\n",

@@ -2,12 +2,18 @@
 
 import textwrap
 
-from repro.lint.project.symbols import ModuleSummary, summarize_source
+from repro.lint.context import ModuleContext
+from repro.lint.project.engine import build_index
+from repro.lint.project.symbols import ModuleSummary, summarize as summarize_ctx
+
+from tests.lint.project.projutil import project_config, write_project
 
 
 def summarize(source: str, module: str = "repro.fixture.mod") -> ModuleSummary:
-    return summarize_source(
-        textwrap.dedent(source), path="fixture.py", module=module
+    return summarize_ctx(
+        ModuleContext.from_source(
+            textwrap.dedent(source), path="fixture.py", module=module
+        )
     )
 
 
@@ -186,38 +192,14 @@ def test_refs_only_track_imported_bases():
     assert "LOCAL" not in summary.refs
 
 
-def test_suppressions_survive_the_dict_roundtrip():
-    summary = summarize(
-        """\
-        # lint: disable-file=rule-a
-        X = 1  # lint: disable=rule-b
-        """
+def test_parse_error_is_recorded_not_raised(tmp_path):
+    # An unparsable file still joins the index, with an empty summary,
+    # so imports of it resolve; its parse error is a finding.
+    write_project(
+        tmp_path,
+        {"src/repro/des/__init__.py": "", "src/repro/des/broken.py": "def broken(:\n"},
     )
-    clone = ModuleSummary.from_dict(summary.to_dict())
-    index = clone.suppression_index()
-    assert "rule-a" in index.file_wide
-    assert index.by_line[2] == {"rule-b"}
-
-
-def test_parse_error_is_recorded_not_raised():
-    summary = summarize("def broken(:\n")
-    assert summary.parse_error is not None
-    assert summary.parse_error["line"] == 1
+    index = build_index([tmp_path / "src"], project_config(tmp_path))
+    summary = index.summaries["repro.des.broken"]
+    assert summary.path == "src/repro/des/broken.py"
     assert summary.bindings == []
-
-
-def test_roundtrip_is_lossless():
-    summary = summarize(
-        """\
-        from repro.des import kernel
-
-        __all__ = ["Frame"]
-
-        WIDTH = 16
-
-        class Frame:
-            def ship(self):
-                raise ValueError("x")
-        """
-    )
-    assert ModuleSummary.from_dict(summary.to_dict()).to_dict() == summary.to_dict()

@@ -41,7 +41,7 @@ def test_repo_tests_and_benchmarks_lint_clean():
 def test_repo_has_no_dead_public_api():
     # Warnings leave the exit status at 0, so read the findings.
     result = _run_cli(
-        ["--select", "dead-public-api", "--no-cache", "src"], cwd=REPO_ROOT
+        ["--select", "dead-public-api", "src"], cwd=REPO_ROOT
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert "dead-public-api" not in result.stdout, result.stdout

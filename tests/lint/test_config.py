@@ -50,7 +50,6 @@ def test_load_config_reads_repo_pyproject():
     config = load_config(Path(__file__).resolve().parents[2])
     assert config.rule_options["wall-clock"]["allow-modules"] == [
         "repro.core.clock",
-        "repro.lint.project.timing",
     ]
     assert config.rule_options["effects"]["barrier"] == [
         "repro.core.transports:SocketConnection.*",
