@@ -148,7 +148,11 @@ class XmlWireCodec:
             return b""
         out = ["<request"]
         for key, value in sorted(message.params.items()):
-            out.append(f' {key}="{escape_attrib(str(value))}"')
+            if type(value) is int or type(value) is float:
+                # Digits, signs, '.', 'e', "inf" or "nan": nothing to escape.
+                out.append(f' {key}="{value!s}"')
+            else:
+                out.append(f' {key}="{escape_attrib(str(value))}"')
         if message.item is None:
             out.append(" />")
         else:
@@ -217,9 +221,14 @@ def encode_message(message: Message, codec) -> bytes:
 
 
 def decode_body(msg_type: MessageType, request_id: int, body: bytes, codec: XmlCodec) -> Message:
-    """Reconstruct a :class:`Message` from its decoded header and body."""
+    """Reconstruct a :class:`Message` from its decoded header and body:
+    by its entry class's decode plan when the body is the writer's own
+    layout, by ElementTree otherwise (``docs/protocol.md`` §6)."""
     if not body:
         return Message(msg_type, request_id)
+    planned = codec.read_planned_request(body)
+    if planned is not None:
+        return Message(msg_type, request_id, *planned)
     try:
         root = ET.fromstring(body)
     except ET.ParseError as exc:
@@ -227,7 +236,7 @@ def decode_body(msg_type: MessageType, request_id: int, body: bytes, codec: XmlC
     if root.tag != "request":
         raise ProtocolError(f"expected <request>, got <{root.tag}>")
     params = dict(root.attrib)
-    children = list(root)
+    children = codec.child_elements(root, "<request>")
     if len(children) > 1:
         raise ProtocolError("a message carries at most one item")
     item = codec.read_item(children[0]) if children else None

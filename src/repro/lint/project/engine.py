@@ -330,11 +330,14 @@ _BIN_EVAL = {
 
 
 def project_roots(config: LintConfig) -> list[Path]:
-    """Directories the index always covers, from ``[tool.repro-lint.project]``."""
+    """Directories the index always covers, from ``[tool.repro-lint.project]``,
+    under the config's root; none for a config without a root (the
+    index then covers the paths linted)."""
+    if config.root is None:
+        return []
     options = config.rule_options.get("project", {})
     declared = options.get("roots", list(DEFAULT_ROOTS))
-    base = config.root if config.root is not None else Path.cwd()
-    return [base / entry for entry in declared if (base / entry).exists()]
+    return [config.root / entry for entry in declared if (config.root / entry).exists()]
 
 
 def _one_pass(

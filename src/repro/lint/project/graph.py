@@ -23,19 +23,12 @@ class ModuleGraph:
         for targets in list(self.edges.values()):
             for target in targets:
                 self.edges.setdefault(target, set())
-        self.reverse: dict[str, set[str]] = {m: set() for m in self.edges}
-        for module, targets in self.edges.items():
-            for target in targets:
-                self.reverse[target].add(module)
 
     def modules(self) -> list[str]:
         return sorted(self.edges)
 
     def deps(self, module: str) -> set[str]:
         return self.edges.get(module, set())
-
-    def dependents(self, module: str) -> set[str]:
-        return self.reverse.get(module, set())
 
     # -- closures ----------------------------------------------------------
 
@@ -53,16 +46,6 @@ class ModuleGraph:
     def transitive_deps(self, module: str) -> set[str]:
         """Modules reachable from ``module`` (module itself excluded)."""
         return self._closure(self.deps(module), self.edges)
-
-    def transitive_dependents(self, seeds: Iterable[str]) -> set[str]:
-        """Every module whose meaning may change when ``seeds`` change
-        (seeds included)."""
-        seeds = [s for s in seeds if s in self.edges]
-        out = self._closure(
-            {d for s in seeds for d in self.dependents(s)}, self.reverse
-        )
-        out.update(seeds)
-        return out
 
     # -- cycles ------------------------------------------------------------
 

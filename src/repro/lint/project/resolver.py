@@ -35,10 +35,6 @@ def module_name_for(path: Path) -> str:
     return ".".join(parts)
 
 
-def is_package_init(path: Path) -> bool:
-    return Path(path).name == "__init__.py"
-
-
 class ImportResolver:
     """Resolves import statements against a known set of project modules."""
 

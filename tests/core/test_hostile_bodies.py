@@ -10,7 +10,11 @@ Each test here failed before its fix:
   server sent no ERROR reply and left the connection open;
 * a bad XML scalar literal (an int, float or bytes field that does not
   parse, or an int past the interpreter's digit limit) escaped the XML
-  codec as ``ValueError`` the same way, in a tuple and in a template.
+  codec as ``ValueError`` the same way, in a tuple and in a template;
+* the XML reader dropped stray content: text or an element where the
+  writer writes none (``<field type="str">st<b>x</b>01</field>`` read
+  as ``'st'``), so the server acked a value the client never sent;
+* an XML tuple or template of no members escaped as ``ValueError``.
 """
 
 import asyncio
@@ -31,6 +35,7 @@ from repro.core.protocol import (
     encode_message,
 )
 from repro.core.aio import AsyncSpaceServer
+from tests.core.test_binary_wire_identity import Part
 from repro.core.server import NullTimers
 from repro.core.transports import LocalConnection
 
@@ -210,5 +215,126 @@ class TestBadScalarLiteralIsAProtocolError:
         assert [reply.msg_type for reply in replies] == [MessageType.ERROR]
         assert replies[0].request_id == 13
         assert "literal" in replies[0].params["text"]
+        assert protocol_errors == 1
+        assert len(space) == 0
+
+
+def _part(station_field: str) -> bytes:
+    return (
+        '<request><entry class="Part"><field name="key" type="int">1</field>'
+        f'{station_field}<field name="weight" type="none" /></entry></request>'
+    ).encode("utf-8")
+
+
+#: ``id -> (XML body, what the error names)``: content where the writer
+#: writes none, each refused where it used to be dropped.
+STRAY_CONTENT = {
+    "element_in_str": (
+        _part('<field name="station" type="str">st<b>x</b>01</field>'), "holds an element"),
+    "text_in_list": (
+        b'<request><tuple><field type="list">hello<field type="int">1</field>'
+        b"</field></tuple></request>", "stray text 'hello' in list <field>"),
+    "text_in_request": (
+        b'<request>x<tuple><field type="int">1</field></tuple></request>',
+        "stray text 'x' in <request>"),
+    "tail_in_request": (
+        b'<request><tuple><field type="int">1</field></tuple>y</request>',
+        "stray text 'y' in <request>"),
+    "text_in_entry": (
+        _part('z<field name="station" type="none" />'), "stray text 'z' in <entry>"),
+    "text_between_fields": (
+        b'<request><tuple><field type="int">1</field>,<field type="int">2</field>'
+        b"</tuple></request>", "stray text ',' in <tuple>"),
+    "text_in_template": (
+        b'<request><template>t<field type="any" /></template></request>',
+        "stray text 't' in <template>"),
+    "text_in_dict": (
+        b'<request><tuple><field type="dict">d<field name="k" type="int">1</field>'
+        b"</field></tuple></request>", "stray text 'd' in dict <field>"),
+    "element_in_int": (
+        b'<request><tuple><field type="int">1<field type="int">2</field></field>'
+        b"</tuple></request>", "int <field> holds an element"),
+    "element_in_none": (
+        b'<request><tuple><field type="none"><field type="int">2</field></field>'
+        b"</tuple></request>", "none <field> holds an element"),
+    "text_in_none": (
+        b'<request><tuple><field type="none">q</field></tuple></request>',
+        "stray text 'q' in none <field>"),
+    "element_in_any": (
+        b'<request><template><field type="any"><field type="int">2</field></field>'
+        b"</template></request>", "any <field> holds an element"),
+    "element_in_formal": (
+        b'<request><template><field type="formal">int<a /></field></template></request>',
+        "formal <field> holds an element"),
+    "empty_tuple": (b"<request><tuple /></request>", "a tuple needs at least one field"),
+    "empty_tuple_field": (
+        b'<request><tuple><field type="tuple" /></tuple></request>',
+        "a tuple needs at least one field"),
+    "empty_template": (
+        b"<request><template /></request>", "a template needs at least one pattern"),
+}
+
+
+def part_registry() -> XmlCodec:
+    registry = XmlCodec()
+    registry.register(Part)
+    return registry
+
+
+class TestStrayContentIsAProtocolError:
+    @pytest.mark.parametrize("body, error", STRAY_CONTENT.values(), ids=STRAY_CONTENT.keys())
+    def test_xml_codec(self, body, error):
+        registry = part_registry()
+        with pytest.raises(ProtocolError) as raised:
+            XmlWireCodec(registry).decode_body(MessageType.WRITE, 1, body)
+        assert error in str(raised.value)
+        if "<request>" not in error:  # the item alone is refused too
+            item = body.removeprefix(b"<request>").removesuffix(b"</request>")
+            with pytest.raises(ProtocolError) as raised:
+                registry.decode(item)
+            assert error in str(raised.value)
+
+    def test_whitespace_layout_is_read(self):
+        registry = part_registry()
+        compact = XmlWireCodec(registry).encode_body(
+            Message(MessageType.WRITE, 1, {"lease": 5}, Part(1, "st01", [2.5, None])))
+        spaced = compact.replace(b"><", b">\n\t <")
+        assert spaced != compact
+        wire = XmlWireCodec(registry)
+        assert (wire.decode_body(MessageType.WRITE, 1, spaced)
+                == wire.decode_body(MessageType.WRITE, 1, compact))
+
+    @pytest.mark.parametrize(
+        "body, error",
+        [STRAY_CONTENT[name] for name in ("element_in_str", "text_in_list", "empty_tuple")],
+        ids=["element_in_str", "text_in_list", "empty_tuple"],
+    )
+    def test_async_server_answers_error_then_closes(self, body, error):
+        registry = part_registry()
+        space = TupleSpace()
+
+        async def scenario():
+            front = AsyncSpaceServer(SpaceServer(space, registry), port=0)
+            await front.start()
+            try:
+                reader, writer = await asyncio.open_connection(*front.address)
+                writer.write(frame(MessageType.WRITE, 17, body))
+                await writer.drain()
+                parser = StreamParser(registry)
+                replies = []
+                while not replies:
+                    data = await asyncio.wait_for(reader.read(65536), 2.0)
+                    assert data, "closed without ERROR reply"
+                    replies.extend(parser.feed(data))
+                assert await asyncio.wait_for(reader.read(65536), 2.0) == b""
+                writer.close()
+                return replies, front.protocol_errors
+            finally:
+                await front.stop()
+
+        replies, protocol_errors = asyncio.run(scenario())
+        assert [reply.msg_type for reply in replies] == [MessageType.ERROR]
+        assert replies[0].request_id == 17
+        assert error in replies[0].params["text"]
         assert protocol_errors == 1
         assert len(space) == 0

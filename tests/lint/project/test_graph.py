@@ -38,23 +38,3 @@ def test_transitive_deps_exclude_self():
     graph = ModuleGraph({"a": {"b"}, "b": {"c"}, "c": set(), "d": set()})
     assert graph.transitive_deps("a") == {"b", "c"}
     assert graph.transitive_deps("c") == set()
-
-
-def test_transitive_dependents_is_the_invalidation_set():
-    # constants <- frames <- phy;  constants <- crc
-    graph = ModuleGraph(
-        {
-            "frames": {"constants"},
-            "phy": {"frames"},
-            "crc": {"constants"},
-            "other": set(),
-        }
-    )
-    assert graph.transitive_dependents(["constants"]) == {
-        "constants",
-        "frames",
-        "phy",
-        "crc",
-    }
-    assert graph.transitive_dependents(["frames"]) == {"frames", "phy"}
-    assert graph.transitive_dependents(["other"]) == {"other"}

@@ -1,5 +1,6 @@
 """Checker plumbing: module naming, discovery, registry, parse errors."""
 
+import ast
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,26 @@ def test_lint_paths_runs_over_directory(tmp_path: Path):
     reports = lint_paths([tmp_path], config=LintConfig())
     assert len(reports) == 1
     assert [f.rule for f in reports[0].findings] == ["mutable-default"]
+
+
+def test_lint_paths_without_a_root_parses_only_the_paths(tmp_path: Path, monkeypatch):
+    """A config with no root has no project roots: the index covers the
+    one file linted, not the tree under the working directory."""
+    (tmp_path / "mod.py").write_text("x = 1\n")
+    real_parse = ast.parse
+    parsed = []
+
+    def parse(source, filename="<unknown>", *args, **kwargs):
+        parsed.append(str(filename))
+        return real_parse(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", parse)
+    monkeypatch.chdir(Path(__file__).resolve().parents[2])
+    reports = lint_paths([tmp_path], config=LintConfig())
+    assert [report.findings for report in reports] == [[]]
+    # ``frame-bounds`` also reads the protocol constants when it is set up.
+    linted = [name for name in parsed if not name.endswith("tpwire/constants.py")]
+    assert linted == [(tmp_path / "mod.py").as_posix()]
 
 
 def test_duplicate_rule_id_rejected():
