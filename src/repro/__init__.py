@@ -27,6 +27,18 @@ The package rebuilds the paper's whole prototyping stack in Python:
 ``repro.analysis``  statistics and table rendering for the benchmarks
 ================  ===========================================================
 
+Besides these, ``repro.obs`` (tracing and metrics), ``repro.chaos``
+(fault injection) and ``repro.lint`` (the project's static checker).
+
+Every package re-exports its public names through one literal export
+table, ``_EXPORTS = {"repro.core.space": ("TupleSpace", ...), ...}``,
+and the PEP 562 ``__getattr__``/``__dir__`` that :func:`lazy_exports`
+builds from it: a name is imported on its first access, so
+``from repro.core import TupleSpace`` loads the space and its own
+imports, not the simulator, the PHY or the board.  ``__all__``,
+``dir()``, ``import *`` and every import path work as with plain
+imports.
+
 Quick taste::
 
     from repro.core import TupleSpace, LindaTuple, TupleTemplate, ANY
@@ -39,9 +51,9 @@ See ``examples/`` for runnable walkthroughs and ``benchmarks/`` for the
 reproduced tables and figures.
 """
 
-__version__ = "1.0.0"
+import sys
 
-from repro import analysis, board, core, cosim, des, hw, net, tpwire
+__version__ = "1.0.0"
 
 __all__ = [
     "__version__",
@@ -54,3 +66,43 @@ __all__ = [
     "net",
     "tpwire",
 ]
+
+
+def lazy_exports(namespace: dict, table: dict[str, tuple[str, ...]]):
+    """PEP 562 ``__getattr__`` and ``__dir__`` over a package's export table.
+
+    ``table`` maps a module to the names the package takes from it, as
+    ``from module import name`` would; a name listed under the package
+    itself is its submodule.  A name is imported on its first access and
+    then stored in ``namespace`` (the package's globals), so later
+    lookups never reach ``__getattr__`` again.
+    """
+    package = namespace["__name__"]
+    origin = {name: module for module, names in table.items() for name in names}
+
+    def __getattr__(name: str):
+        try:
+            module = origin[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            ) from None
+        submodule = module == package
+        target = f"{package}.{name}" if submodule else module
+        # The import statement's own path, so ``-X importtime`` lists it.
+        __import__(target)
+        value = sys.modules[target] if submodule else getattr(sys.modules[target], name)
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return {*namespace, *origin}
+
+    return __getattr__, __dir__
+
+
+_EXPORTS = {
+    "repro": ("analysis", "board", "core", "cosim", "des", "hw", "net", "tpwire"),
+}
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

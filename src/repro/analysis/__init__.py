@@ -1,14 +1,12 @@
 """Measurement analysis and report rendering for the benchmarks."""
 
-from repro.analysis.stats import (
-    scaling_factor,
-    relative_error,
-)
-from repro.analysis.tables import Table, Comparison, render_comparisons
-from repro.analysis.timeline import (
-    activity_timeline,
-    event_summary,
-)
+from repro import lazy_exports
+
+_EXPORTS = {
+    "repro.analysis.stats": ("scaling_factor", "relative_error"),
+    "repro.analysis.tables": ("Table", "Comparison", "render_comparisons"),
+    "repro.analysis.timeline": ("activity_timeline", "event_summary"),
+}
 
 __all__ = [
     "activity_timeline",
@@ -19,3 +17,5 @@ __all__ = [
     "Comparison",
     "render_comparisons",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -20,12 +20,16 @@ The analog here:
   request/response space client loop).
 """
 
-from repro.board.cpu import StackCpu, CpuError, Op
-from repro.board.errors import BoardError, BridgeNotConnectedError
-from repro.board.assembler import assemble, AssemblerError
-from repro.board.gdb_stub import GdbStub, GdbClient
-from repro.board.theseus import TheseusBoard
-from repro.board import firmware
+from repro import lazy_exports
+
+_EXPORTS = {
+    "repro.board.cpu": ("StackCpu", "CpuError", "Op"),
+    "repro.board.errors": ("BoardError", "BridgeNotConnectedError"),
+    "repro.board.assembler": ("assemble", "AssemblerError"),
+    "repro.board.gdb_stub": ("GdbStub", "GdbClient"),
+    "repro.board.theseus": ("TheseusBoard",),
+    "repro.board": ("firmware",),
+}
 
 __all__ = [
     "StackCpu",
@@ -40,3 +44,5 @@ __all__ = [
     "TheseusBoard",
     "firmware",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -24,36 +24,40 @@ circuit breaker, idempotent writes, lease re-acquisition) live in
 :mod:`repro.core.resilience`.
 """
 
-from repro.chaos.errors import (
-    ChaosError,
-    FaultPlanError,
-    InjectorError,
-    InvariantViolation,
-)
-from repro.chaos.injectors import (
-    CallbackInjector,
-    Injector,
-    SlaveCrashInjector,
-    arm_plan,
-)
-from repro.chaos.plan import (
-    FaultKind,
-    FaultPlan,
-    FaultSpec,
-    fault,
-    single_fault_plan,
-)
-from repro.chaos.scenarios import (
-    SCENARIOS,
-    ChaosScenario,
-    CrashRestartScenario,
-    DropDelayDupScenario,
-    LeaseStormScenario,
-    NoisyBurstScenario,
-    PartitionScenario,
-    SlowConsumerScenario,
-)
-from repro.chaos.transport import ChaosConnection, ChaosHost
+from repro import lazy_exports
+
+_EXPORTS = {
+    "repro.chaos.errors": (
+        "ChaosError",
+        "FaultPlanError",
+        "InjectorError",
+        "InvariantViolation",
+    ),
+    "repro.chaos.injectors": (
+        "CallbackInjector",
+        "Injector",
+        "SlaveCrashInjector",
+        "arm_plan",
+    ),
+    "repro.chaos.plan": (
+        "FaultKind",
+        "FaultPlan",
+        "FaultSpec",
+        "fault",
+        "single_fault_plan",
+    ),
+    "repro.chaos.scenarios": (
+        "SCENARIOS",
+        "ChaosScenario",
+        "CrashRestartScenario",
+        "DropDelayDupScenario",
+        "LeaseStormScenario",
+        "NoisyBurstScenario",
+        "PartitionScenario",
+        "SlowConsumerScenario",
+    ),
+    "repro.chaos.transport": ("ChaosConnection", "ChaosHost"),
+}
 
 __all__ = [
     "ChaosError",
@@ -80,3 +84,5 @@ __all__ = [
     "SlowConsumerScenario",
     "SCENARIOS",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

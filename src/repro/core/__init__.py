@@ -21,39 +21,38 @@ The middleware follows the Linda / JavaSpaces model the paper builds on:
   (:mod:`repro.core.agents`).
 """
 
-from repro.core.errors import (
-    ConnectionClosedError,
-    SpaceError,
-    NoMatchError,
-    LeaseDeniedError,
-    LeaseExpiredError,
-    ProtocolError,
-)
-from repro.core.clock import Clock, SystemClock, SimClock, ManualClock
-from repro.core.tuples import LindaTuple, TupleTemplate, ANY
-from repro.core.entry import Entry
-from repro.core.lease import Lease, LeaseManager, FOREVER
-from repro.core.events import EventRegistration, RemoteEvent
-from repro.core.space import TupleSpace, SpaceStats
-from repro.core.discovery import ServiceRegistry
-from repro.core.server import SpaceServer
-from repro.core.persistence import SpaceJournal, recover_space
-from repro.core.xmlcodec import XmlCodec
-from repro.core.protocol import (
-    MessageType,
-    Message,
-    encode_message,
-    StreamParser,
-)
-from repro.core.client import SpaceClient
-from repro.core.sim_client import SimSpaceClient, MarshallingCost
-from repro.core.agents import (
-    SpaceAgent,
-    ControlAgent,
-    ActuatorAgent,
-    ProducerAgent,
-    ConsumerAgent,
-)
+from repro import lazy_exports
+
+_EXPORTS = {
+    "repro.core.errors": (
+        "ConnectionClosedError",
+        "SpaceError",
+        "NoMatchError",
+        "LeaseDeniedError",
+        "LeaseExpiredError",
+        "ProtocolError",
+    ),
+    "repro.core.clock": ("Clock", "SystemClock", "SimClock", "ManualClock"),
+    "repro.core.tuples": ("LindaTuple", "TupleTemplate", "ANY"),
+    "repro.core.entry": ("Entry",),
+    "repro.core.lease": ("Lease", "LeaseManager", "FOREVER"),
+    "repro.core.events": ("EventRegistration", "RemoteEvent"),
+    "repro.core.space": ("TupleSpace", "SpaceStats"),
+    "repro.core.discovery": ("ServiceRegistry",),
+    "repro.core.server": ("SpaceServer",),
+    "repro.core.persistence": ("SpaceJournal", "recover_space"),
+    "repro.core.xmlcodec": ("XmlCodec",),
+    "repro.core.protocol": ("MessageType", "Message", "encode_message", "StreamParser"),
+    "repro.core.client": ("SpaceClient",),
+    "repro.core.sim_client": ("SimSpaceClient", "MarshallingCost"),
+    "repro.core.agents": (
+        "SpaceAgent",
+        "ControlAgent",
+        "ActuatorAgent",
+        "ProducerAgent",
+        "ConsumerAgent",
+    ),
+}
 
 __all__ = [
     "ConnectionClosedError",
@@ -95,3 +94,5 @@ __all__ = [
     "ProducerAgent",
     "ConsumerAgent",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

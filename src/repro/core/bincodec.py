@@ -53,7 +53,7 @@ from repro.core.entry import Entry
 from repro.core.errors import ProtocolError
 from repro.core.protocol import HEADER, MAGIC, Message, MessageType
 from repro.core.tuples import ANY, LindaTuple, TupleTemplate
-from repro.core.xmlcodec import XmlCodec
+from repro.core.xmlcodec import XmlCodec, _build
 
 TAG_NONE = 0x00
 TAG_FALSE = 0x01
@@ -327,7 +327,7 @@ def _read_value(data: bytes, pos: int, registry: XmlCodec) -> tuple[Any, int]:
             return members, pos
         if tag == TAG_PYTUPLE:
             return tuple(members), pos
-        return LindaTuple(*members), pos
+        return _build(LindaTuple, members), pos
     if tag == TAG_DICT:
         pairs, pos = _read_named(data, pos, registry)
         return dict(pairs), pos
@@ -337,7 +337,7 @@ def _read_value(data: bytes, pos: int, registry: XmlCodec) -> tuple[Any, int]:
         for _ in range(count):
             pattern, pos = _read_pattern(data, pos, registry)
             patterns.append(pattern)
-        return TupleTemplate(*patterns), pos
+        return _build(TupleTemplate, patterns), pos
     if tag == TAG_ANY or tag == TAG_FORMAL:
         raise ProtocolError("pattern tag outside a template")
     raise ProtocolError(f"unknown binary tag {tag:#04x}")

@@ -6,27 +6,28 @@ bridges, the board-side space client and the JavaSpaces server — and the
 canned experiment scenarios of Section 5.
 """
 
-from repro.cosim.environment import BusSystem, build_bus_system
-from repro.cosim.errors import CosimError, CaseStudyIncompleteError
-from repro.cosim.server_host import SimServerHost
-from repro.cosim.scenarios import (
-    ValidationScenario,
-    ValidationResult,
-    CaseStudyConfig,
-    CaseStudyScenario,
-    CaseStudyResult,
-    MachineParameters,
-    make_case_study_codec,
-)
-from repro.cosim.calibration import (
-    ValidationPoint,
-    run_validation_suite,
-    derive_scaling_factor,
-)
-from repro.cosim.ethernet import (
-    EthernetCaseStudy,
-    EthernetResult,
-)
+from repro import lazy_exports
+
+_EXPORTS = {
+    "repro.cosim.environment": ("BusSystem", "build_bus_system"),
+    "repro.cosim.errors": ("CosimError", "CaseStudyIncompleteError"),
+    "repro.cosim.server_host": ("SimServerHost",),
+    "repro.cosim.scenarios": (
+        "ValidationScenario",
+        "ValidationResult",
+        "CaseStudyConfig",
+        "CaseStudyScenario",
+        "CaseStudyResult",
+        "MachineParameters",
+        "make_case_study_codec",
+    ),
+    "repro.cosim.calibration": (
+        "ValidationPoint",
+        "run_validation_suite",
+        "derive_scaling_factor",
+    ),
+    "repro.cosim.ethernet": ("EthernetCaseStudy", "EthernetResult"),
+}
 
 __all__ = [
     "BusSystem",
@@ -47,3 +48,5 @@ __all__ = [
     "EthernetCaseStudy",
     "EthernetResult",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

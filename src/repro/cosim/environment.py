@@ -16,11 +16,9 @@ comparison meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.des import Simulator
-from repro.hw import HwKernel
-from repro.hw.tpwire_phy import BitLevelTpwireBus, PhyTiming
 from repro.tpwire import (
     BitErrorModel,
     BusTiming,
@@ -33,6 +31,9 @@ from repro.tpwire import (
 )
 from repro.tpwire.nwire import timing_for
 from repro.tpwire.transport import TransportEndpoint, TransportFabric
+
+if TYPE_CHECKING:
+    from repro.hw.kernel import HwKernel
 
 #: The master drains up to this many link messages from each mailbox it
 #: visits: a store-and-forward relay, not one message per poll.
@@ -100,6 +101,8 @@ def build_bus_system(
                 f"the bit-level PHY models the 1-wire serial bus only "
                 f"(asked for wires={wires}, mode={mode})"
             )
+        from repro.hw.kernel import HwKernel
+        from repro.hw.tpwire_phy import BitLevelTpwireBus, PhyTiming
         kernel = HwKernel(sim)
         bus = BitLevelTpwireBus(sim, kernel, PhyTiming(bit_rate=bit_rate))
     else:

@@ -17,22 +17,18 @@ provides the same primitives in pure Python:
   (tracing lives in :mod:`repro.obs`).
 """
 
-from repro.des.errors import (
-    SimulationError,
-    SchedulerError,
-)
-from repro.des.event import Event, EventState
-from repro.des.scheduler import HeapScheduler
-from repro.des.simulator import Simulator
-from repro.des.process import (
-    Process,
-    Timeout,
-    SimEvent,
-    Waitable,
-)
-from repro.des.resource import Resource, Store
-from repro.des.random_streams import StreamRegistry
-from repro.des.monitor import TallyMonitor, TimeWeightedMonitor, RateMonitor
+from repro import lazy_exports
+
+_EXPORTS = {
+    "repro.des.errors": ("SimulationError", "SchedulerError"),
+    "repro.des.event": ("Event", "EventState"),
+    "repro.des.scheduler": ("HeapScheduler",),
+    "repro.des.simulator": ("Simulator",),
+    "repro.des.process": ("Process", "Timeout", "SimEvent", "Waitable"),
+    "repro.des.resource": ("Resource", "Store"),
+    "repro.des.random_streams": ("StreamRegistry",),
+    "repro.des.monitor": ("TallyMonitor", "TimeWeightedMonitor", "RateMonitor"),
+}
 
 __all__ = [
     "SimulationError",
@@ -52,3 +48,5 @@ __all__ = [
     "TimeWeightedMonitor",
     "RateMonitor",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -20,12 +20,16 @@ This package provides:
   client/server co-simulation architecture (Figure 5).
 """
 
-from repro.hw.kernel import HwKernel
-from repro.hw.signal import Signal, wait_change, wait_negedge, wait_time
-from repro.hw.module import HwModule
-from repro.hw.shared_memory import SharedMemoryChannel
-from repro.hw.tpwire_phy import BitLevelTpwireBus, PhyTiming
-from repro.hw.bridge import ClientBridge, ServerBridge
+from repro import lazy_exports
+
+_EXPORTS = {
+    "repro.hw.kernel": ("HwKernel",),
+    "repro.hw.signal": ("Signal", "wait_change", "wait_negedge", "wait_time"),
+    "repro.hw.module": ("HwModule",),
+    "repro.hw.shared_memory": ("SharedMemoryChannel",),
+    "repro.hw.tpwire_phy": ("BitLevelTpwireBus", "PhyTiming"),
+    "repro.hw.bridge": ("ClientBridge", "ServerBridge"),
+}
 
 __all__ = [
     "HwKernel",
@@ -40,3 +44,5 @@ __all__ = [
     "ClientBridge",
     "ServerBridge",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -17,12 +17,16 @@ Rules are pluggable: subclass :class:`~repro.lint.registry.Rule` and
 decorate it with :func:`~repro.lint.registry.register`.
 """
 
-from repro.lint.checker import lint_file, lint_source
-from repro.lint.config import LintConfig, load_config
-from repro.lint.errors import ConfigError, LintError, RegistryError
-from repro.lint.findings import FileReport, Finding, Severity
-from repro.lint.project.engine import lint_paths
-from repro.lint.registry import Rule, all_rule_classes, instantiate, register
+from repro import lazy_exports
+
+_EXPORTS = {
+    "repro.lint.checker": ("lint_file", "lint_source"),
+    "repro.lint.config": ("LintConfig", "load_config"),
+    "repro.lint.errors": ("ConfigError", "LintError", "RegistryError"),
+    "repro.lint.findings": ("FileReport", "Finding", "Severity"),
+    "repro.lint.project.engine": ("lint_paths",),
+    "repro.lint.registry": ("Rule", "all_rule_classes", "instantiate", "register"),
+}
 
 __all__ = [
     "ConfigError",
@@ -41,3 +45,5 @@ __all__ = [
     "load_config",
     "register",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

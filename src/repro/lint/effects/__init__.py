@@ -25,11 +25,26 @@ The fixpoint also answers "does this call block?" for
 :attr:`~repro.lint.effects.infer.EffectIndex.blocking_calls`).
 """
 
-from repro.lint.effects.model import (  # noqa: F401
-    BLOCKING,
-    ENV_READ,
-    GLOBAL_MUTATION,
-    NONDET_KINDS,
-    THREAD_SPAWN,
-    UNSTABLE_ITER,
-)
+from repro import lazy_exports
+
+_EXPORTS = {
+    "repro.lint.effects.model": (
+        "BLOCKING",
+        "ENV_READ",
+        "GLOBAL_MUTATION",
+        "NONDET_KINDS",
+        "THREAD_SPAWN",
+        "UNSTABLE_ITER",
+    ),
+}
+
+__all__ = [
+    "BLOCKING",
+    "ENV_READ",
+    "GLOBAL_MUTATION",
+    "NONDET_KINDS",
+    "THREAD_SPAWN",
+    "UNSTABLE_ITER",
+]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

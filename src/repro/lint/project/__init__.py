@@ -14,8 +14,12 @@ Entry point: :func:`repro.lint.project.engine.lint_paths`, which parses
 each file once for both kinds of rule.
 """
 
-from repro.lint.project.resolver import ImportResolver, module_name_for
-from repro.lint.project.symbols import ModuleSummary, summarize
+from repro import lazy_exports
+
+_EXPORTS = {
+    "repro.lint.project.resolver": ("ImportResolver", "module_name_for"),
+    "repro.lint.project.symbols": ("ModuleSummary", "summarize"),
+}
 
 __all__ = [
     "ImportResolver",
@@ -23,3 +27,5 @@ __all__ = [
     "module_name_for",
     "summarize",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -1,10 +1,13 @@
 """Rule ``shadowed-export`` — ``__all__`` and imports must agree.
 
-Two quiet ways a module's public face can lie:
+Three quiet ways a module's public face can lie:
 
 * ``__all__`` names something the module never defines or imports — a
   ghost export that turns ``from pkg import *`` (and documentation
   generated from ``__all__``) into a runtime ``AttributeError``;
+* a package's export table (:func:`repro.lazy_exports`) takes a name
+  from a module that neither defines nor imports it — the lazy import
+  fails only on first access, where an eager one failed on import;
 * one top-level import unconditionally rebinds a name another import
   just bound — the first import survives only in the reader's head.
   Conditional rebinding (``try``/``except ImportError`` fallbacks, and
@@ -26,8 +29,8 @@ _IMPORT_KINDS = ("import", "from")
 class ShadowedExportRule(ProjectRule):
     id = "shadowed-export"
     summary = (
-        "__all__ entries must resolve to real bindings; imports must not "
-        "silently shadow earlier imports"
+        "__all__ and export-table entries must resolve to real bindings; "
+        "imports must not silently shadow earlier imports"
     )
 
     def check(self, index) -> Iterator[Finding]:
@@ -61,6 +64,10 @@ class ShadowedExportRule(ProjectRule):
                             f"defines nor imports",
                         )
 
+            for rec in summary.bindings:
+                if rec.get("lazy"):
+                    yield from self._check_table_entry(index, summary, rec)
+
             first_import: dict[str, dict] = {}
             for rec in summary.bindings:
                 if rec["kind"] not in _IMPORT_KINDS or rec["cond"]:
@@ -74,4 +81,20 @@ class ShadowedExportRule(ProjectRule):
                         f"line {earlier['line']}",
                     )
                 first_import.setdefault(rec["name"], rec)
-        return
+
+    def _check_table_entry(self, index, summary, rec: dict) -> Iterator[Finding]:
+        """A table entry must name a submodule or a binding of its module.
+
+        A module outside the index (a run over part of the tree) cannot
+        be checked and is passed over.
+        """
+        source, name = rec["module"], rec["orig"]
+        if f"{source}.{name}" in index.summaries or source not in index.summaries:
+            return
+        if name not in index.summaries[source].binding_map():
+            yield self.finding_at(
+                summary.path,
+                rec["line"],
+                f"export table takes {name!r} from {source}, which neither "
+                f"defines nor imports it",
+            )

@@ -1,8 +1,9 @@
 """Per-module symbol summaries for the whole-program pass.
 
 A :class:`ModuleSummary` is everything the project rules need to know
-about one file — imports, module-level bindings, constant expressions,
-class/function skeletons, raise sites, ``__all__`` — extracted by
+about one file — imports, module-level bindings (a package's export
+table among them), constant expressions, class/function skeletons,
+raise sites, ``__all__`` — extracted by
 :func:`summarize` from the :class:`~repro.lint.context.ModuleContext`
 the per-file rules saw, so each file is parsed once per run.
 
@@ -46,6 +47,10 @@ _BINOPS = {
 
 _UNARYOPS = {ast.USub: "-", ast.UAdd: "+", ast.Invert: "~"}
 
+#: A package's export table (see :func:`repro.lazy_exports`): a literal
+#: ``{module: (name, ...)}`` read as the package's bindings.
+EXPORT_TABLE = "_EXPORTS"
+
 
 @dataclass
 class ModuleSummary:
@@ -59,7 +64,8 @@ class ModuleSummary:
     imports: list[dict] = field(default_factory=list)
     #: Ordered module-level bindings: {"name", "kind": "import"|"from"|
     #: "assign"|"def"|"class", "line", "cond": bool, plus for "from":
-    #: "module"/"level"/"orig", for "import": "target"}.
+    #: "module"/"level"/"orig" (and "lazy": True for an export-table
+    #: entry), for "import": "target"}.
     bindings: list[dict] = field(default_factory=list)
     #: Module-level constant expressions, name -> expr dict (see module
     #: docstring) — only for assignments the encoder understands.
@@ -212,6 +218,8 @@ class _Extractor:
                 if target.id == "__all__":
                     self._all(stmt)
                     continue
+                if target.id == EXPORT_TABLE:
+                    self._export_table(stmt.value, conditional)
                 self._binding(target.id, "assign", stmt.lineno, conditional)
                 if stmt.value is not None:
                     expr = _encode_expr(stmt.value)
@@ -242,6 +250,35 @@ class _Extractor:
             self.s.all_names = [e.value for e in value.elts]
         else:
             self.s.all_dynamic = True
+
+    def _export_table(self, value, conditional: bool) -> None:
+        """Bind each name of a package's export table as its lazy import.
+
+        ``{"repro.core.space": ("TupleSpace",)}`` binds ``TupleSpace`` as
+        ``from repro.core.space import TupleSpace`` would, but as an
+        import made at first access (``top`` False), as the package's
+        ``__getattr__`` makes it.
+        """
+        if not isinstance(value, ast.Dict):
+            return
+        for key, names in zip(value.keys, value.values):
+            if not (
+                isinstance(key, ast.Constant) and isinstance(key.value, str)
+                and isinstance(names, (ast.Tuple, ast.List))
+            ):
+                continue
+            members = [
+                e for e in names.elts
+                if isinstance(e, ast.Constant) and isinstance(e.value, str)
+            ]
+            self.s.imports.append(
+                {"kind": "from", "module": key.value, "level": 0,
+                 "names": [[e.value, e.value] for e in members],
+                 "line": key.lineno, "top": False}
+            )
+            for e in members:
+                self._binding(e.value, "from", e.lineno, conditional,
+                              module=key.value, level=0, orig=e.value, lazy=True)
 
     def _binding(self, name: str, kind: str, line: int, conditional: bool, **extra) -> None:
         rec = {"name": name, "kind": kind, "line": line, "cond": conditional}

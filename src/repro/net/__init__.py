@@ -17,14 +17,18 @@ parameters.  This package provides those NS-2 building blocks:
   these flows over the bus model.
 """
 
-from repro.net.errors import NetError, AgentConfigError, NoRouteError
-from repro.net.packet import Packet
-from repro.net.node import Node
-from repro.net.link import DuplexLink
-from repro.net.agent import NetAgent, LoopbackAgent
-from repro.net.traffic import CBRSource, PoissonSource
-from repro.net.sink import SinkAgent
-from repro.net.tpwire_agent import TpwireAgent, TpwireSink
+from repro import lazy_exports
+
+_EXPORTS = {
+    "repro.net.errors": ("NetError", "AgentConfigError", "NoRouteError"),
+    "repro.net.packet": ("Packet",),
+    "repro.net.node": ("Node",),
+    "repro.net.link": ("DuplexLink",),
+    "repro.net.agent": ("NetAgent", "LoopbackAgent"),
+    "repro.net.traffic": ("CBRSource", "PoissonSource"),
+    "repro.net.sink": ("SinkAgent",),
+    "repro.net.tpwire_agent": ("TpwireAgent", "TpwireSink"),
+}
 
 __all__ = [
     "NetError",
@@ -41,3 +45,5 @@ __all__ = [
     "TpwireAgent",
     "TpwireSink",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -8,22 +8,23 @@ simulated run: no wall clocks, no unseeded randomness (enforced by
 ``repro.lint``).
 """
 
-from repro.obs.errors import (
-    ObsError,
-    MetricError,
-    ExportError,
-    SchemaError,
-    VcdError,
-)
-from repro.obs.records import TraceEvent, dump_jsonl
-from repro.obs.tracer import Tracer, SpanHandle
-from repro.obs.metrics import MetricRegistry
-from repro.obs.vcd import VcdRecorder
-from repro.obs.export import (
-    load_bench_json,
-    write_bench_json,
-)
-from repro.obs.observability import Observability
+from repro import lazy_exports
+
+_EXPORTS = {
+    "repro.obs.errors": (
+        "ObsError",
+        "MetricError",
+        "ExportError",
+        "SchemaError",
+        "VcdError",
+    ),
+    "repro.obs.records": ("TraceEvent", "dump_jsonl"),
+    "repro.obs.tracer": ("Tracer", "SpanHandle"),
+    "repro.obs.metrics": ("MetricRegistry",),
+    "repro.obs.vcd": ("VcdRecorder",),
+    "repro.obs.export": ("load_bench_json", "write_bench_json"),
+    "repro.obs.observability": ("Observability",),
+}
 
 __all__ = [
     "ObsError",
@@ -41,3 +42,5 @@ __all__ = [
     "write_bench_json",
     "Observability",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

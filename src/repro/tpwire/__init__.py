@@ -15,42 +15,42 @@ model (the stand-in for the real TpICU/SCM hardware) lives in
 :mod:`repro.hw`.
 """
 
-from repro.tpwire.errors import (
-    TpwireError,
-    FrameError,
-    CrcMismatch,
-    BusTimeout,
-    BusError,
-    SlaveError,
-    NoSuchNode,
-)
-from repro.tpwire.crc import crc4, CRC4_POLY
-from repro.tpwire.commands import (
-    Command,
-    RxType,
-    AddressSpace,
-    BROADCAST_NODE_ID,
-    node_address,
-    split_address,
-)
-from repro.tpwire.frames import TxFrame, RxFrame
-from repro.tpwire.registers import SlaveRegisterFile, SystemRegister, Flag
-from repro.tpwire.timing import BusTiming, WireMode
-from repro.tpwire.slave import TpwireSlave
-from repro.tpwire.master import TpwireMaster
-from repro.tpwire.bus import TpwireBus, BitErrorModel
-from repro.tpwire.nwire import ParallelBusGroup, timing_for
-from repro.tpwire.transport import (
-    MailboxDevice,
-    TransportEndpoint,
-    MasterPoller,
-    PollStrategy,
-)
-from repro.tpwire.spi import (
-    SpiPeripheral,
-    TemperatureSensor,
-    OutputShiftRegister,
-)
+from repro import lazy_exports
+
+_EXPORTS = {
+    "repro.tpwire.errors": (
+        "TpwireError",
+        "FrameError",
+        "CrcMismatch",
+        "BusTimeout",
+        "BusError",
+        "SlaveError",
+        "NoSuchNode",
+    ),
+    "repro.tpwire.crc": ("crc4", "CRC4_POLY"),
+    "repro.tpwire.commands": (
+        "Command",
+        "RxType",
+        "AddressSpace",
+        "BROADCAST_NODE_ID",
+        "node_address",
+        "split_address",
+    ),
+    "repro.tpwire.frames": ("TxFrame", "RxFrame"),
+    "repro.tpwire.registers": ("SlaveRegisterFile", "SystemRegister", "Flag"),
+    "repro.tpwire.timing": ("BusTiming", "WireMode"),
+    "repro.tpwire.slave": ("TpwireSlave",),
+    "repro.tpwire.master": ("TpwireMaster",),
+    "repro.tpwire.bus": ("TpwireBus", "BitErrorModel"),
+    "repro.tpwire.nwire": ("ParallelBusGroup", "timing_for"),
+    "repro.tpwire.transport": (
+        "MailboxDevice",
+        "TransportEndpoint",
+        "MasterPoller",
+        "PollStrategy",
+    ),
+    "repro.tpwire.spi": ("SpiPeripheral", "TemperatureSensor", "OutputShiftRegister"),
+}
 
 __all__ = [
     "TpwireError",
@@ -89,3 +89,5 @@ __all__ = [
     "TemperatureSensor",
     "OutputShiftRegister",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

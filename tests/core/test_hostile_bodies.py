@@ -14,7 +14,9 @@ Each test here failed before its fix:
 * the XML reader dropped stray content: text or an element where the
   writer writes none (``<field type="str">st<b>x</b>01</field>`` read
   as ``'st'``), so the server acked a value the client never sent;
-* an XML tuple or template of no members escaped as ``ValueError``.
+* an XML tuple or template of no members escaped as ``ValueError``;
+* so did a binary one (bodies ``00 01 0a 00`` and ``00 01 0c 00``), and
+  the asyncio server dropped the connection without an ERROR reply.
 """
 
 import asyncio
@@ -336,5 +338,72 @@ class TestStrayContentIsAProtocolError:
         assert [reply.msg_type for reply in replies] == [MessageType.ERROR]
         assert replies[0].request_id == 17
         assert error in replies[0].params["text"]
+        assert protocol_errors == 1
+        assert len(space) == 0
+
+
+#: ``id -> (binary item, what the error says)``: items of no members.
+EMPTY_BINARY_ITEMS = {
+    "tuple": (b"\x0a\x00", "a tuple needs at least one field"),
+    "template": (b"\x0c\x00", "a template needs at least one pattern"),
+    "tuple_field": (b"\x0a\x01\x0a\x00", "a tuple needs at least one field"),
+}
+
+
+class TestEmptyBinaryItemIsAProtocolError:
+    @pytest.mark.parametrize(
+        "item, error", EMPTY_BINARY_ITEMS.values(), ids=EMPTY_BINARY_ITEMS.keys()
+    )
+    def test_binary_codec(self, item, error):
+        registry = XmlCodec()
+        with pytest.raises(ProtocolError, match=error):
+            BinaryWireCodec(registry).decode_body(
+                MessageType.WRITE, 1, binary_body(item)
+            )
+        with pytest.raises(ProtocolError, match=error):
+            BinaryCodec(registry).decode(item)
+
+    @pytest.mark.parametrize(
+        "item, error", EMPTY_BINARY_ITEMS.values(), ids=EMPTY_BINARY_ITEMS.keys()
+    )
+    def test_async_server_answers_error_then_closes(self, item, error):
+        registry = XmlCodec()
+        space = TupleSpace()
+
+        async def scenario():
+            front = AsyncSpaceServer(SpaceServer(space, registry), port=0)
+            await front.start()
+            try:
+                reader, writer = await asyncio.open_connection(*front.address)
+                parser = StreamParser(registry)
+
+                async def replies_after(data: bytes, count: int) -> list:
+                    writer.write(data)
+                    await writer.drain()
+                    replies = []
+                    while len(replies) < count:
+                        data = await asyncio.wait_for(reader.read(65536), 2.0)
+                        assert data, "closed without a reply"
+                        replies.extend(parser.feed(data))
+                    return replies
+
+                hello = Message(MessageType.HELLO, 1, {"codecs": "binary"})
+                replies = await replies_after(encode_message(hello, registry), 1)
+                parser.set_codec(BinaryWireCodec(registry))
+                replies += await replies_after(
+                    frame(MessageType.WRITE, 19, binary_body(item)), 1
+                )
+                assert await asyncio.wait_for(reader.read(65536), 2.0) == b""
+                writer.close()
+                return replies, front.protocol_errors
+            finally:
+                await front.stop()
+
+        replies, protocol_errors = asyncio.run(scenario())
+        assert [reply.msg_type for reply in replies] == [
+            MessageType.HELLO_ACK, MessageType.ERROR,
+        ]
+        assert replies[1].request_id == 19
+        assert error in replies[1].params["text"]
         assert protocol_errors == 1
         assert len(space) == 0

@@ -223,3 +223,58 @@ def test_conditional_fallback_import_is_allowed(tmp_path):
     )
     findings, _s = run_rules(tmp_path, ["shadowed-export"])
     assert findings == []
+
+
+#: A package that imports its exports on first access, through an
+#: export table read by ``repro.lazy_exports``.
+LAZY_PKG = {
+    "src/repro/__init__.py": """\
+        def lazy_exports(namespace, table):
+            return None, None
+        """,
+    "src/repro/net/__init__.py": """\
+        from repro import lazy_exports
+
+        _EXPORTS = {
+            "repro.net.agent": ("Agent", "Sink"),
+            "repro.net": ("agent",),
+        }
+
+        __all__ = ["Agent", "Sink", "agent"]
+
+        __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+        """,
+    "src/repro/net/agent.py": PKG["src/repro/net/agent.py"],
+}
+
+
+def test_lazy_export_without_a_user_warns(tmp_path):
+    files = dict(LAZY_PKG)
+    files["src/repro/cosim/__init__.py"] = ""
+    files["src/repro/cosim/run.py"] = """\
+        from repro.net import Agent
+
+        def go():
+            return Agent()
+        """
+    write_project(tmp_path, files)
+    findings, _s = run_rules(tmp_path, ["dead-public-api"])
+    assert [(f.path, f.line) for f in findings] == [("src/repro/net/__init__.py", 4)]
+    assert "repro.net exports Sink, but repro.net.agent.Sink" in findings[0].message
+
+
+def test_export_table_entry_naming_a_missing_symbol_fires(tmp_path):
+    files = dict(LAZY_PKG)
+    files["src/repro/net/agent.py"] = "class Agent:\n    pass\n"
+    write_project(tmp_path, files)
+    findings, _s = run_rules(tmp_path, ["shadowed-export"])
+    assert [(f.line, f.message) for f in findings] == [
+        (4, "export table takes 'Sink' from repro.net.agent, which neither "
+            "defines nor imports it"),
+    ]
+
+
+def test_export_table_entries_bind_the_package_names(tmp_path):
+    write_project(tmp_path, LAZY_PKG)
+    findings, _s = run_rules(tmp_path, ["shadowed-export"])
+    assert findings == []
